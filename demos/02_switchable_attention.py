@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """The attention layer stage by stage: squeeze, decide, excite, switch,
-recalibrate, plus the standalone single-branch gates.
+recalibrate, plus the single-operator special case (the ECA gate).
 
 Run:  python demos/02_switchable_attention.py
 """
@@ -10,7 +10,6 @@ import numpy as np
 from semnet import (
     RngState,
     Tensor,
-    baseline_forward,
     decide,
     eca_kernel_size,
     excite_cnn,
@@ -56,11 +55,16 @@ print("attention map range: (%.4f, %.4f)" % (v.data.min(), v.data.max()))
 out = sem_forward(x, params)
 print("recalibrated feature map:", out.shape)
 
-# Standalone gates are the single-branch special cases: with unit
-# decision weights, the one-operator route reproduces them exactly.
+# The conventional gates are single-operator special cases: with one
+# operator and unit decision weights the layer is x * sigmoid(branch(m)),
+# here the ECA gate with a k-tap convolution along the channel axis.
 eca_params = init_sem_params(C, ("cnn",), rng=RngState(3), dtype=np.float64,
                              with_decision=False)
 a = sem_forward(x, eca_params, force_unit_decision=True)
-b = baseline_forward(x, "eca", eca_params)
-print("single-cnn route vs standalone gate, max diff:",
-      float(np.max(np.abs(a.data - b.data))))
+kernel = eca_params.conv_kernel.data
+half = len(kernel) // 2
+padded = np.pad(x.data.mean(axis=(2, 3)), ((0, 0), (half, half)))
+conv = sum(kernel[t] * padded[:, t : t + C] for t in range(len(kernel)))
+b = x.data / (1.0 + np.exp(-conv))[:, :, None, None]
+print("single-cnn route vs the ECA formula, max diff:",
+      float(np.max(np.abs(a.data - b))))

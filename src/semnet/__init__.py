@@ -5,7 +5,6 @@ from .attention import (
     DecisionRecord,
     EcaHyper,
     SemParams,
-    baseline_forward,
     decide,
     decision_summary_csv,
     eca_kernel_size,
@@ -30,11 +29,11 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .data import (
     AugmentConfig,
     DatasetRecord,
-    augment,
+    augment_batch,
     batch_iterator,
     compute_channel_stats,
     load_cifar,
-    normalize,
+    normalize_images,
     synthetic_dataset,
 )
 from .errors import CheckpointError, IngestionError, NumericalFailure

@@ -5,8 +5,8 @@ decision network produces a soft weight for each enabled excitation
 branch (fully-connected bottleneck, channel 1-D convolution, instance
 enhance), and the switch multiplies the sigmoid-activated, weighted
 branch outputs into a single attention map that rescales the input
-channels. Standalone single-branch gates (SE / ECA / IE) are provided
-as reference paths.
+channels. The conventional single-branch gates (SE, ECA, IE) are this
+layer with one operator and no decision network.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ OPERATOR_FC = "fc"
 OPERATOR_CNN = "cnn"
 OPERATOR_IE = "ie"
 ALL_OPERATORS = (OPERATOR_FC, OPERATOR_CNN, OPERATOR_IE)
-
-BASELINE_KINDS = ("se", "eca", "ie")
 
 
 def normalize_operator_set(operators) -> tuple[str, ...]:
@@ -245,8 +243,10 @@ def sem_forward(x: Tensor, params: SemParams, *,
     switch, recalibrate.
 
     ``force_unit_decision`` drops the decision weights (w = 1 for every
-    branch), the ablation that isolates the switching product. ``capture``
-    receives the raw decision and attention-map arrays when provided.
+    branch), the ablation that isolates the switching product; with one
+    operator and a sigmoid switch it is the conventional SE / ECA / IE gate.
+    ``capture`` receives the raw decision and attention-map arrays when
+    provided.
     """
     m = squeeze(x)
     weights = None
@@ -259,25 +259,6 @@ def sem_forward(x: Tensor, params: SemParams, *,
     v = switch(branches, weights, params.switch_activation)
     if capture is not None:
         capture["decision"] = None if weights is None else weights.data.copy()
-        capture["attention"] = v.data.copy()
-    return recalibrate(x, v)
-
-
-def baseline_forward(x: Tensor, kind: str, params: SemParams, *,
-                     capture: dict | None = None) -> Tensor:
-    """Conventional standalone gate: v = sigmoid(branch(m)), no decision."""
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"unknown baseline {kind!r}; expected one of {BASELINE_KINDS}")
-    m = squeeze(x)
-    if kind == "se":
-        branch = excite_fc(m, params.reduce_weight, params.expand_weight)
-    elif kind == "eca":
-        branch = excite_cnn(m, params.conv_kernel)
-    else:
-        branch = excite_ie(m, params.ie_scale, params.ie_shift)
-    v = sigmoid(branch)
-    if capture is not None:
-        capture["decision"] = None
         capture["attention"] = v.data.copy()
     return recalibrate(x, v)
 

@@ -21,6 +21,9 @@ from .tensor import Tensor, add, affine, batch_norm, conv2d, global_avg_pool, re
 STAGE_WIDTHS = (16, 32, 64)
 BLOCK_EXPANSION = 4
 ATTENTION_MODES = ("none", "se", "eca", "ie", "sem", "random_single", "random_double")
+# Conventional gates: one excitation operator, no decision network, and a
+# sigmoid switch whatever the configured switch activation.
+SINGLE_OPERATOR_MODES = {"se": att.OPERATOR_FC, "eca": att.OPERATOR_CNN, "ie": att.OPERATOR_IE}
 
 
 def depth_to_blocks(depth: int) -> int:
@@ -144,24 +147,19 @@ class _Linear:
 class _AttentionModule:
     """Per-block channel gate in one of the configured modes."""
 
-    BASELINE = {"se": "fc", "eca": "cnn", "ie": "ie"}
-
     def __init__(self, channels: int, mode: str, operators: tuple[str, ...],
                  cfg: NetworkConfig, gen: np.random.Generator):
-        self.mode = mode
-        self.channels = channels
         with_decision = mode == "sem" and not cfg.unit_decision
         self.unit_decision = not with_decision
         self.params: SemParams = att.init_sem_params(
             channels, operators,
             reduction=cfg.reduction,
-            switch_activation=cfg.switch_activation,
+            switch_activation=("sigmoid" if mode in SINGLE_OPERATOR_MODES
+                               else cfg.switch_activation),
             rng=gen, dtype=cfg.dtype,
             with_decision=with_decision)
 
     def __call__(self, x: Tensor, capture: dict | None = None) -> Tensor:
-        if self.mode in self.BASELINE:
-            return att.baseline_forward(x, self.mode, self.params, capture=capture)
         return att.sem_forward(x, self.params,
                                force_unit_decision=self.unit_decision,
                                capture=capture)
@@ -257,8 +255,8 @@ class Model:
             return assign_random_operators(total, 2, self.cfg.attention_seed)
         if mode == "sem":
             return [self.cfg.operator_set] * total
-        if mode in _AttentionModule.BASELINE:
-            return [(_AttentionModule.BASELINE[mode],)] * total
+        if mode in SINGLE_OPERATOR_MODES:
+            return [(SINGLE_OPERATOR_MODES[mode],)] * total
         return [att.ALL_OPERATORS] * total  # "none": unused
 
     def forward(self, x: Tensor, training: bool = False,

@@ -5,10 +5,15 @@ of (uint16 name length, utf-8 name, uint8 dtype code, uint8 rank, rank
 uint64 extents, raw element data), all little-endian, followed by a
 CRC-32 (uint32) of every preceding byte. Arrays round-trip in insertion
 order and bit-identically.
+
+Writes are atomic: the container goes to a temporary file in the target's
+directory, is flushed to disk, and then replaces the target, so a crash
+mid-write leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 
@@ -48,8 +53,17 @@ def write_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
         little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         blob += little.tobytes()
     blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:

@@ -181,16 +181,8 @@ def compute_channel_stats(records: list[DatasetRecord]) -> tuple[np.ndarray, np.
     return mean, np.sqrt(np.maximum(var, 0.0))
 
 
-def normalize(record: DatasetRecord, mean, std) -> DatasetRecord:
-    """Per-channel (pixel - mean) / std."""
-    mean = np.asarray(mean, dtype=np.float32).reshape(3, 1, 1)
-    std = np.asarray(std, dtype=np.float32).reshape(3, 1, 1)
-    if np.any(std <= 0):
-        raise ValueError("std must be strictly positive per channel")
-    return DatasetRecord((record.image - mean) / std, record.label, record.coarse_label)
-
-
 def normalize_images(images: np.ndarray, mean, std) -> np.ndarray:
+    """Per-channel (pixel - mean) / std over a (B, 3, H, W) batch."""
     mean = np.asarray(mean, dtype=images.dtype).reshape(1, 3, 1, 1)
     std = np.asarray(std, dtype=images.dtype).reshape(1, 3, 1, 1)
     if np.any(std <= 0):
@@ -198,28 +190,13 @@ def normalize_images(images: np.ndarray, mean, std) -> np.ndarray:
     return (images - mean) / std
 
 
-def augment(record: DatasetRecord, cfg: AugmentConfig,
-            rng: np.random.Generator) -> DatasetRecord:
-    """Zero-pad, random 32x32 crop, then horizontal mirror with flip_prob.
-
-    Disabled configs return the record unchanged (identity, same object).
-    """
-    if not cfg.enabled:
-        return record
-    img = record.image
-    pad = cfg.crop_pad
-    if pad:
-        padded = np.pad(img, ((0, 0), (pad, pad), (pad, pad)))
-        dy, dx = (int(v) for v in rng.integers(0, 2 * pad + 1, size=2))
-        img = padded[:, dy : dy + img.shape[1], dx : dx + img.shape[2]]
-    if rng.random() < cfg.flip_prob:
-        img = img[:, :, ::-1]
-    return DatasetRecord(np.ascontiguousarray(img), record.label, record.coarse_label)
-
-
 def augment_batch(images: np.ndarray, cfg: AugmentConfig,
                   rng: np.random.Generator) -> np.ndarray:
-    """Batched crop/flip with per-image draws; same policy as augment()."""
+    """Zero-pad, random crop back to (H, W), then horizontal mirror with
+    flip_prob, drawn per image: all crop offsets first, then all flips.
+
+    Disabled configs return the batch unchanged (identity, same object).
+    """
     if not cfg.enabled:
         return images
     b, _, h, w = images.shape

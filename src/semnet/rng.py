@@ -23,6 +23,3 @@ class RngState:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(seq))
 
-    def child(self, stream: int) -> "RngState":
-        """Derive an independent stream under the same seed."""
-        return RngState(self.seed, stream)

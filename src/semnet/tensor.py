@@ -2,8 +2,8 @@
 
 A Tensor wraps a contiguous row-major numpy buffer (float32 or float64).
 Operations record their inputs and a backward rule on the computation
-graph; ``backward(loss)`` materialises the recorded operations as a Tape
-in topological order, runs it once in reverse, and then discards it.
+graph; ``backward(loss)`` puts the recorded operations in topological
+order, runs them once in reverse, and then discards them.
 Only first-order gradients are supported.
 """
 
@@ -128,36 +128,25 @@ class Tensor:
         backward(self)
 
 
-class Tape:
-    """Operations of one forward pass, topologically ordered.
-
-    Every entry's parents appear earlier in the list, so a single reverse
-    sweep propagates gradients with each node visited exactly once.
-    """
-
-    __slots__ = ("operations",)
-
-    def __init__(self, operations):
-        self.operations = operations
-
-    @classmethod
-    def from_output(cls, root: Tensor) -> "Tape":
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent._backward is not None and id(parent) not in seen:
-                    stack.append((parent, False))
-        return cls([n for n in order if n._backward is not None])
+def _topological_order(root: Tensor) -> list[Tensor]:
+    """Recorded operations reachable from ``root``, every entry after its
+    parents, so one reverse sweep visits each node exactly once."""
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent._backward is not None and id(parent) not in seen:
+                stack.append((parent, False))
+    return [n for n in order if n._backward is not None]
 
 
 def backward(loss: Tensor) -> None:
@@ -169,9 +158,9 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ValueError(f"backward() needs a scalar, got shape {loss.shape}")
-    tape = Tape.from_output(loss)
+    tape = _topological_order(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.operations):
+    for node in reversed(tape):
         out_grad = node.grad
         if out_grad is None:
             continue
@@ -190,7 +179,7 @@ def backward(loss: Tensor) -> None:
                     parent.grad = grad
             else:
                 parent.grad += grad
-    for node in tape.operations:
+    for node in tape:
         node._parents = ()
         node._backward = None
 

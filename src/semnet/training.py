@@ -101,6 +101,10 @@ class RunConfig:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if not 0.0 <= cfg.flip_prob <= 1.0:
             raise ValueError("flip_prob must be in [0, 1]")
+        if cfg.synthetic_test < 1:
+            raise ValueError(f"synthetic_test must be >= 1, got {cfg.synthetic_test}")
+        if cfg.train_subset is not None and cfg.train_subset < 1:
+            raise ValueError(f"train_subset must be >= 1, got {cfg.train_subset}")
         return cfg
 
     def network_config(self) -> NetworkConfig:
@@ -155,39 +159,44 @@ def parse_kv_file(path: str) -> dict[str, str]:
     return out
 
 
-_TUPLE_INT_KEYS = {"milestones"}
-_TUPLE_STR_KEYS = {"operator_set"}
-_OPTIONAL_INT_KEYS = {"attention_seed", "num_classes", "train_subset", "max_steps"}
-_BOOL_KEYS = {"unit_decision", "augment"}
-_INT_KEYS = {"depth", "reduction", "epochs", "batch_size", "eval_batch_size",
-             "seed", "synthetic_train", "synthetic_test", "synthetic_classes",
-             "crop_pad"}
-_FLOAT_KEYS = {"lr", "lr_decay", "momentum", "weight_decay", "flip_prob"}
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+_SCALAR_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple[int, ...]": lambda raw: tuple(int(v) for v in raw.split(",") if v.strip()),
+    "tuple[str, ...]": lambda raw: tuple(v.strip() for v in raw.split(",") if v.strip()),
+}
+
+
+def _parser_for(annotation: str):
+    """Text parser for a RunConfig field annotation; ``X | None`` also
+    accepts an empty value or ``none``."""
+    base = annotation.removesuffix(" | None")
+    if base not in _SCALAR_PARSERS:
+        raise TypeError(f"no config parser for annotation {annotation!r}")
+    parse = _SCALAR_PARSERS[base]
+    if base == annotation:
+        return parse
+    return lambda raw: None if raw.lower() in ("", "none") else parse(raw)
+
+
+_FIELD_PARSERS = {f.name: _parser_for(f.type) for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _OPTIONAL_INT_KEYS:
-        return None if raw.lower() in ("", "none") else int(raw)
-    if key in _TUPLE_INT_KEYS:
-        if raw.lower() in ("", "none"):
-            return None
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if key in _TUPLE_STR_KEYS:
-        return tuple(v.strip() for v in raw.split(",") if v.strip())
-    if key == "data_dir":
-        return None if raw.lower() in ("", "none") else raw
-    return raw
+    try:
+        return _FIELD_PARSERS[key](raw.strip())
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _format_value(value) -> str:

@@ -101,6 +101,40 @@ def naive_switch(branches, weights, activation="sigmoid"):
     return out
 
 
+def _naive_sigmoid_gate(x, branch):
+    """x rescaled per (sample, channel) by sigmoid(branch)."""
+    b, c = branch.shape
+    out = np.zeros_like(x)
+    for i in range(b):
+        for j in range(c):
+            out[i, j] = x[i, j] / (1.0 + np.exp(-branch[i, j]))
+    return out
+
+
+def naive_se_gate(x, reduce_weight, expand_weight):
+    """Squeeze-and-excitation: sigmoid(W2 relu(W1 gap(x))) per channel."""
+    hidden = naive_affine(naive_gap(x), reduce_weight)
+    for i in range(hidden.shape[0]):
+        for j in range(hidden.shape[1]):
+            hidden[i, j] = max(hidden[i, j], 0.0)
+    return _naive_sigmoid_gate(x, naive_affine(hidden, expand_weight))
+
+
+def naive_eca_gate(x, kernel):
+    """Efficient channel attention: sigmoid(conv1d over channels of gap(x))."""
+    return _naive_sigmoid_gate(x, naive_conv1d_channel(naive_gap(x), kernel))
+
+
+def naive_ie_gate(x, scale, shift):
+    """Instance enhancement: sigmoid(scale * gap(x) + shift), scalar affine."""
+    m = naive_gap(x)
+    branch = np.zeros_like(m)
+    for i in range(m.shape[0]):
+        for j in range(m.shape[1]):
+            branch[i, j] = scale * m[i, j] + shift
+    return _naive_sigmoid_gate(x, branch)
+
+
 def sgd_reference(w0, grads, lr, momentum, weight_decay):
     """Scalar momentum-SGD recurrence over a fixed gradient sequence."""
     w, v = float(w0), 0.0

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from semnet.attention import (
-    baseline_forward,
     eca_kernel_size,
     excite_cnn,
     excite_fc,
@@ -44,6 +43,8 @@ from semnet.rng import RngState
 from semnet.tensor import Tensor, backward, mul, sigmoid, softmax_cross_entropy
 from semnet.training import RunConfig, train_run
 from semnet import verify
+
+import oracles
 
 GRAD_TOL = 1e-4
 
@@ -101,12 +102,20 @@ def test_criterion_2_bound_invariant():
 def test_criterion_3_composition_oracle():
     gen = RngState(300).generator()
     x = Tensor(gen.standard_normal((4, 16, 5, 5)), dtype=np.float64)
-    for ops, kind in ((("cnn",), "eca"), (("fc",), "se"), (("ie",), "ie")):
+    gates = {
+        "eca": (("cnn",), lambda p: oracles.naive_eca_gate(x.data, p.conv_kernel.data)),
+        "se": (("fc",), lambda p: oracles.naive_se_gate(
+            x.data, p.reduce_weight.data, p.expand_weight.data)),
+        "ie": (("ie",), lambda p: oracles.naive_ie_gate(
+            x.data, p.ie_scale.data[0, 0], p.ie_shift.data[0, 0])),
+    }
+    for kind, (ops, standalone) in gates.items():
         params = init_sem_params(16, ops, rng=RngState(301), dtype=np.float64,
                                  with_decision=False)
+        if kind == "ie":
+            params.ie_scale.data[...] = 1.5  # at init (0) the descriptor is ignored
         routed = sem_forward(x, params, force_unit_decision=True)
-        standalone = baseline_forward(x, kind, params)
-        diff = float(np.max(np.abs(routed.data - standalone.data)))
+        diff = float(np.max(np.abs(routed.data - standalone(params))))
         assert diff <= 1e-9, (kind, diff)
 
 

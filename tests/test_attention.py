@@ -1,5 +1,6 @@
 """Attention stages: operator math against oracles, switching invariants,
-kernel-size rule, baseline equivalences, decision reporting."""
+kernel-size rule, single-operator gates against the SE/ECA/IE oracles,
+decision reporting."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from semnet.attention import (
     ALL_OPERATORS,
     DecisionRecord,
     EcaHyper,
-    baseline_forward,
     decide,
     decision_summary_csv,
     eca_kernel_size,
@@ -23,9 +23,10 @@ from semnet.attention import (
     squeeze,
     switch,
 )
+from semnet.backbone import NetworkConfig, build_network
 from semnet.gradcheck import check_gradients
 from semnet.rng import RngState
-from semnet.tensor import Tensor, mul, sigmoid
+from semnet.tensor import Tensor, mul, no_grad, sigmoid
 
 import oracles
 
@@ -278,13 +279,15 @@ class TestFullLayer:
 
 
 class TestBaselines:
+    """Modes se/eca/ie are the one-operator layer without a decision network."""
+
     def test_se_zero_reduce_gives_half_scale(self):
         params = init_sem_params(8, ("fc",), rng=RngState(62), dtype=np.float64,
                                  with_decision=False)
         params.reduce_weight.data[...] = 0.0
         gen = RngState(63).generator()
         x = rand_input(gen, c=8)
-        out = baseline_forward(x, "se", params)
+        out = sem_forward(x, params, force_unit_decision=True)
         assert np.max(np.abs(out.data - 0.5 * x.data)) <= 1e-15
 
     def test_ie_at_init_scales_by_sigmoid_of_minus_one(self):
@@ -292,7 +295,7 @@ class TestBaselines:
                                  with_decision=False)
         gen = RngState(65).generator()
         x = rand_input(gen, c=8)
-        out = baseline_forward(x, "ie", params)
+        out = sem_forward(x, params, force_unit_decision=True)
         assert np.max(np.abs(out.data - SIGMOID_OF_MINUS_1 * x.data)) <= 1e-12
 
     @pytest.mark.parametrize("ops,kind", [(("cnn",), "eca"), (("fc",), "se"),
@@ -300,17 +303,40 @@ class TestBaselines:
     def test_single_operator_equals_baseline(self, ops, kind):
         params = init_sem_params(16, ops, rng=RngState(66), dtype=np.float64,
                                  with_decision=False)
+        if kind == "ie":
+            params.ie_scale.data[...] = 0.75  # at init (0) the descriptor is ignored
         gen = RngState(67).generator()
         x = rand_input(gen)
         a = sem_forward(x, params, force_unit_decision=True)
-        b = baseline_forward(x, kind, params)
-        assert np.max(np.abs(a.data - b.data)) <= 1e-9
+        if kind == "se":
+            b = oracles.naive_se_gate(x.data, params.reduce_weight.data,
+                                      params.expand_weight.data)
+        elif kind == "eca":
+            b = oracles.naive_eca_gate(x.data, params.conv_kernel.data)
+        else:
+            b = oracles.naive_ie_gate(x.data, params.ie_scale.data[0, 0],
+                                      params.ie_shift.data[0, 0])
+        assert np.max(np.abs(a.data - b)) <= 1e-9
 
     def test_unknown_baseline(self):
-        params = init_sem_params(8, rng=RngState(68), dtype=np.float64)
-        with pytest.raises(ValueError):
-            baseline_forward(Tensor(np.zeros((1, 8, 2, 2)), dtype=np.float64),
-                             "cbam", params)
+        with pytest.raises(ValueError, match="unknown attention mode"):
+            NetworkConfig(depth=11, attention="cbam").validate()
+
+    @pytest.mark.parametrize("mode", ["se", "eca", "ie"])
+    def test_switch_activation_pinned_to_sigmoid(self, mode):
+        gen = RngState(68).generator()
+        x = Tensor(gen.standard_normal((2, 3, 32, 32)), dtype=np.float64)
+        logits = {}
+        for act in ("sigmoid", "tanh"):
+            cfg = NetworkConfig(depth=11, attention=mode, switch_activation=act,
+                                dtype=np.float64)
+            model = build_network(cfg, RngState(69))
+            gate = model.stages[0][0].attention
+            assert gate.params.switch_activation == "sigmoid"
+            assert gate.unit_decision and gate.params.decision_weight is None
+            with no_grad():
+                logits[act] = model(x).data
+        assert logits["tanh"].tobytes() == logits["sigmoid"].tobytes()
 
 
 class TestParamsAndReporting:

@@ -235,6 +235,21 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = os.path.join(tmp_path, "best.ckpt")
+        write_checkpoint(path, {"x": np.arange(8, dtype=np.float32)})
+        before = open(path, "rb").read()
+
+        def crash(fd):
+            raise OSError("disk full")
+
+        # The new bytes are written to disk before the flush fails.
+        monkeypatch.setattr(os, "fsync", crash)
+        with pytest.raises(OSError, match="disk full"):
+            write_checkpoint(path, {"x": np.ones(1024, dtype=np.float64)})
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["best.ckpt"]
+
     def test_bad_magic(self, tmp_path):
         path = os.path.join(tmp_path, "e.ckpt")
         open(path, "wb").write(b"NOTACKPT" + bytes(16))

@@ -64,6 +64,17 @@ class TestTrain:
             fh.write("depth=13\n")
         assert run_cli("train", "--config", path) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--synthetic-test", "0"),
+                                            ("--train-subset", "-3")])
+    def test_non_positive_size_is_usage_error(self, tiny_cfg, tmp_path, capsys,
+                                              flag, value):
+        out = os.path.join(tmp_path, "run")
+        assert run_cli("train", "--config", tiny_cfg, "--out-dir", out,
+                       flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and flag[2:].replace("-", "_") in err
+        assert not os.path.exists(out)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tiny_cfg, tmp_path):
         out = os.path.join(tmp_path, "run")

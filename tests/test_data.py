@@ -11,13 +11,13 @@ from semnet.data import (
     CIFAR100_RECORD_BYTES,
     AugmentConfig,
     DatasetRecord,
-    augment,
+    augment_batch,
     batch_iterator,
     compute_channel_stats,
     decode_records,
     encode_record,
     load_cifar,
-    normalize,
+    normalize_images,
     synthetic_dataset,
 )
 from semnet.errors import IngestionError
@@ -114,79 +114,91 @@ class TestLoader:
             load_cifar(str(tmp_path), 10)
 
 
+def stacked(records):
+    return np.stack([r.image for r in records])
+
+
+def ramp_images(n):
+    """n copies of an image whose pixel (y, x) encodes its position."""
+    img = (np.arange(32)[:, None] * 32 + np.arange(32)[None, :] + 1.0) / 2048.0
+    return np.broadcast_to(img.astype(np.float32), (n, 3, 32, 32)).copy()
+
+
 class TestNormalize:
     def test_identity_and_constant(self):
-        rec = DatasetRecord(np.full((3, 32, 32), 0.25, dtype=np.float32), 1)
-        out = normalize(rec, np.zeros(3), np.ones(3))
-        assert np.array_equal(out.image, rec.image)
-        zeroed = normalize(rec, np.full(3, 0.25), np.ones(3))
-        assert not zeroed.image.any()
+        images = np.full((2, 3, 32, 32), 0.25, dtype=np.float32)
+        out = normalize_images(images, np.zeros(3), np.ones(3))
+        assert np.array_equal(out, images)
+        zeroed = normalize_images(images, np.full(3, 0.25), np.ones(3))
+        assert not zeroed.any()
 
     def test_zero_std_rejected(self):
-        rec = DatasetRecord(np.zeros((3, 32, 32), dtype=np.float32), 0)
+        images = np.zeros((1, 3, 32, 32), dtype=np.float32)
         with pytest.raises(ValueError):
-            normalize(rec, np.zeros(3), np.array([1.0, 0.0, 1.0]))
+            normalize_images(images, np.zeros(3), np.array([1.0, 0.0, 1.0]))
 
     def test_recomputed_statistics_standardised(self):
         records = synthetic_dataset(400, 10, seed=5)
         mean, std = compute_channel_stats(records)
-        normed = [normalize(r, mean, std) for r in records]
-        mean2, std2 = compute_channel_stats(normed)
+        normed = normalize_images(stacked(records), mean, std)
+        mean2, std2 = compute_channel_stats([DatasetRecord(img, 0) for img in normed])
         assert np.max(np.abs(mean2)) <= 1e-3
         assert np.max(np.abs(std2 - 1.0)) <= 1e-3
 
 
 class TestAugment:
     def test_disabled_is_identity(self):
-        rec = synthetic_dataset(2, 2, seed=0)[0]
-        out = augment(rec, AugmentConfig(enabled=False), RngState(0).generator())
-        assert out is rec
+        images = stacked(synthetic_dataset(2, 2, seed=0))
+        out = augment_batch(images, AugmentConfig(enabled=False), RngState(0).generator())
+        assert out is images
 
     def test_forced_flip_is_involution(self):
-        rec = synthetic_dataset(2, 2, seed=1)[0]
+        images = stacked(synthetic_dataset(4, 2, seed=1))
         cfg = AugmentConfig(crop_pad=0, flip_prob=1.0)
         gen = RngState(1).generator()
-        once = augment(rec, cfg, gen)
-        twice = augment(once, cfg, gen)
-        assert np.array_equal(twice.image, rec.image)
-        assert not np.array_equal(once.image, rec.image)
+        once = augment_batch(images, cfg, gen)
+        twice = augment_batch(once, cfg, gen)
+        assert np.array_equal(twice, images)
+        assert not np.array_equal(once, images)
 
     def test_shape_and_label_preserved(self):
-        rec = synthetic_dataset(2, 2, seed=2)[0]
-        gen = RngState(2).generator()
-        for _ in range(20):
-            out = augment(rec, AugmentConfig(), gen)
-            assert out.image.shape == rec.image.shape
-            assert out.label == rec.label
+        records = synthetic_dataset(20, 4, seed=2)
+        plain = list(batch_iterator(records, 8, 2, 0))
+        augmented = list(batch_iterator(records, 8, 2, 0, augment_cfg=AugmentConfig()))
+        for (x, labels), (x_aug, labels_aug) in zip(plain, augmented):
+            assert x_aug.shape == x.shape and x_aug.dtype == x.dtype
+            assert np.array_equal(labels_aug, labels)
+        assert any(not np.array_equal(x.data, x_aug.data)
+                   for (x, _), (x_aug, _) in zip(plain, augmented))
 
     def test_crop_offsets_uniform_chi_square(self):
         # Encode the crop offset in the pixel the crop maps to (4, 4):
-        # out[c, 4, 4] == image[c, dy, dx] for pad 4.
+        # out[i, c, 4, 4] == image[c, dy, dx] for pad 4.
         pad = 4
-        img = np.zeros((3, 32, 32), dtype=np.float32)
-        img[:] = (np.arange(32)[:, None] * 32 + np.arange(32)[None, :] + 1.0) / 2048.0
-        rec = DatasetRecord(img, 0)
+        images = ramp_images(1_000)
         cfg = AugmentConfig(crop_pad=pad, flip_prob=0.0)
         gen = RngState(77).generator()
         counts = np.zeros((2 * pad + 1, 2 * pad + 1))
         n = 10_000
-        for _ in range(n):
-            out = augment(rec, cfg, gen)
-            code = round(float(out.image[0, pad, pad]) * 2048.0) - 1
-            dy, dx = divmod(code, 32)
-            counts[dy, dx] += 1
+        for _ in range(n // len(images)):
+            out = augment_batch(images, cfg, gen)
+            codes = np.round(out[:, 0, pad, pad] * 2048.0).astype(int) - 1
+            dy, dx = np.divmod(codes, 32)
+            np.add.at(counts, (dy, dx), 1)
+        assert counts.sum() == n
         stat = oracles.chi_square_stat(counts.reshape(-1),
                                        np.full(81, n / 81.0))
         assert stat < oracles.CHI2_CRIT_DF80, stat
 
     def test_flip_probability(self):
-        rec = synthetic_dataset(2, 2, seed=3)[0]
+        images = ramp_images(1_000)
         cfg = AugmentConfig(crop_pad=0, flip_prob=0.5)
         gen = RngState(78).generator()
         n = 10_000
-        flips = sum(
-            not np.array_equal(augment(rec, cfg, gen).image, rec.image)
-            for _ in range(n))
+        flips = 0
+        for _ in range(n // len(images)):
+            out = augment_batch(images, cfg, gen)
+            flips += int((out != images).any(axis=(1, 2, 3)).sum())
         assert abs(flips / n - 0.5) < 0.02
 
     def test_flip_prob_validation(self):

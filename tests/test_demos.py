@@ -1,0 +1,23 @@
+"""The quick demos run end to end against the current API."""
+
+import os
+import runpy
+
+import pytest
+
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+
+@pytest.mark.parametrize("name", ["01_tensor_autodiff.py",
+                                  "02_switchable_attention.py",
+                                  "03_backbone_anatomy.py"])
+def test_demo_runs(name, capsys):
+    runpy.run_path(os.path.join(DEMOS, name), run_name="__main__")
+    assert capsys.readouterr().out.strip()
+
+
+def test_attention_demo_single_operator_matches_formula(capsys):
+    runpy.run_path(os.path.join(DEMOS, "02_switchable_attention.py"), run_name="__main__")
+    line = next(text for text in capsys.readouterr().out.splitlines()
+                if text.startswith("single-cnn route"))
+    assert float(line.rsplit(" ", 1)[1]) <= 1e-12

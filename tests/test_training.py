@@ -14,6 +14,7 @@ from semnet.rng import RngState
 from semnet.tensor import Tensor
 from semnet.training import (
     RunConfig,
+    _parser_for,
     evaluate,
     load_datasets,
     load_run_checkpoint,
@@ -50,14 +51,13 @@ class TestRunConfig:
                          epochs=2).resolved().num_classes == 7
 
     def test_kv_roundtrip(self, tmp_path):
-        cfg = tiny_config(tmp_path, augment=False, operator_set=("fc", "ie"))
         path = os.path.join(tmp_path, "run.cfg")
-        with open(path, "w") as fh:
-            fh.write(cfg.to_kv_text())
-        again = RunConfig.from_sources(path)
-        assert again.operator_set == ("fc", "ie")
-        assert again.augment is False
-        assert again.synthetic_train == 48
+        for cfg in (tiny_config(tmp_path, augment=False, operator_set=("fc", "ie")),
+                    RunConfig(data_dir="/d", milestones=(3, 5), attention_seed=4,
+                              num_classes=7, train_subset=10, max_steps=2, lr=0.03)):
+            with open(path, "w") as fh:
+                fh.write(cfg.to_kv_text())
+            assert RunConfig.from_sources(path) == cfg
 
     def test_override_precedence(self, tmp_path):
         path = os.path.join(tmp_path, "run.cfg")
@@ -72,6 +72,28 @@ class TestRunConfig:
             fh.write("dephth=20\n")
         with pytest.raises(ValueError, match="unknown config key"):
             RunConfig.from_sources(path)
+
+    @pytest.mark.parametrize("key,raw,expected", [
+        ("augment", "on", True), ("augment", "NO", False), ("augment", "1", True),
+        ("train_subset", "none", None), ("train_subset", "", None),
+        ("train_subset", " 5 ", 5), ("milestones", "None", None),
+        ("milestones", "3, 7", (3, 7)), ("operator_set", "ie, fc", ("ie", "fc")),
+        ("data_dir", "none", None), ("data_dir", "/d", "/d"),
+        ("lr", "0.5", 0.5), ("dataset", "cifar10", "cifar10")])
+    def test_value_spellings(self, key, raw, expected):
+        assert getattr(RunConfig.from_sources(None, {key: raw}), key) == expected
+
+    def test_bad_value_names_its_key(self):
+        with pytest.raises(ValueError, match="augment: expected a boolean"):
+            RunConfig.from_sources(None, {"augment": "maybe"})
+        with pytest.raises(ValueError, match="depth: "):
+            RunConfig.from_sources(None, {"depth": "twenty"})
+
+    def test_unknown_annotation_rejected(self):
+        with pytest.raises(TypeError, match="list"):
+            _parser_for("list[int]")
+        with pytest.raises(TypeError):
+            _parser_for("dict | None")
 
     def test_env_data_dir(self, monkeypatch):
         monkeypatch.setenv("SEM_DATA_DIR", "/data/sets")
