@@ -21,8 +21,9 @@ y = sigmoid(affine(x, w, b))      # (4, 2), graph recorded as we go
 loss = y.mean()
 print("loss:", loss.item())
 
-# One reverse sweep fills .grad on every reachable leaf, then the tape
-# is discarded.
+# One reverse sweep fills .grad on every reachable leaf. Each graph node
+# is released as soon as its rule has run, so activations and intermediate
+# gradients are freed layer by layer; y keeps its .grad because we hold it.
 backward(loss)
 print("dloss/dw:\n", w.grad)
 

@@ -3,8 +3,8 @@
 A Tensor wraps a contiguous row-major numpy buffer (float32 or float64).
 Operations record their inputs and a backward rule on the computation
 graph; ``backward(loss)`` puts the recorded operations in topological
-order, runs them once in reverse, and then discards them.
-Only first-order gradients are supported.
+order and runs them once in reverse, releasing each node as soon as its
+rule has run. Only first-order gradients are supported.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ class Tensor:
 
     ``data`` is always C-contiguous float32/float64. ``grad`` is allocated
     lazily during backward and has the same shape and dtype as ``data``.
-    Non-leaf tensors additionally hold references to their parents and a
-    backward rule until the tape that contains them is consumed.
+    Non-leaf tensors hold their parents and a backward rule until backward
+    runs that rule; afterwards an intermediate keeps its ``grad`` only while
+    the caller still holds the tensor.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -82,12 +83,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), dtype=self.data.dtype)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -153,35 +148,41 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every reachable tensor.
 
     ``loss`` must be a scalar recorded on an active graph. Gradients add
-    across multiple uses of a tensor and across repeated training steps;
-    the graph is discarded afterwards.
+    across multiple uses of a tensor and across repeated training steps.
+    Each node is released as soon as its rule has run, so activations and
+    intermediate gradients are freed layer by layer; an intermediate keeps
+    its ``grad`` only if the caller still holds it.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward() needs a scalar, got shape {loss.shape}")
     tape = _topological_order(loss)
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape):
-        out_grad = node.grad
-        if out_grad is None:
+    while tape:
+        node = tape.pop()
+        parents, rule, out_grad = node._parents, node._backward, node.grad
+        node._parents, node._backward = (), None
+        del node  # an intermediate the caller dropped is freed here
+        if out_grad is not None:
+            _accumulate(parents, rule(out_grad), out_grad)
+
+
+def _accumulate(parents: tuple, grads, out_grad: np.ndarray) -> None:
+    """Add one rule's ``grads`` into its parents; none outlives the call."""
+    for parent, grad in zip(parents, grads):
+        if grad is None or not parent.requires_grad:
             continue
-        for parent, grad in zip(node._parents, node._backward(out_grad)):
-            if grad is None or not parent.requires_grad:
-                continue
-            if parent.grad is None:
-                # A fresh, writable array can be adopted directly; views and
-                # pass-through grads (e.g. from add) must be copied so later
-                # accumulation cannot corrupt an aliased buffer.
-                if (grad is out_grad or grad.base is not None
-                        or not grad.flags.owndata or not grad.flags.writeable
-                        or grad.dtype != parent.data.dtype):
-                    parent.grad = np.array(grad, dtype=parent.data.dtype)
-                else:
-                    parent.grad = grad
+        if parent.grad is None:
+            # A fresh, writable array can be adopted directly; views and
+            # pass-through grads (e.g. from add) must be copied so later
+            # accumulation cannot corrupt an aliased buffer.
+            if (grad is out_grad or grad.base is not None
+                    or not grad.flags.owndata or not grad.flags.writeable
+                    or grad.dtype != parent.data.dtype):
+                parent.grad = np.array(grad, dtype=parent.data.dtype)
             else:
-                parent.grad += grad
-    for node in tape:
-        node._parents = ()
-        node._backward = None
+                parent.grad = grad
+        else:
+            parent.grad += grad
 
 
 def _make(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
@@ -287,13 +288,8 @@ def take_column(x: Tensor, index: int) -> Tensor:
 
 
 def _reduce(x: Tensor, kind: str) -> Tensor:
-    if kind == "sum":
-        out = x.data.sum(dtype=x.data.dtype)
-        scale = 1.0
-    else:
-        out = x.data.mean(dtype=x.data.dtype)
-        scale = 1.0 / x.data.size
-    out = np.asarray(out, dtype=x.data.dtype)
+    out = np.asarray(getattr(x.data, kind)(dtype=x.data.dtype), dtype=x.data.dtype)
+    scale = 1.0 if kind == "sum" else 1.0 / x.data.size
 
     def reduce_backward(g):
         return (np.broadcast_to(g * x.data.dtype.type(scale), x.data.shape),)
@@ -546,28 +542,29 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         var = running_var.astype(dt, copy=False)
 
     inv_std = 1.0 / np.sqrt(var + dt.type(eps))
-    xhat = (x.data - mean.reshape(pshape)) * inv_std.reshape(pshape)
-    out = gamma.data.reshape(pshape) * xhat + beta.data.reshape(pshape)
-
-    n = x.data.size // c
+    scale = gamma.data * inv_std
+    # One per-channel scale, so only x is kept; subtracting the mean first
+    # avoids cancellation and, at gamma=1 and beta=0, rounds like xhat.
+    out = x.data - mean.reshape(pshape)
+    out *= scale.reshape(pshape)
+    out += beta.data.reshape(pshape)
+    dims = list(range(x.ndim))
+    # Eval-mode statistics do not depend on x, so their terms drop out.
+    inv_n = dt.type(1.0 / (x.data.size // c) if training else 0.0)
 
     def batch_norm_backward(g):
-        work = g * xhat
-        dgamma = work.sum(axis=axes, dtype=dt)
-        dbeta = g.sum(axis=axes, dtype=dt)
-        if training:
-            # With dxhat = g*gamma, the batch-statistics terms collapse to
-            # per-channel scalars: mean(dxhat) = gamma*dbeta/n and
-            # mean(dxhat*xhat) = gamma*dgamma/n, so
-            # dx = gamma*inv_std * (g - dbeta/n - xhat*dgamma/n).
-            inv_n = dt.type(1.0 / n)
-            np.multiply(xhat, (dgamma * inv_n).reshape(pshape), out=work)
-            work += (dbeta * inv_n).reshape(pshape)
-            np.subtract(g, work, out=work)
-            work *= (gamma.data * inv_std).reshape(pshape)
-        else:
-            np.multiply(g, (gamma.data * inv_std).reshape(pshape), out=work)
-        return work, dgamma, dbeta
+        # Rebuilt from x in one buffer that starts as xc = x - mean:
+        # dgamma = inv_std*sum(g*xc), and scale*(g - dbeta/n - xhat*dgamma/n)
+        # = scale*g + kx*xc + k0 with per-channel kx and k0. scale*g is
+        # added a few samples at a time to keep its temporary small.
+        dx = x.data - mean.reshape(pshape)
+        dbeta = np.einsum(g, dims, [1])
+        dgamma = inv_std * np.einsum(g, dims, dx, dims, [1])
+        dx *= (-scale * inv_std * dgamma * inv_n).reshape(pshape)
+        dx -= (scale * dbeta * inv_n).reshape(pshape)
+        for i in range(0, len(dx), 8):
+            dx[i : i + 8] += g[i : i + 8] * scale.reshape(pshape)
+        return dx, dgamma, dbeta
 
     return _make(out, (x, gamma, beta), batch_norm_backward)
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import data as data_mod
 from .attention import ALL_OPERATORS, DecisionRecord, normalize_operator_set
-from .backbone import ATTENTION_MODES, Model, NetworkConfig, build_network, depth_to_blocks
+from .backbone import (ATTENTION_MODES, SINGLE_OPERATOR_MODES, Model, NetworkConfig,
+                       build_network, depth_to_blocks)
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, NumericalFailure
 from .optim import SGD, MultiStepSchedule
@@ -83,6 +84,8 @@ class RunConfig:
             raise ValueError(f"unknown attention {cfg.attention!r}; valid: {ATTENTION_MODES}")
         depth_to_blocks(cfg.depth)
         cfg.operator_set = normalize_operator_set(cfg.operator_set)
+        if cfg.attention in SINGLE_OPERATOR_MODES:
+            cfg.switch_activation = "sigmoid"  # what their gates run
         if cfg.num_classes is None:
             cfg.num_classes = {"cifar10": 10, "cifar100": 100,
                                "synthetic": cfg.synthetic_classes}[cfg.dataset]

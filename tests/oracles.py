@@ -4,6 +4,8 @@ Everything here is deliberately naive (explicit loops, no shared code
 with the library) so a bug in the fast paths cannot hide in its oracle.
 """
 
+import math
+
 import numpy as np
 
 # chi2.ppf(0.99, df), frozen from scipy 1.x.
@@ -133,6 +135,50 @@ def naive_ie_gate(x, scale, shift):
         for j in range(m.shape[1]):
             branch[i, j] = scale * m[i, j] + shift
     return _naive_sigmoid_gate(x, branch)
+
+
+def naive_batch_norm(x, gamma, beta, running_mean, running_var, g, training,
+                     momentum=0.9, eps=1e-5):
+    """Textbook batch norm, one channel at a time, in float64.
+
+    Normalises to xhat = (x - mean) / sqrt(var + eps), scales and shifts,
+    and backpropagates the upstream gradient ``g`` through xhat. Returns
+    (out, dx, dgamma, dbeta, running_mean, running_var); the running
+    buffers come back updated in train mode and unchanged in eval mode.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    out = np.zeros_like(x)
+    dx = np.zeros_like(x)
+    c = x.shape[1]
+    dgamma, dbeta = np.zeros(c), np.zeros(c)
+    new_mean = np.array(running_mean, dtype=np.float64)
+    new_var = np.array(running_var, dtype=np.float64)
+    for j in range(c):
+        xc = x[:, j].reshape(-1)
+        gc = g[:, j].reshape(-1)
+        n = xc.size
+        if training:
+            mean = math.fsum(xc) / n
+            var = math.fsum((v - mean) ** 2 for v in xc) / n
+            new_mean[j] = momentum * new_mean[j] + (1.0 - momentum) * mean
+            new_var[j] = momentum * new_var[j] + (1.0 - momentum) * var
+        else:
+            mean, var = float(running_mean[j]), float(running_var[j])
+        inv_std = 1.0 / math.sqrt(var + eps)
+        xhat = (xc - mean) * inv_std
+        out[:, j] = (gamma[j] * xhat + beta[j]).reshape(x[:, j].shape)
+        dbeta[j] = math.fsum(gc)
+        dgamma[j] = math.fsum(gc * xhat)
+        dxhat = gc * gamma[j]
+        if training:
+            # Mean and variance depend on every x of the channel.
+            dxc = inv_std * (dxhat - math.fsum(dxhat) / n
+                             - xhat * math.fsum(dxhat * xhat) / n)
+        else:
+            dxc = inv_std * dxhat
+        dx[:, j] = dxc.reshape(x[:, j].shape)
+    return out, dx, dgamma, dbeta, new_mean, new_var
 
 
 def sgd_reference(w0, grads, lr, momentum, weight_decay):

@@ -2,6 +2,7 @@
 random operator assignment, and the checkpoint container."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,59 @@ class TestNetwork:
             assert model(x).data.tobytes() == other(x).data.tobytes()
         with pytest.raises(ValueError, match="state mismatch"):
             other.load_state_arrays({"stem.weight": state["stem.weight"]})
+
+
+def graph_buffer_bytes(loss):
+    """(activations, im2col copies, batch-norm outputs) of the recorded
+    graph in bytes, from its shapes: every distinct buffer behind a node's
+    output, the (B, Cin*k*k, Hout*Wout) copy each k > 1 convolution keeps,
+    and one output-sized buffer per batch norm."""
+    buffers, cols, bn = {}, 0, 0
+    stack, seen = [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        root = node.data
+        while root.base is not None:
+            root = root.base
+        buffers[id(root)] = root.nbytes
+        op = node._backward.__name__
+        if op == "conv2d_backward" and node._parents[1].shape[2] > 1:
+            x, kernel = node._parents
+            b, cin, _, _ = x.shape
+            _, _, hout, wout = node.shape
+            cols += b * cin * kernel.shape[2] ** 2 * hout * wout * x.data.itemsize
+        elif op == "batch_norm_backward":
+            bn += node.data.nbytes
+        stack.extend(node._parents)
+    return sum(buffers.values()), cols, bn
+
+
+class TestTapeMemory:
+    def test_backward_peak_tracks_the_tape(self):
+        model = build_network(NetworkConfig(depth=11, attention="sem", dtype=np.float64),
+                              RngState(71))
+        gen = RngState(72).generator()
+        x = Tensor(gen.standard_normal((8, 3, 32, 32)), dtype=np.float64)
+        labels = gen.integers(0, 10, size=8)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = softmax_cross_entropy(model(x, training=True), labels)
+            tape = tracemalloc.get_traced_memory()[0] - base
+            activations, cols, bn = graph_buffer_bytes(loss)
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # Freed as backward consumes it, the tape is not held twice.
+        assert peak <= 1.25 * tape, (peak, tape)
+        # Only activations and im2col copies: a second (xhat) buffer per
+        # batch norm would put the tape near activations + cols + bn.
+        assert tape <= activations + cols + 0.5 * bn, (tape, activations, cols, bn)
 
 
 class TestCheckpointContainer:

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from semnet.checkpoint import read_checkpoint
 from semnet.cli import main
 
 TINY = """\
@@ -49,6 +50,15 @@ class TestTrain:
                        "--epochs", "2") == 0
         resolved = open(os.path.join(out, "config.resolved")).read()
         assert "epochs=2" in resolved
+
+    def test_single_operator_mode_records_sigmoid_switch(self, tiny_cfg, tmp_path):
+        out = os.path.join(tmp_path, "run")
+        assert run_cli("train", "--config", tiny_cfg, "--out-dir", out,
+                       "--attention", "se", "--switch-activation", "tanh") == 0
+        resolved = open(os.path.join(out, "config.resolved")).read().splitlines()
+        assert "switch_activation=sigmoid" in resolved
+        meta = read_checkpoint(os.path.join(out, "final.ckpt"))["meta.config_json"]
+        assert json.loads(meta.tobytes())["switch_activation"] == "sigmoid"
 
     def test_metrics_identical_across_reruns(self, tiny_cfg, tmp_path):
         a = os.path.join(tmp_path, "a")

@@ -1,6 +1,8 @@
 """Tensor engine: forward semantics against naive oracles, autodiff
 against central differences, broadcasting, and determinism."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from semnet.tensor import (
     global_avg_pool,
     mul,
     no_grad,
+    relu,
     reshape,
     set_debug_checks,
     sigmoid,
@@ -36,6 +39,13 @@ def randn(gen, shape, requires_grad=True, away_from_zero=False):
     if away_from_zero:
         x = np.sign(x) * (np.abs(x) + 0.1)
     return Tensor(x, requires_grad=requires_grad, dtype=np.float64)
+
+
+def normwise_error(got, want) -> float:
+    """max |got - want| / max |want|: error relative to the reference's scale."""
+    want = np.asarray(want, dtype=np.float64)
+    return float(np.max(np.abs(np.asarray(got, dtype=np.float64) - want))
+                 / np.max(np.abs(want)))
 
 
 class TestForwardSemantics:
@@ -218,6 +228,60 @@ class TestForwardSemantics:
         assert np.allclose(rv, 0.9 + 0.1 * x.var(axis=0))
 
 
+class TestBatchNormOracle:
+    """batch_norm against the textbook per-channel form in oracles.py, with
+    non-unit gamma/beta and an input mean far from 0."""
+
+    SHAPES = [(64, 5), (6, 4, 5, 3)]
+
+    @staticmethod
+    def run(shape, dtype, training, seed):
+        gen = RngState(seed).generator()
+        c = shape[1]
+        x = (gen.standard_normal(shape) * 2.5 + 40.0).astype(dtype)
+        gamma = (gen.standard_normal(c) + 1.5).astype(dtype)
+        beta = (gen.standard_normal(c) * 2.0).astype(dtype)
+        rm = (gen.standard_normal(c) + 40.0).astype(dtype)
+        rv = (gen.random(c) * 6.0 + 0.5).astype(dtype)
+        g = gen.standard_normal(shape).astype(dtype)
+        xt, gt, bt = (Tensor(v, requires_grad=True, dtype=dtype) for v in (x, gamma, beta))
+        buffers = rm.copy(), rv.copy()
+        out = batch_norm(xt, gt, bt, *buffers, training=training)
+        backward(mul(out, Tensor(g, dtype=dtype)).sum())
+        ref = oracles.naive_batch_norm(x, gamma, beta, rm, rv, g, training)
+        errs = {name: normwise_error(got, want) for name, got, want in
+                zip(("out", "dx", "dgamma", "dbeta"),
+                    (out.data, xt.grad, gt.grad, bt.grad), ref)}
+        return x, (rm, rv), buffers, ref, errs
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_float64_matches_naive(self, shape, training):
+        *_, errs = self.run(shape, np.float64, training, seed=25)
+        assert max(errs.values()) <= 1e-9, errs
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES + [(16, 16, 8, 8)])
+    def test_float32_matches_naive(self, shape, training):
+        *_, errs = self.run(shape, np.float32, training, seed=26)
+        assert max(errs.values()) <= 1e-5, errs
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_running_buffers(self, shape, dtype):
+        axes = (0,) if len(shape) == 2 else (0, 2, 3)
+        x, (rm, rv), (got_rm, got_rv), ref, _ = self.run(shape, dtype, True, seed=27)
+        # The update rule is fixed: r <- m r + (1 - m) stat, in the input dtype.
+        m, w = dtype(0.9), dtype(1.0 - 0.9)
+        assert got_rm.tobytes() == (rm * m + w * x.mean(axis=axes, dtype=dtype)).tobytes()
+        assert got_rv.tobytes() == (rv * m + w * x.var(axis=axes, dtype=dtype)).tobytes()
+        tol = 1e-6 if dtype == np.float32 else 1e-12
+        assert normwise_error(got_rm, ref[4]) <= tol
+        assert normwise_error(got_rv, ref[5]) <= tol
+        _, (rm, rv), (got_rm, got_rv), *_ = self.run(shape, dtype, False, seed=27)
+        assert got_rm.tobytes() == rm.tobytes() and got_rv.tobytes() == rv.tobytes()
+
+
 class TestAutodiff:
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
@@ -333,6 +397,32 @@ class TestAutodiff:
         w2 = Tensor(gen.standard_normal((4, 1)), dtype=np.float64)
         errs = check_gradients(lambda: mul(take_column(y, 3), w2).sum(), {"y": y})
         assert errs["y"] <= TOL
+
+    def test_backward_releases_tape_as_it_goes(self):
+        x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True, dtype=np.float64)
+        early = mul(x, 3.0)
+        held = relu(add(early, 0.5))
+        late = mul(sigmoid(held), 2.0)
+        late_data = weakref.ref(late.data)
+        loss = mul(late, late).sum()
+        del late
+        rule = early._backward
+        alive_at_early_rule = []
+
+        def spy(g):
+            alive_at_early_rule.append(late_data() is not None)
+            return rule(g)
+
+        early._backward = spy
+        backward(loss)
+        assert alive_at_early_rule == [False]
+        # loss = sum (2 s)^2 with s = sigmoid(held), held = relu(3x + 0.5).
+        s = 1.0 / (1.0 + np.exp(-held.data))
+        expected_held = 8.0 * s * s * (1.0 - s)
+        assert np.allclose(held.grad, expected_held, rtol=1e-14, atol=0)
+        assert np.allclose(x.grad, 3.0 * expected_held * (3.0 * x.data + 0.5 > 0),
+                           rtol=1e-14, atol=0)
+        assert held._backward is None and held._parents == ()
 
     def test_no_grad_suppresses_recording(self):
         x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
