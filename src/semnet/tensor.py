@@ -348,24 +348,25 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # Convolution
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """Return (cols, padded shape): cols is (B, Cin*k*k, Hout*Wout)."""
-    b, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    hout = (h + 2 * pad - k) // stride + 1
-    wout = (w + 2 * pad - k) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (B, C, Hout, Wout, k, k)
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, hout * wout)
-    return np.ascontiguousarray(cols), (hout, wout), x.shape
+def _phase_axis(n: int, stride: int, pad: int, phase: int, size: int):
+    """Matching slices (into x, into a phase grid of ``size``) along one axis,
+    where grid[u] = x[u*stride + phase - pad] wherever that index is in x."""
+    u0 = max(0, -((phase - pad) // stride))
+    r0 = u0 * stride + phase - pad
+    count = max(0, min(size - u0, -((r0 - n) // stride)))
+    return slice(r0, r0 + stride * count, stride), slice(u0, u0 + count)
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation with zero padding.
+    """Cross-correlation with zero padding, as one batched GEMM per tap.
 
     x: (B, Cin, H, W), kernel: (Cout, Cin, k, k), square window. Output
     extent is floor((H + 2*pad - k) / stride) + 1 and must be >= 1.
+    The padded input is split into phase grids xp[:, :, pi::stride,
+    pj::stride] with rows of width wp = Wout + (k-1)//stride; tap (i, j)
+    reads its phase at a constant offset, a view BLAS takes without a copy,
+    and the wrap-around columns Wout..wp are dropped. A 1x1 stride-1 conv
+    reads x itself; others keep one zero-padded copy of x for backward.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d needs 4-D tensors, got {x.shape} and {kernel.shape}")
@@ -383,21 +384,51 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                          f"stride={stride}, pad={pad}")
     _check_same_dtype(x, kernel)
 
-    cols, _, padded_shape = _im2col(x.data, k, stride, pad)
-    kmat = kernel.data.reshape(cout, cin * k * k)
-    out = np.matmul(kmat, cols).reshape(b, cout, hout, wout)
+    d, q = (k - 1) // stride, min(stride, k)  # furthest tap shift, phases per axis
+    rows, wp = hout + d, wout + d
+    span = hout * wp  # output columns of one tap, wrap-around included
+    taps = [(i, j, i % stride * q + j % stride, i // stride * wp + j // stride)
+            for i in range(k) for j in range(k)]
+
+    def phases(buf):
+        """(phase grid view of buf, index into x, index into the grid)."""
+        for n in range(q * q):
+            ys, us = _phase_axis(h, stride, pad, n // q, rows)
+            xs, vs = _phase_axis(w, stride, pad, n % q, wp)
+            yield buf[n, :, :, : rows * wp].reshape(b, cin, rows, wp), (..., ys, xs), (..., us, vs)
+
+    direct = k == 1 and stride == 1 and pad == 0
+    if direct:
+        grids = x.data.reshape(1, b, cin, h * w)
+    else:
+        grids = np.zeros((q * q, b, cin, rows * wp + d), dtype=x.data.dtype)
+        for grid, xi, gi in phases(grids):
+            grid[gi] = x.data[xi]
+    kt = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))  # (k, k, Cout, Cin)
+    parts = (np.matmul(kt[i, j], grids[n, :, :, o : o + span]) for i, j, n, o in taps)
+    out = next(parts)
+    for part in parts:
+        out += part
+    out = out.reshape(b, cout, hout, wp)[..., :wout]
 
     def conv2d_backward(g):
-        gmat = g.reshape(b, cout, hout * wout)
-        dkernel = (np.matmul(gmat, cols.transpose(0, 2, 1))
-                   .sum(axis=0).reshape(kernel.data.shape))
-        dcols = np.matmul(kmat.T, gmat).reshape(b, cin, k, k, hout, wout)
-        dx_pad = np.zeros(padded_shape, dtype=x.data.dtype)
-        for i in range(k):
-            for j in range(k):
-                dx_pad[:, :, i : i + stride * hout : stride,
-                       j : j + stride * wout : stride] += dcols[:, :, i, j]
-        dx = dx_pad[:, :, pad : pad + h, pad : pad + w] if pad else dx_pad
+        g = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, d))) if d else g
+        g = g.reshape(b, cout, span)
+        dkernel = np.empty_like(kernel.data)
+        for i, j, n, o in taps:
+            window = grids[n, :, :, o : o + span].transpose(0, 2, 1)
+            dkernel[:, :, i, j] = np.matmul(g, window).sum(axis=0)
+        dx = np.empty_like(x.data) if direct else np.zeros_like(x.data)
+        if k == 1:  # the one tap spans the whole grid: its GEMM writes it
+            dgrids = dx.reshape(grids.shape) if direct else np.empty_like(grids)
+            np.matmul(kt[0, 0].T, g, out=dgrids[0])
+        else:
+            dgrids = np.zeros_like(grids)
+            for i, j, n, o in taps:
+                dgrids[n, :, :, o : o + span] += np.matmul(kt[i, j].T, g)
+        if not direct:
+            for grid, xi, gi in phases(dgrids):
+                dx[xi] = grid[gi]
         return dx, dkernel
 
     return _make(out, (x, kernel), conv2d_backward)

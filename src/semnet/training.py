@@ -27,7 +27,7 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, NumericalFailure
 from .optim import SGD, MultiStepSchedule
 from .rng import RngState
-from .tensor import backward, no_grad, softmax_cross_entropy
+from .tensor import ACTIVATION_KINDS, backward, no_grad, softmax_cross_entropy
 
 DATASETS = ("cifar10", "cifar100", "synthetic")
 DATA_DIR_ENV = "SEM_DATA_DIR"
@@ -76,19 +76,23 @@ class RunConfig:
     # -- resolution -------------------------------------------------------
 
     def resolved(self) -> "RunConfig":
-        """Fill every derived field and validate the result."""
+        """Fill every derived field and validate the result, so a bad value
+        is rejected before a run writes anything."""
         cfg = replace(self)
         if cfg.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {cfg.dataset!r}; valid: {DATASETS}")
         if cfg.attention not in ATTENTION_MODES:
             raise ValueError(f"unknown attention {cfg.attention!r}; valid: {ATTENTION_MODES}")
+        if cfg.switch_activation not in ACTIVATION_KINDS:
+            raise ValueError(f"unknown switch_activation {cfg.switch_activation!r}; "
+                             f"valid: {ACTIVATION_KINDS}")
         depth_to_blocks(cfg.depth)
         cfg.operator_set = normalize_operator_set(cfg.operator_set)
         if cfg.attention in SINGLE_OPERATOR_MODES:
             cfg.switch_activation = "sigmoid"  # what their gates run
+        labels = {"cifar10": 10, "cifar100": 100, "synthetic": cfg.synthetic_classes}
         if cfg.num_classes is None:
-            cfg.num_classes = {"cifar10": 10, "cifar100": 100,
-                               "synthetic": cfg.synthetic_classes}[cfg.dataset]
+            cfg.num_classes = labels[cfg.dataset]
         if cfg.data_dir is None:
             cfg.data_dir = os.environ.get(DATA_DIR_ENV)
         if cfg.attention_seed is None:
@@ -98,16 +102,19 @@ class RunConfig:
                       for m in _REFERENCE_MILESTONES]
             cfg.milestones = tuple(dict.fromkeys(
                 m for m in scaled if 1 <= m < cfg.epochs))
-        if any(m >= cfg.epochs for m in cfg.milestones) and cfg.epochs > 0:
-            raise ValueError(f"milestones {cfg.milestones} must lie below epochs={cfg.epochs}")
-        if cfg.epochs < 0 or cfg.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if cfg.epochs > 0 and any(not 1 <= m < cfg.epochs for m in cfg.milestones):
+            raise ValueError(f"milestones {cfg.milestones} must lie in [1, epochs={cfg.epochs})")
+        for name, low in (("reduction", 1), ("epochs", 0), ("batch_size", 1),
+                          ("eval_batch_size", 1), ("crop_pad", 0), ("seed", 0),
+                          ("attention_seed", 0), ("synthetic_train", 1),
+                          ("synthetic_test", 1), ("synthetic_classes", 2),
+                          ("num_classes", max(2, labels[cfg.dataset])),
+                          ("train_subset", 1), ("max_steps", 1)):
+            value = getattr(cfg, name)
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if not 0.0 <= cfg.flip_prob <= 1.0:
             raise ValueError("flip_prob must be in [0, 1]")
-        if cfg.synthetic_test < 1:
-            raise ValueError(f"synthetic_test must be >= 1, got {cfg.synthetic_test}")
-        if cfg.train_subset is not None and cfg.train_subset < 1:
-            raise ValueError(f"train_subset must be >= 1, got {cfg.train_subset}")
         return cfg
 
     def network_config(self) -> NetworkConfig:
@@ -317,11 +324,6 @@ def evaluate(model: Model, records: list, batch_size: int,
 def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
     """Run the full training protocol and write the run directory."""
     cfg = cfg.resolved()
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    config_path = os.path.join(cfg.out_dir, "config.resolved")
-    with open(config_path, "w", encoding="utf-8") as fh:
-        fh.write(cfg.to_kv_text())
-
     train_records, test_records = load_datasets(cfg)
     channel_mean, channel_std = data_mod.compute_channel_stats(train_records)
     model = build_network(cfg.network_config(), RngState(cfg.seed, _STREAM_PARAMS))
@@ -331,6 +333,11 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
     augment_cfg = data_mod.AugmentConfig(
         crop_pad=cfg.crop_pad, flip_prob=cfg.flip_prob, enabled=cfg.augment)
 
+    # Written only once the data and the model are set up, so a rejected
+    # run leaves nothing behind.
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    with open(os.path.join(cfg.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
+        fh.write(cfg.to_kv_text())
     metrics_path = os.path.join(cfg.out_dir, "metrics.jsonl")
     timing_path = os.path.join(cfg.out_dir, "timing.jsonl")
     final_path = os.path.join(cfg.out_dir, "final.ckpt")

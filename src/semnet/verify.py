@@ -46,11 +46,19 @@ def _scope_affine(gen):
 
 
 def _scope_conv2d(gen):
-    x = _randn(gen, (2, 2, 5, 5))
-    k = _randn(gen, (3, 2, 3, 3))
-    w = _probe(gen, (2, 3, 3, 3))
-    return check_gradients(lambda: T.mul(T.conv2d(x, k, stride=2, pad=1), w).mean(),
-                           {"x": x, "kernel": k})
+    """Each (k, stride, pad) the backbone runs: strided and same 3x3, 1x1,
+    and the strided 1x1 downsample shortcut."""
+    out = {}
+    for k, stride, pad in ((3, 2, 1), (3, 1, 1), (1, 1, 0), (1, 2, 0)):
+        x = _randn(gen, (2, 2, 5, 5))
+        kern = _randn(gen, (3, 2, k, k))
+        n = (5 + 2 * pad - k) // stride + 1
+        w = _probe(gen, (2, 3, n, n))
+        errs = check_gradients(
+            lambda: T.mul(T.conv2d(x, kern, stride=stride, pad=pad), w).mean(),
+            {"x": x, "kernel": kern})
+        out.update({f"k{k}s{stride}p{pad}_{name}": v for name, v in errs.items()})
+    return out
 
 
 def _scope_conv1d_channel(gen):

@@ -63,6 +63,30 @@ def naive_conv2d(x, kernel, stride=1, pad=0):
     return out
 
 
+def naive_conv2d_backward(x, kernel, g, stride=1, pad=0):
+    """(dx, dkernel) of naive_conv2d for the upstream gradient ``g``, in
+    float64: each output element scatters g * kernel into the input
+    positions it read and g * x into the kernel taps; padding reads zeros."""
+    x, kernel, g = (np.asarray(v, dtype=np.float64) for v in (x, kernel, g))
+    b, cin, h, w = x.shape
+    cout, _, k, _ = kernel.shape
+    _, _, hout, wout = g.shape
+    dx = np.zeros_like(x)
+    dkernel = np.zeros_like(kernel)
+    for i in range(b):
+        for o in range(cout):
+            for y in range(hout):
+                for z in range(wout):
+                    for c in range(cin):
+                        for p in range(k):
+                            for q in range(k):
+                                r, s = y * stride + p - pad, z * stride + q - pad
+                                if 0 <= r < h and 0 <= s < w:
+                                    dx[i, c, r, s] += g[i, o, y, z] * kernel[o, c, p, q]
+                                    dkernel[o, c, p, q] += g[i, o, y, z] * x[i, c, r, s]
+    return dx, dkernel
+
+
 def naive_conv1d_channel(m, kernel):
     b, c = m.shape
     k = len(kernel)

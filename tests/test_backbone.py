@@ -195,11 +195,11 @@ class TestNetwork:
 
 
 def graph_buffer_bytes(loss):
-    """(activations, im2col copies, batch-norm outputs) of the recorded
+    """(activations, conv input copies, batch-norm outputs) of the recorded
     graph in bytes, from its shapes: every distinct buffer behind a node's
-    output, the (B, Cin*k*k, Hout*Wout) copy each k > 1 convolution keeps,
-    and one output-sized buffer per batch norm."""
-    buffers, cols, bn = {}, 0, 0
+    output, the zero-padded phase copy of its input each convolution that
+    pads or strides keeps, and one output-sized buffer per batch norm."""
+    buffers, copies, bn = {}, 0, 0
     stack, seen = [loss], set()
     while stack:
         node = stack.pop()
@@ -211,15 +211,24 @@ def graph_buffer_bytes(loss):
             root = root.base
         buffers[id(root)] = root.nbytes
         op = node._backward.__name__
-        if op == "conv2d_backward" and node._parents[1].shape[2] > 1:
+        if op == "conv2d_backward":
             x, kernel = node._parents
-            b, cin, _, _ = x.shape
+            b, cin, h, w = x.shape
             _, _, hout, wout = node.shape
-            cols += b * cin * kernel.shape[2] ** 2 * hout * wout * x.data.itemsize
+            k = kernel.shape[2]
+            # The backbone pads its convs to keep ceil(h / stride) rows.
+            stride = h // hout
+            pad = ((hout - 1) * stride + k - h + 1) // 2
+            if k > 1 or stride > 1 or pad > 0:
+                # min(stride, k)^2 phase grids of (hout + d) rows of
+                # (wout + d) columns, plus d slack, d = (k - 1) // stride.
+                d = (k - 1) // stride
+                grid = (hout + d) * (wout + d) + d
+                copies += min(stride, k) ** 2 * b * cin * grid * x.data.itemsize
         elif op == "batch_norm_backward":
             bn += node.data.nbytes
         stack.extend(node._parents)
-    return sum(buffers.values()), cols, bn
+    return sum(buffers.values()), copies, bn
 
 
 class TestTapeMemory:
@@ -234,7 +243,7 @@ class TestTapeMemory:
             base = tracemalloc.get_traced_memory()[0]
             loss = softmax_cross_entropy(model(x, training=True), labels)
             tape = tracemalloc.get_traced_memory()[0] - base
-            activations, cols, bn = graph_buffer_bytes(loss)
+            activations, copies, bn = graph_buffer_bytes(loss)
             tracemalloc.reset_peak()
             backward(loss)
             peak = tracemalloc.get_traced_memory()[1] - base
@@ -242,9 +251,10 @@ class TestTapeMemory:
             tracemalloc.stop()
         # Freed as backward consumes it, the tape is not held twice.
         assert peak <= 1.25 * tape, (peak, tape)
-        # Only activations and im2col copies: a second (xhat) buffer per
-        # batch norm would put the tape near activations + cols + bn.
-        assert tape <= activations + cols + 0.5 * bn, (tape, activations, cols, bn)
+        # Only activations and one padded copy per conv input: a (B,
+        # Cin*k*k, Hout*Wout) im2col copy per 3x3 conv, or a second (xhat)
+        # buffer per batch norm, would break this bound.
+        assert tape <= activations + copies + 0.5 * bn, (tape, activations, copies, bn)
 
 
 class TestCheckpointContainer:

@@ -3,12 +3,14 @@ plus the documented exit codes."""
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from semnet.checkpoint import read_checkpoint
 from semnet.cli import main
+from semnet.training import RunConfig
 
 TINY = """\
 dataset=synthetic
@@ -90,6 +92,61 @@ class TestTrain:
         out = os.path.join(tmp_path, "run")
         assert run_cli("train", "--config", tiny_cfg, "--out-dir", out,
                        "--lr", "1e18", "--epochs", "3") == 4
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("overrides", [
+        ("--attention", "sem", "--switch-activation", "bogus"),
+        ("--attention", "se", "--switch-activation", "bogus"),
+        ("--reduction", "0"),
+        ("--dataset", "cifar10"),  # no data_dir and no $SEM_DATA_DIR
+    ])
+    def test_rejected_before_the_run_directory_is_written(self, tiny_cfg, tmp_path,
+                                                          capsys, monkeypatch, overrides):
+        monkeypatch.delenv("SEM_DATA_DIR", raising=False)
+        out = os.path.join(tmp_path, "run")
+        assert run_cli("train", "--config", tiny_cfg, "--out-dir", out, *overrides) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not os.path.exists(out)
+
+
+# Edge values for every config key: zero, negative, empty, an unknown
+# spelling, and a wrong type (a fraction, or text for a number).
+FUZZ_VALUES = ("0", "-1", "", "bogus", "2.5")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, monkeypatch, capsys):
+    """Every RunConfig key at every edge value, run in-process on a
+    one-step synthetic config: the exit code is 0, 2, 3 or 4, no traceback
+    reaches stderr, and a usage error (2) leaves the run directory empty."""
+    monkeypatch.chdir(tmp_path)  # relative out_dir values land here
+    monkeypatch.delenv("SEM_DATA_DIR", raising=False)
+    base = {"dataset": "synthetic", "depth": "11", "epochs": "1", "batch_size": "8",
+            "eval_batch_size": "8", "synthetic_train": "8", "synthetic_test": "4",
+            "synthetic_classes": "4", "max_steps": "1"}
+    failures = []
+    for i, (key, value) in enumerate((f.name, v) for f in fields(RunConfig)
+                                     for v in FUZZ_VALUES):
+        cfg = dict(base, out_dir=os.path.join(tmp_path, f"run{i}"))
+        cfg[key] = value
+        argv = ["train"] + [f"--{k.replace('_', '-')}={v}" for k, v in cfg.items()]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        except Exception as exc:  # an exception escaping main() is the failure
+            failures.append((key, value, f"raised {exc!r}"))
+            continue
+        err = capsys.readouterr().err
+        out_dir = cfg["out_dir"]
+        if code not in (0, 2, 3, 4):
+            failures.append((key, value, f"exit {code}"))
+        if "Traceback" in err:
+            failures.append((key, value, "traceback on stderr"))
+        if code == 2 and out_dir and os.path.isdir(out_dir) and os.listdir(out_dir):
+            failures.append((key, value, f"exit 2 wrote {sorted(os.listdir(out_dir))}"))
+    assert not failures, failures
 
 
 class TestEval:

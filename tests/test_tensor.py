@@ -282,6 +282,46 @@ class TestBatchNormOracle:
         assert got_rm.tobytes() == rm.tobytes() and got_rv.tobytes() == rv.tobytes()
 
 
+class TestConv2dOracle:
+    """conv2d output and both gradients against the explicit loops in
+    oracles.py, over every (k, stride, pad) in the grid, B > 1, H != W."""
+
+    @staticmethod
+    def errors(k, stride, pad, dtype, seed):
+        gen = RngState(seed).generator()
+        hout, wout = ((n + 2 * pad - k) // stride + 1 for n in (7, 5))
+        x, kernel, g = (gen.standard_normal(shape).astype(dtype) for shape in
+                        ((2, 3, 7, 5), (4, 3, k, k), (2, 4, hout, wout)))
+        xt, kt = (Tensor(v, requires_grad=True) for v in (x, kernel))
+        out = conv2d(xt, kt, stride=stride, pad=pad)
+        backward(mul(out, Tensor(g)).sum())
+        want = (oracles.naive_conv2d(x.astype(np.float64), kernel.astype(np.float64),
+                                     stride, pad),
+                *oracles.naive_conv2d_backward(x, kernel, g, stride, pad))
+        return {name: normwise_error(got, ref) for name, got, ref in
+                zip(("out", "dx", "dkernel"), (out.data, xt.grad, kt.grad), want)}
+
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_naive(self, k, stride, pad):
+        seed = 100 + 9 * k + 3 * stride + pad
+        errs = self.errors(k, stride, pad, np.float64, seed)
+        assert max(errs.values()) <= 1e-12, errs
+        errs = self.errors(k, stride, pad, np.float32, seed)
+        assert max(errs.values()) <= 1e-5, errs
+
+    @pytest.mark.parametrize("k,stride,pad", [(3, 2, 1), (3, 1, 1), (1, 1, 0), (1, 2, 0)])
+    def test_gradients_are_adoptable(self, k, stride, pad):
+        # Owned, writable and parent-shaped, so backward adopts them uncopied.
+        x = Tensor(np.ones((2, 3, 6, 5)), requires_grad=True)
+        kernel = Tensor(np.ones((4, 3, k, k)), requires_grad=True)
+        out = conv2d(x, kernel, stride=stride, pad=pad)
+        for grad, parent in zip(out._backward(np.ones_like(out.data)), (x, kernel)):
+            assert grad.shape == parent.shape and grad.dtype == parent.dtype
+            assert grad.base is None and grad.flags.owndata and grad.flags.writeable
+
+
 class TestAutodiff:
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
@@ -341,6 +381,19 @@ class TestAutodiff:
                 lambda: mul(conv2d(x, k, stride=2, pad=0), probe).mean(),
                 {"x": x, "k": k})
             worst["conv2d"] = max(worst.get("conv2d", 0), max(errs.values()))
+
+            # The backbone's other conv configurations: same 3x3, 1x1, and
+            # the strided 1x1 downsample.
+            for kk, stride, pad in ((3, 1, 1), (1, 1, 0), (1, 2, 0)):
+                x = randn(gen, (2, 2, 3, 4))
+                k = randn(gen, (2, 2, kk, kk))
+                hout, wout = ((n + 2 * pad - kk) // stride + 1 for n in (3, 4))
+                probe = Tensor(gen.standard_normal((2, 2, hout, wout)), dtype=np.float64)
+                errs = check_gradients(
+                    lambda: mul(conv2d(x, k, stride=stride, pad=pad), probe).mean(),
+                    {"x": x, "k": k})
+                name = f"conv2d_k{kk}s{stride}p{pad}"
+                worst[name] = max(worst.get(name, 0), max(errs.values()))
 
             m = randn(gen, (2, 6))
             kern = randn(gen, (3,))
