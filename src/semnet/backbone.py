@@ -16,7 +16,10 @@ import numpy as np
 from . import attention as att
 from .attention import DecisionRecord, SemParams
 from .rng import RngState
-from .tensor import Tensor, add, affine, batch_norm, conv2d, global_avg_pool, relu, reshape
+from .tensor import Tensor, add, affine, batch_norm, conv2d, global_avg_pool, reshape
+# Unused here since every ReLU is fused into its batch norm; imported so
+# perfbench's tracer, which patches ``semnet.backbone.relu``, finds it.
+from .tensor import relu  # noqa: F401
 
 STAGE_WIDTHS = (16, 32, 64)
 BLOCK_EXPANSION = 4
@@ -110,6 +113,9 @@ class _Conv:
 
 
 class _BatchNorm:
+    """Pre-activation batch norm: every one in the backbone feeds a ReLU,
+    so the pair runs as one fused node."""
+
     def __init__(self, channels: int, dtype):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
@@ -118,7 +124,7 @@ class _BatchNorm:
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return batch_norm(x, self.gamma, self.beta,
-                          self.running_mean, self.running_var, training)
+                          self.running_mean, self.running_var, training, relu=True)
 
     def named(self, prefix):
         yield prefix + ".gamma", self.gamma
@@ -190,11 +196,11 @@ class _Bottleneck:
     def __call__(self, x: Tensor, training: bool,
                  capture: dict | None = None,
                  attention_identity: bool = False) -> Tensor:
-        pre = relu(self.bn1(x, training))
+        pre = self.bn1(x, training)
         residual = self.downsample(pre) if self.downsample is not None else x
         out = self.conv1(pre)
-        out = self.conv2(relu(self.bn2(out, training)))
-        out = self.conv3(relu(self.bn3(out, training)))
+        out = self.conv2(self.bn2(out, training))
+        out = self.conv3(self.bn3(out, training))
         if self.attention is not None and not attention_identity:
             out = self.attention(out, capture)
         return add(out, residual)
@@ -278,7 +284,7 @@ class Model:
                         operators=block.attention.params.operators,
                         weights=capture.get("decision")))
                 layer_index += 1
-        out = relu(self.head_bn(out, training))
+        out = self.head_bn(out, training)
         pooled = global_avg_pool(out)
         flat = reshape(pooled, (x.shape[0], pooled.shape[1]))
         return self.classifier(flat)
@@ -356,7 +362,7 @@ class Model:
                 out = block(out, training)
                 if not np.isfinite(out.data).all():
                     return f"stage{s + 1}.block{b}"
-        out = relu(self.head_bn(out, training))
+        out = self.head_bn(out, training)
         if not np.isfinite(out.data).all():
             return "head.bn"
         pooled = global_avg_pool(out)

@@ -3,7 +3,8 @@ export-decisions.
 
 Run configuration comes from a key=value file (``--config``) plus per-field
 flag overrides; every run writes its fully-resolved config. Exit codes:
-0 success, 2 usage, 3 data ingestion, 4 numerical failure.
+0 success, 2 usage (also when the reader closes stdout early), 3 data
+ingestion, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -114,19 +115,15 @@ def cmd_random_ops(args) -> int:
     cfg = _config_from_args(args)
     mode = "random_single" if args.arity == 1 else "random_double"
     cfg = replace(cfg, attention=mode).resolved()
-    os.makedirs(cfg.out_dir, exist_ok=True)
     n_blocks = 3 * depth_to_blocks(cfg.depth)
 
+    # Directories are left to train_run, which creates one only after the
+    # trial's data and model are set up, so a rejected command writes nothing.
     rows = []
     for trial in range(args.trials):
         assignment_seed = cfg.attention_seed + trial
         trial_cfg = replace(cfg, attention_seed=assignment_seed,
                             out_dir=os.path.join(cfg.out_dir, f"trial_{trial}"))
-        assignment = assign_random_operators(n_blocks, args.arity, assignment_seed)
-        os.makedirs(trial_cfg.out_dir, exist_ok=True)
-        with open(os.path.join(trial_cfg.out_dir, "assignment.json"), "w") as fh:
-            json.dump({"arity": args.arity, "seed": assignment_seed,
-                       "blocks": [list(ops) for ops in assignment]}, fh, indent=1)
         try:
             result = train_run(trial_cfg, log=None)
             rec = result.final_record
@@ -140,6 +137,10 @@ def cmd_random_ops(args) -> int:
                          "status": "diverged", "final_test_top1": "",
                          "best_test_top1": ""})
             print(f"trial {trial}: diverged ({exc})")
+        assignment = assign_random_operators(n_blocks, args.arity, assignment_seed)
+        with open(os.path.join(trial_cfg.out_dir, "assignment.json"), "w") as fh:
+            json.dump({"arity": args.arity, "seed": assignment_seed,
+                       "blocks": [list(ops) for ops in assignment]}, fh, indent=1)
 
     report_path = os.path.join(cfg.out_dir, "report.csv")
     _write_csv(report_path, rows,
@@ -173,7 +174,7 @@ def _ablation_grid(which: str, base: RunConfig) -> list[tuple[str, RunConfig]]:
 def cmd_ablate(args) -> int:
     base = _config_from_args(args).resolved()
     grid = _ablation_grid(args.which, base)
-    os.makedirs(base.out_dir, exist_ok=True)
+    # As in random-ops, directories are left to train_run.
     rows = []
     for label, variant in grid:
         variant = replace(variant, out_dir=os.path.join(base.out_dir, label))
@@ -295,6 +296,16 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `semnet gradcheck | head -1`).
+        # As the Python docs advise, point the descriptor at devnull so
+        # the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("usage error: stdout was closed before the command finished",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

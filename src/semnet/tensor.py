@@ -540,12 +540,18 @@ def activation(x: Tensor, kind: str, slope: float = 0.01) -> Tensor:
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.9, eps: float = 1e-5) -> Tensor:
+               training: bool, momentum: float = 0.9, eps: float = 1e-5,
+               relu: bool = False) -> Tensor:
     """Per-channel normalisation over (B, C) or (B, C, H, W).
 
     Train mode normalises by batch statistics and folds them into the
     running buffers with the given momentum (in place); eval mode uses the
     running buffers. gamma/beta are (C,) learnable tensors.
+
+    ``relu=True`` returns relu(batch_norm(x)) as one node, bit for bit the
+    two-op result: the ReLU runs in place on the output, and backward masks
+    the gradient with ``out > 0``, which holds exactly where the
+    pre-activation is > 0, so no pre-activation buffer is kept.
     """
     if x.ndim not in (2, 4):
         raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.shape}")
@@ -560,30 +566,38 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     axes = (0,) if x.ndim == 2 else (0, 2, 3)
     pshape = (1, c) if x.ndim == 2 else (1, c, 1, 1)
     dt = x.data.dtype
+    n = x.data.size // c
 
     if training:
         mean = x.data.mean(axis=axes, dtype=dt)
-        var = x.data.var(axis=axes, dtype=dt)
+    else:
+        mean = running_mean.astype(dt, copy=False)
+    # One per-channel scale, so only x is kept; subtracting the mean first
+    # avoids cancellation and, at gamma=1 and beta=0, rounds like xhat.
+    out = x.data - mean.reshape(pshape)
+    if training:
+        # np.var's own reduction, on the centred buffer already at hand.
+        var = np.square(out).sum(axis=axes, dtype=dt) / n
         running_mean *= dt.type(momentum)
         running_mean += dt.type(1.0 - momentum) * mean
         running_var *= dt.type(momentum)
         running_var += dt.type(1.0 - momentum) * var
     else:
-        mean = running_mean.astype(dt, copy=False)
         var = running_var.astype(dt, copy=False)
 
     inv_std = 1.0 / np.sqrt(var + dt.type(eps))
     scale = gamma.data * inv_std
-    # One per-channel scale, so only x is kept; subtracting the mean first
-    # avoids cancellation and, at gamma=1 and beta=0, rounds like xhat.
-    out = x.data - mean.reshape(pshape)
     out *= scale.reshape(pshape)
     out += beta.data.reshape(pshape)
+    if relu:
+        np.maximum(out, 0, out=out)
     dims = list(range(x.ndim))
     # Eval-mode statistics do not depend on x, so their terms drop out.
-    inv_n = dt.type(1.0 / (x.data.size // c) if training else 0.0)
+    inv_n = dt.type(1.0 / n if training else 0.0)
 
     def batch_norm_backward(g):
+        if relu:
+            g = g * (out > 0)
         # Rebuilt from x in one buffer that starts as xc = x - mean:
         # dgamma = inv_std*sum(g*xc), and scale*(g - dbeta/n - xhat*dgamma/n)
         # = scale*g + kx*xc + k0 with per-channel kx and k0. scale*g is

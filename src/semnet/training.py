@@ -3,6 +3,8 @@
 A run writes into its output directory:
 
 * ``config.resolved``: every setting after defaulting, as key=value lines;
+* ``environment.json``: the numpy and BLAS build, the BLAS thread
+  variables, the CPU count and the Python version the run executed on;
 * ``metrics.jsonl``: one deterministic record per epoch (wall-clock times
   go to ``timing.jsonl`` so two identical runs produce byte-identical
   metrics logs);
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -338,6 +341,8 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
         fh.write(cfg.to_kv_text())
+    with open(os.path.join(cfg.out_dir, "environment.json"), "w", encoding="utf-8") as fh:
+        json.dump(run_environment(), fh, indent=1, sort_keys=True)
     metrics_path = os.path.join(cfg.out_dir, "metrics.jsonl")
     timing_path = os.path.join(cfg.out_dir, "timing.jsonl")
     final_path = os.path.join(cfg.out_dir, "final.ckpt")
@@ -415,6 +420,22 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
         best_checkpoint=best_path if wrote_best else None,
         metrics_path=metrics_path, model=model,
         channel_mean=channel_mean, channel_std=channel_std, steps=steps)
+
+
+def run_environment() -> dict:
+    """The numpy/BLAS build, BLAS thread settings and host of this process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 returns no dicts
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -90,22 +90,39 @@ def _scope_elementwise(gen):
             "add_a": errs_add["a"], "add_b": errs_add["b"]}
 
 
+def _kink_free_beta(x, gamma, training, running_mean, running_var, eps=1e-5):
+    """Per-channel beta that puts the ReLU kink of gamma*xhat + beta midway
+    across the widest gap between the normalised inputs of the channel, so
+    central differences never straddle it."""
+    c = x.shape[1]
+    rows = np.moveaxis(x, 1, 0).reshape(c, -1)
+    if training:
+        mean, var = rows.mean(axis=1), rows.var(axis=1)
+    else:
+        mean, var = running_mean, running_var
+    xhat = np.sort((rows - mean[:, None]) / np.sqrt(var[:, None] + eps), axis=1)
+    i = np.diff(xhat, axis=1).argmax(axis=1)
+    return -gamma * (xhat[np.arange(c), i] + xhat[np.arange(c), i + 1]) / 2
+
+
 def _scope_batch_norm(gen):
     out = {}
-    for training in (True, False):
+    for relu, training in ((False, True), (False, False), (True, True), (True, False)):
         x = _randn(gen, (6, 3, 4, 4))
         g = Tensor(gen.standard_normal(3) + 1.5, requires_grad=True, dtype=np.float64)
         b = _randn(gen, (3,))
         mean = gen.standard_normal(3)
         var = gen.random(3) + 0.5
         w = _probe(gen, (6, 3, 4, 4))
+        if relu:
+            b.data[...] = _kink_free_beta(x.data, g.data, training, mean, var)
 
-        def f(t=x, gg=g, bb=b, m=mean, v=var, tr=training, p=w):
-            return T.mul(T.batch_norm(t, gg, bb, m.copy(), v.copy(), training=tr),
-                         p).mean()
+        def f(t=x, gg=g, bb=b, m=mean, v=var, tr=training, r=relu, p=w):
+            return T.mul(T.batch_norm(t, gg, bb, m.copy(), v.copy(), training=tr,
+                                      relu=r), p).mean()
 
         errs = check_gradients(f, {"x": x, "gamma": g, "beta": b})
-        tag = "train" if training else "eval"
+        tag = ("train" if training else "eval") + ("_relu" if relu else "")
         out.update({f"{tag}_{k}": v for k, v in errs.items()})
     return out
 

@@ -162,13 +162,15 @@ def naive_ie_gate(x, scale, shift):
 
 
 def naive_batch_norm(x, gamma, beta, running_mean, running_var, g, training,
-                     momentum=0.9, eps=1e-5):
+                     momentum=0.9, eps=1e-5, relu=False):
     """Textbook batch norm, one channel at a time, in float64.
 
     Normalises to xhat = (x - mean) / sqrt(var + eps), scales and shifts,
     and backpropagates the upstream gradient ``g`` through xhat. Returns
     (out, dx, dgamma, dbeta, running_mean, running_var); the running
     buffers come back updated in train mode and unchanged in eval mode.
+    With ``relu`` a ReLU follows: the output is clamped at 0 and ``g`` is
+    zeroed wherever the pre-activation is not positive.
     """
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
@@ -191,7 +193,11 @@ def naive_batch_norm(x, gamma, beta, running_mean, running_var, g, training,
             mean, var = float(running_mean[j]), float(running_var[j])
         inv_std = 1.0 / math.sqrt(var + eps)
         xhat = (xc - mean) * inv_std
-        out[:, j] = (gamma[j] * xhat + beta[j]).reshape(x[:, j].shape)
+        pre = gamma[j] * xhat + beta[j]
+        if relu:
+            gc = np.where(pre > 0, gc, 0.0)
+            pre = np.maximum(pre, 0.0)
+        out[:, j] = pre.reshape(x[:, j].shape)
         dbeta[j] = math.fsum(gc)
         dgamma[j] = math.fsum(gc * xhat)
         dxhat = gc * gamma[j]

@@ -231,6 +231,23 @@ def graph_buffer_bytes(loss):
     return sum(buffers.values()), copies, bn
 
 
+def unfused_relus(loss):
+    """Count of ReLU nodes in the recorded graph whose input is a batch
+    norm's output, which such a pair would keep alive until backward."""
+    count, stack, seen = 0, [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        if node._backward.__name__ == "relu_backward":
+            count += any(p._backward is not None
+                         and p._backward.__name__ == "batch_norm_backward"
+                         for p in node._parents)
+        stack.extend(node._parents)
+    return count
+
+
 class TestTapeMemory:
     def test_backward_peak_tracks_the_tape(self):
         model = build_network(NetworkConfig(depth=11, attention="sem", dtype=np.float64),
@@ -244,16 +261,19 @@ class TestTapeMemory:
             loss = softmax_cross_entropy(model(x, training=True), labels)
             tape = tracemalloc.get_traced_memory()[0] - base
             activations, copies, bn = graph_buffer_bytes(loss)
+            unfused = unfused_relus(loss)
             tracemalloc.reset_peak()
             backward(loss)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        # Every batch norm feeds a ReLU; fused, no pre-activation is kept.
+        assert unfused == 0, unfused
         # Freed as backward consumes it, the tape is not held twice.
         assert peak <= 1.25 * tape, (peak, tape)
         # Only activations and one padded copy per conv input: a (B,
-        # Cin*k*k, Hout*Wout) im2col copy per 3x3 conv, or a second (xhat)
-        # buffer per batch norm, would break this bound.
+        # Cin*k*k, Hout*Wout) im2col copy per 3x3 conv, or a second (xhat
+        # or pre-ReLU) buffer per batch norm, would break this bound.
         assert tape <= activations + copies + 0.5 * bn, (tape, activations, copies, bn)
 
 

@@ -3,6 +3,7 @@ plus the documented exit codes."""
 
 import json
 import os
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -94,20 +95,34 @@ class TestTrain:
                        "--lr", "1e18", "--epochs", "3") == 4
 
 
+REJECTED_OVERRIDES = [
+    ("--attention", "sem", "--switch-activation", "bogus"),
+    ("--attention", "se", "--switch-activation", "bogus"),
+    ("--reduction", "0"),
+    ("--dataset", "cifar10"),  # no data_dir and no $SEM_DATA_DIR
+]
+
+
 class TestConfigValidation:
-    @pytest.mark.parametrize("overrides", [
-        ("--attention", "sem", "--switch-activation", "bogus"),
-        ("--attention", "se", "--switch-activation", "bogus"),
-        ("--reduction", "0"),
-        ("--dataset", "cifar10"),  # no data_dir and no $SEM_DATA_DIR
-    ])
-    def test_rejected_before_the_run_directory_is_written(self, tiny_cfg, tmp_path,
-                                                          capsys, monkeypatch, overrides):
+    @staticmethod
+    def check_rejected(command, tiny_cfg, tmp_path, capsys, monkeypatch, overrides):
         monkeypatch.delenv("SEM_DATA_DIR", raising=False)
         out = os.path.join(tmp_path, "run")
-        assert run_cli("train", "--config", tiny_cfg, "--out-dir", out, *overrides) == 2
+        assert run_cli(*command, "--config", tiny_cfg, "--out-dir", out, *overrides) == 2
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("overrides", REJECTED_OVERRIDES)
+    def test_rejected_before_the_run_directory_is_written(self, tiny_cfg, tmp_path,
+                                                          capsys, monkeypatch, overrides):
+        self.check_rejected(("train",), tiny_cfg, tmp_path, capsys, monkeypatch, overrides)
+
+    @pytest.mark.parametrize("command", [("ablate", "--which", "decision_removal"),
+                                         ("random-ops", "--arity", "1", "--trials", "2")])
+    @pytest.mark.parametrize("overrides", REJECTED_OVERRIDES)
+    def test_grid_rejected_before_its_directory_is_written(self, tiny_cfg, tmp_path, capsys,
+                                                           monkeypatch, command, overrides):
+        self.check_rejected(command, tiny_cfg, tmp_path, capsys, monkeypatch, overrides)
 
 
 # Edge values for every config key: zero, negative, empty, an unknown
@@ -188,6 +203,35 @@ class TestGradcheck:
 
     def test_unknown_scope_usage_error(self, capsys):
         assert run_cli("gradcheck", "--scope", "does-not-exist") == 2
+
+    def test_closed_stdout_keeps_the_exit_code_contract(self, tmp_path, monkeypatch,
+                                                        capsys):
+        """As `semnet gradcheck | head -1` once head has exited: a usage
+        exit, no traceback, and stdout's descriptor left on devnull so the
+        flush at interpreter exit cannot fail again."""
+
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        fd = os.open(os.path.join(tmp_path, "stdout"), os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+            assert run_cli("gradcheck", "--scope", "conv1d_channel") == 2
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "Traceback" not in err
 
 
 class TestRandomOps:

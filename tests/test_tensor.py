@@ -28,6 +28,7 @@ from semnet.tensor import (
     softmax_cross_entropy,
     take_column,
 )
+from semnet.verify import _kink_free_beta
 
 import oracles
 
@@ -235,7 +236,7 @@ class TestBatchNormOracle:
     SHAPES = [(64, 5), (6, 4, 5, 3)]
 
     @staticmethod
-    def run(shape, dtype, training, seed):
+    def run(shape, dtype, training, seed, relu=False):
         gen = RngState(seed).generator()
         c = shape[1]
         x = (gen.standard_normal(shape) * 2.5 + 40.0).astype(dtype)
@@ -246,9 +247,9 @@ class TestBatchNormOracle:
         g = gen.standard_normal(shape).astype(dtype)
         xt, gt, bt = (Tensor(v, requires_grad=True, dtype=dtype) for v in (x, gamma, beta))
         buffers = rm.copy(), rv.copy()
-        out = batch_norm(xt, gt, bt, *buffers, training=training)
+        out = batch_norm(xt, gt, bt, *buffers, training=training, relu=relu)
         backward(mul(out, Tensor(g, dtype=dtype)).sum())
-        ref = oracles.naive_batch_norm(x, gamma, beta, rm, rv, g, training)
+        ref = oracles.naive_batch_norm(x, gamma, beta, rm, rv, g, training, relu=relu)
         errs = {name: normwise_error(got, want) for name, got, want in
                 zip(("out", "dx", "dgamma", "dbeta"),
                     (out.data, xt.grad, gt.grad, bt.grad), ref)}
@@ -265,6 +266,41 @@ class TestBatchNormOracle:
     def test_float32_matches_naive(self, shape, training):
         *_, errs = self.run(shape, np.float32, training, seed=26)
         assert max(errs.values()) <= 1e-5, errs
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES + [(16, 16, 8, 8)])
+    def test_fused_relu_matches_naive(self, shape, training, dtype, tol):
+        *_, errs = self.run(shape, dtype, training, seed=29, relu=True)
+        assert max(errs.values()) <= tol, errs
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_fused_relu_is_bitwise_the_pair(self, shape, training, dtype):
+        """relu=True gives relu(batch_norm(x)) byte for byte: output, every
+        gradient and both running buffers."""
+        gen = RngState(28).generator()
+        c = shape[1]
+        x = (gen.standard_normal(shape) * 2.5 + 40.0).astype(dtype)
+        gamma = (gen.standard_normal(c) + 0.5).astype(dtype)
+        beta = (gen.standard_normal(c) * 0.5).astype(dtype)
+        rm = (gen.standard_normal(c) + 40.0).astype(dtype)
+        rv = (gen.random(c) * 6.0 + 0.5).astype(dtype)
+        g = Tensor(gen.standard_normal(shape).astype(dtype))
+        results = []
+        for fused in (True, False):
+            xt, gt, bt = (Tensor(v, requires_grad=True) for v in (x, gamma, beta))
+            buffers = rm.copy(), rv.copy()
+            if fused:
+                out = batch_norm(xt, gt, bt, *buffers, training=training, relu=True)
+            else:
+                out = relu(batch_norm(xt, gt, bt, *buffers, training=training))
+            backward(mul(out, g).sum())
+            results.append([a.tobytes() for a in
+                            (out.data, xt.grad, gt.grad, bt.grad, *buffers)])
+        assert 0 < np.count_nonzero(out.data) < out.size  # the mask matters
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", SHAPES)
@@ -426,7 +462,7 @@ class TestAutodiff:
 
     def test_batch_norm_gradients(self):
         gen = RngState(23).generator()
-        for training in (True, False):
+        for fused, training in ((False, True), (False, False), (True, True), (True, False)):
             x = randn(gen, (5, 3, 2, 2))
             g = Tensor(gen.standard_normal(3) + 1.5, requires_grad=True,
                        dtype=np.float64)
@@ -434,11 +470,13 @@ class TestAutodiff:
             rm = gen.standard_normal(3)
             rv = gen.random(3) + 0.5
             w = Tensor(gen.standard_normal((5, 3, 2, 2)), dtype=np.float64)
+            if fused:
+                b.data[...] = _kink_free_beta(x.data, g.data, training, rm, rv)
             errs = check_gradients(
                 lambda: mul(batch_norm(x, g, b, rm.copy(), rv.copy(),
-                                       training=training), w).mean(),
+                                       training=training, relu=fused), w).mean(),
                 {"x": x, "gamma": g, "beta": b})
-            assert max(errs.values()) <= TOL, (training, errs)
+            assert max(errs.values()) <= TOL, (training, fused, errs)
 
     def test_reshape_and_take_column_gradients(self):
         gen = RngState(24).generator()

@@ -163,9 +163,15 @@ class TestTrainRun:
 
     def test_run_directory_contents(self, tmp_path):
         result = train_run(tiny_config(tmp_path / "run"))
-        for name in ("config.resolved", "metrics.jsonl", "timing.jsonl",
-                     "final.ckpt", "best.ckpt"):
+        for name in ("config.resolved", "environment.json", "metrics.jsonl",
+                     "timing.jsonl", "final.ckpt", "best.ckpt"):
             assert os.path.exists(os.path.join(tmp_path, "run", name)), name
+        env = json.load(open(os.path.join(tmp_path, "run", "environment.json")))
+        assert set(env) == {"numpy", "blas", "threads", "cpu_count", "python"}
+        assert set(env["blas"]) == {"name", "version"}
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS"}
+        assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
         lines = open(result.metrics_path).read().splitlines()
         assert len(lines) == 2
         record = json.loads(lines[0])
