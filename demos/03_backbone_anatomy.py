@@ -8,8 +8,8 @@ Run:  python demos/03_backbone_anatomy.py
 import numpy as np
 
 from semnet import (
-    NetworkConfig,
     RngState,
+    RunConfig,
     Tensor,
     assign_random_operators,
     build_network,
@@ -26,13 +26,13 @@ for depth in (11, 20, 47, 164):
 
 # Parameter budgets, plain vs attention-augmented.
 for mode in ("none", "se", "eca", "ie", "sem"):
-    model = build_network(NetworkConfig(depth=20, attention=mode), RngState(0))
+    model = build_network(RunConfig(depth=20, attention=mode), RngState(0))
     print(f"depth-20 {mode:5s}: {model.param_count():7d} parameters")
 
 # The attention overhead has a closed form per block; compare it against
 # the built network.
-plain = build_network(NetworkConfig(depth=20, attention="none"), RngState(0))
-sem = build_network(NetworkConfig(depth=20, attention="sem"), RngState(0))
+plain = build_network(RunConfig(depth=20, attention="none"), RngState(0))
+sem = build_network(RunConfig(depth=20, attention="sem"), RngState(0))
 budget = sum(2 * sem_block_param_count(w * 4) for w in STAGE_WIDTHS)
 print("attention overhead:", sem.param_count() - plain.param_count(),
       "closed form:", budget)

@@ -3,7 +3,6 @@
 from .attention import (
     ALL_OPERATORS,
     DecisionRecord,
-    EcaHyper,
     SemParams,
     decide,
     decision_summary_csv,
@@ -19,7 +18,6 @@ from .attention import (
 )
 from .backbone import (
     Model,
-    NetworkConfig,
     assign_random_operators,
     build_network,
     depth_to_blocks,

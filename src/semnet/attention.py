@@ -51,31 +51,16 @@ def normalize_operator_set(operators) -> tuple[str, ...]:
     return tuple(o for o in ALL_OPERATORS if o in ops)
 
 
-@dataclass(frozen=True)
-class EcaHyper:
-    """Hyperparameters of the adaptive 1-D kernel-size rule."""
-
-    gamma: int = 2
-    bias: int = 1
-
-    def __post_init__(self):
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
-
-
-def eca_kernel_size(channels: int, hyper: EcaHyper = EcaHyper()) -> int:
+def eca_kernel_size(channels: int) -> int:
     """Adaptive odd kernel length for the channel convolution.
 
-    t = (log2(C) + bias) / gamma, truncated toward zero; an even result is
-    bumped up to the next odd number, and the result is clamped to >= 1.
+    t = (log2(C) + 1) / 2, truncated toward zero; an even result is bumped
+    up to the next odd number.
     """
     if channels < 1:
         raise ValueError(f"channels must be >= 1, got {channels}")
-    t = abs((math.log2(channels) + hyper.bias) / hyper.gamma)
-    k = int(t)
-    if k % 2 == 0:
-        k += 1
-    return max(k, 1)
+    k = int((math.log2(channels) + 1) / 2)
+    return k + 1 if k % 2 == 0 else k
 
 
 @dataclass
@@ -89,8 +74,7 @@ class SemParams:
     operators: tuple[str, ...]
     reduction: int = 16
     switch_activation: str = "sigmoid"
-    decision_weight: Tensor | None = None   # (N, C)
-    decision_bias: Tensor | None = None     # (N,), optional and off by default
+    decision_weight: Tensor | None = None   # (N, C); None means unit decision
     reduce_weight: Tensor | None = None     # (hidden, C)
     expand_weight: Tensor | None = None     # (C, hidden)
     conv_kernel: Tensor | None = None       # (k,), k odd
@@ -98,8 +82,8 @@ class SemParams:
     ie_shift: Tensor | None = None          # (1, 1)
 
     def named_tensors(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        names = ("decision_weight", "decision_bias", "reduce_weight",
-                 "expand_weight", "conv_kernel", "ie_scale", "ie_shift")
+        names = ("decision_weight", "reduce_weight", "expand_weight",
+                 "conv_kernel", "ie_scale", "ie_shift")
         return [(prefix + n, getattr(self, n)) for n in names
                 if getattr(self, n) is not None]
 
@@ -126,25 +110,20 @@ def init_sem_params(channels: int,
                     switch_activation: str = "sigmoid",
                     rng: RngState | np.random.Generator = RngState(0),
                     dtype=np.float32,
-                    kernel_size: int | None = None,
-                    with_decision: bool = True,
-                    decision_bias: bool = False) -> SemParams:
+                    with_decision: bool = True) -> SemParams:
     """Allocate and initialise parameters for one attention layer.
 
     Weights use fan-in-scaled uniform initialisation; the instance-enhance
-    scale/shift start at 0 and -1. The convolution kernel length defaults
-    to the adaptive rule unless ``kernel_size`` overrides it.
+    scale/shift start at 0 and -1. The convolution kernel length follows
+    the adaptive rule.
     """
     ops = normalize_operator_set(operators)
     gen = rng.generator() if isinstance(rng, RngState) else rng
     params = SemParams(operators=ops, reduction=reduction,
                        switch_activation=switch_activation)
     if with_decision:
-        n = len(ops)
         params.decision_weight = Tensor(
-            _uniform_fan_in(gen, (n, channels), channels, dtype), requires_grad=True)
-        if decision_bias:
-            params.decision_bias = Tensor(np.zeros(n, dtype=dtype), requires_grad=True)
+            _uniform_fan_in(gen, (len(ops), channels), channels, dtype), requires_grad=True)
     if OPERATOR_FC in ops:
         hidden = hidden_width(channels, reduction)
         params.reduce_weight = Tensor(
@@ -152,9 +131,7 @@ def init_sem_params(channels: int,
         params.expand_weight = Tensor(
             _uniform_fan_in(gen, (channels, hidden), hidden, dtype), requires_grad=True)
     if OPERATOR_CNN in ops:
-        k = eca_kernel_size(channels) if kernel_size is None else kernel_size
-        if k % 2 == 0:
-            raise ValueError(f"convolution kernel length must be odd, got {k}")
+        k = eca_kernel_size(channels)
         params.conv_kernel = Tensor(
             _uniform_fan_in(gen, (k,), k, dtype), requires_grad=True)
     if OPERATOR_IE in ops:
@@ -173,9 +150,9 @@ def squeeze(x: Tensor) -> Tensor:
     return reshape(pooled, (x.shape[0], x.shape[1]))
 
 
-def decide(m: Tensor, decision_weight: Tensor, decision_bias: Tensor | None = None) -> Tensor:
+def decide(m: Tensor, decision_weight: Tensor) -> Tensor:
     """Per-sample soft selection weights in (0,1)^N from the descriptor."""
-    return sigmoid(affine(m, decision_weight, decision_bias))
+    return sigmoid(affine(m, decision_weight))
 
 
 def excite_fc(m: Tensor, reduce_weight: Tensor, expand_weight: Tensor) -> Tensor:
@@ -242,19 +219,17 @@ def sem_forward(x: Tensor, params: SemParams, *,
     """Full attention layer: squeeze, decide, excite each enabled branch,
     switch, recalibrate.
 
-    ``force_unit_decision`` drops the decision weights (w = 1 for every
-    branch), the ablation that isolates the switching product; with one
-    operator and a sigmoid switch it is the conventional SE / ECA / IE gate.
-    ``capture`` receives the raw decision and attention-map arrays when
-    provided.
+    Params built without a decision network run with w = 1 for every
+    branch; with one operator and a sigmoid switch that is the conventional
+    SE / ECA / IE gate. ``force_unit_decision`` drops the decision weights
+    of params that have them, the ablation that isolates the switching
+    product. ``capture`` receives the raw decision and attention-map arrays
+    when provided.
     """
     m = squeeze(x)
     weights = None
-    if not force_unit_decision:
-        if params.decision_weight is None:
-            raise ValueError("params were built without a decision network; "
-                             "use force_unit_decision=True")
-        weights = decide(m, params.decision_weight, params.decision_bias)
+    if not force_unit_decision and params.decision_weight is not None:
+        weights = decide(m, params.decision_weight)
     branches = _branch_outputs(m, params)
     v = switch(branches, weights, params.switch_activation)
     if capture is not None:

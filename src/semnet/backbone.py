@@ -1,7 +1,7 @@
 """Pre-activation bottleneck ResNet for 32x32 inputs.
 
 Depth d uses (d - 2) / 9 bottleneck blocks per stage across three stages
-with base widths 16/32/64 (x4 at the block output). An attention module,
+with base widths 16/32/64 (x4 at the block output). An attention gate,
 when configured, transforms the residual branch output of every block
 immediately before the skip addition.
 """
@@ -9,23 +9,27 @@ immediately before the skip addition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import attention as att
 from .attention import DecisionRecord, SemParams
 from .rng import RngState
-from .tensor import Tensor, add, affine, batch_norm, conv2d, global_avg_pool, reshape
+from .tensor import (Tensor, add, affine, batch_norm, conv2d, global_avg_pool, layer_scope,
+                     reshape)
 # Unused here since every ReLU is fused into its batch norm; imported so
 # perfbench's tracer, which patches ``semnet.backbone.relu``, finds it.
 from .tensor import relu  # noqa: F401
+
+if TYPE_CHECKING:
+    from .training import RunConfig
 
 STAGE_WIDTHS = (16, 32, 64)
 BLOCK_EXPANSION = 4
 ATTENTION_MODES = ("none", "se", "eca", "ie", "sem", "random_single", "random_double")
 # Conventional gates: one excitation operator, no decision network, and a
-# sigmoid switch whatever the configured switch activation.
+# sigmoid switch (RunConfig.resolved pins it) whatever the configured one.
 SINGLE_OPERATOR_MODES = {"se": att.OPERATOR_FC, "eca": att.OPERATOR_CNN, "ie": att.OPERATOR_IE}
 
 
@@ -56,31 +60,6 @@ def assign_random_operators(n_blocks: int, arity: int, seed: int) -> list[tuple[
         pool = [("fc", "cnn"), ("fc", "ie"), ("cnn", "ie")]
     picks = gen.integers(0, len(pool), size=n_blocks)
     return [pool[i] for i in picks]
-
-
-@dataclass
-class NetworkConfig:
-    """Backbone depth/width/attention description."""
-
-    depth: int = 20
-    num_classes: int = 10
-    attention: str = "none"
-    operator_set: tuple[str, ...] = att.ALL_OPERATORS
-    reduction: int = 16
-    switch_activation: str = "sigmoid"
-    unit_decision: bool = False     # drop the decision network (w = 1)
-    attention_seed: int = 0         # random_single / random_double assignment
-    dtype: object = np.float32
-
-    def validate(self) -> "NetworkConfig":
-        depth_to_blocks(self.depth)
-        if self.attention not in ATTENTION_MODES:
-            raise ValueError(
-                f"unknown attention mode {self.attention!r}; valid: {ATTENTION_MODES}")
-        self.operator_set = att.normalize_operator_set(self.operator_set)
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        return self
 
 
 def sem_block_param_count(channels: int, n_operators: int = 3, reduction: int = 16) -> int:
@@ -150,35 +129,10 @@ class _Linear:
         yield prefix + ".bias", self.bias
 
 
-class _AttentionModule:
-    """Per-block channel gate in one of the configured modes."""
-
-    def __init__(self, channels: int, mode: str, operators: tuple[str, ...],
-                 cfg: NetworkConfig, gen: np.random.Generator):
-        with_decision = mode == "sem" and not cfg.unit_decision
-        self.unit_decision = not with_decision
-        self.params: SemParams = att.init_sem_params(
-            channels, operators,
-            reduction=cfg.reduction,
-            switch_activation=("sigmoid" if mode in SINGLE_OPERATOR_MODES
-                               else cfg.switch_activation),
-            rng=gen, dtype=cfg.dtype,
-            with_decision=with_decision)
-
-    def __call__(self, x: Tensor, capture: dict | None = None) -> Tensor:
-        return att.sem_forward(x, self.params,
-                               force_unit_decision=self.unit_decision,
-                               capture=capture)
-
-    def named(self, prefix):
-        yield from self.params.named_tensors(prefix + ".")
-
-
 class _Bottleneck:
     """BN-ReLU-1x1 / BN-ReLU-3x3 / BN-ReLU-1x1 with pre-activation skip."""
 
-    def __init__(self, cin: int, width: int, stride: int,
-                 attention_module: _AttentionModule | None,
+    def __init__(self, cin: int, width: int, stride: int, attention: SemParams | None,
                  gen: np.random.Generator, dtype):
         cout = width * BLOCK_EXPANSION
         self.bn1 = _BatchNorm(cin, dtype)
@@ -190,19 +144,18 @@ class _Bottleneck:
         self.downsample = None
         if stride != 1 or cin != cout:
             self.downsample = _Conv(cin, cout, 1, stride, 0, gen, dtype)
-        self.attention = attention_module
+        self.attention = attention
         self.out_channels = cout
 
-    def __call__(self, x: Tensor, training: bool,
-                 capture: dict | None = None,
-                 attention_identity: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, training: bool, capture: dict | None = None) -> Tensor:
         pre = self.bn1(x, training)
         residual = self.downsample(pre) if self.downsample is not None else x
         out = self.conv1(pre)
         out = self.conv2(self.bn2(out, training))
         out = self.conv3(self.bn3(out, training))
-        if self.attention is not None and not attention_identity:
-            out = self.attention(out, capture)
+        if self.attention is not None:
+            # Looked up on the module so perfbench's patch of it applies.
+            out = att.sem_forward(out, self.attention, capture=capture)
         return add(out, residual)
 
     def named(self, prefix):
@@ -210,10 +163,10 @@ class _Bottleneck:
                  ("conv2", self.conv2), ("bn3", self.bn3), ("conv3", self.conv3)]
         if self.downsample is not None:
             parts.append(("downsample", self.downsample))
-        if self.attention is not None:
-            parts.append(("attention", self.attention))
         for name, layer in parts:
             yield from layer.named(f"{prefix}.{name}")
+        if self.attention is not None:
+            yield from self.attention.named_tensors(f"{prefix}.attention.")
 
     def named_buffers(self, prefix):
         for name, bn in (("bn1", self.bn1), ("bn2", self.bn2), ("bn3", self.bn3)):
@@ -221,13 +174,13 @@ class _Bottleneck:
 
 
 class Model:
-    """Stem, three bottleneck stages, BN-ReLU head, linear classifier."""
+    """Stem, three bottleneck stages, BN-ReLU head, linear classifier, built
+    from the network fields of a ``RunConfig``."""
 
-    def __init__(self, cfg: NetworkConfig, rng: RngState):
-        cfg.validate()
+    def __init__(self, cfg: RunConfig, rng: RngState, dtype=np.float32):
+        cfg = cfg.resolved()
         self.cfg = cfg
         gen = rng.generator() if isinstance(rng, RngState) else rng
-        dtype = cfg.dtype
         n = depth_to_blocks(cfg.depth)
         self.blocks_per_stage = n
 
@@ -240,12 +193,14 @@ class Model:
             blocks = []
             for b in range(n):
                 stride = 2 if stage_idx > 0 and b == 0 else 1
-                module = None
+                gate = None
                 if cfg.attention != "none":
-                    ops = per_block_ops[block_index]
-                    module = _AttentionModule(width * BLOCK_EXPANSION, cfg.attention,
-                                              ops, cfg, gen)
-                blocks.append(_Bottleneck(cin, width, stride, module, gen, dtype))
+                    gate = att.init_sem_params(
+                        width * BLOCK_EXPANSION, per_block_ops[block_index],
+                        reduction=cfg.reduction, switch_activation=cfg.switch_activation,
+                        rng=gen, dtype=dtype,
+                        with_decision=cfg.attention == "sem" and not cfg.unit_decision)
+                blocks.append(_Bottleneck(cin, width, stride, gate, gen, dtype))
                 cin = width * BLOCK_EXPANSION
                 block_index += 1
             self.stages.append(blocks)
@@ -266,28 +221,29 @@ class Model:
         return [att.ALL_OPERATORS] * total  # "none": unused
 
     def forward(self, x: Tensor, training: bool = False,
-                capture_decisions: list[DecisionRecord] | None = None,
-                attention_identity: bool = False) -> Tensor:
-        out = self.stem(x)
+                capture_decisions: list[DecisionRecord] | None = None) -> Tensor:
+        with layer_scope("stem"):
+            out = self.stem(x)
         layer_index = 0
         for stage_idx, blocks in enumerate(self.stages):
-            for block in blocks:
+            for b, block in enumerate(blocks):
                 capture = None
                 if capture_decisions is not None and block.attention is not None:
                     capture = {}
-                out = block(out, training, capture, attention_identity)
+                with layer_scope(f"stage{stage_idx + 1}.block{b}"):
+                    out = block(out, training, capture)
                 if capture is not None:
                     capture_decisions.append(DecisionRecord(
                         layer_index=layer_index,
                         stage=stage_idx + 1,
                         channels=block.out_channels,
-                        operators=block.attention.params.operators,
+                        operators=block.attention.operators,
                         weights=capture.get("decision")))
                 layer_index += 1
-        out = self.head_bn(out, training)
-        pooled = global_avg_pool(out)
-        flat = reshape(pooled, (x.shape[0], pooled.shape[1]))
-        return self.classifier(flat)
+        with layer_scope("head"):
+            out = self.head_bn(out, training)
+            pooled = global_avg_pool(out)
+            return self.classifier(reshape(pooled, (x.shape[0], pooled.shape[1])))
 
     def __call__(self, x: Tensor, training: bool = False, **kw) -> Tensor:
         return self.forward(x, training, **kw)
@@ -341,37 +297,7 @@ class Model:
             elif name in own_buffers:
                 own_buffers[name][...] = arr.astype(own_buffers[name].dtype, copy=False)
 
-    def attention_layer_info(self) -> list[tuple[int, int, int]]:
-        """(layer_index, stage, channels) for every block carrying attention."""
-        info = []
-        idx = 0
-        for s, blocks in enumerate(self.stages):
-            for block in blocks:
-                if block.attention is not None:
-                    info.append((idx, s + 1, block.out_channels))
-                idx += 1
-        return info
 
-    def locate_nonfinite(self, x: Tensor, training: bool) -> str | None:
-        """Name the first layer whose output is non-finite, if any."""
-        out = self.stem(x)
-        if not np.isfinite(out.data).all():
-            return "stem"
-        for s, blocks in enumerate(self.stages):
-            for b, block in enumerate(blocks):
-                out = block(out, training)
-                if not np.isfinite(out.data).all():
-                    return f"stage{s + 1}.block{b}"
-        out = self.head_bn(out, training)
-        if not np.isfinite(out.data).all():
-            return "head.bn"
-        pooled = global_avg_pool(out)
-        logits = self.classifier(reshape(pooled, (x.shape[0], pooled.shape[1])))
-        if not np.isfinite(logits.data).all():
-            return "head.fc"
-        return None
-
-
-def build_network(cfg: NetworkConfig, rng: RngState) -> Model:
+def build_network(cfg: RunConfig, rng: RngState, dtype=np.float32) -> Model:
     """Construct the configured backbone with deterministic initialisation."""
-    return Model(cfg, rng)
+    return Model(cfg, rng, dtype)

@@ -204,6 +204,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_export_decisions(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     model, cfg, mean, std = load_run_checkpoint(args.checkpoint)
     if cfg.attention != "sem":
         raise ValueError(

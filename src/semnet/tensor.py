@@ -18,6 +18,7 @@ DEFAULT_DTYPE = np.float32
 
 _grad_enabled = True
 _check_finite = False
+_layer = None
 
 
 @contextlib.contextmanager
@@ -33,9 +34,25 @@ def no_grad():
 
 
 def set_debug_checks(enabled: bool) -> None:
-    """Toggle the per-op finiteness check (slow; for tests and debugging)."""
+    """Toggle the per-op finiteness check (slow; for tests and debugging).
+
+    A non-finite op output raises ``FloatingPointError`` naming the layer
+    set by ``layer_scope`` and the op, as in ``stage1.block0 (op affine)``.
+    """
     global _check_finite
     _check_finite = bool(enabled)
+
+
+@contextlib.contextmanager
+def layer_scope(name: str):
+    """Name the layer the ops inside the block belong to."""
+    global _layer
+    prev = _layer
+    _layer = name
+    try:
+        yield
+    finally:
+        _layer = prev
 
 
 class Tensor:
@@ -95,20 +112,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def sum(self) -> "Tensor":
         return _reduce(self, "sum")
@@ -188,7 +193,8 @@ def _accumulate(parents: tuple, grads, out_grad: np.ndarray) -> None:
 def _make(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor(out_data, dtype=out_data.dtype)
     if _check_finite and not np.isfinite(out.data).all():
-        raise FloatingPointError(f"non-finite values in {backward_fn.__name__}")
+        op = backward_fn.__name__.removesuffix("_backward")
+        raise FloatingPointError(f"{_layer or 'no layer'} (op {op})")
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -434,24 +440,20 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     return _make(out, (x, kernel), conv2d_backward)
 
 
-def conv1d_channel(m: Tensor, kernel: Tensor, pad: int | None = None) -> Tensor:
+def conv1d_channel(m: Tensor, kernel: Tensor) -> Tensor:
     """Slide one shared k-tap kernel along the channel axis of (B, C).
 
-    Zero padding outside [0, C); default pad (k-1)/2 keeps the length. No
-    bias; the kernel length must be odd.
+    Zero padding of (k-1)/2 outside [0, C) keeps the length. No bias; the
+    kernel length must be odd.
     """
     if m.ndim != 2 or kernel.ndim != 1:
         raise ValueError(f"conv1d_channel needs (B, C) and (k,), got {m.shape}, {kernel.shape}")
     k = kernel.shape[0]
     if k % 2 == 0:
         raise ValueError(f"kernel length must be odd, got {k}")
-    if pad is None:
-        pad = (k - 1) // 2
+    pad = (k - 1) // 2
     _check_same_dtype(m, kernel)
     b, c = m.shape
-    lout = c + 2 * pad - k + 1
-    if lout < 1:
-        raise ValueError(f"empty output for C={c}, k={k}, pad={pad}")
     mp = np.pad(m.data, ((0, 0), (pad, pad))) if pad else m.data
     win = np.lib.stride_tricks.sliding_window_view(mp, k, axis=1)
     out = win @ kernel.data
@@ -460,8 +462,8 @@ def conv1d_channel(m: Tensor, kernel: Tensor, pad: int | None = None) -> Tensor:
         dkernel = np.empty_like(kernel.data)
         dmp = np.zeros((b, c + 2 * pad), dtype=m.data.dtype)
         for t in range(k):
-            dkernel[t] = np.sum(mp[:, t : t + lout] * g, dtype=m.data.dtype)
-            dmp[:, t : t + lout] += kernel.data[t] * g
+            dkernel[t] = np.sum(mp[:, t : t + c] * g, dtype=m.data.dtype)
+            dmp[:, t : t + c] += kernel.data[t] * g
         dm = dmp[:, pad : pad + c] if pad else dmp
         return dm, dkernel
 
@@ -511,8 +513,8 @@ def relu(x: Tensor) -> Tensor:
     return _make(out, (x,), relu_backward)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    s = x.data.dtype.type(slope)
+def leaky_relu(x: Tensor) -> Tensor:
+    s = x.data.dtype.type(0.01)
     out = np.where(x.data > 0, x.data, x.data * s)
 
     def leaky_relu_backward(g):
@@ -521,7 +523,7 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     return _make(out, (x,), leaky_relu_backward)
 
 
-def activation(x: Tensor, kind: str, slope: float = 0.01) -> Tensor:
+def activation(x: Tensor, kind: str) -> Tensor:
     """Elementwise nonlinearity dispatcher over ACTIVATION_KINDS."""
     if kind == "sigmoid":
         return sigmoid(x)
@@ -530,7 +532,7 @@ def activation(x: Tensor, kind: str, slope: float = 0.01) -> Tensor:
     if kind == "relu":
         return relu(x)
     if kind == "leaky_relu":
-        return leaky_relu(x, slope)
+        return leaky_relu(x)
     raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATION_KINDS}")
 
 

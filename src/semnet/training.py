@@ -15,6 +15,7 @@ A run writes into its output directory:
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import time
@@ -24,13 +25,13 @@ import numpy as np
 
 from . import data as data_mod
 from .attention import ALL_OPERATORS, DecisionRecord, normalize_operator_set
-from .backbone import (ATTENTION_MODES, SINGLE_OPERATOR_MODES, Model, NetworkConfig,
-                       build_network, depth_to_blocks)
+from .backbone import ATTENTION_MODES, SINGLE_OPERATOR_MODES, Model, build_network, depth_to_blocks
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, NumericalFailure
 from .optim import SGD, MultiStepSchedule
 from .rng import RngState
-from .tensor import ACTIVATION_KINDS, backward, no_grad, softmax_cross_entropy
+from .tensor import (ACTIVATION_KINDS, backward, layer_scope, no_grad, set_debug_checks,
+                     softmax_cross_entropy)
 
 DATASETS = ("cifar10", "cifar100", "synthetic")
 DATA_DIR_ENV = "SEM_DATA_DIR"
@@ -85,7 +86,8 @@ class RunConfig:
         if cfg.dataset not in DATASETS:
             raise ValueError(f"unknown dataset {cfg.dataset!r}; valid: {DATASETS}")
         if cfg.attention not in ATTENTION_MODES:
-            raise ValueError(f"unknown attention {cfg.attention!r}; valid: {ATTENTION_MODES}")
+            raise ValueError(f"unknown attention mode {cfg.attention!r}; "
+                             f"valid: {ATTENTION_MODES}")
         if cfg.switch_activation not in ACTIVATION_KINDS:
             raise ValueError(f"unknown switch_activation {cfg.switch_activation!r}; "
                              f"valid: {ACTIVATION_KINDS}")
@@ -116,21 +118,17 @@ class RunConfig:
             value = getattr(cfg, name)
             if value is not None and value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
+        for f in fields(cfg):
+            if f.type == "float" and not math.isfinite(getattr(cfg, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(cfg, f.name)}")
         if not 0.0 <= cfg.flip_prob <= 1.0:
             raise ValueError("flip_prob must be in [0, 1]")
         return cfg
 
-    def network_config(self) -> NetworkConfig:
-        return NetworkConfig(
-            depth=self.depth,
-            num_classes=self.num_classes,
-            attention=self.attention,
-            operator_set=self.operator_set,
-            reduction=self.reduction,
-            switch_activation=self.switch_activation,
-            unit_decision=self.unit_decision,
-            attention_seed=self.attention_seed,
-        )
+    def network_config(self) -> "RunConfig":
+        # The backbone takes the run config itself; kept because perfbench
+        # builds its model with build_network(cfg.network_config(), ...).
+        return self
 
     # -- key=value serialisation ------------------------------------------
 
@@ -303,7 +301,9 @@ def load_datasets(cfg: RunConfig) -> tuple[list, list]:
         train, test = data_mod.load_cifar(cfg.data_dir, variant)
     if cfg.train_subset is not None and cfg.train_subset < len(train):
         order = RngState(cfg.seed, _STREAM_SUBSET).generator().permutation(len(train))
-        train = [train[i] for i in order[: cfg.train_subset]]
+        kept = [train[i] for i in order[: cfg.train_subset]]
+        # Copied, so the kept images do not pin every decoded file's array.
+        train = [data_mod.DatasetRecord(r.image.copy(), r.label, r.coarse_label) for r in kept]
     return train, test
 
 
@@ -329,7 +329,7 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
     cfg = cfg.resolved()
     train_records, test_records = load_datasets(cfg)
     channel_mean, channel_std = data_mod.compute_channel_stats(train_records)
-    model = build_network(cfg.network_config(), RngState(cfg.seed, _STREAM_PARAMS))
+    model = build_network(cfg, RngState(cfg.seed, _STREAM_PARAMS))
     optimizer = SGD(model.parameters(), lr=cfg.lr,
                     momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     schedule = MultiStepSchedule(cfg.lr, cfg.milestones, cfg.lr_decay)
@@ -376,10 +376,9 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
                 loss = softmax_cross_entropy(logits, labels)
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
-                    layer = model.locate_nonfinite(images, training=True)
                     raise NumericalFailure(
-                        f"non-finite loss at epoch {epoch} step {steps}; "
-                        f"first offending layer: {layer or 'loss'}")
+                        f"non-finite loss at epoch {epoch} step {steps}; first offending "
+                        f"layer: {_first_nonfinite_op(model, images, labels)}")
                 backward(loss)
                 optimizer.step()
                 optimizer.zero_grad()
@@ -420,6 +419,22 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
         best_checkpoint=best_path if wrote_best else None,
         metrics_path=metrics_path, model=model,
         channel_mean=channel_mean, channel_std=channel_std, steps=steps)
+
+
+def _first_nonfinite_op(model: Model, images, labels) -> str:
+    """Rerun one training forward and its loss with the per-op check on and
+    name the layer and op of the first non-finite output."""
+    # The check was off, or the first pass would have raised; this rerun
+    # leaves it off again.
+    set_debug_checks(True)
+    try:
+        with no_grad(), layer_scope("loss"):
+            softmax_cross_entropy(model(images, training=True), labels)
+    except FloatingPointError as exc:
+        return str(exc)
+    finally:
+        set_debug_checks(False)
+    return "loss"
 
 
 def run_environment() -> dict:
@@ -476,6 +491,6 @@ def load_run_checkpoint(path: str) -> tuple[Model, RunConfig, np.ndarray, np.nda
             v = meta[f.name]
             kwargs[f.name] = tuple(v) if isinstance(v, list) else v
     cfg = RunConfig(**kwargs).resolved()
-    model = build_network(cfg.network_config(), RngState(cfg.seed, _STREAM_PARAMS))
+    model = build_network(cfg, RngState(cfg.seed, _STREAM_PARAMS))
     model.load_state_arrays(arrays)
     return model, cfg, channel_mean, channel_std

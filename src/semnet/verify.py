@@ -9,10 +9,11 @@ import numpy as np
 
 from . import tensor as T
 from .attention import init_sem_params, sem_forward
-from .backbone import NetworkConfig, build_network
+from .backbone import build_network
 from .gradcheck import DEFAULT_TOLERANCE, check_gradients
 from .rng import RngState
 from .tensor import Tensor
+from .training import RunConfig
 
 
 def _randn(gen, shape, *, away_from_zero=False):
@@ -165,8 +166,7 @@ def _scope_sem_layer(gen, channels: int = 8):
 
 
 def _scope_full_block(gen):
-    cfg = NetworkConfig(depth=11, attention="sem", dtype=np.float64)
-    model = build_network(cfg, RngState(13))
+    model = build_network(RunConfig(depth=11, attention="sem"), RngState(13), np.float64)
     block = model.stages[0][0]
     x = _randn(gen, (2, 16, 6, 6))
     w = _probe(gen, (2, 64, 6, 6))
@@ -201,10 +201,6 @@ def run_scope(scope: str, seed: int = 0) -> dict[str, float]:
     stream = zlib.crc32(scope.encode()) & 0xFFFF
     gen = RngState(seed, stream=stream).generator()
     return SCOPES[scope](gen)
-
-
-def run_all(seed: int = 0) -> dict[str, dict[str, float]]:
-    return {name: run_scope(name, seed) for name in SCOPES}
 
 
 def worst_error(report: dict[str, float]) -> float:

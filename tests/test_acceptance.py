@@ -25,7 +25,6 @@ from semnet.attention import (
 )
 from semnet.backbone import (
     STAGE_WIDTHS,
-    NetworkConfig,
     build_network,
     depth_to_blocks,
     sem_block_param_count,
@@ -147,7 +146,7 @@ def test_criterion_5_decision_removal_bitwise():
 def test_criterion_6_overfit_sanity():
     records = synthetic_dataset(64, 10, seed=1)
     mean, std = compute_channel_stats(records)
-    model = build_network(NetworkConfig(depth=20, attention="sem"), RngState(1, 1))
+    model = build_network(RunConfig(depth=20, attention="sem"), RngState(1, 1))
     opt = SGD(model.parameters(), lr=0.1, momentum=0.9, weight_decay=1e-4)
     batch_size = 16
     steps = 0
@@ -203,9 +202,9 @@ def test_criterion_7_desk_scale_trend(tmp_path):
 @criterion(8, "attention parameter overhead matches the closed form")
 def test_criterion_8_parameter_audit():
     for depth in (20, 47):
-        plain = build_network(NetworkConfig(depth=depth, attention="none"),
+        plain = build_network(RunConfig(depth=depth, attention="none"),
                               RngState(8))
-        sem = build_network(NetworkConfig(depth=depth, attention="sem"),
+        sem = build_network(RunConfig(depth=depth, attention="sem"),
                             RngState(8))
         n = depth_to_blocks(depth)
         expected = sum(

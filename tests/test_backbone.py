@@ -10,7 +10,6 @@ import pytest
 from semnet.backbone import (
     ATTENTION_MODES,
     STAGE_WIDTHS,
-    NetworkConfig,
     assign_random_operators,
     build_network,
     depth_to_blocks,
@@ -20,6 +19,7 @@ from semnet.checkpoint import read_checkpoint, write_checkpoint
 from semnet.errors import CheckpointError
 from semnet.rng import RngState
 from semnet.tensor import Tensor, backward, no_grad, softmax_cross_entropy
+from semnet.training import RunConfig
 
 import oracles
 
@@ -70,8 +70,8 @@ class TestNetwork:
         gen = RngState(80).generator()
         x = small_input(gen)
         for mode in ATTENTION_MODES:
-            model = build_network(NetworkConfig(depth=11, attention=mode,
-                                                attention_seed=1), RngState(2))
+            model = build_network(RunConfig(depth=11, attention=mode, attention_seed=1),
+                                  RngState(2))
             with no_grad():
                 logits = model(x)
             assert logits.shape == (2, 10), mode
@@ -80,8 +80,8 @@ class TestNetwork:
         gen = RngState(81).generator()
         x = small_input(gen)
         with no_grad():
-            a = build_network(NetworkConfig(depth=11, attention="sem"), RngState(3))(x)
-            b = build_network(NetworkConfig(depth=11, attention="sem"), RngState(3))(x)
+            a = build_network(RunConfig(depth=11, attention="sem"), RngState(3))(x)
+            b = build_network(RunConfig(depth=11, attention="sem"), RngState(3))(x)
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_plain_depth20_parameter_count_hand_audit(self):
@@ -108,32 +108,34 @@ class TestNetwork:
             # blocks after the first keep cin == cout, no projection
         total += 2 * cin                       # head bn
         total += cin * 10 + 10                 # classifier
-        model = build_network(NetworkConfig(depth=20, attention="none"), RngState(4))
+        model = build_network(RunConfig(depth=20, attention="none"), RngState(4))
         assert model.param_count() == total
 
     @pytest.mark.parametrize("depth", [20, 47, 164])
     def test_sem_added_parameters_closed_form(self, depth):
-        plain = build_network(NetworkConfig(depth=depth, attention="none"), RngState(5))
-        sem = build_network(NetworkConfig(depth=depth, attention="sem"), RngState(5))
+        plain = build_network(RunConfig(depth=depth, attention="none"), RngState(5))
+        sem = build_network(RunConfig(depth=depth, attention="sem"), RngState(5))
         n = depth_to_blocks(depth)
         expected = sum(n * sem_block_param_count(w * 4) for w in STAGE_WIDTHS)
         assert sem.param_count() - plain.param_count() == expected
 
-    def test_attention_identity_matches_plain_bitwise(self):
+    def test_gateless_blocks_match_plain_bitwise(self):
         gen = RngState(82).generator()
         x = small_input(gen)
-        sem = build_network(NetworkConfig(depth=11, attention="sem"), RngState(6))
-        plain = build_network(NetworkConfig(depth=11, attention="none"), RngState(7))
+        sem = build_network(RunConfig(depth=11, attention="sem"), RngState(6))
+        plain = build_network(RunConfig(depth=11, attention="none"), RngState(7))
         keep = set(dict(plain.named_parameters())) | set(dict(plain.named_buffers()))
         plain.load_state_arrays(
             {k: v for k, v in sem.state_arrays().items() if k in keep})
+        for blocks in sem.stages:
+            for block in blocks:
+                block.attention = None
         with no_grad():
-            assert (sem(x, attention_identity=True).data.tobytes()
-                    == plain(x).data.tobytes())
+            assert sem(x).data.tobytes() == plain(x).data.tobytes()
 
     def test_unit_decision_network_has_no_decision_weights(self):
-        model = build_network(NetworkConfig(depth=11, attention="sem",
-                                            unit_decision=True), RngState(8))
+        model = build_network(RunConfig(depth=11, attention="sem", unit_decision=True),
+                              RngState(8))
         names = [n for n, _ in model.named_parameters()]
         assert not any("decision" in n for n in names)
 
@@ -141,16 +143,16 @@ class TestNetwork:
         gen = RngState(83).generator()
         x = small_input(gen)
         with no_grad():
-            a = build_network(NetworkConfig(depth=11, attention="random_double",
-                                            attention_seed=11), RngState(9))(x)
-            b = build_network(NetworkConfig(depth=11, attention="random_double",
-                                            attention_seed=11), RngState(9))(x)
+            a = build_network(RunConfig(depth=11, attention="random_double",
+                                        attention_seed=11), RngState(9))(x)
+            b = build_network(RunConfig(depth=11, attention="random_double",
+                                        attention_seed=11), RngState(9))(x)
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_capture_decisions_layout(self):
         gen = RngState(84).generator()
         x = small_input(gen)
-        model = build_network(NetworkConfig(depth=20, attention="sem"), RngState(10))
+        model = build_network(RunConfig(depth=20, attention="sem"), RngState(10))
         records = []
         with no_grad():
             model(x, capture_decisions=records)
@@ -162,7 +164,7 @@ class TestNetwork:
     def test_baseline_modes_capture_no_decision(self):
         gen = RngState(85).generator()
         x = small_input(gen)
-        model = build_network(NetworkConfig(depth=11, attention="eca"), RngState(11))
+        model = build_network(RunConfig(depth=11, attention="eca"), RngState(11))
         records = []
         with no_grad():
             model(x, capture_decisions=records)
@@ -173,7 +175,7 @@ class TestNetwork:
         gen = RngState(86).generator()
         x = small_input(gen, b=4)
         labels = gen.integers(0, 10, size=4)
-        model = build_network(NetworkConfig(depth=11, attention="sem"), RngState(12))
+        model = build_network(RunConfig(depth=11, attention="sem"), RngState(12))
         before = model.stages[0][0].bn1.running_mean.copy()
         loss = softmax_cross_entropy(model(x, training=True), labels)
         backward(loss)
@@ -182,9 +184,9 @@ class TestNetwork:
         assert not np.array_equal(model.stages[0][0].bn1.running_mean, before)
 
     def test_state_roundtrip_strictness(self):
-        model = build_network(NetworkConfig(depth=11, attention="se"), RngState(13))
+        model = build_network(RunConfig(depth=11, attention="se"), RngState(13))
         state = model.state_arrays()
-        other = build_network(NetworkConfig(depth=11, attention="se"), RngState(14))
+        other = build_network(RunConfig(depth=11, attention="se"), RngState(14))
         other.load_state_arrays(state)
         gen = RngState(87).generator()
         x = small_input(gen)
@@ -250,8 +252,7 @@ def unfused_relus(loss):
 
 class TestTapeMemory:
     def test_backward_peak_tracks_the_tape(self):
-        model = build_network(NetworkConfig(depth=11, attention="sem", dtype=np.float64),
-                              RngState(71))
+        model = build_network(RunConfig(depth=11, attention="sem"), RngState(71), np.float64)
         gen = RngState(72).generator()
         x = Tensor(gen.standard_normal((8, 3, 32, 32)), dtype=np.float64)
         labels = gen.integers(0, 10, size=8)

@@ -1,0 +1,58 @@
+"""The lookups the benchmark's tracer patches (perfbench/tracer.py) still
+exist and still see every op: one traced depth-11 SEM training step counts
+the expected gates and tape nodes and gives the untraced loss bit for bit."""
+
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+from semnet import training
+from semnet.rng import RngState
+from semnet.tensor import Tensor
+
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "tracer.py")
+
+
+@pytest.fixture(scope="module")
+def tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def one_step(tracer):
+    """A training step as the benchmark's worker runs it, looking every
+    function up where the worker and the tracer do."""
+    cfg = training.RunConfig(depth=11, attention="sem", seed=3).resolved()
+    model = training.build_network(cfg.network_config(),
+                                   RngState(cfg.seed, training._STREAM_PARAMS))
+    gen = RngState(4).generator()
+    images = Tensor(gen.standard_normal((4, 3, 32, 32)).astype(np.float32))
+    labels = gen.integers(0, 10, size=4)
+    tracer.watch_model(model)
+    if tracer.enabled:
+        tracer.install()
+    try:
+        with tracer.span("step"):
+            loss = training.softmax_cross_entropy(model(images, training=True), labels)
+            training.backward(loss)
+    finally:
+        if tracer.enabled:
+            tracer.uninstall()
+    return loss.data
+
+
+def test_traced_step_counts_and_loss(tracer_module):
+    tracer = tracer_module.Tracer()
+    traced = one_step(tracer)
+    assert not tracer.installed
+    (_, counts), = tracer.summarize()
+    assert counts["attention.calls"] == 3
+    assert counts["tensor.tape_nodes"] == 99
+    assert counts["attention.nodes"] == 69
+    untraced = one_step(tracer_module.NullTracer())
+    assert traced.tobytes() == untraced.tobytes()

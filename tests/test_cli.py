@@ -100,6 +100,9 @@ REJECTED_OVERRIDES = [
     ("--attention", "se", "--switch-activation", "bogus"),
     ("--reduction", "0"),
     ("--dataset", "cifar10"),  # no data_dir and no $SEM_DATA_DIR
+    ("--lr", "nan"),
+    ("--momentum", "inf"),
+    ("--weight-decay", "nan"),
 ]
 
 
@@ -325,6 +328,13 @@ class TestExportDecisions:
                 "--attention", "eca")
         assert run_cli("export-decisions", "--checkpoint",
                        os.path.join(out, "final.ckpt")) == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_bad_sample_count_rejected_before_reading(self, tmp_path, capsys, samples):
+        missing = os.path.join(tmp_path, "missing.ckpt")  # reading it would exit 3
+        assert run_cli("export-decisions", "--checkpoint", missing,
+                       "--samples", samples) == 2
+        assert "--samples" in capsys.readouterr().err
 
     def test_untrained_model_means_near_half(self, tiny_cfg, tmp_path):
         # Fan-in-scaled init keeps decision logits within a few tenths,

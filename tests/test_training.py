@@ -7,11 +7,14 @@ import os
 import numpy as np
 import pytest
 
+from semnet import data as data_mod
+from semnet import training
 from semnet.backbone import build_network
+from semnet.data import decode_records
 from semnet.errors import NumericalFailure
 from semnet.optim import SGD, MultiStepSchedule
 from semnet.rng import RngState
-from semnet.tensor import Tensor
+from semnet.tensor import Tensor, mul
 from semnet.training import (
     RunConfig,
     _parser_for,
@@ -221,7 +224,7 @@ class TestTrainRun:
         _, test = load_datasets(cfg)
         from semnet.data import compute_channel_stats
         mean, std = compute_channel_stats(test)
-        model = build_network(cfg.network_config(), RngState(42))
+        model = build_network(cfg, RngState(42))
         top1 = evaluate(model, test, 100, mean, std)
         assert abs(top1 - 10.0) <= 3.0
 
@@ -258,8 +261,11 @@ class TestTrainRun:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_aborts_with_layer_name(self, tmp_path):
         cfg = tiny_config(tmp_path / "r6", lr=1e18, epochs=3)
-        with pytest.raises(NumericalFailure, match="first offending layer"):
+        with pytest.raises(NumericalFailure,
+                           match=r"first offending layer: stage1\.block0 \(op affine\)$"):
             train_run(cfg)
+        # The per-op check that located it is off again.
+        assert mul(Tensor(np.array([np.inf])), 1.0).data[0] == np.inf
 
     def test_subset_selection_deterministic(self):
         cfg = tiny_config("unused", synthetic_train=64, train_subset=16).resolved()
@@ -267,6 +273,27 @@ class TestTrainRun:
         b, _ = load_datasets(cfg)
         assert len(a) == 16
         assert all(x.image.tobytes() == y.image.tobytes() for x, y in zip(a, b))
+
+    def test_subset_keeps_only_its_images(self, monkeypatch):
+        # Decoded images are views into one array per file; a subset must
+        # not keep those arrays alive, and keeps its bytes and order.
+        block = np.random.default_rng(5).integers(0, 256, size=(200, 3073), dtype=np.uint8)
+        block[:, 0] %= 10
+        decoded = decode_records(block.tobytes(), 10)
+        monkeypatch.setattr(data_mod, "load_cifar", lambda path, variant: (decoded[:150],
+                                                                          decoded[150:]))
+        cfg = RunConfig(dataset="cifar10", data_dir="unused", train_subset=16, seed=7)
+        train, _ = load_datasets(cfg.resolved())
+        order = RngState(7, training._STREAM_SUBSET).generator().permutation(150)[:16]
+        assert ([(r.image.tobytes(), r.label) for r in train]
+                == [(decoded[i].image.tobytes(), decoded[i].label) for i in order])
+        roots = {}
+        for record in train:
+            image = record.image
+            while isinstance(image.base, np.ndarray):
+                image = image.base
+            roots[id(image)] = image
+        assert sum(a.nbytes for a in roots.values()) <= 16 * 3 * 32 * 32 * 4
 
     def test_decision_summary_only_for_sem(self, tmp_path):
         result = train_run(tiny_config(tmp_path / "r7", attention="none", epochs=1))
