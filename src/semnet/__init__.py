@@ -51,7 +51,7 @@ from .tensor import (
     sigmoid,
     softmax_cross_entropy,
 )
-from .training import MetricsRecord, RunConfig, evaluate, load_run_checkpoint, train_run
+from .training import MetricsRecord, RunConfig, evaluate, load_run_checkpoint, train_grid, train_run
 
 __version__ = "0.1.0"
 

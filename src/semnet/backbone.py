@@ -116,8 +116,7 @@ class _BatchNorm:
 
 class _Linear:
     def __init__(self, cin: int, cout: int, gen: np.random.Generator, dtype):
-        bound = 1.0 / math.sqrt(cin)
-        self.weight = Tensor(gen.uniform(-bound, bound, size=(cout, cin)).astype(dtype),
+        self.weight = Tensor(att._uniform_fan_in(gen, (cout, cin), cin, dtype),
                              requires_grad=True)
         self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
 
@@ -278,13 +277,13 @@ class Model:
         state.update({name: buf for name, buf in self.named_buffers()})
         return state
 
-    def load_state_arrays(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
+    def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         own_params = dict(self.named_parameters())
         own_buffers = dict(self.named_buffers())
         own = set(own_params) | set(own_buffers)
         missing = own - set(state)
         extra = set(state) - own
-        if strict and (missing or extra):
+        if missing or extra:
             raise ValueError(f"state mismatch: missing={sorted(missing)} "
                              f"unexpected={sorted(extra)}")
         for name, arr in state.items():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -19,27 +20,36 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import verify
-from .attention import decision_summary_csv
+from .attention import ALL_OPERATORS, decision_summary_csv
 from .backbone import assign_random_operators, depth_to_blocks
-from .data import normalize_images
+from .data import batch_iterator
 from .errors import CheckpointError, IngestionError, NumericalFailure
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 from .training import (
     RunConfig,
     TrainResult,
     evaluate,
     load_datasets,
     load_run_checkpoint,
+    train_grid,
     train_run,
 )
 
-ABLATIONS = ("size_of_eo", "decision_removal", "activation", "no_augment")
-
-OPERATOR_GRID = (("fc",), ("cnn",), ("ie",),
-                 ("fc", "cnn"), ("fc", "ie"), ("cnn", "ie"),
-                 ("fc", "cnn", "ie"))
-ACTIVATION_GRID = ("tanh", "relu", "leaky_relu", "sigmoid")
-NO_AUGMENT_GRID = ("none", "se", "sem")
+# Each fixed comparison grid: a resolved base config -> (label, config) runs.
+ABLATIONS = {
+    "size_of_eo": lambda base: [
+        ("+".join(ops), replace(base, attention="sem", operator_set=ops, unit_decision=False))
+        for n in (1, 2, 3) for ops in itertools.combinations(ALL_OPERATORS, n)],
+    "decision_removal": lambda base: [
+        (label, replace(base, attention="sem", unit_decision=unit))
+        for label, unit in (("with_decision", False), ("unit_decision", True))],
+    "activation": lambda base: [
+        (act, replace(base, attention="sem", switch_activation=act))
+        for act in ("tanh", "relu", "leaky_relu", "sigmoid")],
+    "no_augment": lambda base: [
+        (f"{mode}_noaug", replace(base, attention=mode, augment=False))
+        for mode in ("none", "se", "sem")],
+}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -80,13 +90,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    model, cfg, mean, std = load_run_checkpoint(args.checkpoint)
+def _split_records(args, cfg: RunConfig) -> list:
+    """The ``--split`` records of a checkpoint's dataset, from ``--data-dir`` if given."""
     if args.data_dir:
         cfg = replace(cfg, data_dir=args.data_dir)
     train, test = load_datasets(cfg)
-    records = train if args.split == "train" else test
-    top1 = evaluate(model, records, args.batch_size, mean, std)
+    return train if args.split == "train" else test
+
+
+def cmd_eval(args) -> int:
+    model, cfg, mean, std = load_run_checkpoint(args.checkpoint)
+    top1 = evaluate(model, _split_records(args, cfg), args.batch_size, mean, std)
     print(f"{args.split} top1: {top1:.4f}")
     return 0
 
@@ -112,41 +126,22 @@ def cmd_gradcheck(args) -> int:
 def cmd_random_ops(args) -> int:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    cfg = _config_from_args(args)
     mode = "random_single" if args.arity == 1 else "random_double"
-    cfg = replace(cfg, attention=mode).resolved()
+    cfg = replace(_config_from_args(args), attention=mode).resolved()
+    variants = [(f"trial_{t}", replace(cfg, attention_seed=cfg.attention_seed + t))
+                for t in range(args.trials)]
+    results = train_grid(variants, cfg.out_dir)
     n_blocks = 3 * depth_to_blocks(cfg.depth)
-
-    # Directories are left to train_run, which creates one only after the
-    # trial's data and model are set up, so a rejected command writes nothing.
-    rows = []
-    for trial in range(args.trials):
-        assignment_seed = cfg.attention_seed + trial
-        trial_cfg = replace(cfg, attention_seed=assignment_seed,
-                            out_dir=os.path.join(cfg.out_dir, f"trial_{trial}"))
-        try:
-            result = train_run(trial_cfg, log=None)
-            rec = result.final_record
-            rows.append({"trial": trial, "seed": assignment_seed, "status": "ok",
-                         "final_test_top1": f"{rec.test_top1:.4f}" if rec else "",
-                         "best_test_top1": f"{result.best_top1:.4f}" if rec else ""})
-            print(f"trial {trial}: test_top1 {rec.test_top1:.2f}" if rec
-                  else f"trial {trial}: no epochs")
-        except NumericalFailure as exc:
-            rows.append({"trial": trial, "seed": assignment_seed,
-                         "status": "diverged", "final_test_top1": "",
-                         "best_test_top1": ""})
-            print(f"trial {trial}: diverged ({exc})")
-        assignment = assign_random_operators(n_blocks, args.arity, assignment_seed)
-        with open(os.path.join(trial_cfg.out_dir, "assignment.json"), "w") as fh:
-            json.dump({"arity": args.arity, "seed": assignment_seed,
+    for label, variant in variants:
+        assignment = assign_random_operators(n_blocks, args.arity, variant.attention_seed)
+        with open(os.path.join(cfg.out_dir, label, "assignment.json"), "w") as fh:
+            json.dump({"arity": args.arity, "seed": variant.attention_seed,
                        "blocks": [list(ops) for ops in assignment]}, fh, indent=1)
 
     report_path = os.path.join(cfg.out_dir, "report.csv")
-    _write_csv(report_path, rows,
-               ("trial", "seed", "status", "final_test_top1", "best_test_top1"))
-    scores = [float(r["final_test_top1"]) for r in rows if r["status"] == "ok"
-              and r["final_test_top1"]]
+    rows = _write_report(report_path, ("trial", "seed", "status", "final_test_top1",
+                                       "best_test_top1"), variants, results)
+    scores = [float(r["final_test_top1"]) for r in rows if r["final_test_top1"]]
     if scores:
         print(f"accuracy over {len(scores)} trials: mean {np.mean(scores):.2f} "
               f"min {min(scores):.2f} max {max(scores):.2f}")
@@ -154,51 +149,13 @@ def cmd_random_ops(args) -> int:
     return 0
 
 
-def _ablation_grid(which: str, base: RunConfig) -> list[tuple[str, RunConfig]]:
-    if which == "size_of_eo":
-        return [("+".join(ops),
-                 replace(base, attention="sem", operator_set=ops, unit_decision=False))
-                for ops in OPERATOR_GRID]
-    if which == "decision_removal":
-        return [("with_decision", replace(base, attention="sem", unit_decision=False)),
-                ("unit_decision", replace(base, attention="sem", unit_decision=True))]
-    if which == "activation":
-        return [(act, replace(base, attention="sem", switch_activation=act))
-                for act in ACTIVATION_GRID]
-    if which == "no_augment":
-        return [(f"{mode}_noaug", replace(base, attention=mode, augment=False))
-                for mode in NO_AUGMENT_GRID]
-    raise ValueError(f"unknown ablation {which!r}; valid: {ABLATIONS}")
-
-
 def cmd_ablate(args) -> int:
     base = _config_from_args(args).resolved()
-    grid = _ablation_grid(args.which, base)
-    # As in random-ops, directories are left to train_run.
-    rows = []
-    for label, variant in grid:
-        variant = replace(variant, out_dir=os.path.join(base.out_dir, label))
-        try:
-            result = train_run(variant, log=None)
-            rec = result.final_record
-            row = {"variant": label, "status": "ok",
-                   "train_loss": f"{rec.train_loss:.6f}" if rec else "",
-                   "train_top1": f"{rec.train_top1:.4f}" if rec else "",
-                   "test_top1": f"{rec.test_top1:.4f}" if rec else "",
-                   "best_test_top1": f"{result.best_top1:.4f}" if rec else ""}
-        except NumericalFailure as exc:
-            # A diverging variant is a result (e.g. linear switch
-            # activations); record it and keep the grid going.
-            row = {"variant": label, "status": "diverged", "train_loss": "",
-                   "train_top1": "", "test_top1": "", "best_test_top1": ""}
-            print(f"{label}: diverged ({exc})")
-        rows.append(row)
-        if row["status"] == "ok":
-            print(f"{label}: test_top1 {row['test_top1']}")
+    variants = ABLATIONS[args.which](base)
+    results = train_grid(variants, base.out_dir)
     table_path = os.path.join(base.out_dir, f"ablation_{args.which}.csv")
-    _write_csv(table_path, rows,
-               ("variant", "status", "train_loss", "train_top1",
-                "test_top1", "best_test_top1"))
+    _write_report(table_path, ("variant", "status", "train_loss", "train_top1",
+                               "test_top1", "best_test_top1"), variants, results)
     print(f"table: {table_path}")
     return 0
 
@@ -207,20 +164,17 @@ def cmd_export_decisions(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     model, cfg, mean, std = load_run_checkpoint(args.checkpoint)
-    if cfg.attention != "sem":
+    if cfg.attention != "sem" or cfg.unit_decision:
         raise ValueError(
-            f"checkpoint was trained with attention={cfg.attention!r}; "
-            "decision export needs a sem checkpoint")
-    if args.data_dir:
-        cfg = replace(cfg, data_dir=args.data_dir)
-    train, test = load_datasets(cfg)
-    records = train if args.split == "train" else test
-    sample = records[: args.samples]
-    images = np.stack([r.image for r in sample]).astype(np.float32)
-    images = normalize_images(images, mean, std)
+            f"checkpoint was trained with attention={cfg.attention!r} and "
+            f"unit_decision={str(cfg.unit_decision).lower()}; decision export "
+            "needs a sem checkpoint with learned decision weights")
+    sample = _split_records(args, cfg)[: args.samples]
+    images, _ = next(batch_iterator(sample, len(sample), 0, 0, shuffle=False,
+                                    channel_mean=mean, channel_std=std))
     captured = []
     with no_grad():
-        model(Tensor(images), training=False, capture_decisions=captured)
+        model(images, training=False, capture_decisions=captured)
     csv_text = decision_summary_csv(captured)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -231,11 +185,25 @@ def cmd_export_decisions(args) -> int:
     return 0
 
 
-def _write_csv(path: str, rows: list[dict], columns: tuple[str, ...]) -> None:
+def _write_report(path: str, columns: tuple[str, ...], variants: list[tuple[str, RunConfig]],
+                  results: list[TrainResult | None]) -> list[dict]:
+    """Write one CSV row per grid run and return the rows; each row holds every
+    column of both reports and the file keeps ``columns``."""
+    rows = []
+    for trial, ((label, cfg), result) in enumerate(zip(variants, results)):
+        rec = result.final_record if result else None
+        top1 = f"{rec.test_top1:.4f}" if rec else ""
+        rows.append({"variant": label, "trial": trial, "seed": cfg.attention_seed,
+                     "status": "ok" if result else "diverged",
+                     "train_loss": f"{rec.train_loss:.6f}" if rec else "",
+                     "train_top1": f"{rec.train_top1:.4f}" if rec else "",
+                     "test_top1": top1, "final_test_top1": top1,
+                     "best_test_top1": f"{result.best_top1:.4f}" if rec else ""})
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
+    return rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_random_ops)
 
     p = sub.add_parser("ablate", help="run a fixed comparison grid")
-    p.add_argument("--which", choices=ABLATIONS, required=True)
+    p.add_argument("--which", choices=list(ABLATIONS), required=True)
     _add_config_flags(p)
     p.set_defaults(func=cmd_ablate)
 

@@ -63,18 +63,17 @@ class AugmentConfig:
 # Binary decoding
 # ---------------------------------------------------------------------------
 
-def decode_records(buf: bytes, variant: int, *, source: str = "<bytes>",
-                   base_offset: int = 0) -> list[DatasetRecord]:
+def decode_records(buf: bytes, variant: int, *, source: str = "<bytes>") -> list[DatasetRecord]:
     """Decode a block of binary records, validating stride and label range.
 
-    Errors name the absolute byte offset of the first offending byte.
+    Errors name the byte offset in ``buf`` of the first offending byte.
     """
     stride = _record_stride(variant)
     num_classes = variant
     if len(buf) % stride != 0:
         raise IngestionError(
             f"{source}: truncated file, partial record starts at byte offset "
-            f"{base_offset + len(buf) - len(buf) % stride} "
+            f"{len(buf) - len(buf) % stride} "
             f"(size {len(buf)} not a multiple of {stride})")
     n = len(buf) // stride
     raw = np.frombuffer(buf, dtype=np.uint8).reshape(n, stride)
@@ -90,12 +89,12 @@ def decode_records(buf: bytes, variant: int, *, source: str = "<bytes>",
             bad = int(np.argmax(coarse >= 20))
             raise IngestionError(
                 f"{source}: coarse label {coarse[bad]} out of range at byte offset "
-                f"{base_offset + bad * stride}")
+                f"{bad * stride}")
     if labels.size and labels.max() >= num_classes:
         bad = int(np.argmax(labels >= num_classes))
         raise IngestionError(
             f"{source}: label {labels[bad]} >= {num_classes} at byte offset "
-            f"{base_offset + bad * stride + label_col}")
+            f"{bad * stride + label_col}")
     pixels = raw[:, stride - PIXELS_PER_IMAGE :].reshape(n, *IMAGE_SHAPE)
     images = pixels.astype(np.float32) / np.float32(255.0)
     return [

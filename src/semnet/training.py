@@ -421,6 +421,25 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
         channel_mean=channel_mean, channel_std=channel_std, steps=steps)
 
 
+def train_grid(variants: list[tuple[str, RunConfig]], out_dir: str) -> list[TrainResult | None]:
+    """Train each ``(label, config)`` into ``out_dir/label`` in order, printing one
+    outcome line per run. A diverged run (e.g. a linear switch activation) is a
+    result: it is recorded as ``None`` and the grid goes on. ``train_run`` makes each
+    directory once its run is set up, so a rejected grid writes nothing."""
+    results: list[TrainResult | None] = []
+    for label, cfg in variants:
+        try:
+            result = train_run(replace(cfg, out_dir=os.path.join(out_dir, label)))
+        except NumericalFailure as exc:
+            print(f"{label}: diverged ({exc})")
+            result = None
+        else:
+            rec = result.final_record
+            print(f"{label}: test_top1 {rec.test_top1:.4f}" if rec else f"{label}: no epochs")
+        results.append(result)
+    return results
+
+
 def _first_nonfinite_op(model: Model, images, labels) -> str:
     """Rerun one training forward and its loss with the per-op check on and
     name the layer and op of the first non-finite output."""

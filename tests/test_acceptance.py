@@ -40,7 +40,7 @@ from semnet.data import (
 from semnet.optim import SGD
 from semnet.rng import RngState
 from semnet.tensor import Tensor, backward, mul, sigmoid, softmax_cross_entropy
-from semnet.training import RunConfig, train_run
+from semnet.training import RunConfig, train_grid, train_run
 from semnet import verify
 
 import oracles
@@ -187,15 +187,15 @@ if _data_dir:
                     reason="real CIFAR-10 binaries not present under $SEM_DATA_DIR")
 @criterion(7, "desk-scale trend: SEM mean >= plain mean on CIFAR-10 subset")
 def test_criterion_7_desk_scale_trend(tmp_path):
-    scores = {"sem": [], "none": []}
-    for seed in (1, 2, 3):
-        for mode in ("sem", "none"):
-            cfg = RunConfig(dataset="cifar10", depth=20, attention=mode,
-                            epochs=20, batch_size=128, train_subset=10_000,
-                            seed=seed,
-                            out_dir=str(tmp_path / f"{mode}_s{seed}"))
-            result = train_run(cfg)
-            scores[mode].append(result.final_record.test_top1)
+    variants = [(f"{mode}_s{seed}",
+                 RunConfig(dataset="cifar10", depth=20, attention=mode, epochs=20,
+                           batch_size=128, train_subset=10_000, seed=seed))
+                for seed in (1, 2, 3) for mode in ("sem", "none")]
+    results = train_grid(variants, str(tmp_path))
+    assert None not in results, "a run diverged"
+    scores = {mode: [result.final_record.test_top1
+                     for (_, cfg), result in zip(variants, results) if cfg.attention == mode]
+              for mode in ("sem", "none")}
     assert np.mean(scores["sem"]) >= np.mean(scores["none"]), scores
 
 

@@ -262,6 +262,19 @@ class TestRandomOps:
         assert report[0] == "trial,seed,status,final_test_top1,best_test_top1"
         assert len(report) == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_trials_are_reported(self, tiny_cfg, tmp_path, capsys):
+        out = os.path.join(tmp_path, "ro")
+        assert run_cli("random-ops", "--arity", "1", "--trials", "2", "--lr", "1e30",
+                       "--config", tiny_cfg, "--out-dir", out) == 0
+        report = open(os.path.join(out, "report.csv")).read().splitlines()
+        assert report[1:] == ["0,7,diverged,,", "1,8,diverged,,"]
+        for trial in range(2):
+            blob = json.load(open(os.path.join(out, f"trial_{trial}", "assignment.json")))
+            assert blob["seed"] == 7 + trial and len(blob["blocks"]) == 3
+        printed = capsys.readouterr().out
+        assert "trial_0: diverged (" in printed and "trial_1: diverged (" in printed
+
 
 class TestAblate:
     def test_size_of_eo_grid_has_seven_variants(self, tiny_cfg, tmp_path):
@@ -280,6 +293,14 @@ class TestAblate:
                        "--config", tiny_cfg, "--out-dir", out) == 0
         rows = open(os.path.join(out, "ablation_decision_removal.csv")).read().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["with_decision", "unit_decision"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_variants_are_reported(self, tiny_cfg, tmp_path):
+        out = os.path.join(tmp_path, "abl")
+        assert run_cli("ablate", "--which", "decision_removal", "--lr", "1e30",
+                       "--config", tiny_cfg, "--out-dir", out) == 0
+        rows = open(os.path.join(out, "ablation_decision_removal.csv")).read().splitlines()
+        assert rows[1:] == ["with_decision,diverged,,,,", "unit_decision,diverged,,,,"]
 
     def test_activation_grid(self, tiny_cfg, tmp_path):
         out = os.path.join(tmp_path, "abl")
@@ -328,6 +349,18 @@ class TestExportDecisions:
                 "--attention", "eca")
         assert run_cli("export-decisions", "--checkpoint",
                        os.path.join(out, "final.ckpt")) == 2
+
+    def test_unit_decision_checkpoint_rejected_before_reading_data(self, tiny_cfg, tmp_path,
+                                                                   capsys, monkeypatch):
+        out = os.path.join(tmp_path, "run")
+        run_cli("train", "--config", tiny_cfg, "--out-dir", out, "--unit-decision", "true")
+        capsys.readouterr()
+        monkeypatch.setattr("semnet.cli.load_datasets",
+                            lambda cfg: pytest.fail("data was loaded"))
+        assert run_cli("export-decisions", "--checkpoint",
+                       os.path.join(out, "final.ckpt")) == 2
+        captured = capsys.readouterr()
+        assert "unit_decision" in captured.err and not captured.out
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_bad_sample_count_rejected_before_reading(self, tmp_path, capsys, samples):

@@ -2,6 +2,7 @@
 
 import os
 import runpy
+import tempfile
 
 import pytest
 
@@ -21,3 +22,11 @@ def test_attention_demo_single_operator_matches_formula(capsys):
     line = next(text for text in capsys.readouterr().out.splitlines()
                 if text.startswith("single-cnn route"))
     assert float(line.rsplit(" ", 1)[1]) <= 1e-12
+
+
+def test_grid_demo_prints_its_reports(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    runpy.run_path(os.path.join(DEMOS, "05_ablations_and_decisions.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("table: ") for line in lines) == 2
+    assert sum(line.startswith("report: ") for line in lines) == 1
