@@ -3,7 +3,8 @@
 The binary formats are read exactly as published: CIFAR-10 records are
 3,073 bytes (label byte + 1,024 R + 1,024 G + 1,024 B row-major pixels);
 CIFAR-100 records are 3,074 bytes (coarse label, fine label, pixels).
-Images are scaled to [0, 1] floats on decode.
+Decoded records keep views of the file's uint8 pixels, scaled to [0, 1]
+float32 only per batch (and by ``DatasetRecord.image``).
 """
 
 from __future__ import annotations
@@ -39,11 +40,24 @@ _AUGMENT_STREAM = 2 << 32
 
 @dataclass
 class DatasetRecord:
-    """One labelled image in (C, H, W) layout with values in [0, 1]."""
+    """One labelled (C, H, W) image: ``pixels`` holds the file's uint8 bytes
+    or floats in [0, 1], and ``image`` is them as floats in [0, 1]."""
 
-    image: np.ndarray
+    pixels: np.ndarray
     label: int
     coarse_label: int | None = None
+
+    @property
+    def image(self) -> np.ndarray:
+        return _unit_float(self.pixels)
+
+
+def _unit_float(pixels: np.ndarray) -> np.ndarray:
+    """uint8 pixels scaled to float32 in [0, 1]; float arrays unchanged."""
+    return pixels.astype(np.float32) / np.float32(255.0) if pixels.dtype == np.uint8 else pixels
+
+
+_UNIT_FLOAT64 = _unit_float(np.arange(256, dtype=np.uint8)).astype(np.float64)
 
 
 @dataclass
@@ -69,7 +83,6 @@ def decode_records(buf: bytes, variant: int, *, source: str = "<bytes>") -> list
     Errors name the byte offset in ``buf`` of the first offending byte.
     """
     stride = _record_stride(variant)
-    num_classes = variant
     if len(buf) % stride != 0:
         raise IngestionError(
             f"{source}: truncated file, partial record starts at byte offset "
@@ -77,28 +90,22 @@ def decode_records(buf: bytes, variant: int, *, source: str = "<bytes>") -> list
             f"(size {len(buf)} not a multiple of {stride})")
     n = len(buf) // stride
     raw = np.frombuffer(buf, dtype=np.uint8).reshape(n, stride)
-    if variant == 10:
-        coarse = None
-        labels = raw[:, 0]
-        label_col = 0
-    else:
-        coarse = raw[:, 0]
-        labels = raw[:, 1]
-        label_col = 1
-        if coarse.size and coarse.max() >= 20:
-            bad = int(np.argmax(coarse >= 20))
-            raise IngestionError(
-                f"{source}: coarse label {coarse[bad]} out of range at byte offset "
-                f"{bad * stride}")
-    if labels.size and labels.max() >= num_classes:
-        bad = int(np.argmax(labels >= num_classes))
+    label_col = 0 if variant == 10 else 1
+    labels = raw[:, label_col]
+    coarse = None if variant == 10 else raw[:, 0]
+    if coarse is not None and coarse.size and coarse.max() >= 20:
+        bad = int(np.argmax(coarse >= 20))
         raise IngestionError(
-            f"{source}: label {labels[bad]} >= {num_classes} at byte offset "
+            f"{source}: coarse label {coarse[bad]} out of range at byte offset "
+            f"{bad * stride}")
+    if labels.size and labels.max() >= variant:
+        bad = int(np.argmax(labels >= variant))
+        raise IngestionError(
+            f"{source}: label {labels[bad]} >= {variant} at byte offset "
             f"{bad * stride + label_col}")
     pixels = raw[:, stride - PIXELS_PER_IMAGE :].reshape(n, *IMAGE_SHAPE)
-    images = pixels.astype(np.float32) / np.float32(255.0)
     return [
-        DatasetRecord(images[i], int(labels[i]),
+        DatasetRecord(pixels[i], int(labels[i]),
                       None if coarse is None else int(coarse[i]))
         for i in range(n)
     ]
@@ -128,7 +135,7 @@ def load_cifar(path, variant: int) -> tuple[list[DatasetRecord], list[DatasetRec
 
     Exactly 50,000 train and 10,000 test records are required.
     """
-    stride = _record_stride(variant)
+    _record_stride(variant)  # rejects an unknown variant
     root = _dataset_root(path, variant)
     train_files = CIFAR10_TRAIN_FILES if variant == 10 else CIFAR100_TRAIN_FILES
     test_files = CIFAR10_TEST_FILES if variant == 10 else CIFAR100_TEST_FILES
@@ -147,16 +154,12 @@ def load_cifar(path, variant: int) -> tuple[list[DatasetRecord], list[DatasetRec
                 f"{root}: expected {expected} records in {names}, got {len(records)}")
         return records
 
-    train = read_split(train_files, CIFAR_TRAIN_COUNT)
-    test = read_split(test_files, CIFAR_TEST_COUNT)
-    return train, test
+    return read_split(train_files, CIFAR_TRAIN_COUNT), read_split(test_files, CIFAR_TEST_COUNT)
 
 
 def _dataset_root(path, variant: int) -> str:
     sub = os.path.join(path, _CANONICAL_SUBDIRS[variant])
-    if os.path.isdir(sub):
-        return sub
-    return path
+    return sub if os.path.isdir(sub) else path
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +167,19 @@ def _dataset_root(path, variant: int) -> str:
 # ---------------------------------------------------------------------------
 
 def compute_channel_stats(records: list[DatasetRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and population std over a split, in float64."""
+    """Per-channel mean and population std over a split, in float64. Per-image
+    sums are added in split order; 16-image chunks keep ``x`` in cache."""
     if not records:
         raise ValueError("cannot compute statistics of an empty split")
-    acc = np.zeros(3, dtype=np.float64)
-    acc_sq = np.zeros(3, dtype=np.float64)
-    n = 0
-    for rec in records:
-        img = rec.image.astype(np.float64)
-        acc += img.sum(axis=(1, 2))
-        acc_sq += (img * img).sum(axis=(1, 2))
-        n += img.shape[1] * img.shape[2]
+    sums = np.empty((len(records), 2, 3))
+    for start in range(0, len(records), 16):
+        block = _stack_pixels(records[start : start + 16])
+        x = np.take(_UNIT_FLOAT64, block) if block.dtype == np.uint8 else block.astype(np.float64)
+        sums[start : start + len(x), 0] = x.sum(axis=(2, 3))
+        x *= x
+        sums[start : start + len(x), 1] = x.sum(axis=(2, 3))
+    acc, acc_sq = np.cumsum(sums, axis=0)[-1]
+    n = len(records) * block.shape[2] * block.shape[3]
     mean = acc / n
     var = acc_sq / n - mean * mean
     return mean, np.sqrt(np.maximum(var, 0.0))
@@ -279,10 +284,21 @@ def batch_iterator(records: list[DatasetRecord], batch_size: int,
         aug_gen = RngState(shuffle_seed, _AUGMENT_STREAM + epoch).generator()
     for start in range(0, len(records), batch_size):
         idx = order[start : start + batch_size]
-        images = np.stack([records[i].image for i in idx]).astype(dtype, copy=False)
-        labels = np.array([records[i].label for i in idx], dtype=np.int64)
+        batch = [records[i] for i in idx]
+        images = _stack_pixels(batch)
+        labels = np.array([r.label for r in batch], dtype=np.int64)
         if aug_gen is not None:
             images = augment_batch(images, augment_cfg, aug_gen)
+        # Scaling is elementwise, so it commutes with the pad/crop/flip.
+        images = _unit_float(images).astype(dtype, copy=False)
         if channel_mean is not None:
             images = normalize_images(images, channel_mean, channel_std)
         yield Tensor(np.ascontiguousarray(images, dtype=dtype)), labels
+
+
+def _stack_pixels(batch: list[DatasetRecord]) -> np.ndarray:
+    """The batch as one (B, C, H, W) array of uint8 pixels, or of float
+    images if any record stores floats."""
+    if all(r.pixels.dtype == np.uint8 for r in batch):
+        return np.stack([r.pixels for r in batch])
+    return np.stack([r.image for r in batch])

@@ -302,8 +302,8 @@ def load_datasets(cfg: RunConfig) -> tuple[list, list]:
     if cfg.train_subset is not None and cfg.train_subset < len(train):
         order = RngState(cfg.seed, _STREAM_SUBSET).generator().permutation(len(train))
         kept = [train[i] for i in order[: cfg.train_subset]]
-        # Copied, so the kept images do not pin every decoded file's array.
-        train = [data_mod.DatasetRecord(r.image.copy(), r.label, r.coarse_label) for r in kept]
+        # Copied, so the kept pixels do not pin every file's buffer.
+        train = [data_mod.DatasetRecord(r.pixels.copy(), r.label, r.coarse_label) for r in kept]
     return train, test
 
 
@@ -372,16 +372,19 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
                 capture = decisions if b == n_batches - 1 else None
                 if capture is not None:
                     capture.clear()
-                logits = model(images, training=True, capture_decisions=capture)
-                loss = softmax_cross_entropy(logits, labels)
-                loss_val = loss.item()
-                if not np.isfinite(loss_val):
-                    raise NumericalFailure(
-                        f"non-finite loss at epoch {epoch} step {steps}; first offending "
-                        f"layer: {_first_nonfinite_op(model, images, labels)}")
-                backward(loss)
-                optimizer.step()
-                optimizer.zero_grad()
+                # A diverging step is reported by NumericalFailure, not by
+                # numpy warnings (the diagnostic rerun included).
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    logits = model(images, training=True, capture_decisions=capture)
+                    loss = softmax_cross_entropy(logits, labels)
+                    loss_val = loss.item()
+                    if not np.isfinite(loss_val):
+                        raise NumericalFailure(
+                            f"non-finite loss at epoch {epoch} step {steps}; first offending "
+                            f"layer: {_first_nonfinite_op(model, images, labels)}")
+                    backward(loss)
+                    optimizer.step()
+                    optimizer.zero_grad()
                 loss_sum += loss_val * len(labels)
                 correct += int((logits.data.argmax(axis=1) == labels).sum())
                 seen += len(labels)

@@ -237,3 +237,52 @@ def chi_square_stat(counts, expected):
     counts = np.asarray(counts, dtype=np.float64)
     expected = np.asarray(expected, dtype=np.float64)
     return float(((counts - expected) ** 2 / expected).sum())
+
+
+def float32_decode(buf, variant):
+    """CIFAR-layout records decoded as images were before uint8 storage:
+    float32 in [0, 1], scaled once at decode. Returns (images, labels)."""
+    head = 1 if variant == 10 else 2
+    raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, head + 3 * 32 * 32)
+    images = raw[:, head:].reshape(-1, 3, 32, 32).astype(np.float32) / np.float32(255.0)
+    return images, [int(v) for v in raw[:, head - 1]]
+
+
+def per_record_channel_stats(images):
+    """Channel mean and population std in float64, one image at a time."""
+    acc = np.zeros(3)
+    acc_sq = np.zeros(3)
+    n = 0
+    for img in images:
+        img = img.astype(np.float64)
+        acc += img.sum(axis=(1, 2))
+        acc_sq += (img * img).sum(axis=(1, 2))
+        n += img.shape[1] * img.shape[2]
+    mean = acc / n
+    var = acc_sq / n - mean * mean
+    return mean, np.sqrt(np.maximum(var, 0.0))
+
+
+def float32_batches(images, batch_size, order, aug_rng=None, crop_pad=4,
+                    flip_prob=0.5, mean=None, std=None, dtype=np.float32):
+    """Batches stacked from float images and cast to ``dtype`` first, then
+    zero-pad/crop and mirrored image by image (a batch's crop offsets are
+    drawn before its flips), then normalised channel by channel."""
+    for start in range(0, len(order), batch_size):
+        x = np.stack([images[i] for i in order[start : start + batch_size]]).astype(dtype)
+        if aug_rng is not None:
+            if crop_pad:
+                offsets = aug_rng.integers(0, 2 * crop_pad + 1, size=(len(x), 2))
+            flips = aug_rng.random(len(x)) < flip_prob
+            for i in range(len(x)):
+                img = x[i]
+                if crop_pad:
+                    padded = np.zeros((3, 32 + 2 * crop_pad, 32 + 2 * crop_pad), dtype)
+                    padded[:, crop_pad : crop_pad + 32, crop_pad : crop_pad + 32] = img
+                    dy, dx = offsets[i]
+                    img = padded[:, dy : dy + 32, dx : dx + 32]
+                x[i] = img[:, :, ::-1] if flips[i] else img
+        if mean is not None:
+            for c in range(3):
+                x[:, c] = (x[:, c] - dtype(mean[c])) / dtype(std[c])
+        yield x

@@ -88,7 +88,7 @@ class TestTrain:
         assert err.startswith("usage error: ") and flag[2:].replace("-", "_") in err
         assert not os.path.exists(out)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exit_code(self, tiny_cfg, tmp_path):
         out = os.path.join(tmp_path, "run")
         assert run_cli("train", "--config", tiny_cfg, "--out-dir", out,
@@ -262,7 +262,7 @@ class TestRandomOps:
         assert report[0] == "trial,seed,status,final_test_top1,best_test_top1"
         assert len(report) == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_trials_are_reported(self, tiny_cfg, tmp_path, capsys):
         out = os.path.join(tmp_path, "ro")
         assert run_cli("random-ops", "--arity", "1", "--trials", "2", "--lr", "1e30",
@@ -294,7 +294,7 @@ class TestAblate:
         rows = open(os.path.join(out, "ablation_decision_removal.csv")).read().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["with_decision", "unit_decision"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_variants_are_reported(self, tiny_cfg, tmp_path):
         out = os.path.join(tmp_path, "abl")
         assert run_cli("ablate", "--which", "decision_removal", "--lr", "1e30",

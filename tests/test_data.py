@@ -2,13 +2,17 @@
 statistics, synthetic fixtures, and the batch iterator."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from semnet import data as data_mod
 from semnet.data import (
     CIFAR10_RECORD_BYTES,
     CIFAR100_RECORD_BYTES,
+    CIFAR10_TEST_FILES,
+    CIFAR10_TRAIN_FILES,
     AugmentConfig,
     DatasetRecord,
     augment_batch,
@@ -112,6 +116,94 @@ class TestLoader:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(IngestionError, match="missing"):
             load_cifar(str(tmp_path), 10)
+
+
+def cifar_layout_bytes(variant, n, seed):
+    stride = CIFAR10_RECORD_BYTES if variant == 10 else CIFAR100_RECORD_BYTES
+    raw = np.random.default_rng(seed).integers(0, 256, size=(n, stride), dtype=np.uint8)
+    raw[:, 0] %= 10 if variant == 10 else 20
+    if variant == 100:
+        raw[:, 1] %= 100
+    return raw.tobytes()
+
+
+@pytest.mark.parametrize("variant", [10, 100])
+class TestUint8Storage:
+    """Decoded records keep the file's uint8 bytes; every value read from
+    them matches the float32-at-decode oracle byte for byte."""
+
+    N = 300
+
+    def decoded(self, variant):
+        buf = cifar_layout_bytes(variant, self.N, seed=variant)
+        return buf, decode_records(buf, variant), oracles.float32_decode(buf, variant)
+
+    def test_records_store_file_bytes(self, variant):
+        # The encode round trip is TestBinaryFormat's.
+        _, records, (images, labels) = self.decoded(variant)
+        assert all(r.pixels.dtype == np.uint8 for r in records)
+        assert [r.label for r in records] == labels
+        for record, image in zip(records, images):
+            assert record.image.dtype == np.float32
+            assert record.image.tobytes() == image.tobytes()
+
+    def test_channel_stats(self, variant):
+        _, records, (images, _) = self.decoded(variant)
+        for got, want in zip(compute_channel_stats(records),
+                             oracles.per_record_channel_stats(images)):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("augment", [True, False])
+    @pytest.mark.parametrize("normalise", [True, False])
+    def test_batches(self, variant, dtype, augment, normalise):
+        _, records, (images, labels) = self.decoded(variant)
+        mean, std = oracles.per_record_channel_stats(images) if normalise else (None, None)
+        seed, epoch = 3, 2
+        order = RngState(seed, data_mod._SHUFFLE_STREAM + epoch).generator().permutation(self.N)
+        aug_rng = (RngState(seed, data_mod._AUGMENT_STREAM + epoch).generator()
+                   if augment else None)
+        want = list(oracles.float32_batches(images, 128, order, aug_rng,
+                                            mean=mean, std=std, dtype=dtype))
+        got = list(batch_iterator(records, 128, seed, epoch,
+                                  augment_cfg=AugmentConfig(enabled=augment),
+                                  channel_mean=mean, channel_std=std, dtype=dtype))
+        assert len(got) == len(want) == 3
+        for (x, _), w in zip(got, want):
+            assert x.data.dtype == dtype and x.data.tobytes() == w.tobytes()
+        assert [v for _, y in got for v in y.tolist()] == [labels[i] for i in order]
+
+    def test_mixed_storage_batch(self, variant):
+        # Records built from float images next to decoded ones batch as if
+        # every image were float.
+        _, records, (images, _) = self.decoded(variant)
+        mixed = records[:10] + [DatasetRecord(r.image, r.label) for r in records[10:20]]
+        (x, _), = batch_iterator(mixed, 20, 0, 0, shuffle=False)
+        assert x.data.tobytes() == images[:20].tobytes()
+
+
+class TestDataMemory:
+    def test_load_cifar_holds_only_the_file_bytes(self, cifar10_dir):
+        # The pixels are views into the files' bytes: no float copy is held,
+        # only about 250 bytes of Python objects per record besides them.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train, test = load_cifar(cifar10_dir, 10)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        file_bytes = sum(os.path.getsize(os.path.join(cifar10_dir, name))
+                         for name in CIFAR10_TRAIN_FILES + CIFAR10_TEST_FILES)
+        assert held <= file_bytes + 1024 * (len(train) + len(test))
+        roots = {}
+        for record in train + test:
+            assert record.pixels.dtype == np.uint8
+            array = record.pixels
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            roots[id(array)] = array
+        assert sum(a.nbytes for a in roots.values()) <= file_bytes
 
 
 def stacked(records):

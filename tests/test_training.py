@@ -258,7 +258,7 @@ class TestTrainRun:
         assert result.steps == 4
         assert len(result.metrics) == 2  # 3 batches/epoch -> stopped in epoch 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_loss_aborts_with_layer_name(self, tmp_path):
         cfg = tiny_config(tmp_path / "r6", lr=1e18, epochs=3)
         with pytest.raises(NumericalFailure,
@@ -275,8 +275,8 @@ class TestTrainRun:
         assert all(x.image.tobytes() == y.image.tobytes() for x, y in zip(a, b))
 
     def test_subset_keeps_only_its_images(self, monkeypatch):
-        # Decoded images are views into one array per file; a subset must
-        # not keep those arrays alive, and keeps its bytes and order.
+        # Decoded pixels are views into each file's buffer; a subset must
+        # not keep those buffers alive, and keeps its bytes and order.
         block = np.random.default_rng(5).integers(0, 256, size=(200, 3073), dtype=np.uint8)
         block[:, 0] %= 10
         decoded = decode_records(block.tobytes(), 10)
@@ -289,11 +289,11 @@ class TestTrainRun:
                 == [(decoded[i].image.tobytes(), decoded[i].label) for i in order])
         roots = {}
         for record in train:
-            image = record.image
-            while isinstance(image.base, np.ndarray):
-                image = image.base
-            roots[id(image)] = image
-        assert sum(a.nbytes for a in roots.values()) <= 16 * 3 * 32 * 32 * 4
+            pixels = record.pixels
+            while isinstance(pixels.base, np.ndarray):
+                pixels = pixels.base
+            roots[id(pixels)] = pixels
+        assert sum(a.nbytes for a in roots.values()) <= 16 * 3 * 32 * 32
 
     def test_decision_summary_only_for_sem(self, tmp_path):
         result = train_run(tiny_config(tmp_path / "r7", attention="none", epochs=1))
