@@ -60,7 +60,7 @@ print("recalibrated feature map:", out.shape)
 # here the ECA gate with a k-tap convolution along the channel axis.
 eca_params = init_sem_params(C, ("cnn",), rng=RngState(3), dtype=np.float64,
                              with_decision=False)
-a = sem_forward(x, eca_params, force_unit_decision=True)
+a = sem_forward(x, eca_params)
 kernel = eca_params.conv_kernel.data
 half = len(kernel) // 2
 padded = np.pad(x.data.mean(axis=(2, 3)), ((0, 0), (half, half)))

@@ -214,21 +214,18 @@ def _branch_outputs(m: Tensor, params: SemParams) -> list[Tensor]:
 
 
 def sem_forward(x: Tensor, params: SemParams, *,
-                force_unit_decision: bool = False,
                 capture: dict | None = None) -> Tensor:
     """Full attention layer: squeeze, decide, excite each enabled branch,
     switch, recalibrate.
 
     Params built without a decision network run with w = 1 for every
     branch; with one operator and a sigmoid switch that is the conventional
-    SE / ECA / IE gate. ``force_unit_decision`` drops the decision weights
-    of params that have them, the ablation that isolates the switching
-    product. ``capture`` receives the raw decision and attention-map arrays
-    when provided.
+    SE / ECA / IE gate. ``capture`` receives the raw decision and
+    attention-map arrays when provided.
     """
     m = squeeze(x)
     weights = None
-    if not force_unit_decision and params.decision_weight is not None:
+    if params.decision_weight is not None:
         weights = decide(m, params.decision_weight)
     branches = _branch_outputs(m, params)
     v = switch(branches, weights, params.switch_activation)

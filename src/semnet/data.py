@@ -3,8 +3,9 @@
 The binary formats are read exactly as published: CIFAR-10 records are
 3,073 bytes (label byte + 1,024 R + 1,024 G + 1,024 B row-major pixels);
 CIFAR-100 records are 3,074 bytes (coarse label, fine label, pixels).
-Decoded records keep views of the file's uint8 pixels, scaled to [0, 1]
-float32 only per batch (and by ``DatasetRecord.image``).
+Every record holds uint8 pixels: decoded records keep views of the file's
+bytes and synthetic images are quantised to the same 8 bits. Batches scale
+them to [0, 1] float32.
 """
 
 from __future__ import annotations
@@ -40,21 +41,16 @@ _AUGMENT_STREAM = 2 << 32
 
 @dataclass
 class DatasetRecord:
-    """One labelled (C, H, W) image: ``pixels`` holds the file's uint8 bytes
-    or floats in [0, 1], and ``image`` is them as floats in [0, 1]."""
+    """One labelled (C, H, W) image as uint8 pixels, the CIFAR byte format."""
 
     pixels: np.ndarray
     label: int
     coarse_label: int | None = None
 
-    @property
-    def image(self) -> np.ndarray:
-        return _unit_float(self.pixels)
-
 
 def _unit_float(pixels: np.ndarray) -> np.ndarray:
-    """uint8 pixels scaled to float32 in [0, 1]; float arrays unchanged."""
-    return pixels.astype(np.float32) / np.float32(255.0) if pixels.dtype == np.uint8 else pixels
+    """uint8 pixels scaled to float32 in [0, 1]."""
+    return pixels.astype(np.float32) / np.float32(255.0)
 
 
 _UNIT_FLOAT64 = _unit_float(np.arange(256, dtype=np.uint8)).astype(np.float64)
@@ -112,14 +108,13 @@ def decode_records(buf: bytes, variant: int, *, source: str = "<bytes>") -> list
 
 
 def encode_record(record: DatasetRecord, variant: int) -> bytes:
-    """Inverse of decoding: quantise back to the published byte layout."""
-    pixels = np.round(record.image * 255.0).astype(np.uint8).reshape(-1)
+    """Inverse of decoding: the record in the published byte layout."""
     if variant == 10:
         head = bytes([record.label])
     else:
         coarse = 0 if record.coarse_label is None else record.coarse_label
         head = bytes([coarse, record.label])
-    return head + pixels.tobytes()
+    return head + record.pixels.tobytes()
 
 
 def _record_stride(variant: int) -> int:
@@ -174,7 +169,7 @@ def compute_channel_stats(records: list[DatasetRecord]) -> tuple[np.ndarray, np.
     sums = np.empty((len(records), 2, 3))
     for start in range(0, len(records), 16):
         block = _stack_pixels(records[start : start + 16])
-        x = np.take(_UNIT_FLOAT64, block) if block.dtype == np.uint8 else block.astype(np.float64)
+        x = np.take(_UNIT_FLOAT64, block)
         sums[start : start + len(x), 0] = x.sum(axis=(2, 3))
         x *= x
         sums[start : start + len(x), 1] = x.sum(axis=(2, 3))
@@ -233,7 +228,8 @@ def synthetic_dataset(n: int, classes: int, seed: int) -> list[DatasetRecord]:
     base) plus clipped pixel noise (|noise| <= 0.1). The bump-centre
     pixels separate the classes by construction, and the patterns are
     horizontally symmetric so flip augmentation never changes the label
-    evidence. Labels are assigned round-robin.
+    evidence. Each image is quantised to 8 bits, as in CIFAR. Labels are
+    assigned round-robin.
     """
     if classes < 2 or classes > 100:
         raise ValueError("classes must be in [2, 100]")
@@ -253,7 +249,7 @@ def synthetic_dataset(n: int, classes: int, seed: int) -> list[DatasetRecord]:
         label = i % classes
         noise = np.clip(gen.normal(0.0, 0.04, size=IMAGE_SHAPE), -0.1, 0.1)
         img = np.clip(0.45 + noise + bumps[label], 0.0, 1.0).astype(np.float32)
-        records.append(DatasetRecord(img, label))
+        records.append(DatasetRecord(np.round(img * 255.0).astype(np.uint8), label))
     return records
 
 
@@ -297,8 +293,8 @@ def batch_iterator(records: list[DatasetRecord], batch_size: int,
 
 
 def _stack_pixels(batch: list[DatasetRecord]) -> np.ndarray:
-    """The batch as one (B, C, H, W) array of uint8 pixels, or of float
-    images if any record stores floats."""
-    if all(r.pixels.dtype == np.uint8 for r in batch):
-        return np.stack([r.pixels for r in batch])
-    return np.stack([r.image for r in batch])
+    """The batch as one (B, C, H, W) array of uint8 pixels."""
+    for r in batch:
+        if r.pixels.dtype != np.uint8:
+            raise ValueError(f"record pixels must be uint8, got {r.pixels.dtype}")
+    return np.stack([r.pixels for r in batch])

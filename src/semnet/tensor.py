@@ -227,15 +227,7 @@ def _broadcastable(a_shape: tuple, b_shape: tuple) -> bool:
 # rank, the only pattern the attention path needs).
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        scalar = float(b)
-        out = a.data + a.data.dtype.type(scalar)
-
-        def add_scalar_backward(g):
-            return (g,)
-
-        return _make(out, (a,), add_scalar_backward)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     if not _broadcastable(a.shape, b.shape):
         raise ValueError(f"cannot broadcast {a.shape} + {b.shape}")
@@ -247,15 +239,7 @@ def add(a: Tensor, b) -> Tensor:
     return _make(out, (a, b), add_backward)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        scalar = float(b)
-        out = a.data * a.data.dtype.type(scalar)
-
-        def mul_scalar_backward(g):
-            return (g * a.data.dtype.type(scalar),)
-
-        return _make(out, (a,), mul_scalar_backward)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     if not _broadcastable(a.shape, b.shape):
         raise ValueError(f"cannot broadcast {a.shape} * {b.shape}")

@@ -6,6 +6,7 @@ CIFAR-10 binaries under $SEM_DATA_DIR and several workstation-hours; it
 is marked slow and skips when the data is absent.
 """
 
+import dataclasses
 import functools
 import os
 import time
@@ -113,7 +114,7 @@ def test_criterion_3_composition_oracle():
                                  with_decision=False)
         if kind == "ie":
             params.ie_scale.data[...] = 1.5  # at init (0) the descriptor is ignored
-        routed = sem_forward(x, params, force_unit_decision=True)
+        routed = sem_forward(x, params)
         diff = float(np.max(np.abs(routed.data - standalone(params))))
         assert diff <= 1e-9, (kind, diff)
 
@@ -133,13 +134,13 @@ def test_criterion_5_decision_removal_bitwise():
     params = init_sem_params(32, rng=RngState(501), dtype=np.float64)
     x = Tensor(gen.standard_normal((3, 32, 4, 4)), requires_grad=False,
                dtype=np.float64)
-    via_override = sem_forward(x, params, force_unit_decision=True)
+    unit = sem_forward(x, dataclasses.replace(params, decision_weight=None))
     m = squeeze(x)
     v = sigmoid(excite_fc(m, params.reduce_weight, params.expand_weight))
     v = mul(v, sigmoid(excite_cnn(m, params.conv_kernel)))
     v = mul(v, sigmoid(excite_ie(m, params.ie_scale, params.ie_shift)))
     explicit = recalibrate(x, v)
-    assert via_override.data.tobytes() == explicit.data.tobytes()
+    assert unit.data.tobytes() == explicit.data.tobytes()
 
 
 @criterion(6, "depth-20 SEM overfits 64 samples within 300 steps")

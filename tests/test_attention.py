@@ -2,6 +2,8 @@
 kernel-size rule, single-operator gates against the SE/ECA/IE oracles,
 decision reporting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -259,20 +261,13 @@ class TestFullLayer:
         gen = RngState(59).generator()
         params = init_sem_params(16, rng=RngState(60), dtype=np.float64)
         x = rand_input(gen, b=2)
-        via_flag = sem_forward(x, params, force_unit_decision=True)
+        unit = sem_forward(x, dataclasses.replace(params, decision_weight=None))
         m = squeeze(x)
         v = sigmoid(excite_fc(m, params.reduce_weight, params.expand_weight))
         v = mul(v, sigmoid(excite_cnn(m, params.conv_kernel)))
         v = mul(v, sigmoid(excite_ie(m, params.ie_scale, params.ie_shift)))
         explicit = recalibrate(x, v)
-        assert via_flag.data.tobytes() == explicit.data.tobytes()
-
-    def test_missing_decision_means_unit_decision(self):
-        params = init_sem_params(8, rng=RngState(61), dtype=np.float64,
-                                 with_decision=False)
-        x = rand_input(RngState(62).generator(), c=8)
-        assert (sem_forward(x, params).data.tobytes()
-                == sem_forward(x, params, force_unit_decision=True).data.tobytes())
+        assert unit.data.tobytes() == explicit.data.tobytes()
 
 
 class TestBaselines:
@@ -284,7 +279,7 @@ class TestBaselines:
         params.reduce_weight.data[...] = 0.0
         gen = RngState(63).generator()
         x = rand_input(gen, c=8)
-        out = sem_forward(x, params, force_unit_decision=True)
+        out = sem_forward(x, params)
         assert np.max(np.abs(out.data - 0.5 * x.data)) <= 1e-15
 
     def test_ie_at_init_scales_by_sigmoid_of_minus_one(self):
@@ -292,7 +287,7 @@ class TestBaselines:
                                  with_decision=False)
         gen = RngState(65).generator()
         x = rand_input(gen, c=8)
-        out = sem_forward(x, params, force_unit_decision=True)
+        out = sem_forward(x, params)
         assert np.max(np.abs(out.data - SIGMOID_OF_MINUS_1 * x.data)) <= 1e-12
 
     @pytest.mark.parametrize("ops,kind", [(("cnn",), "eca"), (("fc",), "se"),
@@ -304,7 +299,7 @@ class TestBaselines:
             params.ie_scale.data[...] = 0.75  # at init (0) the descriptor is ignored
         gen = RngState(67).generator()
         x = rand_input(gen)
-        a = sem_forward(x, params, force_unit_decision=True)
+        a = sem_forward(x, params)
         if kind == "se":
             b = oracles.naive_se_gate(x.data, params.reduce_weight.data,
                                       params.expand_weight.data)

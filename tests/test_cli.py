@@ -133,7 +133,7 @@ class TestConfigValidation:
 FUZZ_VALUES = ("0", "-1", "", "bogus", "2.5")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, monkeypatch, capsys):
     """Every RunConfig key at every edge value, run in-process on a
     one-step synthetic config: the exit code is 0, 2, 3 or 4, no traceback

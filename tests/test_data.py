@@ -43,8 +43,8 @@ class TestBinaryFormat:
         buf = raw.tobytes()
         records = decode_records(buf, 10)
         assert [r.label for r in records] == [0, 3, 9, 5, 1]
-        assert all(r.image.shape == (3, 32, 32) for r in records)
-        assert all(0.0 <= r.image.min() and r.image.max() <= 1.0 for r in records)
+        assert all(r.pixels.shape == (3, 32, 32) and r.pixels.dtype == np.uint8
+                   for r in records)
         again = b"".join(encode_record(r, 10) for r in records)
         assert again == buf
 
@@ -129,8 +129,8 @@ def cifar_layout_bytes(variant, n, seed):
 
 @pytest.mark.parametrize("variant", [10, 100])
 class TestUint8Storage:
-    """Decoded records keep the file's uint8 bytes; every value read from
-    them matches the float32-at-decode oracle byte for byte."""
+    """Decoded records keep the file's uint8 bytes; every value computed
+    from them matches the float32-at-decode oracle byte for byte."""
 
     N = 300
 
@@ -139,13 +139,14 @@ class TestUint8Storage:
         return buf, decode_records(buf, variant), oracles.float32_decode(buf, variant)
 
     def test_records_store_file_bytes(self, variant):
-        # The encode round trip is TestBinaryFormat's.
-        _, records, (images, labels) = self.decoded(variant)
-        assert all(r.pixels.dtype == np.uint8 for r in records)
+        # The encode round trip is TestBinaryFormat's; the scaling is
+        # checked by test_batches.
+        buf, records, (_, labels) = self.decoded(variant)
+        raw = np.frombuffer(buf, dtype=np.uint8).reshape(self.N, -1)
         assert [r.label for r in records] == labels
-        for record, image in zip(records, images):
-            assert record.image.dtype == np.float32
-            assert record.image.tobytes() == image.tobytes()
+        for record, row in zip(records, raw):
+            assert record.pixels.dtype == np.uint8
+            assert record.pixels.tobytes() == row[-3 * 32 * 32 :].tobytes()
 
     def test_channel_stats(self, variant):
         _, records, (images, _) = self.decoded(variant)
@@ -173,13 +174,14 @@ class TestUint8Storage:
             assert x.data.dtype == dtype and x.data.tobytes() == w.tobytes()
         assert [v for _, y in got for v in y.tolist()] == [labels[i] for i in order]
 
-    def test_mixed_storage_batch(self, variant):
-        # Records built from float images next to decoded ones batch as if
-        # every image were float.
-        _, records, (images, _) = self.decoded(variant)
-        mixed = records[:10] + [DatasetRecord(r.image, r.label) for r in records[10:20]]
-        (x, _), = batch_iterator(mixed, 20, 0, 0, shuffle=False)
-        assert x.data.tobytes() == images[:20].tobytes()
+    def test_float_pixels_rejected(self, variant):
+        # A float record would otherwise be scaled by 1/255 a second time.
+        _, records, (images, labels) = self.decoded(variant)
+        mixed = records[:10] + [DatasetRecord(images[10], labels[10])]
+        with pytest.raises(ValueError, match="uint8, got float32"):
+            next(batch_iterator(mixed, 11, 0, 0, shuffle=False))
+        with pytest.raises(ValueError, match="uint8, got float32"):
+            compute_channel_stats(mixed)
 
 
 class TestDataMemory:
@@ -207,7 +209,7 @@ class TestDataMemory:
 
 
 def stacked(records):
-    return np.stack([r.image for r in records])
+    return np.stack([r.pixels for r in records])
 
 
 def ramp_images(n):
@@ -232,8 +234,10 @@ class TestNormalize:
     def test_recomputed_statistics_standardised(self):
         records = synthetic_dataset(400, 10, seed=5)
         mean, std = compute_channel_stats(records)
-        normed = normalize_images(stacked(records), mean, std)
-        mean2, std2 = compute_channel_stats([DatasetRecord(img, 0) for img in normed])
+        (x, _), = batch_iterator(records, len(records), 0, 0, shuffle=False,
+                                 channel_mean=mean, channel_std=std, dtype=np.float64)
+        mean2 = x.data.mean(axis=(0, 2, 3))
+        std2 = x.data.std(axis=(0, 2, 3))
         assert np.max(np.abs(mean2)) <= 1e-3
         assert np.max(np.abs(std2 - 1.0)) <= 1e-3
 
@@ -302,7 +306,7 @@ class TestSynthetic:
     def test_deterministic_bytes(self):
         a = synthetic_dataset(32, 5, seed=9)
         b = synthetic_dataset(32, 5, seed=9)
-        assert all(x.image.tobytes() == y.image.tobytes() for x, y in zip(a, b))
+        assert all(x.pixels.tobytes() == y.pixels.tobytes() for x, y in zip(a, b))
 
     def test_balanced_round_robin(self):
         records = synthetic_dataset(33, 5, seed=10)
@@ -312,13 +316,22 @@ class TestSynthetic:
     def test_linear_probe_reaches_full_accuracy(self):
         records = synthetic_dataset(200, 10, seed=11)
         acc = oracles.least_squares_probe_accuracy(
-            [r.image for r in records], [r.label for r in records], 10)
+            [r.pixels for r in records], [r.label for r in records], 10)
         assert acc == 1.0
 
     def test_pixel_range(self):
+        # 8-bit pixels; the 0.45 base with |noise| <= 0.1 never wraps below.
         records = synthetic_dataset(16, 4, seed=12)
         for r in records:
-            assert r.image.min() >= 0.0 and r.image.max() <= 1.0
+            assert r.pixels.dtype == np.uint8 and r.pixels.min() >= round(0.35 * 255)
+
+    @pytest.mark.parametrize("variant", [10, 100])
+    def test_encode_decode_keeps_pixels(self, variant):
+        records = synthetic_dataset(2 * variant, variant, seed=18)
+        buf = b"".join(encode_record(r, variant) for r in records)
+        for record, decoded in zip(records, decode_records(buf, variant)):
+            assert decoded.pixels.tobytes() == record.pixels.tobytes()
+            assert decoded.label == record.label
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -491,9 +491,10 @@ class TestAutodiff:
 
     def test_backward_releases_tape_as_it_goes(self):
         x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True, dtype=np.float64)
-        early = mul(x, 3.0)
-        held = relu(add(early, 0.5))
-        late = mul(sigmoid(held), 2.0)
+        three, half, two = (Tensor(np.array([c]), dtype=np.float64) for c in (3.0, 0.5, 2.0))
+        early = mul(x, three)
+        held = relu(add(early, half))
+        late = mul(sigmoid(held), two)
         late_data = weakref.ref(late.data)
         loss = mul(late, late).sum()
         del late

@@ -234,7 +234,7 @@ class TestTrainRun:
         model, cfg, mean, std = load_run_checkpoint(result.final_checkpoint)
         _, test = load_datasets(cfg)
         base = evaluate(model, test, 16, mean, std)
-        permuted = [type(r)(r.image, (r.label + 1) % cfg.num_classes,
+        permuted = [type(r)(r.pixels, (r.label + 1) % cfg.num_classes,
                             r.coarse_label) for r in test]
         perm_top1 = evaluate(model, permuted, 16, mean, std)
         # Oracle: recompute both accuracies from raw predictions.
@@ -265,14 +265,14 @@ class TestTrainRun:
                            match=r"first offending layer: stage1\.block0 \(op affine\)$"):
             train_run(cfg)
         # The per-op check that located it is off again.
-        assert mul(Tensor(np.array([np.inf])), 1.0).data[0] == np.inf
+        assert mul(Tensor(np.array([np.inf])), Tensor(np.array([1.0]))).data[0] == np.inf
 
     def test_subset_selection_deterministic(self):
         cfg = tiny_config("unused", synthetic_train=64, train_subset=16).resolved()
         a, _ = load_datasets(cfg)
         b, _ = load_datasets(cfg)
         assert len(a) == 16
-        assert all(x.image.tobytes() == y.image.tobytes() for x, y in zip(a, b))
+        assert all(x.pixels.tobytes() == y.pixels.tobytes() for x, y in zip(a, b))
 
     def test_subset_keeps_only_its_images(self, monkeypatch):
         # Decoded pixels are views into each file's buffer; a subset must
@@ -285,8 +285,8 @@ class TestTrainRun:
         cfg = RunConfig(dataset="cifar10", data_dir="unused", train_subset=16, seed=7)
         train, _ = load_datasets(cfg.resolved())
         order = RngState(7, training._STREAM_SUBSET).generator().permutation(150)[:16]
-        assert ([(r.image.tobytes(), r.label) for r in train]
-                == [(decoded[i].image.tobytes(), decoded[i].label) for i in order])
+        assert ([(r.pixels.tobytes(), r.label) for r in train]
+                == [(decoded[i].pixels.tobytes(), decoded[i].label) for i in order])
         roots = {}
         for record in train:
             pixels = record.pixels
