@@ -227,11 +227,14 @@ def _broadcastable(a_shape: tuple, b_shape: tuple) -> bool:
 # rank, the only pattern the attention path needs).
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor, b: Tensor, *, inplace: bool = False) -> Tensor:
+    """a + b. ``inplace=True`` writes the sum into ``a.data`` and shares that
+    buffer, so ``a`` must be a full-shape op output whose buffer no backward
+    rule reads (a conv2d or mul output; add's own rule reads only shapes)."""
     _check_same_dtype(a, b)
     if not _broadcastable(a.shape, b.shape):
         raise ValueError(f"cannot broadcast {a.shape} + {b.shape}")
-    out = a.data + b.data
+    out = np.add(a.data, b.data, out=a.data if inplace else None)
 
     def add_backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -356,7 +359,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     pj::stride] with rows of width wp = Wout + (k-1)//stride; tap (i, j)
     reads its phase at a constant offset, a view BLAS takes without a copy,
     and the wrap-around columns Wout..wp are dropped. A 1x1 stride-1 conv
-    reads x itself; others keep one zero-padded copy of x for backward.
+    reads x itself; others build the grids from x in forward and again in
+    backward, so the tape keeps no padded copy of x.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d needs 4-D tensors, got {x.shape} and {kernel.shape}")
@@ -379,6 +383,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     span = hout * wp  # output columns of one tap, wrap-around included
     taps = [(i, j, i % stride * q + j % stride, i // stride * wp + j // stride)
             for i in range(k) for j in range(k)]
+    direct = k == 1 and stride == 1 and pad == 0
 
     def phases(buf):
         """(phase grid view of buf, index into x, index into the grid)."""
@@ -387,13 +392,15 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
             xs, vs = _phase_axis(w, stride, pad, n % q, wp)
             yield buf[n, :, :, : rows * wp].reshape(b, cin, rows, wp), (..., ys, xs), (..., us, vs)
 
-    direct = k == 1 and stride == 1 and pad == 0
-    if direct:
-        grids = x.data.reshape(1, b, cin, h * w)
-    else:
+    def padded_grids():
+        if direct:
+            return x.data.reshape(1, b, cin, h * w)
         grids = np.zeros((q * q, b, cin, rows * wp + d), dtype=x.data.dtype)
         for grid, xi, gi in phases(grids):
             grid[gi] = x.data[xi]
+        return grids
+
+    grids = padded_grids()
     kt = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))  # (k, k, Cout, Cin)
     parts = (np.matmul(kt[i, j], grids[n, :, :, o : o + span]) for i, j, n, o in taps)
     out = next(parts)
@@ -402,6 +409,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     out = out.reshape(b, cout, hout, wp)[..., :wout]
 
     def conv2d_backward(g):
+        grids = padded_grids()
         g = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, d))) if d else g
         g = g.reshape(b, cout, span)
         dkernel = np.empty_like(kernel.data)

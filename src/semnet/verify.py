@@ -166,13 +166,19 @@ def _scope_sem_layer(gen, channels: int = 8):
 
 
 def _scope_full_block(gen):
-    model = build_network(RunConfig(depth=11, attention="sem"), RngState(13), np.float64)
-    block = model.stages[0][0]
-    x = _randn(gen, (2, 16, 6, 6))
-    w = _probe(gen, (2, 64, 6, 6))
-    inputs = {"input": x}
-    inputs.update(dict(block.named("block")))
-    return check_gradients(lambda: T.mul(block(x, training=True), w).mean(), inputs)
+    """A SEM and a plain block with a projection shortcut, and a SEM block
+    whose shortcut is its own input, which the in-place skip add must not
+    write."""
+    errs = {}
+    for name, depth, attention, index in (("sem", 11, "sem", 0), ("plain", 11, "none", 0),
+                                          ("identity", 20, "sem", 1)):
+        block = build_network(RunConfig(depth=depth, attention=attention), RngState(13),
+                              np.float64).stages[0][index]
+        x = _randn(gen, (2, block.bn1.gamma.shape[0], 6, 6))
+        w = _probe(gen, (2, 64, 6, 6))
+        inputs = {f"{name}.input": x, **dict(block.named(name))}
+        errs.update(check_gradients(lambda: T.mul(block(x, training=True), w).mean(), inputs))
+    return errs
 
 
 SCOPES = {

@@ -196,63 +196,46 @@ class TestNetwork:
             other.load_state_arrays({"stem.weight": state["stem.weight"]})
 
 
-def graph_buffer_bytes(loss):
-    """(activations, conv input copies, batch-norm outputs) of the recorded
-    graph in bytes, from its shapes: every distinct buffer behind a node's
-    output, the zero-padded phase copy of its input each convolution that
-    pads or strides keeps, and one output-sized buffer per batch norm."""
-    buffers, copies, bn = {}, 0, 0
+def graph_nodes(loss):
+    """Every recorded node reachable from ``loss``, once each."""
     stack, seen = [loss], set()
     while stack:
         node = stack.pop()
         if id(node) in seen or node._backward is None:
             continue
         seen.add(id(node))
+        yield node
+        stack.extend(node._parents)
+
+
+def graph_buffer_bytes(loss):
+    """(activations, batch-norm outputs) of the recorded graph in bytes:
+    every distinct buffer behind a node's output, and one output-sized
+    buffer per batch norm."""
+    buffers, bn = {}, 0
+    for node in graph_nodes(loss):
         root = node.data
         while root.base is not None:
             root = root.base
         buffers[id(root)] = root.nbytes
-        op = node._backward.__name__
-        if op == "conv2d_backward":
-            x, kernel = node._parents
-            b, cin, h, w = x.shape
-            _, _, hout, wout = node.shape
-            k = kernel.shape[2]
-            # The backbone pads its convs to keep ceil(h / stride) rows.
-            stride = h // hout
-            pad = ((hout - 1) * stride + k - h + 1) // 2
-            if k > 1 or stride > 1 or pad > 0:
-                # min(stride, k)^2 phase grids of (hout + d) rows of
-                # (wout + d) columns, plus d slack, d = (k - 1) // stride.
-                d = (k - 1) // stride
-                grid = (hout + d) * (wout + d) + d
-                copies += min(stride, k) ** 2 * b * cin * grid * x.data.itemsize
-        elif op == "batch_norm_backward":
+        if node._backward.__name__ == "batch_norm_backward":
             bn += node.data.nbytes
-        stack.extend(node._parents)
-    return sum(buffers.values()), copies, bn
+    return sum(buffers.values()), bn
 
 
 def unfused_relus(loss):
     """Count of ReLU nodes in the recorded graph whose input is a batch
     norm's output, which such a pair would keep alive until backward."""
-    count, stack, seen = 0, [loss], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or node._backward is None:
-            continue
-        seen.add(id(node))
-        if node._backward.__name__ == "relu_backward":
-            count += any(p._backward is not None
-                         and p._backward.__name__ == "batch_norm_backward"
-                         for p in node._parents)
-        stack.extend(node._parents)
-    return count
+    return sum(any(p._backward is not None and p._backward.__name__ == "batch_norm_backward"
+                   for p in node._parents)
+               for node in graph_nodes(loss) if node._backward.__name__ == "relu_backward")
 
 
 class TestTapeMemory:
-    def test_backward_peak_tracks_the_tape(self):
-        model = build_network(RunConfig(depth=11, attention="sem"), RngState(71), np.float64)
+    @pytest.mark.parametrize("attention", ["sem", "none"])
+    def test_backward_peak_tracks_the_tape(self, attention):
+        model = build_network(RunConfig(depth=11, attention=attention), RngState(71),
+                              np.float64)
         gen = RngState(72).generator()
         x = Tensor(gen.standard_normal((8, 3, 32, 32)), dtype=np.float64)
         labels = gen.integers(0, 10, size=8)
@@ -261,8 +244,12 @@ class TestTapeMemory:
             base = tracemalloc.get_traced_memory()[0]
             loss = softmax_cross_entropy(model(x, training=True), labels)
             tape = tracemalloc.get_traced_memory()[0] - base
-            activations, copies, bn = graph_buffer_bytes(loss)
+            activations, bn = graph_buffer_bytes(loss)
             unfused = unfused_relus(loss)
+            # The 4-D adds are the blocks' skip additions; the gates add
+            # only (B, C) maps.
+            shared = [np.shares_memory(n.data, n._parents[0].data) for n in graph_nodes(loss)
+                      if n._backward.__name__ == "add_backward" and n.ndim == 4]
             tracemalloc.reset_peak()
             backward(loss)
             peak = tracemalloc.get_traced_memory()[1] - base
@@ -270,12 +257,26 @@ class TestTapeMemory:
             tracemalloc.stop()
         # Every batch norm feeds a ReLU; fused, no pre-activation is kept.
         assert unfused == 0, unfused
+        # Each block sums its skip into the branch output's own buffer (a
+        # gate or conv3 output no backward rule reads), not a new one.
+        assert shared == [True] * 3 * model.blocks_per_stage, shared
         # Freed as backward consumes it, the tape is not held twice.
         assert peak <= 1.25 * tape, (peak, tape)
-        # Only activations and one padded copy per conv input: a (B,
-        # Cin*k*k, Hout*Wout) im2col copy per 3x3 conv, or a second (xhat
-        # or pre-ReLU) buffer per batch norm, would break this bound.
-        assert tape <= activations + copies + 0.5 * bn, (tape, activations, copies, bn)
+        # Only activations: a padded conv input copy or a (B, Cin*k*k,
+        # Hout*Wout) im2col copy per conv, or a second (xhat or pre-ReLU)
+        # buffer per batch norm, would break this bound.
+        assert tape <= activations + 0.5 * bn, (tape, activations, bn)
+
+    def test_skip_add_leaves_the_block_input(self):
+        # An identity-shortcut block sums its input into the branch output;
+        # summing into the input instead would corrupt bn1's backward.
+        model = build_network(RunConfig(depth=20, attention="sem"), RngState(73), np.float64)
+        block = model.stages[0][1]
+        x = Tensor(RngState(74).generator().standard_normal((2, 64, 4, 4)), dtype=np.float64)
+        before = x.data.copy()
+        out = block(x, training=True)
+        assert x.data.tobytes() == before.tobytes()
+        assert not np.shares_memory(out.data, x.data)
 
 
 class TestCheckpointContainer:

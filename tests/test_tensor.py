@@ -1,6 +1,7 @@
 """Tensor engine: forward semantics against naive oracles, autodiff
 against central differences, broadcasting, and determinism."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -320,7 +321,9 @@ class TestBatchNormOracle:
 
 class TestConv2dOracle:
     """conv2d output and both gradients against the explicit loops in
-    oracles.py, over every (k, stride, pad) in the grid, B > 1, H != W."""
+    oracles.py, over every (k, stride, pad) in the grid, B > 1, H != W.
+    Backward rebuilds the padded phase grids from x, so the gradient
+    checks cover that rebuild too."""
 
     @staticmethod
     def errors(k, stride, pad, dtype, seed):
@@ -346,6 +349,23 @@ class TestConv2dOracle:
         assert max(errs.values()) <= 1e-12, errs
         errs = self.errors(k, stride, pad, np.float32, seed)
         assert max(errs.values()) <= 1e-5, errs
+
+    def test_forward_keeps_no_padded_copy(self):
+        gen = RngState(31).generator()
+        x = Tensor(gen.standard_normal((4, 8, 16, 16)), requires_grad=True, dtype=np.float64)
+        kernel = Tensor(gen.standard_normal((8, 8, 3, 3)), requires_grad=True,
+                        dtype=np.float64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, kernel, stride=1, pad=1)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # Output and transposed kernel, plus under 2 KiB of closure cells and
+        # function objects: the (4, 8, 18*18 + 2) padded grid, 83 KiB, would
+        # break this bound.
+        assert kept <= out.data.nbytes + kernel.data.nbytes + 4096, kept
 
     @pytest.mark.parametrize("k,stride,pad", [(3, 2, 1), (3, 1, 1), (1, 1, 0), (1, 2, 0)])
     def test_gradients_are_adoptable(self, k, stride, pad):
@@ -515,6 +535,24 @@ class TestAutodiff:
         assert np.allclose(x.grad, 3.0 * expected_held * (3.0 * x.data + 0.5 > 0),
                            rtol=1e-14, atol=0)
         assert held._backward is None and held._parents == ()
+
+    @pytest.mark.parametrize("b_shape", [(4, 6), (1, 1)])
+    def test_inplace_add_matches_out_of_place(self, b_shape):
+        gen = RngState(25).generator()
+        x_data, w_data = (gen.standard_normal((4, 6)).astype(np.float32) for _ in range(2))
+        b_data = gen.standard_normal(b_shape).astype(np.float32)
+        runs = []
+        for inplace in (False, True):
+            x = Tensor(x_data, requires_grad=True)
+            b = Tensor(b_data.copy(), requires_grad=True)
+            w = Tensor(w_data)
+            a = mul(x, w)  # mul's rule reads its inputs, never its output
+            out = add(a, b, inplace=inplace)
+            assert np.shares_memory(out.data, a.data) == inplace
+            backward(mul(out, w).sum())
+            assert b.data.tobytes() == b_data.tobytes()
+            runs.append([t.tobytes() for t in (out.data, a.grad, b.grad, x.grad)])
+        assert runs[0] == runs[1]
 
     def test_no_grad_suppresses_recording(self):
         x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
