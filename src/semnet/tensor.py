@@ -19,6 +19,7 @@ DEFAULT_DTYPE = np.float32
 _grad_enabled = True
 _check_finite = False
 _layer = None
+_CHUNK_BYTES = 1 << 20  # conv2d scratch per sample chunk, small enough to stay in L2
 
 
 @contextlib.contextmanager
@@ -350,8 +351,14 @@ def _phase_axis(n: int, stride: int, pad: int, phase: int, size: int):
     return slice(r0, r0 + stride * count, stride), slice(u0, u0 + count)
 
 
+def _sample_chunks(b: int, sample_bytes: int) -> tuple[int, list[tuple[int, int]]]:
+    """(step, [(start, stop)...]): chunks whose scratch of sample_bytes each fits."""
+    step = max(1, min(b, _CHUNK_BYTES // sample_bytes))
+    return step, [(s, min(s + step, b)) for s in range(0, b, step)]
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation with zero padding, as one batched GEMM per tap.
+    """Cross-correlation with zero padding, one GEMM per tap and sample.
 
     x: (B, Cin, H, W), kernel: (Cout, Cin, k, k), square window. Output
     extent is floor((H + 2*pad - k) / stride) + 1 and must be >= 1.
@@ -359,8 +366,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     pj::stride] with rows of width wp = Wout + (k-1)//stride; tap (i, j)
     reads its phase at a constant offset, a view BLAS takes without a copy,
     and the wrap-around columns Wout..wp are dropped. A 1x1 stride-1 conv
-    reads x itself; others build the grids from x in forward and again in
-    backward, so the tape keeps no padded copy of x.
+    reads x itself in one GEMM. Others take the batch in sample chunks
+    whose grids and tap sums fit ``_CHUNK_BYTES`` of reused scratch, so
+    forward allocates only its output and backward only dx, and the tape
+    keeps no padded copy of x. dkernel's batch sum runs in sample order.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d needs 4-D tensors, got {x.shape} and {kernel.shape}")
@@ -378,55 +387,78 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                          f"stride={stride}, pad={pad}")
     _check_same_dtype(x, kernel)
 
+    dt = x.data.dtype
     d, q = (k - 1) // stride, min(stride, k)  # furthest tap shift, phases per axis
     rows, wp = hout + d, wout + d
     span = hout * wp  # output columns of one tap, wrap-around included
+    cells = rows * wp + d  # one phase grid and the furthest tap's overrun
     taps = [(i, j, i % stride * q + j % stride, i // stride * wp + j // stride)
             for i in range(k) for j in range(k)]
     direct = k == 1 and stride == 1 and pad == 0
 
-    def phases(buf):
-        """(phase grid view of buf, index into x, index into the grid)."""
-        for n in range(q * q):
+    def phases(buf, m):
+        """(grid view of buf's first m samples, index into x, index into the grid)."""
+        for n in range(0 if direct else q * q):
             ys, us = _phase_axis(h, stride, pad, n // q, rows)
             xs, vs = _phase_axis(w, stride, pad, n % q, wp)
-            yield buf[n, :, :, : rows * wp].reshape(b, cin, rows, wp), (..., ys, xs), (..., us, vs)
+            yield buf[n, :m, :, : rows * wp].reshape(m, cin, rows, wp), (..., ys, xs), (..., us, vs)
 
-    def padded_grids():
+    def grids_of(s, e, buf):
+        """Phase grids (q*q, e-s, cin, cells) of samples s:e: x if direct, else buf."""
         if direct:
-            return x.data.reshape(1, b, cin, h * w)
-        grids = np.zeros((q * q, b, cin, rows * wp + d), dtype=x.data.dtype)
-        for grid, xi, gi in phases(grids):
-            grid[gi] = x.data[xi]
-        return grids
+            return x.data[s:e].reshape(1, e - s, cin, cells)
+        for grid, xi, gi in phases(buf, e - s):
+            grid[gi] = x.data[s:e][xi]
+        return buf[:, : e - s]
 
-    grids = padded_grids()
     kt = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))  # (k, k, Cout, Cin)
-    parts = (np.matmul(kt[i, j], grids[n, :, :, o : o + span]) for i, j, n, o in taps)
-    out = next(parts)
-    for part in parts:
-        out += part
-    out = out.reshape(b, cout, hout, wp)[..., :wout]
+    out = np.empty((b, cout, hout, wout), dtype=dt)
+    step, chunks = ((b, [(0, b)]) if direct else
+                    _sample_chunks(b, dt.itemsize * (q * q * cin * cells + 2 * cout * span)))
+    grids = None if direct else np.zeros((q * q, step, cin, cells), dt)  # padding stays 0
+    acc, tmp = (None, None) if direct else np.empty((2, step, cout, span), dtype=dt)
+    for s, e in chunks:
+        grid = grids_of(s, e, grids)
+        # Without wrap-around columns the taps sum straight into the output.
+        dest = acc[: e - s] if d else out[s:e].reshape(e - s, cout, span)
+        for t, (i, j, n, o) in enumerate(taps):
+            part = np.matmul(kt[i, j], grid[n, :, :, o : o + span],
+                             out=tmp[: e - s] if t else dest)
+            if t:
+                dest += part
+        if d:
+            out[s:e] = dest.reshape(e - s, cout, hout, wp)[..., :wout]
 
     def conv2d_backward(g):
-        grids = padded_grids()
-        g = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, d))) if d else g
-        g = g.reshape(b, cout, span)
-        dkernel = np.empty_like(kernel.data)
-        for i, j, n, o in taps:
-            window = grids[n, :, :, o : o + span].transpose(0, 2, 1)
-            dkernel[:, :, i, j] = np.matmul(g, window).sum(axis=0)
+        dkernel = np.zeros_like(kernel.data)  # an empty batch runs no chunk
         dx = np.empty_like(x.data) if direct else np.zeros_like(x.data)
-        if k == 1:  # the one tap spans the whole grid: its GEMM writes it
-            dgrids = dx.reshape(grids.shape) if direct else np.empty_like(grids)
-            np.matmul(kt[0, 0].T, g, out=dgrids[0])
-        else:
-            dgrids = np.zeros_like(grids)
+        step, chunks = _sample_chunks(b, dt.itemsize * (
+            2 * q * q * cin * cells * (not direct) + (cout + cin) * span + cout * cin))
+        grids, dgrids = (None, None) if direct else np.zeros((2, q * q, step, cin, cells), dt)
+        gpad = np.zeros((step, cout, span), dtype=dt) if d else None  # wrap columns stay 0
+        tmp = np.empty((step, cin, span), dtype=dt) if k > 1 else None
+        # Row 0 carries the sum of earlier chunks into this chunk's rows 1..m.
+        dks = np.empty((step + 1, cout, cin), dtype=dt)
+        for s, e in chunks:
+            m = e - s
+            grid = grids_of(s, e, grids)
+            gm = gpad[:m] if d else g[s:e].reshape(m, cout, span)
+            if d:
+                gm.reshape(m, cout, hout, wp)[..., :wout] = g[s:e]
             for i, j, n, o in taps:
-                dgrids[n, :, :, o : o + span] += np.matmul(kt[i, j].T, g)
-        if not direct:
-            for grid, xi, gi in phases(dgrids):
-                dx[xi] = grid[gi]
+                np.matmul(gm, grid[n, :, :, o : o + span].transpose(0, 2, 1), out=dks[1 : m + 1])
+                if s:
+                    dks[0] = dkernel[:, :, i, j]
+                dkernel[:, :, i, j] = dks[(s == 0) : m + 1].sum(axis=0)
+            dgrid = dx[s:e].reshape(1, m, cin, cells) if direct else dgrids[:, :m]
+            if k == 1:  # the one tap spans the whole grid: its GEMM writes it
+                np.matmul(kt[0, 0].T, gm, out=dgrid[0])
+            else:
+                dgrid[...] = 0
+                for i, j, n, o in taps:
+                    dgrid[n, :, :, o : o + span] += np.matmul(kt[i, j].T, gm, out=tmp[:m])
+            for grid, xi, gi in phases(dgrid, m):
+                dx[s:e][xi] = grid[gi]
         return dx, dkernel
 
     return _make(out, (x, kernel), conv2d_backward)

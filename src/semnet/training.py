@@ -8,6 +8,8 @@ A run writes into its output directory:
 * ``metrics.jsonl``: one deterministic record per epoch (wall-clock times
   go to ``timing.jsonl`` so two identical runs produce byte-identical
   metrics logs);
+* ``timing.jsonl``: per epoch, the seconds spent training and evaluating
+  and the minor page faults (``ru_minflt``) the process took;
 * ``final.ckpt`` / ``best.ckpt``: parameters, batch-norm buffers, the
   normalisation statistics, and the resolved config embedded as bytes.
 """
@@ -18,6 +20,7 @@ import json
 import math
 import os
 import platform
+import resource
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -359,6 +362,7 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
          open(timing_path, "w", encoding="utf-8") as tfh:
         for epoch in range(cfg.epochs):
             t0 = time.time()
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             lr = schedule.lr_at(epoch)
             optimizer.lr = lr
             loss_sum = 0.0
@@ -392,6 +396,7 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
                 if cfg.max_steps is not None and steps >= cfg.max_steps:
                     stop = True
                     break
+            train_s = time.time() - t0
             test_top1 = evaluate(model, test_records, cfg.eval_batch_size,
                                  channel_mean, channel_std)
             record = MetricsRecord(
@@ -404,7 +409,10 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
                 decisions=_decision_summary(decisions))
             metrics.append(record)
             mfh.write(json.dumps(record.deterministic_dict(), sort_keys=True) + "\n")
-            tfh.write(json.dumps({"epoch": epoch, "seconds": record.seconds}) + "\n")
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            tfh.write(json.dumps({"epoch": epoch, "seconds": record.seconds,
+                                  "train_s": train_s, "eval_s": record.seconds - train_s,
+                                  "minor_faults": faults}) + "\n")
             if log:
                 log(f"epoch {epoch}: loss {record.train_loss:.4f} "
                     f"train {record.train_top1:.2f}% test {record.test_top1:.2f}% lr {lr:g}")

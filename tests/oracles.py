@@ -87,6 +87,81 @@ def naive_conv2d_backward(x, kernel, g, stride=1, pad=0):
     return dx, dkernel
 
 
+def _phase_axis(n, stride, pad, phase, size):
+    """Matching slices (into x, into a phase grid of ``size``) along one axis,
+    where grid[u] = x[u*stride + phase - pad] wherever that index is in x."""
+    u0 = max(0, -((phase - pad) // stride))
+    r0 = u0 * stride + phase - pad
+    count = max(0, min(size - u0, -((r0 - n) // stride)))
+    return slice(r0, r0 + stride * count, stride), slice(u0, u0 + count)
+
+
+def _batched_conv2d_plan(x, kernel, stride, pad):
+    """Tap offsets, the whole batch's zero-padded phase grids, a function
+    viewing grid n as (B, Cin, rows, wp) with the indices it shares with x,
+    and the (k, k, Cout, Cin) kernel."""
+    b, cin, h, w = x.shape
+    k = kernel.shape[2]
+    hout = (h + 2 * pad - k) // stride + 1
+    wout = (w + 2 * pad - k) // stride + 1
+    d, q = (k - 1) // stride, min(stride, k)
+    rows, wp = hout + d, wout + d
+    taps = [(i, j, i % stride * q + j % stride, i // stride * wp + j // stride)
+            for i in range(k) for j in range(k)]
+
+    def phases(buf):
+        for n in range(q * q):
+            ys, us = _phase_axis(h, stride, pad, n // q, rows)
+            xs, vs = _phase_axis(w, stride, pad, n % q, wp)
+            yield buf[n, :, :, : rows * wp].reshape(b, cin, rows, wp), (..., ys, xs), (..., us, vs)
+
+    grids = np.zeros((q * q, b, cin, rows * wp + d), dtype=x.dtype)
+    for grid, xi, gi in phases(grids):
+        grid[gi] = x[xi]
+    kt = np.ascontiguousarray(kernel.transpose(2, 3, 0, 1))
+    return (hout, wout, d, wp), taps, grids, phases, kt
+
+
+def batched_conv2d(x, kernel, stride=1, pad=0):
+    """conv2d as one batched GEMM per tap over the whole batch's phase grids,
+    summed in tap order: the library's arithmetic without its sample
+    chunks, so the two must agree bit for bit."""
+    b, cout = x.shape[0], kernel.shape[0]
+    (hout, wout, _, wp), taps, grids, _, kt = _batched_conv2d_plan(x, kernel, stride, pad)
+    span = hout * wp
+    parts = (np.matmul(kt[i, j], grids[n, :, :, o : o + span]) for i, j, n, o in taps)
+    out = next(parts)
+    for part in parts:
+        out += part
+    return np.ascontiguousarray(out.reshape(b, cout, hout, wp)[..., :wout])
+
+
+def batched_conv2d_backward(x, kernel, g, stride=1, pad=0):
+    """(dx, dkernel) of batched_conv2d for the upstream gradient ``g``: the
+    padded g, every grid gradient and each tap's dkernel terms are built
+    for the whole batch, and dkernel is summed by one ``sum(axis=0)``."""
+    b, cout = x.shape[0], kernel.shape[0]
+    (hout, _, d, wp), taps, grids, phases, kt = _batched_conv2d_plan(x, kernel, stride, pad)
+    span = hout * wp
+    g = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, d))) if d else g
+    g = g.reshape(b, cout, span)
+    dkernel = np.empty_like(kernel)
+    for i, j, n, o in taps:
+        window = grids[n, :, :, o : o + span].transpose(0, 2, 1)
+        dkernel[:, :, i, j] = np.matmul(g, window).sum(axis=0)
+    if len(taps) == 1:  # the one tap spans the whole grid: its GEMM writes it
+        dgrids = np.empty_like(grids)
+        np.matmul(kt[0, 0].T, g, out=dgrids[0])
+    else:
+        dgrids = np.zeros_like(grids)
+        for i, j, n, o in taps:
+            dgrids[n, :, :, o : o + span] += np.matmul(kt[i, j].T, g)
+    dx = np.zeros_like(x)
+    for grid, xi, gi in phases(dgrids):
+        dx[xi] = grid[gi]
+    return dx, dkernel
+
+
 def naive_conv1d_channel(m, kernel):
     b, c = m.shape
     k = len(kernel)

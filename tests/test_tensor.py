@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from semnet import tensor, verify
 from semnet.gradcheck import check_gradients, finite_difference_grad, max_relative_error
 from semnet.rng import RngState
 from semnet.tensor import (
@@ -319,11 +320,31 @@ class TestBatchNormOracle:
         assert got_rm.tobytes() == rm.tobytes() and got_rv.tobytes() == rv.tobytes()
 
 
+def force_chunk_step(monkeypatch, step):
+    """Shrink tensor._CHUNK_BYTES to ``step`` samples' scratch wherever conv2d
+    splits a batch into chunks; returns the list of chunk lists used."""
+    seen = []
+    sample_chunks = tensor._sample_chunks
+
+    def fixed_step(b, sample_bytes):
+        monkeypatch.setattr(tensor, "_CHUNK_BYTES", step * sample_bytes)
+        chunks = sample_chunks(b, sample_bytes)
+        seen.append(chunks[1])
+        return chunks
+
+    monkeypatch.setattr(tensor, "_sample_chunks", fixed_step)
+    return seen
+
+
+CONV_GRID = [(k, stride, pad) for k in (1, 3, 5) for stride in (1, 2, 3) for pad in (0, 1, 2)]
+
+
 class TestConv2dOracle:
     """conv2d output and both gradients against the explicit loops in
     oracles.py, over every (k, stride, pad) in the grid, B > 1, H != W.
     Backward rebuilds the padded phase grids from x, so the gradient
-    checks cover that rebuild too."""
+    checks cover that rebuild too. The same grid in several sample chunks
+    must equal the whole-batch GEMMs of oracles.batched_conv2d bit for bit."""
 
     @staticmethod
     def errors(k, stride, pad, dtype, seed):
@@ -349,6 +370,81 @@ class TestConv2dOracle:
         assert max(errs.values()) <= 1e-12, errs
         errs = self.errors(k, stride, pad, np.float32, seed)
         assert max(errs.values()) <= 1e-5, errs
+
+    @pytest.mark.parametrize("k,stride,pad", CONV_GRID)
+    def test_matches_naive_in_one_sample_chunks(self, k, stride, pad, monkeypatch):
+        monkeypatch.setattr(tensor, "_CHUNK_BYTES", 1)
+        self.test_matches_naive(k, stride, pad)
+
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,stride,pad", CONV_GRID)
+    def test_chunks_match_whole_batch_bitwise(self, k, stride, pad, dtype, step, monkeypatch):
+        gen = RngState(200 + 9 * k + 3 * stride + pad).generator()
+        hout, wout = ((n + 2 * pad - k) // stride + 1 for n in (7, 5))
+        x, kernel, g = (gen.standard_normal(shape).astype(dtype) for shape in
+                        ((7, 3, 7, 5), (4, 3, k, k), (7, 4, hout, wout)))
+        seen = force_chunk_step(monkeypatch, step)
+        out = conv2d(Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True),
+                     stride=stride, pad=pad)
+        got = (out.data, *out._backward(g))
+        want = (oracles.batched_conv2d(x, kernel, stride, pad),
+                *oracles.batched_conv2d_backward(x, kernel, g, stride, pad))
+        for name, a, b in zip(("out", "dx", "dkernel"), got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        # Backward always chunks; forward too unless it is a direct 1x1.
+        assert len(seen) == (1 if (k, stride, pad) == (1, 1, 0) else 2)
+        for chunks in seen:  # 7 samples: 7 x 1, 2+2+2+1 or 3+3+1
+            assert len(chunks) >= 3 and chunks[-1][1] == 7
+            assert step == 1 or chunks[-1][1] - chunks[-1][0] < step
+
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (1, 1, 0), (1, 2, 0)])
+    def test_empty_batch(self, k, stride, pad):
+        x = Tensor(np.zeros((0, 3, 8, 8)), requires_grad=True)
+        kernel = Tensor(np.ones((4, 3, k, k)), requires_grad=True)
+        out = conv2d(x, kernel, stride=stride, pad=pad)
+        dx, dkernel = out._backward(np.zeros_like(out.data))
+        assert out.shape[:2] == (0, 4) and dx.shape == x.shape
+        assert not dkernel.any()
+
+    def test_batch_sum_over_axis0_is_sequential(self):
+        # dkernel's chunk carry relies on sum(axis=0) adding rows in order.
+        rows = np.float32([1e8, 1, -1e8, 1, 3, 1e-3, -3, 7, 1e8, -1e8, 1, 1])
+        a = np.broadcast_to(rows[:, None, None], (12, 4, 3)) * np.float32([[1], [-1], [2], [0.5]])
+        sequential = a[0].copy()
+        for row in a[1:]:
+            sequential += row
+        assert a.sum(axis=0).tobytes() == sequential.tobytes()
+        assert a[::-1].sum(axis=0).tobytes() != sequential.tobytes()  # the order shows
+
+    def test_gradcheck_scope_in_one_sample_chunks(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_CHUNK_BYTES", 1)
+        report = verify.run_scope("conv2d")
+        assert max(report.values()) <= TOL, report
+
+    def test_transient_peaks_are_one_chunk(self):
+        # 12 samples take 3 chunks forward and 4 backward under the 1 MiB budget.
+        gen = RngState(33).generator()
+        x = Tensor(gen.standard_normal((12, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        kernel = Tensor(gen.standard_normal((16, 16, 3, 3)).astype(np.float32),
+                        requires_grad=True)
+        g = gen.standard_normal((12, 16, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, kernel, stride=1, pad=1)
+            forward = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            dx, dkernel = out._backward(g)
+            backward = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # The whole batch's padded grids (889 KiB), their gradient (889 KiB),
+        # padded g and tap products (835 KiB each) break these bounds.
+        slack = tensor._CHUNK_BYTES + 8192
+        assert forward <= out.data.nbytes + kernel.data.nbytes + slack, forward
+        assert backward <= dx.nbytes + dkernel.nbytes + slack, backward
 
     def test_forward_keeps_no_padded_copy(self):
         gen = RngState(31).generator()

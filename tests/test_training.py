@@ -164,6 +164,19 @@ class TestTrainRun:
         assert (open(r1.metrics_path, "rb").read()
                 == open(r2.metrics_path, "rb").read())
 
+    def test_timing_sidecar_says_where_the_time_went(self, tmp_path):
+        result = train_run(tiny_config(tmp_path / "run"))
+        lines = open(os.path.join(tmp_path, "run", "timing.jsonl")).read().splitlines()
+        assert len(lines) == 2
+        for epoch, line in enumerate(lines):
+            rec = json.loads(line)
+            assert set(rec) == {"epoch", "seconds", "train_s", "eval_s", "minor_faults"}
+            assert rec["epoch"] == epoch
+            assert rec["train_s"] > 0 and rec["eval_s"] > 0
+            assert abs(rec["train_s"] + rec["eval_s"] - rec["seconds"]) < 1e-6
+            assert isinstance(rec["minor_faults"], int) and rec["minor_faults"] >= 0
+        assert "minor_faults" not in open(result.metrics_path).read()
+
     def test_run_directory_contents(self, tmp_path):
         result = train_run(tiny_config(tmp_path / "run"))
         for name in ("config.resolved", "environment.json", "metrics.jsonl",
