@@ -194,11 +194,12 @@ def switch(branches: list[Tensor], weights: Tensor | None,
     return v
 
 
-def recalibrate(x: Tensor, v: Tensor) -> Tensor:
-    """Rescale each channel of (B,C,H,W) by the per-sample map v (B,C)."""
+def recalibrate(x: Tensor, v: Tensor, *, inplace: bool = False) -> Tensor:
+    """Rescale each channel of (B,C,H,W) by the per-sample map v (B,C);
+    ``inplace`` as in ``tensor.mul``, only for an x that nothing reads after."""
     if v.shape != x.shape[:2]:
         raise ValueError(f"attention map {v.shape} incompatible with input {x.shape}")
-    return mul(x, reshape(v, (x.shape[0], x.shape[1], 1, 1)))
+    return mul(x, reshape(v, (x.shape[0], x.shape[1], 1, 1)), inplace=inplace)
 
 
 def _branch_outputs(m: Tensor, params: SemParams) -> list[Tensor]:
@@ -214,14 +215,15 @@ def _branch_outputs(m: Tensor, params: SemParams) -> list[Tensor]:
 
 
 def sem_forward(x: Tensor, params: SemParams, *,
-                capture: dict | None = None) -> Tensor:
+                capture: dict | None = None, inplace: bool = False) -> Tensor:
     """Full attention layer: squeeze, decide, excite each enabled branch,
     switch, recalibrate.
 
     Params built without a decision network run with w = 1 for every
     branch; with one operator and a sigmoid switch that is the conventional
     SE / ECA / IE gate. ``capture`` receives the raw decision and
-    attention-map arrays when provided.
+    attention-map arrays when provided. ``inplace`` goes to ``recalibrate``:
+    only a caller that owns x and reads it no more (a block) may pass it.
     """
     m = squeeze(x)
     weights = None
@@ -232,7 +234,7 @@ def sem_forward(x: Tensor, params: SemParams, *,
     if capture is not None:
         capture["decision"] = None if weights is None else weights.data.copy()
         capture["attention"] = v.data.copy()
-    return recalibrate(x, v)
+    return recalibrate(x, v, inplace=inplace)
 
 
 # ---------------------------------------------------------------------------

@@ -101,9 +101,9 @@ class _BatchNorm:
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta,
-                          self.running_mean, self.running_var, training, relu=True)
+    def __call__(self, x: Tensor, training: bool, inplace: bool = False) -> Tensor:
+        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
+                          training, relu=True, inplace=inplace)
 
     def named(self, prefix):
         yield prefix + ".gamma", self.gamma
@@ -147,14 +147,15 @@ class _Bottleneck:
         self.out_channels = cout
 
     def __call__(self, x: Tensor, training: bool, capture: dict | None = None) -> Tensor:
+        # x is the caller's; bn2, bn3 and the gate may overwrite conv outputs.
         pre = self.bn1(x, training)
         residual = self.downsample(pre) if self.downsample is not None else x
         out = self.conv1(pre)
-        out = self.conv2(self.bn2(out, training))
-        out = self.conv3(self.bn3(out, training))
+        out = self.conv2(self.bn2(out, training, inplace=True))
+        out = self.conv3(self.bn3(out, training, inplace=True))
         if self.attention is not None:
             # Looked up on the module so perfbench's patch of it applies.
-            out = att.sem_forward(out, self.attention, capture=capture)
+            out = att.sem_forward(out, self.attention, capture=capture, inplace=True)
         # Neither a conv2d nor a mul rule reads its own output: sum into it.
         return add(out, residual, inplace=True)
 
@@ -241,7 +242,7 @@ class Model:
                         weights=capture.get("decision")))
                 layer_index += 1
         with layer_scope("head"):
-            out = self.head_bn(out, training)
+            out = self.head_bn(out, training, inplace=True)  # the last block's own sum
             pooled = global_avg_pool(out)
             return self.classifier(reshape(pooled, (x.shape[0], pooled.shape[1])))
 

@@ -19,7 +19,7 @@ DEFAULT_DTYPE = np.float32
 _grad_enabled = True
 _check_finite = False
 _layer = None
-_CHUNK_BYTES = 1 << 20  # conv2d scratch per sample chunk, small enough to stay in L2
+_CHUNK_BYTES = 1 << 20  # bytes of one sample chunk of conv2d or batch norm: stays in L2
 
 
 @contextlib.contextmanager
@@ -191,12 +191,17 @@ def _accumulate(parents: tuple, grads, out_grad: np.ndarray) -> None:
             parent.grad += grad
 
 
+def _records(parents: tuple) -> bool:
+    """Whether an op on ``parents`` records a tape node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor(out_data, dtype=out_data.dtype)
     if _check_finite and not np.isfinite(out.data).all():
         op = backward_fn.__name__.removesuffix("_backward")
         raise FloatingPointError(f"{_layer or 'no layer'} (op {op})")
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
@@ -243,11 +248,13 @@ def add(a: Tensor, b: Tensor, *, inplace: bool = False) -> Tensor:
     return _make(out, (a, b), add_backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
+def mul(a: Tensor, b: Tensor, *, inplace: bool = False) -> Tensor:
+    """a * b. ``inplace=True`` writes into ``a.data`` when no tape node is
+    recorded; pass it only for a full-shape ``a`` that nothing reads after."""
     _check_same_dtype(a, b)
     if not _broadcastable(a.shape, b.shape):
         raise ValueError(f"cannot broadcast {a.shape} * {b.shape}")
-    out = a.data * b.data
+    out = np.multiply(a.data, b.data, out=a.data if inplace and not _records((a, b)) else None)
 
     def mul_backward(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
@@ -567,17 +574,23 @@ def activation(x: Tensor, kind: str) -> Tensor:
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, momentum: float = 0.9, eps: float = 1e-5,
-               relu: bool = False) -> Tensor:
+               relu: bool = False, *, inplace: bool = False) -> Tensor:
     """Per-channel normalisation over (B, C) or (B, C, H, W).
 
     Train mode normalises by batch statistics and folds them into the
     running buffers with the given momentum (in place); eval mode uses the
-    running buffers. gamma/beta are (C,) learnable tensors.
+    running buffers. gamma/beta are (C,) learnable tensors. The affine and
+    ReLU pass (in eval also the centring) runs in ``_CHUNK_BYTES`` sample
+    chunks while each sits in cache, bit for bit the whole-batch result.
 
     ``relu=True`` returns relu(batch_norm(x)) as one node, bit for bit the
     two-op result: the ReLU runs in place on the output, and backward masks
     the gradient with ``out > 0``, which holds exactly where the
     pre-activation is > 0, so no pre-activation buffer is kept.
+
+    ``inplace=True`` writes into ``x.data`` when no tape node is recorded
+    and allocates as usual otherwise; pass it only for an ``x`` that
+    nothing reads after, such as a conv output inside a block.
     """
     if x.ndim not in (2, 4):
         raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.shape}")
@@ -588,20 +601,23 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     if running_mean.shape != (c,) or running_var.shape != (c,):
         raise ValueError("running statistics must be shaped (C,)")
     _check_same_dtype(x, gamma, beta)
+    n = x.data.size // c
+    if training and n == 0:
+        raise ValueError(f"training batch_norm needs values to normalise, got {x.shape}")
 
     axes = (0,) if x.ndim == 2 else (0, 2, 3)
     pshape = (1, c) if x.ndim == 2 else (1, c, 1, 1)
     dt = x.data.dtype
-    n = x.data.size // c
 
     if training:
         mean = x.data.mean(axis=axes, dtype=dt)
     else:
         mean = running_mean.astype(dt, copy=False)
+    out = x.data if inplace and not _records((x, gamma, beta)) else np.empty_like(x.data)
     # One per-channel scale, so only x is kept; subtracting the mean first
     # avoids cancellation and, at gamma=1 and beta=0, rounds like xhat.
-    out = x.data - mean.reshape(pshape)
     if training:
+        np.subtract(x.data, mean.reshape(pshape), out=out)
         # np.var's own reduction, on the centred buffer already at hand.
         var = np.square(out).sum(axis=axes, dtype=dt) / n
         running_mean *= dt.type(momentum)
@@ -613,10 +629,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     inv_std = 1.0 / np.sqrt(var + dt.type(eps))
     scale = gamma.data * inv_std
-    out *= scale.reshape(pshape)
-    out += beta.data.reshape(pshape)
-    if relu:
-        np.maximum(out, 0, out=out)
+    for s, e in _sample_chunks(len(out), max(1, out[:1].nbytes))[1]:
+        part = out[s:e] if training else np.subtract(x.data[s:e], mean.reshape(pshape),
+                                                     out=out[s:e])
+        part *= scale.reshape(pshape)
+        part += beta.data.reshape(pshape)
+        if relu:
+            np.maximum(part, 0, out=part)
     dims = list(range(x.ndim))
     # Eval-mode statistics do not depend on x, so their terms drop out.
     inv_n = dt.type(1.0 / n if training else 0.0)

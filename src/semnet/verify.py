@@ -168,16 +168,19 @@ def _scope_sem_layer(gen, channels: int = 8):
 def _scope_full_block(gen):
     """A SEM and a plain block with a projection shortcut, and a SEM block
     whose shortcut is its own input, which the in-place skip add must not
-    write."""
+    write. The SEM blocks also run in eval mode, whose finite-difference
+    passes take the in-place path of bn2, bn3 and the gate."""
     errs = {}
-    for name, depth, attention, index in (("sem", 11, "sem", 0), ("plain", 11, "none", 0),
-                                          ("identity", 20, "sem", 1)):
+    for name, depth, attention, index, training in (
+            ("sem", 11, "sem", 0, True), ("plain", 11, "none", 0, True),
+            ("identity", 20, "sem", 1, True), ("sem_eval", 11, "sem", 0, False),
+            ("identity_eval", 20, "sem", 1, False)):
         block = build_network(RunConfig(depth=depth, attention=attention), RngState(13),
                               np.float64).stages[0][index]
         x = _randn(gen, (2, block.bn1.gamma.shape[0], 6, 6))
         w = _probe(gen, (2, 64, 6, 6))
         inputs = {f"{name}.input": x, **dict(block.named(name))}
-        errs.update(check_gradients(lambda: T.mul(block(x, training=True), w).mean(), inputs))
+        errs.update(check_gradients(lambda: T.mul(block(x, training=training), w).mean(), inputs))
     return errs
 
 

@@ -162,6 +162,50 @@ def batched_conv2d_backward(x, kernel, g, stride=1, pad=0):
     return dx, dkernel
 
 
+def whole_batch_batch_norm(x, gamma, beta, running_mean, running_var, g, training,
+                           momentum=0.9, eps=1e-5, relu=False):
+    """batch_norm's arithmetic over the whole batch at once: centre, scale,
+    shift and clamp the full array in turn, then its backward rule for the
+    upstream gradient ``g``. The library runs the same steps in sample
+    chunks, so the two must agree bit for bit. Returns (out, dx, dgamma,
+    dbeta) and, in train mode, updates the running buffers in place."""
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    c = x.shape[1]
+    pshape = (1, c) if x.ndim == 2 else (1, c, 1, 1)
+    dt = x.dtype
+    n = x.size // c
+    if training:
+        mean = x.mean(axis=axes, dtype=dt)
+    else:
+        mean = running_mean.astype(dt, copy=False)
+    out = x - mean.reshape(pshape)
+    if training:
+        var = np.square(out).sum(axis=axes, dtype=dt) / n
+        running_mean *= dt.type(momentum)
+        running_mean += dt.type(1.0 - momentum) * mean
+        running_var *= dt.type(momentum)
+        running_var += dt.type(1.0 - momentum) * var
+    else:
+        var = running_var.astype(dt, copy=False)
+    inv_std = 1.0 / np.sqrt(var + dt.type(eps))
+    scale = gamma * inv_std
+    out *= scale.reshape(pshape)
+    out += beta.reshape(pshape)
+    if relu:
+        np.maximum(out, 0, out=out)
+        g = g * (out > 0)
+    dims = list(range(x.ndim))
+    inv_n = dt.type(1.0 / n if training else 0.0)
+    dx = x - mean.reshape(pshape)
+    dbeta = np.einsum(g, dims, [1])
+    dgamma = inv_std * np.einsum(g, dims, dx, dims, [1])
+    dx *= (-scale * inv_std * dgamma * inv_n).reshape(pshape)
+    dx -= (scale * dbeta * inv_n).reshape(pshape)
+    for i in range(0, len(dx), 8):
+        dx[i : i + 8] += g[i : i + 8] * scale.reshape(pshape)
+    return out, dx, dgamma, dbeta
+
+
 def naive_conv1d_channel(m, kernel):
     b, c = m.shape
     k = len(kernel)

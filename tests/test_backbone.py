@@ -279,6 +279,28 @@ class TestTapeMemory:
         assert not np.shares_memory(out.data, x.data)
 
 
+class TestEvalInPlace:
+    @pytest.mark.parametrize("attention", ["sem", "se", "none"])
+    @pytest.mark.parametrize("depth", [11, 20])
+    def test_no_grad_eval_matches_the_recording_forward(self, depth, attention):
+        # Under no_grad bn2, bn3, the gate and the head BN overwrite buffers
+        # in place; with grad on the same forward records and allocates. An
+        # in-place write into a buffer read later (a block input, the
+        # images, a parameter) makes the two differ or changes the state.
+        model = build_network(RunConfig(depth=depth, attention=attention), RngState(75))
+        x = small_input(RngState(76).generator(), b=3)
+        state = [(name, a.copy()) for name, a in model.state_arrays().items()]
+        images = x.data.copy()
+        with no_grad():
+            got = model(x, training=False)
+        want = model(x, training=False)
+        assert want._backward is not None and got._backward is None
+        assert got.data.tobytes() == want.data.tobytes()
+        assert x.data.tobytes() == images.tobytes()
+        now = model.state_arrays()
+        assert all(now[name].tobytes() == a.tobytes() for name, a in state)
+
+
 class TestCheckpointContainer:
     def test_roundtrip_bitwise_and_order(self, tmp_path):
         gen = RngState(88).generator()

@@ -1,6 +1,7 @@
 """Tensor engine: forward semantics against naive oracles, autodiff
 against central differences, broadcasting, and determinism."""
 
+import contextlib
 import tracemalloc
 import weakref
 
@@ -319,10 +320,128 @@ class TestBatchNormOracle:
         _, (rm, rv), (got_rm, got_rv), *_ = self.run(shape, dtype, False, seed=27)
         assert got_rm.tobytes() == rm.tobytes() and got_rv.tobytes() == rv.tobytes()
 
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(7, 5), (7, 4, 5, 3)])
+    def test_chunks_match_whole_batch_bitwise(self, shape, training, relu, dtype, step,
+                                              monkeypatch):
+        # SHAPES' samples, 7 of them, so 2- and 3-sample chunks leave a ragged tail.
+        gen = RngState(30).generator()
+        c = shape[1]
+        x = (gen.standard_normal(shape) * 2.5 + 40.0).astype(dtype)
+        gamma = (gen.standard_normal(c) + 0.5).astype(dtype)
+        beta = (gen.standard_normal(c) * 0.5).astype(dtype)
+        rm = (gen.standard_normal(c) + 40.0).astype(dtype)
+        rv = (gen.random(c) * 6.0 + 0.5).astype(dtype)
+        g = gen.standard_normal(shape).astype(dtype)
+        seen = force_chunk_step(monkeypatch, step)
+        buffers = rm.copy(), rv.copy()
+        out = batch_norm(*(Tensor(v, requires_grad=True) for v in (x, gamma, beta)),
+                         *buffers, training=training, relu=relu)
+        got = (out.data, *out._backward(g), *buffers)
+        want_buffers = rm.copy(), rv.copy()
+        want = (*oracles.whole_batch_batch_norm(x, gamma, beta, *want_buffers, g, training,
+                                                relu=relu), *want_buffers)
+        for name, a, b in zip(("out", "dx", "dgamma", "dbeta", "running_mean", "running_var"),
+                              got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        if relu:
+            assert 0 < np.count_nonzero(out.data) < out.size  # the mask matters
+        (chunks,) = seen  # 7 x 1, 2+2+2+1 or 3+3+1
+        assert len(chunks) >= 3 and chunks[-1][1] == 7
+        assert step == 1 or chunks[-1][1] - chunks[-1][0] < step
+
+    @pytest.mark.parametrize("shape", [(0, 4), (0, 4, 3, 3)])
+    def test_empty_batch(self, shape):
+        gamma, beta = Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4))
+        x = Tensor(np.zeros(shape), requires_grad=True)
+        rm, rv = np.zeros(4), np.ones(4)
+        with pytest.raises(ValueError, match="needs values"):
+            batch_norm(x, gamma, beta, rm, rv, training=True)
+        assert rm.tolist() == [0.0] * 4 and rv.tolist() == [1.0] * 4
+        out = batch_norm(x, gamma, beta, rm, rv, training=False, relu=True)
+        dx, dgamma, dbeta = out._backward(np.zeros(shape))
+        assert out.shape == shape and dx.shape == shape
+        assert not dgamma.any() and not dbeta.any()
+
+    def test_transient_peaks(self):
+        """At (64, 64, 32, 32) float32, 16 MiB, an eval forward in place
+        allocates no full-size buffer, one out of place only its output, and a
+        training forward only its output and the variance's square."""
+        gen = RngState(34).generator()
+        x = gen.standard_normal((64, 64, 32, 32)).astype(np.float32)
+        gamma, beta = (Tensor(gen.standard_normal(64).astype(np.float32)) for _ in range(2))
+        slack = 64 << 10
+
+        def peak(training, inplace):
+            rm, rv = np.zeros(64, np.float32), np.ones(64, np.float32)
+            t = Tensor(x.copy())
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                with no_grad():
+                    batch_norm(t, gamma, beta, rm, rv, training, relu=True, inplace=inplace)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(False, True) < slack
+        assert peak(False, False) < x.nbytes + slack
+        assert peak(True, False) < 2 * x.nbytes + slack
+
+
+class TestInplace:
+    """``inplace=True`` of batch_norm and mul: without a tape the output is
+    the input's buffer, with a tape it is a fresh one, and either way every
+    value and gradient is the out-of-place call's, byte for byte."""
+
+    @staticmethod
+    def calls(gen):
+        """(name, inputs, op(inputs, inplace)) for each in-place op."""
+        x = (gen.standard_normal((5, 4, 3, 3)) * 2.0 + 1.0).astype(np.float32)
+        gamma, beta = (gen.standard_normal(4).astype(np.float32) + 0.5 for _ in range(2))
+        mean, var = gen.standard_normal(4).astype(np.float32), np.ones(4, np.float32)
+        b = gen.standard_normal((5, 4, 1, 1)).astype(np.float32)
+        for training in (True, False):
+            for relu_on in (False, True):
+                def bn(ts, inplace, training=training, relu_on=relu_on):
+                    return batch_norm(*ts, mean.copy(), var.copy(), training,
+                                      relu=relu_on, inplace=inplace)
+                yield f"batch_norm-{training}-{relu_on}", (x, gamma, beta), bn
+        yield "mul", (x, b), lambda ts, inplace: mul(*ts, inplace=inplace)
+
+    def test_without_tape_writes_the_input(self):
+        for name, arrays, op in self.calls(RngState(35).generator()):
+            want = op([Tensor(a.copy()) for a in arrays], False).data
+            for requires_grad in (False, True):  # under no_grad if inputs require it
+                ts = [Tensor(a.copy(), requires_grad=requires_grad) for a in arrays]
+                with no_grad() if requires_grad else contextlib.nullcontext():
+                    out = op(ts, True)
+                assert np.shares_memory(out.data, ts[0].data), name
+                assert out._backward is None
+                assert out.data.tobytes() == want.tobytes(), name
+
+    def test_with_tape_allocates_and_matches(self):
+        gen = RngState(36).generator()
+        for name, arrays, op in self.calls(gen):
+            g = Tensor(gen.standard_normal(arrays[0].shape).astype(np.float32))
+            results = []
+            for inplace in (False, True):
+                ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+                out = op(ts, inplace)
+                assert not np.shares_memory(out.data, ts[0].data), name
+                backward(mul(out, g).sum())
+                assert ts[0].data.tobytes() == arrays[0].tobytes(), name
+                results.append([a.tobytes() for a in (out.data, *(t.grad for t in ts))])
+            assert results[0] == results[1], name
+
 
 def force_chunk_step(monkeypatch, step):
     """Shrink tensor._CHUNK_BYTES to ``step`` samples' scratch wherever conv2d
-    splits a batch into chunks; returns the list of chunk lists used."""
+    or batch_norm splits a batch into chunks; returns the chunk lists used."""
     seen = []
     sample_chunks = tensor._sample_chunks
 
