@@ -4,11 +4,21 @@ Depth d uses (d - 2) / 9 bottleneck blocks per stage across three stages
 with base widths 16/32/64 (x4 at the block output). An attention gate,
 when configured, transforms the residual branch output of every block
 immediately before the skip addition.
+
+Under ``no_grad`` an eval forward treats every sample on its own (the gates
+act per sample, batch norm uses its running statistics), so it runs in
+contiguous sample slices, one per CPU, at once; numpy releases the
+interpreter lock inside its kernels. Each slice's logits are bit for bit
+those of the whole batch.
 """
 
 from __future__ import annotations
 
+import contextvars
+import dataclasses
 import math
+import os
+import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -16,13 +26,15 @@ import numpy as np
 from . import attention as att
 from .attention import DecisionRecord, SemParams
 from .rng import RngState
-from .tensor import (Tensor, add, affine, batch_norm, conv2d, global_avg_pool, layer_scope,
-                     reshape)
+from .tensor import (Tensor, add, affine, batch_norm, conv2d, global_avg_pool, is_grad_enabled,
+                     layer_scope, reshape)
 # Unused here since every ReLU is fused into its batch norm; imported so
 # perfbench's tracer, which patches ``semnet.backbone.relu``, finds it.
 from .tensor import relu  # noqa: F401
 
 if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
     from .training import RunConfig
 
 STAGE_WIDTHS = (16, 32, 64)
@@ -31,6 +43,31 @@ ATTENTION_MODES = ("none", "se", "eca", "ie", "sem", "random_single", "random_do
 # Conventional gates: one excitation operator, no decision network, and a
 # sigmoid switch (RunConfig.resolved pins it) whatever the configured one.
 SINGLE_OPERATOR_MODES = {"se": att.OPERATOR_FC, "eca": att.OPERATOR_CNN, "ie": att.OPERATOR_IE}
+EVAL_SHARDS = None  # eval forward slices; None is one per CPU (tests force a count)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def eval_shard_count() -> int:
+    """Slices a large eval batch is split into: ``EVAL_SHARDS``, else the
+    CPUs in this process's affinity mask."""
+    if EVAL_SHARDS is not None:
+        return EVAL_SHARDS
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shard_pool() -> ThreadPoolExecutor:
+    """The eval threads, started by the first sharded forward; a process
+    that never shards an eval starts no thread and loads no executor."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(thread_name_prefix="semnet-eval")
+        return _pool
 
 
 def depth_to_blocks(depth: int) -> int:
@@ -151,6 +188,7 @@ class _Bottleneck:
         pre = self.bn1(x, training)
         residual = self.downsample(pre) if self.downsample is not None else x
         out = self.conv1(pre)
+        del pre  # without a tape nothing else holds it
         out = self.conv2(self.bn2(out, training, inplace=True))
         out = self.conv3(self.bn3(out, training, inplace=True))
         if self.attention is not None:
@@ -223,6 +261,39 @@ class Model:
 
     def forward(self, x: Tensor, training: bool = False,
                 capture_decisions: list[DecisionRecord] | None = None) -> Tensor:
+        """Logits (B, num_classes). ``capture_decisions`` receives one record
+        per gate. Under ``no_grad`` with ``training=False`` the batch runs in
+        up to ``eval_shard_count()`` contiguous slices at once, the first on
+        the calling thread and the rest on the eval threads; the logits and
+        records are concatenated in sample order."""
+        n = 1 if training or is_grad_enabled() else min(eval_shard_count(), x.shape[0])
+        if n <= 1:
+            return self._forward(x, training, capture_decisions)
+        bounds = [x.shape[0] * i // n for i in range(n + 1)]
+        captures = [None if capture_decisions is None else [] for _ in range(n)]
+        pool = _shard_pool()
+        # Each pool slice runs in a copy of the caller's context, so numpy's
+        # errstate and the layer scope carry over into the thread.
+        futures = [pool.submit(contextvars.copy_context().run, self._forward,
+                               Tensor(x.data[s:e]), False, capture)
+                   for s, e, capture in zip(bounds[1:], bounds[2:], captures[1:])]
+        # The caller runs the first slice itself, on the heap its thread has
+        # already grown; a pool thread in its place grows one more heap.
+        try:
+            first = self._forward(Tensor(x.data[: bounds[1]]), False, captures[0])
+        finally:
+            for f in futures:  # no slice outlives the call, even when one raises
+                f.exception()
+        logits = np.concatenate([first.data] + [f.result().data for f in futures])
+        if capture_decisions is not None:
+            for records in zip(*captures):
+                weights = [r.weights for r in records]
+                capture_decisions.append(dataclasses.replace(
+                    records[0], weights=None if weights[0] is None else np.concatenate(weights)))
+        return Tensor(logits)
+
+    def _forward(self, x: Tensor, training: bool,
+                 capture_decisions: list[DecisionRecord] | None) -> Tensor:
         with layer_scope("stem"):
             out = self.stem(x)
         layer_index = 0

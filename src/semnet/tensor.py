@@ -10,15 +10,16 @@ rule has run. Only first-order gradients are supported.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 
 import numpy as np
 
 SUPPORTED_DTYPES = (np.float32, np.float64)
 DEFAULT_DTYPE = np.float32
 
-_grad_enabled = True
+_grad_enabled = True  # process-wide, so no_grad reaches every worker thread
 _check_finite = False
-_layer = None
+_layer = contextvars.ContextVar("layer", default=None)  # per thread: each names its own
 _CHUNK_BYTES = 1 << 20  # bytes of one sample chunk of conv2d or batch norm: stays in L2
 
 
@@ -34,6 +35,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def is_grad_enabled() -> bool:
+    """Whether ops record a tape (false inside ``no_grad``)."""
+    return _grad_enabled
+
+
 def set_debug_checks(enabled: bool) -> None:
     """Toggle the per-op finiteness check (slow; for tests and debugging).
 
@@ -46,14 +52,12 @@ def set_debug_checks(enabled: bool) -> None:
 
 @contextlib.contextmanager
 def layer_scope(name: str):
-    """Name the layer the ops inside the block belong to."""
-    global _layer
-    prev = _layer
-    _layer = name
+    """Name the layer the ops inside the block belong to, in this thread."""
+    token = _layer.set(name)
     try:
         yield
     finally:
-        _layer = prev
+        _layer.reset(token)
 
 
 class Tensor:
@@ -200,7 +204,7 @@ def _make(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor(out_data, dtype=out_data.dtype)
     if _check_finite and not np.isfinite(out.data).all():
         op = backward_fn.__name__.removesuffix("_backward")
-        raise FloatingPointError(f"{_layer or 'no layer'} (op {op})")
+        raise FloatingPointError(f"{_layer.get() or 'no layer'} (op {op})")
     if _records(parents):
         out.requires_grad = True
         out._parents = parents
@@ -323,12 +327,17 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """y = x @ weight.T (+ bias) for x (B, Cin) and weight (Cout, Cin)."""
+    """y = x @ weight.T (+ bias) for x (B, Cin) and weight (Cout, Cin).
+
+    Forward runs one product per row, so a row's output does not depend on
+    how many rows share the call (``x @ weight.T`` lets BLAS pick its kernel
+    by the row count, which changes the rounding).
+    """
     if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ValueError(f"affine shape mismatch: x {x.shape}, weight {weight.shape}")
     parents = [x, weight]
     _check_same_dtype(x, weight)
-    out = x.data @ weight.data.T
+    out = np.matmul(x.data[:, None, :], weight.data.T).reshape(x.shape[0], weight.shape[0])
     if bias is not None:
         if bias.shape != (weight.shape[0],):
             raise ValueError(f"bias shape {bias.shape} != ({weight.shape[0]},)")

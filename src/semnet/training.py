@@ -28,7 +28,8 @@ import numpy as np
 
 from . import data as data_mod
 from .attention import ALL_OPERATORS, DecisionRecord, normalize_operator_set
-from .backbone import ATTENTION_MODES, SINGLE_OPERATOR_MODES, Model, build_network, depth_to_blocks
+from .backbone import (ATTENTION_MODES, SINGLE_OPERATOR_MODES, Model, build_network,
+                       depth_to_blocks, eval_shard_count)
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, NumericalFailure
 from .optim import SGD, MultiStepSchedule
@@ -468,7 +469,8 @@ def _first_nonfinite_op(model: Model, images, labels) -> str:
 
 
 def run_environment() -> dict:
-    """The numpy/BLAS build, BLAS thread settings and host of this process."""
+    """The numpy/BLAS build, BLAS thread settings, the CPUs this process may
+    run on and the eval threads they give, and the host of this process."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 returns no dicts
@@ -479,6 +481,9 @@ def run_environment() -> dict:
         "threads": {var: os.environ.get(var) for var in
                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "cpu_count": os.cpu_count(),
+        "cpu_affinity": (sorted(os.sched_getaffinity(0))
+                         if hasattr(os, "sched_getaffinity") else None),
+        "eval_shards": eval_shard_count(),
         "python": platform.python_version(),
     }
 

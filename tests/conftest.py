@@ -54,3 +54,11 @@ def cifar10_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def cifar100_dir(tmp_path_factory):
     return write_cifar100_style(str(tmp_path_factory.mktemp("cifar100")))
+
+
+@pytest.fixture
+def two_eval_shards(monkeypatch):
+    """Split every no_grad eval forward over 2 threads, whatever the host's
+    CPUs, so a 1-CPU host still runs the threaded path."""
+    from semnet import backbone
+    monkeypatch.setattr(backbone, "EVAL_SHARDS", 2)

@@ -78,6 +78,15 @@ def test_criterion_1_gradient_suite():
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
 
 
+def test_full_block_gradient_scope():
+    # Whole blocks against finite differences, their in-place skip add and
+    # untaped eval path included; slower than criterion 1's budget allows.
+    start = time.monotonic()
+    report = verify.run_scope("full-block")
+    print(f"full-block gradcheck: {time.monotonic() - start:.1f}s")
+    assert verify.worst_error(report) <= GRAD_TOL, report
+
+
 @criterion(2, "attention map strictly inside (0,1) on 1e4 inputs")
 def test_criterion_2_bound_invariant():
     total = 0

@@ -2,11 +2,16 @@
 random operator assignment, and the checkpoint container."""
 
 import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from semnet import backbone, tensor
 from semnet.backbone import (
     ATTENTION_MODES,
     STAGE_WIDTHS,
@@ -18,7 +23,7 @@ from semnet.backbone import (
 from semnet.checkpoint import read_checkpoint, write_checkpoint
 from semnet.errors import CheckpointError
 from semnet.rng import RngState
-from semnet.tensor import Tensor, backward, no_grad, softmax_cross_entropy
+from semnet.tensor import Tensor, backward, no_grad, set_debug_checks, softmax_cross_entropy
 from semnet.training import RunConfig
 
 import oracles
@@ -279,6 +284,7 @@ class TestTapeMemory:
         assert not np.shares_memory(out.data, x.data)
 
 
+@pytest.mark.usefixtures("two_eval_shards")
 class TestEvalInPlace:
     @pytest.mark.parametrize("attention", ["sem", "se", "none"])
     @pytest.mark.parametrize("depth", [11, 20])
@@ -299,6 +305,253 @@ class TestEvalInPlace:
         assert x.data.tobytes() == images.tobytes()
         now = model.state_arrays()
         assert all(now[name].tobytes() == a.tobytes() for name, a in state)
+
+    def test_untaped_block_drops_its_bn1_output(self):
+        # Identity block (in = out = 64 channels, width 16): the live set
+        # peaks at bn1's output plus conv1's (1.25 x), or at conv2's plus
+        # conv3's. Keeping bn1's output to the end of the block would add
+        # it to the latter, 2.25 x.
+        block = build_network(RunConfig(depth=20, attention="sem"), RngState(77)).stages[0][1]
+        x = Tensor(RngState(78).generator().standard_normal((16, 64, 32, 32)), dtype=np.float32)
+        with no_grad():
+            block(x, training=False)  # warm-up: first-call allocations
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = block(x, training=False)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert out.data.nbytes == x.data.nbytes
+        assert peak <= 1.25 * x.data.nbytes + tensor._CHUNK_BYTES + (256 << 10), peak
+
+
+def shard_spy(monkeypatch):
+    """Record (thread name, batch) of every whole-batch forward."""
+    calls = []
+    inner = backbone.Model._forward
+
+    def spy(model, x, *args):
+        calls.append((threading.current_thread().name, x.shape[0]))
+        return inner(model, x, *args)
+
+    monkeypatch.setattr(backbone.Model, "_forward", spy)
+    return calls
+
+
+def random_buffers(model, seed):
+    """Running statistics away from their 0/1 start, so eval BN shifts and scales."""
+    gen = RngState(seed).generator()
+    for name, buf in model.named_buffers():
+        values = gen.standard_normal(buf.shape)
+        buf[...] = np.abs(values) + 0.5 if name.endswith("var") else values
+
+
+class TestShardedEval:
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    @pytest.mark.parametrize("attention", ["sem", "se", "none"])
+    def test_logits_match_the_whole_batch_bitwise(self, monkeypatch, attention, shards):
+        model = build_network(RunConfig(depth=11, attention=attention), RngState(90))
+        random_buffers(model, 91)
+        x = small_input(RngState(92).generator(), b=256)
+        want = model(x, training=False)  # recording: one whole-batch forward
+        assert want._backward is not None
+        monkeypatch.setattr(backbone, "EVAL_SHARDS", shards)
+        calls = shard_spy(monkeypatch)
+        for b in (1, 3, 37, 256):
+            calls.clear()
+            with no_grad():
+                got = model(Tensor(x.data[:b]), training=False)
+            assert got.data.tobytes() == want.data[:b].tobytes(), b
+            n = min(shards, b)
+            assert sorted(size for _, size in calls) == sorted(
+                b * (i + 1) // n - b * i // n for i in range(n))
+            names = [name for name, _ in calls]
+            assert names.count(threading.current_thread().name) == 1
+            assert sum(name.startswith("semnet-eval") for name in names) == n - 1
+
+    @pytest.mark.parametrize("attention", ["sem", "se"])
+    def test_capture_decisions_concatenate_the_shards(self, monkeypatch, attention):
+        model = build_network(RunConfig(depth=20, attention=attention), RngState(93))
+        random_buffers(model, 94)
+        x = small_input(RngState(95).generator(), b=37)
+        want = []
+        model(x, training=False, capture_decisions=want)
+        monkeypatch.setattr(backbone, "EVAL_SHARDS", 3)
+        calls = shard_spy(monkeypatch)
+        got = []
+        with no_grad():
+            model(x, training=False, capture_decisions=got)
+        assert len(calls) == 3
+        assert len(got) == len(want) == 6
+        for g, w in zip(got, want):
+            assert (g.layer_index, g.stage, g.channels, g.operators) == (
+                w.layer_index, w.stage, w.channels, w.operators)
+            if w.weights is None:
+                assert g.weights is None
+            else:
+                assert g.weights.shape == (37, 3)
+                assert g.weights.tobytes() == w.weights.tobytes()
+
+    def test_batch_statistics_forward_is_not_sharded(self, monkeypatch):
+        # training=True under no_grad (the non-finite rerun) normalises by
+        # the whole batch's statistics, so it must see the whole batch.
+        model = build_network(RunConfig(depth=11, attention="sem"), RngState(96))
+        twin = build_network(RunConfig(depth=11, attention="sem"), RngState(96))
+        x = small_input(RngState(97).generator(), b=8)
+        monkeypatch.setattr(backbone, "EVAL_SHARDS", 2)
+        calls = shard_spy(monkeypatch)
+        with no_grad():
+            got = model(x, training=True)
+        want = twin(x, training=True)
+        assert calls == [(threading.current_thread().name, 8), (threading.current_thread().name, 8)]
+        assert got.data.tobytes() == want.data.tobytes()
+        for (_, a), (_, b) in zip(model.named_buffers(), twin.named_buffers()):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.usefixtures("two_eval_shards")
+    @pytest.mark.parametrize("failing", ["caller", "pool"])
+    def test_slice_exception_reaches_the_caller(self, monkeypatch, failing):
+        # One slice fails at once; the call returns only after the other,
+        # slower slice has finished too.
+        model = build_network(RunConfig(depth=11, attention="sem"), RngState(98))
+        x = small_input(RngState(99).generator(), b=3)
+        head = model.head_bn
+        caller = threading.current_thread().name
+        finished = []
+
+        def failing_head(out, training, inplace=False):
+            name = threading.current_thread().name
+            if (name == caller) == (failing == "caller"):
+                raise RuntimeError(f"{failing} slice failed")
+            time.sleep(0.2)
+            finished.append(name)
+            return head(out, training, inplace)
+
+        monkeypatch.setattr(model, "head_bn", failing_head)
+        with no_grad(), pytest.raises(RuntimeError, match=f"{failing} slice failed"):
+            model(x)
+        assert len(finished) == 1
+        assert finished[0].startswith("semnet-eval") == (failing == "caller")
+        monkeypatch.setattr(model, "head_bn", head)
+        with no_grad():
+            assert model(x).data.tobytes() == model(x, training=False).data.tobytes()
+
+    @pytest.mark.usefixtures("two_eval_shards")
+    def test_debug_check_names_the_failing_shards_layer(self, monkeypatch):
+        # The 2-sample shard plants a NaN in stage2.block0 while the other
+        # shard waits inside the head's scope; a process-wide layer name
+        # would read "head" there.
+        model = build_network(RunConfig(depth=11, attention="sem"), RngState(100))
+        x = small_input(RngState(101).generator(), b=3)
+        block, head = model.stages[1][0], model.head_bn
+        conv2 = block.conv2
+        in_head, checked = threading.Event(), threading.Event()
+
+        def planted_conv2(h):
+            if h.shape[0] == 2:
+                try:
+                    assert in_head.wait(10)
+                    h.data[1, 0, 0, 0] = np.nan
+                    return conv2(h)
+                finally:
+                    checked.set()
+            return conv2(h)
+
+        def waiting_head(out, training, inplace=False):
+            if out.shape[0] == 1:
+                in_head.set()
+                assert checked.wait(10)
+            return head(out, training, inplace)
+
+        monkeypatch.setattr(block, "conv2", planted_conv2)
+        monkeypatch.setattr(model, "head_bn", waiting_head)
+        set_debug_checks(True)
+        try:
+            with no_grad(), pytest.raises(FloatingPointError) as info:
+                model(x)
+        finally:
+            set_debug_checks(False)
+        assert str(info.value) == "stage2.block0 (op conv2d)"
+
+    def test_eval_threads_carry_the_callers_errstate(self, monkeypatch):
+        model = build_network(RunConfig(depth=11, attention="none"), RngState(102))
+        x = small_input(RngState(103).generator(), b=4)
+        monkeypatch.setattr(backbone, "EVAL_SHARDS", 2)
+        seen = []
+        pool = backbone.global_avg_pool
+
+        def recording_pool(t):
+            seen.append(np.geterr()["over"])
+            return pool(t)
+
+        monkeypatch.setattr(backbone, "global_avg_pool", recording_pool)
+        with no_grad(), np.errstate(over="raise"):
+            model(x)
+        assert seen == ["raise", "raise"]
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        # More slices than CPUs from several caller threads at once, with
+        # frequent thread switches: the lazily created pool must be created
+        # once and every caller must get its own batch's logits.
+        model = build_network(RunConfig(depth=11, attention="sem"), RngState(104))
+        x = small_input(RngState(105).generator(), b=12)
+        want = model(x, training=False).data
+        monkeypatch.setattr(backbone, "EVAL_SHARDS", 5)
+        monkeypatch.setattr(backbone, "_pool", None)
+        pools, results, errors = [], {}, []
+
+        def caller(i):
+            try:
+                results[i] = model(Tensor(x.data[i:]), training=False).data
+                pools.append(backbone._pool)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # no_grad is process-wide: entered once here, not per caller.
+            with no_grad():
+                threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            if backbone._pool is not None:
+                backbone._pool.shutdown()
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert len(pools) == 4 and all(p is pools[0] for p in pools)
+        for i in range(4):
+            assert results[i].tobytes() == want[i:].tobytes(), i
+
+    def test_import_and_training_start_no_thread(self, tmp_path):
+        script = (
+            "import threading\n"
+            "import numpy as np\n"
+            "import semnet\n"
+            "from semnet import backbone\n"
+            "from semnet.rng import RngState\n"
+            "from semnet.tensor import Tensor, backward, no_grad, softmax_cross_entropy\n"
+            "assert threading.active_count() == 1, 'import'\n"
+            "model = backbone.build_network(semnet.RunConfig(depth=11), RngState(1))\n"
+            "x = Tensor(np.ones((4, 3, 32, 32), np.float32))\n"
+            "backward(softmax_cross_entropy(model(x, training=True), [0, 1, 2, 3]))\n"
+            "with no_grad():\n"
+            "    model(x, training=True)\n"
+            "assert threading.active_count() == 1, 'training'\n"
+            "backbone.EVAL_SHARDS = 2\n"
+            "with no_grad():\n"
+            "    model(x)\n"
+            "assert threading.active_count() > 1, 'eval'\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCheckpointContainer:

@@ -183,11 +183,14 @@ class TestTrainRun:
                      "timing.jsonl", "final.ckpt", "best.ckpt"):
             assert os.path.exists(os.path.join(tmp_path, "run", name)), name
         env = json.load(open(os.path.join(tmp_path, "run", "environment.json")))
-        assert set(env) == {"numpy", "blas", "threads", "cpu_count", "python"}
+        assert set(env) == {"numpy", "blas", "threads", "cpu_count", "cpu_affinity",
+                            "eval_shards", "python"}
         assert set(env["blas"]) == {"name", "version"}
         assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                        "MKL_NUM_THREADS"}
         assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+        assert env["cpu_affinity"] == sorted(os.sched_getaffinity(0))
+        assert env["eval_shards"] == len(env["cpu_affinity"])
         lines = open(result.metrics_path).read().splitlines()
         assert len(lines) == 2
         record = json.loads(lines[0])
