@@ -18,7 +18,7 @@ import contextvars
 import dataclasses
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,8 +33,6 @@ from .tensor import (Tensor, add, affine, batch_norm, conv2d, global_avg_pool, i
 from .tensor import relu  # noqa: F401
 
 if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
     from .training import RunConfig
 
 STAGE_WIDTHS = (16, 32, 64)
@@ -43,31 +41,15 @@ ATTENTION_MODES = ("none", "se", "eca", "ie", "sem", "random_single", "random_do
 # Conventional gates: one excitation operator, no decision network, and a
 # sigmoid switch (RunConfig.resolved pins it) whatever the configured one.
 SINGLE_OPERATOR_MODES = {"se": att.OPERATOR_FC, "eca": att.OPERATOR_CNN, "ie": att.OPERATOR_IE}
-EVAL_SHARDS = None  # eval forward slices; None is one per CPU (tests force a count)
-_pool = None
-_pool_lock = threading.Lock()
+_pool = ThreadPoolExecutor(thread_name_prefix="semnet-eval")  # no thread until a submit
 
 
 def eval_shard_count() -> int:
-    """Slices a large eval batch is split into: ``EVAL_SHARDS``, else the
-    CPUs in this process's affinity mask."""
-    if EVAL_SHARDS is not None:
-        return EVAL_SHARDS
+    """Slices a large eval batch is split into: the CPUs in this process's
+    affinity mask."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _shard_pool() -> ThreadPoolExecutor:
-    """The eval threads, started by the first sharded forward; a process
-    that never shards an eval starts no thread and loads no executor."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(thread_name_prefix="semnet-eval")
-        return _pool
 
 
 def depth_to_blocks(depth: int) -> int:
@@ -271,10 +253,9 @@ class Model:
             return self._forward(x, training, capture_decisions)
         bounds = [x.shape[0] * i // n for i in range(n + 1)]
         captures = [None if capture_decisions is None else [] for _ in range(n)]
-        pool = _shard_pool()
         # Each pool slice runs in a copy of the caller's context, so numpy's
-        # errstate and the layer scope carry over into the thread.
-        futures = [pool.submit(contextvars.copy_context().run, self._forward,
+        # errstate, no_grad, the debug checks and the layer scope carry over.
+        futures = [_pool.submit(contextvars.copy_context().run, self._forward,
                                Tensor(x.data[s:e]), False, capture)
                    for s, e, capture in zip(bounds[1:], bounds[2:], captures[1:])]
         # The caller runs the first slice itself, on the heap its thread has
@@ -351,23 +332,17 @@ class Model:
         return state
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        own_params = dict(self.named_parameters())
-        own_buffers = dict(self.named_buffers())
-        own = set(own_params) | set(own_buffers)
-        missing = own - set(state)
-        extra = set(state) - own
+        own = self.state_arrays()
+        missing = set(own) - set(state)
+        extra = set(state) - set(own)
         if missing or extra:
             raise ValueError(f"state mismatch: missing={sorted(missing)} "
                              f"unexpected={sorted(extra)}")
         for name, arr in state.items():
-            target = own_params.get(name)
-            if target is not None:
-                if target.data.shape != arr.shape:
-                    raise ValueError(f"shape mismatch for {name}: "
-                                     f"{target.data.shape} vs {arr.shape}")
-                target.data[...] = arr.astype(target.data.dtype, copy=False)
-            elif name in own_buffers:
-                own_buffers[name][...] = arr.astype(own_buffers[name].dtype, copy=False)
+            target = own[name]
+            if target.shape != arr.shape:
+                raise ValueError(f"shape mismatch for {name}: {target.shape} vs {arr.shape}")
+            target[...] = arr.astype(target.dtype, copy=False)
 
 
 def build_network(cfg: RunConfig, rng: RngState, dtype=np.float32) -> Model:

@@ -4,7 +4,7 @@ export-decisions.
 Run configuration comes from a key=value file (``--config``) plus per-field
 flag overrides; every run writes its fully-resolved config. Exit codes:
 0 success, 2 usage (also when the reader closes stdout early), 3 data
-ingestion, 4 numerical failure.
+ingestion or a path that cannot be read or written, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -260,13 +260,7 @@ def main(argv=None) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"usage error: {message}", file=sys.stderr)
         return 2
-    except (IngestionError, CheckpointError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except BrokenPipeError:
+    except BrokenPipeError:  # before OSError: a closed stdout is no data error
         # The reader closed stdout (e.g. `semnet gradcheck | head -1`).
         # As the Python docs advise, point the descriptor at devnull so
         # the flush at exit cannot raise again.
@@ -276,6 +270,12 @@ def main(argv=None) -> int:
         print("usage error: stdout was closed before the command finished",
               file=sys.stderr)
         return 2
+    except (IngestionError, CheckpointError, OSError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

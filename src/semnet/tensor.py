@@ -17,47 +17,46 @@ import numpy as np
 SUPPORTED_DTYPES = (np.float32, np.float64)
 DEFAULT_DTYPE = np.float32
 
-_grad_enabled = True  # process-wide, so no_grad reaches every worker thread
-_check_finite = False
-_layer = contextvars.ContextVar("layer", default=None)  # per thread: each names its own
+# Modes of the current context: a thread a caller starts begins with
+# recording on and checks off; a task run in a copy of a context keeps them.
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+_check_finite = contextvars.ContextVar("check_finite", default=False)
+_layer = contextvars.ContextVar("layer", default=None)
 _CHUNK_BYTES = 1 << 20  # bytes of one sample chunk of conv2d or batch norm: stays in L2
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Disable gradient recording inside the block (evaluation mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+def _set(var: contextvars.ContextVar, value):
+    token = var.set(value)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        var.reset(token)
+
+
+def no_grad():
+    """Disable gradient recording inside the block, in this context."""
+    return _set(_grad_enabled, False)
 
 
 def is_grad_enabled() -> bool:
     """Whether ops record a tape (false inside ``no_grad``)."""
-    return _grad_enabled
+    return _grad_enabled.get()
 
 
 def set_debug_checks(enabled: bool) -> None:
-    """Toggle the per-op finiteness check (slow; for tests and debugging).
+    """Toggle the per-op finiteness check in this context (slow; for tests
+    and debugging).
 
     A non-finite op output raises ``FloatingPointError`` naming the layer
     set by ``layer_scope`` and the op, as in ``stage1.block0 (op affine)``.
     """
-    global _check_finite
-    _check_finite = bool(enabled)
+    _check_finite.set(bool(enabled))
 
 
-@contextlib.contextmanager
 def layer_scope(name: str):
-    """Name the layer the ops inside the block belong to, in this thread."""
-    token = _layer.set(name)
-    try:
-        yield
-    finally:
-        _layer.reset(token)
+    """Name the layer the ops inside the block belong to, in this context."""
+    return _set(_layer, name)
 
 
 class Tensor:
@@ -197,12 +196,12 @@ def _accumulate(parents: tuple, grads, out_grad: np.ndarray) -> None:
 
 def _records(parents: tuple) -> bool:
     """Whether an op on ``parents`` records a tape node."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
 
 
 def _make(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor(out_data, dtype=out_data.dtype)
-    if _check_finite and not np.isfinite(out.data).all():
+    if _check_finite.get() and not np.isfinite(out.data).all():
         op = backward_fn.__name__.removesuffix("_backward")
         raise FloatingPointError(f"{_layer.get() or 'no layer'} (op {op})")
     if _records(parents):
@@ -589,8 +588,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     Train mode normalises by batch statistics and folds them into the
     running buffers with the given momentum (in place); eval mode uses the
     running buffers. gamma/beta are (C,) learnable tensors. The affine and
-    ReLU pass (in eval also the centring) runs in ``_CHUNK_BYTES`` sample
-    chunks while each sits in cache, bit for bit the whole-batch result.
+    ReLU pass (in eval also the centring) and backward's scale*g run in
+    ``_CHUNK_BYTES`` sample chunks, bit for bit the whole-batch result.
 
     ``relu=True`` returns relu(batch_norm(x)) as one node, bit for bit the
     two-op result: the ReLU runs in place on the output, and backward masks
@@ -655,14 +654,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         # Rebuilt from x in one buffer that starts as xc = x - mean:
         # dgamma = inv_std*sum(g*xc), and scale*(g - dbeta/n - xhat*dgamma/n)
         # = scale*g + kx*xc + k0 with per-channel kx and k0. scale*g is
-        # added a few samples at a time to keep its temporary small.
+        # added one sample chunk at a time to keep its temporary small.
         dx = x.data - mean.reshape(pshape)
         dbeta = np.einsum(g, dims, [1])
         dgamma = inv_std * np.einsum(g, dims, dx, dims, [1])
         dx *= (-scale * inv_std * dgamma * inv_n).reshape(pshape)
         dx -= (scale * dbeta * inv_n).reshape(pshape)
-        for i in range(0, len(dx), 8):
-            dx[i : i + 8] += g[i : i + 8] * scale.reshape(pshape)
+        for s, e in _sample_chunks(len(dx), max(1, dx[:1].nbytes))[1]:
+            dx[s:e] += g[s:e] * scale.reshape(pshape)
         return dx, dgamma, dbeta
 
     return _make(out, (x, gamma, beta), batch_norm_backward)

@@ -527,5 +527,8 @@ def load_run_checkpoint(path: str) -> tuple[Model, RunConfig, np.ndarray, np.nda
             kwargs[f.name] = tuple(v) if isinstance(v, list) else v
     cfg = RunConfig(**kwargs).resolved()
     model = build_network(cfg, RngState(cfg.seed, _STREAM_PARAMS))
-    model.load_state_arrays(arrays)
+    try:
+        model.load_state_arrays(arrays)
+    except ValueError as exc:  # the file's arrays do not fit its own config
+        raise CheckpointError(f"{path}: {exc}") from exc
     return model, cfg, channel_mean, channel_std

@@ -61,4 +61,4 @@ def two_eval_shards(monkeypatch):
     """Split every no_grad eval forward over 2 threads, whatever the host's
     CPUs, so a 1-CPU host still runs the threaded path."""
     from semnet import backbone
-    monkeypatch.setattr(backbone, "EVAL_SHARDS", 2)
+    monkeypatch.setattr(backbone, "eval_shard_count", lambda: 2)

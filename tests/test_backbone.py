@@ -200,6 +200,16 @@ class TestNetwork:
         with pytest.raises(ValueError, match="state mismatch"):
             other.load_state_arrays({"stem.weight": state["stem.weight"]})
 
+    @pytest.mark.parametrize("name", ["stem.weight", "stage1.block0.bn1.running_mean"])
+    def test_wrong_shape_is_rejected_by_name(self, name):
+        # A (1,) array would broadcast into any target; parameters and BN
+        # buffers alike must refuse it.
+        model = build_network(RunConfig(depth=11, attention="se"), RngState(15))
+        state = model.state_arrays()
+        state[name] = np.full(1, 7.0, np.float32)
+        with pytest.raises(ValueError, match=f"shape mismatch for {name}: "):
+            model.load_state_arrays(state)
+
 
 def graph_nodes(loss):
     """Every recorded node reachable from ``loss``, once each."""
@@ -356,7 +366,7 @@ class TestShardedEval:
         x = small_input(RngState(92).generator(), b=256)
         want = model(x, training=False)  # recording: one whole-batch forward
         assert want._backward is not None
-        monkeypatch.setattr(backbone, "EVAL_SHARDS", shards)
+        monkeypatch.setattr(backbone, "eval_shard_count", lambda: shards)
         calls = shard_spy(monkeypatch)
         for b in (1, 3, 37, 256):
             calls.clear()
@@ -377,7 +387,7 @@ class TestShardedEval:
         x = small_input(RngState(95).generator(), b=37)
         want = []
         model(x, training=False, capture_decisions=want)
-        monkeypatch.setattr(backbone, "EVAL_SHARDS", 3)
+        monkeypatch.setattr(backbone, "eval_shard_count", lambda: 3)
         calls = shard_spy(monkeypatch)
         got = []
         with no_grad():
@@ -399,7 +409,7 @@ class TestShardedEval:
         model = build_network(RunConfig(depth=11, attention="sem"), RngState(96))
         twin = build_network(RunConfig(depth=11, attention="sem"), RngState(96))
         x = small_input(RngState(97).generator(), b=8)
-        monkeypatch.setattr(backbone, "EVAL_SHARDS", 2)
+        monkeypatch.setattr(backbone, "eval_shard_count", lambda: 2)
         calls = shard_spy(monkeypatch)
         with no_grad():
             got = model(x, training=True)
@@ -477,7 +487,7 @@ class TestShardedEval:
     def test_eval_threads_carry_the_callers_errstate(self, monkeypatch):
         model = build_network(RunConfig(depth=11, attention="none"), RngState(102))
         x = small_input(RngState(103).generator(), b=4)
-        monkeypatch.setattr(backbone, "EVAL_SHARDS", 2)
+        monkeypatch.setattr(backbone, "eval_shard_count", lambda: 2)
         seen = []
         pool = backbone.global_avg_pool
 
@@ -492,39 +502,36 @@ class TestShardedEval:
 
     def test_concurrent_callers_share_one_pool(self, monkeypatch):
         # More slices than CPUs from several caller threads at once, with
-        # frequent thread switches: the lazily created pool must be created
-        # once and every caller must get its own batch's logits.
+        # frequent thread switches: every caller's slices run on the one
+        # pool and every caller gets its own batch's logits.
         model = build_network(RunConfig(depth=11, attention="sem"), RngState(104))
         x = small_input(RngState(105).generator(), b=12)
         want = model(x, training=False).data
-        monkeypatch.setattr(backbone, "EVAL_SHARDS", 5)
-        monkeypatch.setattr(backbone, "_pool", None)
-        pools, results, errors = [], {}, []
+        monkeypatch.setattr(backbone, "eval_shard_count", lambda: 5)
+        calls = shard_spy(monkeypatch)
+        results, errors = {}, []
 
         def caller(i):
             try:
-                results[i] = model(Tensor(x.data[i:]), training=False).data
-                pools.append(backbone._pool)
+                with no_grad():  # a thread starts with recording on
+                    results[i] = model(Tensor(x.data[i:]), training=False).data
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # no_grad is process-wide: entered once here, not per caller.
-            with no_grad():
-                threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=120)
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-            if backbone._pool is not None:
-                backbone._pool.shutdown()
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
-        assert len(pools) == 4 and all(p is pools[0] for p in pools)
+        assert sum(name.startswith("semnet-eval") for name, _ in calls) == 4 * (5 - 1)
+        assert len(calls) == 4 * 5
         for i in range(4):
             assert results[i].tobytes() == want[i:].tobytes(), i
 
@@ -543,7 +550,7 @@ class TestShardedEval:
             "with no_grad():\n"
             "    model(x, training=True)\n"
             "assert threading.active_count() == 1, 'training'\n"
-            "backbone.EVAL_SHARDS = 2\n"
+            "backbone.eval_shard_count = lambda: 2\n"
             "with no_grad():\n"
             "    model(x)\n"
             "assert threading.active_count() > 1, 'eval'\n")

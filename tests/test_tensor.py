@@ -2,6 +2,7 @@
 against central differences, broadcasting, and determinism."""
 
 import contextlib
+import threading
 import tracemalloc
 import weakref
 
@@ -22,6 +23,7 @@ from semnet.tensor import (
     conv1d_channel,
     conv2d,
     global_avg_pool,
+    is_grad_enabled,
     mul,
     no_grad,
     relu,
@@ -350,9 +352,10 @@ class TestBatchNormOracle:
             assert a.tobytes() == b.tobytes(), name
         if relu:
             assert 0 < np.count_nonzero(out.data) < out.size  # the mask matters
-        (chunks,) = seen  # 7 x 1, 2+2+2+1 or 3+3+1
-        assert len(chunks) >= 3 and chunks[-1][1] == 7
-        assert step == 1 or chunks[-1][1] - chunks[-1][0] < step
+        assert len(seen) == 2  # forward's, then backward's
+        for chunks in seen:  # 7 x 1, 2+2+2+1 or 3+3+1
+            assert len(chunks) >= 3 and chunks[-1][1] == 7
+            assert step == 1 or chunks[-1][1] - chunks[-1][0] < step
 
     @pytest.mark.parametrize("shape", [(0, 4), (0, 4, 3, 3)])
     def test_empty_batch(self, shape):
@@ -391,6 +394,25 @@ class TestBatchNormOracle:
         assert peak(False, True) < slack
         assert peak(False, False) < x.nbytes + slack
         assert peak(True, False) < 2 * x.nbytes + slack
+
+    def test_backward_peak(self):
+        """At the same shape, backward allocates dx and one sample chunk's
+        scale*g, not a temporary of several chunks."""
+        gen = RngState(35).generator()
+        x = Tensor(gen.standard_normal((64, 64, 32, 32)).astype(np.float32), requires_grad=True)
+        gamma, beta = (Tensor(gen.standard_normal(64).astype(np.float32), requires_grad=True)
+                       for _ in range(2))
+        g = gen.standard_normal(x.shape).astype(np.float32)
+        out = batch_norm(x, gamma, beta, np.zeros(64, np.float32), np.ones(64, np.float32),
+                         training=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes + tensor._CHUNK_BYTES + (64 << 10), peak
 
 
 class TestInplace:
@@ -791,6 +813,48 @@ class TestTensorBasics:
         with pytest.raises(ValueError):
             add(Tensor(np.zeros(3), dtype=np.float32),
                 Tensor(np.zeros(3), dtype=np.float64))
+
+    def test_no_grad_is_per_thread(self):
+        # A enters no_grad, then B, then A leaves: B is still inside its own
+        # block, and the main thread never entered one.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with no_grad():
+                a_in.set()
+                b_in.wait(10)
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(10)
+            with no_grad():
+                b_in.set()
+                a_out.wait(10)
+                x = Tensor(np.ones(2), requires_grad=True)
+                seen["b"] = is_grad_enabled(), mul(x, x)._backward is not None
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"b": (False, False)}
+        assert is_grad_enabled()
+
+    def test_new_thread_starts_recording_without_checks(self):
+        seen = []
+        thread = threading.Thread(
+            target=lambda: seen.append((is_grad_enabled(), tensor._check_finite.get())))
+        set_debug_checks(True)
+        try:
+            with no_grad():
+                thread.start()
+                thread.join(timeout=30)
+        finally:
+            set_debug_checks(False)
+        assert seen == [(True, False)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_debug_nan_check(self):

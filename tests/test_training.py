@@ -274,7 +274,6 @@ class TestTrainRun:
         assert result.steps == 4
         assert len(result.metrics) == 2  # 3 batches/epoch -> stopped in epoch 2
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_loss_aborts_with_layer_name(self, tmp_path):
         cfg = tiny_config(tmp_path / "r6", lr=1e18, epochs=3)
         with pytest.raises(NumericalFailure,
