@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import threading
+import weakref
 
 import numpy as np
 
@@ -22,6 +24,11 @@ DEFAULT_DTYPE = np.float32
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 _check_finite = contextvars.ContextVar("check_finite", default=False)
 _layer = contextvars.ContextVar("layer", default=None)
+# (ShardGroup, index) of the sample shard this context runs, and the dict
+# a shard's reverse sweep adds its leaf gradients into (not their ``grad``);
+# None outside shards.
+_shard = contextvars.ContextVar("shard", default=None)
+_grad_sink = contextvars.ContextVar("grad_sink", default=None)
 _CHUNK_BYTES = 1 << 20  # bytes of one sample chunk of conv2d or batch norm: stays in L2
 
 
@@ -59,6 +66,46 @@ def layer_scope(name: str):
     return _set(_layer, name)
 
 
+class ShardGroup:
+    """Contiguous sample shards of one batch, each run at once on its own
+    thread as a member of the group (``member``).
+
+    Inside a member, training ``batch_norm`` normalises by the statistics
+    of the whole batch: each member hands its per-channel partial sums to
+    ``all_reduce``, which waits for every member at a barrier and returns
+    their sum, added in shard order, so every member gets the same bits.
+    Two rounds of slots alternate, so a member that moves on to the next
+    round cannot overwrite a partial its partners still read. A member that
+    raises breaks the barrier, so its partners raise ``BrokenBarrierError``
+    instead of waiting for it.
+    """
+
+    def __init__(self, shards: int, samples: int):
+        self.samples = samples  # in the whole batch
+        self._barrier = threading.Barrier(shards)
+        self._slots = [[None] * shards, [None] * shards]
+        self._rounds = [0] * shards  # member i alone touches entry i
+
+    @contextlib.contextmanager
+    def member(self, index: int):
+        """Run the block as shard ``index`` of the group, in this context."""
+        try:
+            with _set(_shard, (self, index)):
+                yield
+        except BaseException:
+            self._barrier.abort()
+            raise
+
+    def all_reduce(self, index: int, partial: np.ndarray) -> np.ndarray:
+        """Member ``index``'s share of one round: every member's ``partial``
+        summed in shard order, once all have handed theirs in."""
+        slots = self._slots[self._rounds[index] % 2]
+        self._rounds[index] += 1
+        slots[index] = partial
+        self._barrier.wait()
+        return sum(slots[1:], slots[0])
+
+
 class Tensor:
     """N-dimensional array with optional gradient tracking.
 
@@ -69,7 +116,7 @@ class Tensor:
     the caller still holds the tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -153,45 +200,91 @@ def _topological_order(root: Tensor) -> list[Tensor]:
     return [n for n in order if n._backward is not None]
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every reachable tensor.
+def backward(root: Tensor, grad: np.ndarray | None = None) -> None:
+    """Accumulate d(root)/d(t) into ``t.grad`` for every reachable tensor,
+    given ``grad`` = d(loss)/d(root), by default 1 for a scalar ``root``.
 
-    ``loss`` must be a scalar recorded on an active graph. Gradients add
-    across multiple uses of a tensor and across repeated training steps.
-    Each node is released as soon as its rule has run, so activations and
+    ``root`` must be recorded on an active graph. Gradients add across
+    multiple uses of a tensor and across repeated training steps. Each node
+    is released as soon as its rule has run, so activations and
     intermediate gradients are freed layer by layer; an intermediate keeps
-    its ``grad`` only if the caller still holds it.
+    its ``grad`` only if the caller still holds it. In a shard's sweep
+    (``join_shards``) leaf gradients go to that shard's sink instead.
     """
-    if loss.data.size != 1:
-        raise ValueError(f"backward() needs a scalar, got shape {loss.shape}")
-    tape = _topological_order(loss)
-    loss.grad = np.ones_like(loss.data)
+    if grad is None:
+        if root.data.size != 1:
+            raise ValueError(f"backward() needs a scalar, got shape {root.shape}")
+        grad = np.ones_like(root.data)
+    tape = _topological_order(root)
+    root.grad = grad
+    sink = _grad_sink.get()
     while tape:
         node = tape.pop()
         parents, rule, out_grad = node._parents, node._backward, node.grad
         node._parents, node._backward = (), None
+        alive = weakref.ref(node)
         del node  # an intermediate the caller dropped is freed here
         if out_grad is not None:
-            _accumulate(parents, rule(out_grad), out_grad)
+            # Once the node is gone nothing else can read out_grad, so one
+            # parent may take it over instead of a copy.
+            _accumulate(parents, rule(out_grad), out_grad, alive() is None, sink)
 
 
-def _accumulate(parents: tuple, grads, out_grad: np.ndarray) -> None:
-    """Add one rule's ``grads`` into its parents; none outlives the call."""
+def _accumulate(parents: tuple, grads, out_grad: np.ndarray, owned: bool,
+                sink: dict | None) -> None:
+    """Add one rule's ``grads`` into its parents, leaves into ``sink`` if
+    one is given; none outlives the call. With ``owned``, the first parent
+    without a gradient adopts a pass-through ``out_grad`` as is."""
     for parent, grad in zip(parents, grads):
         if grad is None or not parent.requires_grad:
             continue
-        if parent.grad is None:
-            # A fresh, writable array can be adopted directly; views and
-            # pass-through grads (e.g. from add) must be copied so later
-            # accumulation cannot corrupt an aliased buffer.
-            if (grad is out_grad or grad.base is not None
-                    or not grad.flags.owndata or not grad.flags.writeable
-                    or grad.dtype != parent.data.dtype):
-                parent.grad = np.array(grad, dtype=parent.data.dtype)
-            else:
-                parent.grad = grad
+        to_sink = sink is not None and parent._backward is None
+        held = sink.get(parent) if to_sink else parent.grad
+        if held is not None:
+            held += grad
+            continue
+        # A fresh, writable array can be adopted directly; views and
+        # pass-through grads (e.g. from add) must be copied so later
+        # accumulation cannot corrupt an aliased buffer.
+        if grad is out_grad and owned and grad.dtype == parent.data.dtype:
+            held, owned = grad, False
+        elif (grad is out_grad or grad.base is not None
+                or not grad.flags.owndata or not grad.flags.writeable
+                or grad.dtype != parent.data.dtype):
+            held = np.array(grad, dtype=parent.data.dtype)
         else:
-            parent.grad += grad
+            held = grad
+        if to_sink:
+            sink[parent] = held
+        else:
+            parent.grad = held
+
+
+def join_shards(shards: list[Tensor], leaves: list[Tensor], run) -> Tensor:
+    """The sample shards' outputs concatenated along axis 0, recorded as one
+    node whose parents are ``leaves`` (the parameters the shards share).
+
+    Its rule runs ``run(sweep, len(shards), group)``, which must call
+    ``sweep(i)`` for every shard at once, each as member i of the fresh
+    ``ShardGroup``. ``sweep(i)`` runs shard i's reverse sweep from its rows
+    of the gradient, its leaf gradients going to its own sink, and the rule
+    returns each leaf's gradient summed over the shards in shard order.
+    """
+    out = np.concatenate([t.data for t in shards])
+    bounds = np.cumsum([0] + [len(t.data) for t in shards])
+
+    def join_shards_backward(g):
+        sinks = [{} for _ in shards]
+
+        def sweep(i):
+            with _set(_grad_sink, sinks[i]):
+                backward(shards[i], g[bounds[i] : bounds[i + 1]])
+
+        run(sweep, len(shards), ShardGroup(len(shards), len(out)))
+        parts = [[sink[leaf] for sink in sinks if leaf in sink] for leaf in leaves]
+        return [sum(p[1:], p[0]) if p else None for p in parts]
+
+    return _make(out, tuple(leaves), join_shards_backward)
 
 
 def _records(parents: tuple) -> bool:
@@ -612,13 +705,16 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     n = x.data.size // c
     if training and n == 0:
         raise ValueError(f"training batch_norm needs values to normalise, got {x.shape}")
+    shard = _shard.get() if training else None
+    if shard is not None:
+        n = n // len(x.data) * shard[0].samples  # values per channel in the whole batch
 
     axes = (0,) if x.ndim == 2 else (0, 2, 3)
     pshape = (1, c) if x.ndim == 2 else (1, c, 1, 1)
     dt = x.data.dtype
 
     if training:
-        mean = x.data.mean(axis=axes, dtype=dt)
+        mean = _all_reduce(x.data.sum(axis=axes, dtype=dt)) / n
     else:
         mean = running_mean.astype(dt, copy=False)
     out = x.data if inplace and not _records((x, gamma, beta)) else np.empty_like(x.data)
@@ -627,11 +723,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     if training:
         np.subtract(x.data, mean.reshape(pshape), out=out)
         # np.var's own reduction, on the centred buffer already at hand.
-        var = np.square(out).sum(axis=axes, dtype=dt) / n
-        running_mean *= dt.type(momentum)
-        running_mean += dt.type(1.0 - momentum) * mean
-        running_var *= dt.type(momentum)
-        running_var += dt.type(1.0 - momentum) * var
+        var = _all_reduce(np.square(out).sum(axis=axes, dtype=dt)) / n
+        if shard is None or shard[1] == 0:  # one update per batch
+            running_mean *= dt.type(momentum)
+            running_mean += dt.type(1.0 - momentum) * mean
+            running_var *= dt.type(momentum)
+            running_var += dt.type(1.0 - momentum) * var
     else:
         var = running_var.astype(dt, copy=False)
 
@@ -653,18 +750,26 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             g = g * (out > 0)
         # Rebuilt from x in one buffer that starts as xc = x - mean:
         # dgamma = inv_std*sum(g*xc), and scale*(g - dbeta/n - xhat*dgamma/n)
-        # = scale*g + kx*xc + k0 with per-channel kx and k0. scale*g is
-        # added one sample chunk at a time to keep its temporary small.
+        # = scale*g + kx*xc + k0 with per-channel kx and k0, from the sums
+        # over the whole batch. scale*g is added one sample chunk at a time
+        # to keep its temporary small.
         dx = x.data - mean.reshape(pshape)
-        dbeta = np.einsum(g, dims, [1])
-        dgamma = inv_std * np.einsum(g, dims, dx, dims, [1])
-        dx *= (-scale * inv_std * dgamma * inv_n).reshape(pshape)
-        dx -= (scale * dbeta * inv_n).reshape(pshape)
+        sums = np.stack([np.einsum(g, dims, [1]), np.einsum(g, dims, dx, dims, [1])])
+        total = _all_reduce(sums)
+        dx *= (-scale * inv_std * (inv_std * total[1]) * inv_n).reshape(pshape)
+        dx -= (scale * total[0] * inv_n).reshape(pshape)
         for s, e in _sample_chunks(len(dx), max(1, dx[:1].nbytes))[1]:
             dx[s:e] += g[s:e] * scale.reshape(pshape)
-        return dx, dgamma, dbeta
+        return dx, inv_std * sums[1], sums[0]  # this shard's share of dgamma, dbeta
 
     return _make(out, (x, gamma, beta), batch_norm_backward)
+
+
+def _all_reduce(partial: np.ndarray) -> np.ndarray:
+    """Sum of ``partial`` over the shards of this context's group, in shard
+    order; ``partial`` itself outside a group."""
+    shard = _shard.get()
+    return partial if shard is None else shard[0].all_reduce(shard[1], partial)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -62,3 +62,12 @@ def two_eval_shards(monkeypatch):
     CPUs, so a 1-CPU host still runs the threaded path."""
     from semnet import backbone
     monkeypatch.setattr(backbone, "eval_shard_count", lambda: 2)
+
+
+@pytest.fixture
+def small_train_shards(monkeypatch):
+    """Split every training forward of 2 samples or more into shards, so
+    the tests' small batches run the sharded path the benchmark's batches
+    of 128 take."""
+    from semnet import backbone
+    monkeypatch.setattr(backbone, "_MIN_SHARD_SAMPLES", 1)

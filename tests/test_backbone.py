@@ -4,6 +4,7 @@ random operator assignment, and the checkpoint container."""
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -31,6 +32,19 @@ import oracles
 
 def small_input(gen, b=2):
     return Tensor(gen.standard_normal((b, 3, 32, 32)).astype(np.float32))
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_isolated(script, cwd, timeout=120):
+    """Run ``script`` in a fresh interpreter and require exit 0. A thread
+    left waiting at a barrier then fails the test after ``timeout`` seconds
+    instead of hanging the suite."""
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          env=dict(os.environ, PYTHONPATH=SRC), cwd=cwd,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestDepthRule:
@@ -211,9 +225,9 @@ class TestNetwork:
             model.load_state_arrays(state)
 
 
-def graph_nodes(loss):
-    """Every recorded node reachable from ``loss``, once each."""
-    stack, seen = [loss], set()
+def graph_nodes(*roots):
+    """Every recorded node reachable from ``roots``, once each."""
+    stack, seen = list(roots), set()
     while stack:
         node = stack.pop()
         if id(node) in seen or node._backward is None:
@@ -223,12 +237,12 @@ def graph_nodes(loss):
         stack.extend(node._parents)
 
 
-def graph_buffer_bytes(loss):
+def graph_buffer_bytes(*roots):
     """(activations, batch-norm outputs) of the recorded graph in bytes:
     every distinct buffer behind a node's output, and one output-sized
     buffer per batch norm."""
     buffers, bn = {}, 0
-    for node in graph_nodes(loss):
+    for node in graph_nodes(*roots):
         root = node.data
         while root.base is not None:
             root = root.base
@@ -238,32 +252,51 @@ def graph_buffer_bytes(loss):
     return sum(buffers.values()), bn
 
 
-def unfused_relus(loss):
+def unfused_relus(*roots):
     """Count of ReLU nodes in the recorded graph whose input is a batch
     norm's output, which such a pair would keep alive until backward."""
     return sum(any(p._backward is not None and p._backward.__name__ == "batch_norm_backward"
                    for p in node._parents)
-               for node in graph_nodes(loss) if node._backward.__name__ == "relu_backward")
+               for node in graph_nodes(*roots) if node._backward.__name__ == "relu_backward")
+
+
+def shard_outputs(monkeypatch):
+    """Record the logits of every shard's forward: the shard graphs hang
+    off these, not off the joined logits, whose parents are parameters."""
+    outs = []
+    inner = backbone.Model._forward
+
+    def spy(model, x, *args):
+        outs.append(inner(model, x, *args))
+        return outs[-1]
+
+    monkeypatch.setattr(backbone.Model, "_forward", spy)
+    return outs
 
 
 class TestTapeMemory:
+    @pytest.mark.usefixtures("small_train_shards")
     @pytest.mark.parametrize("attention", ["sem", "none"])
-    def test_backward_peak_tracks_the_tape(self, attention):
+    def test_backward_peak_tracks_the_tape(self, monkeypatch, attention):
         model = build_network(RunConfig(depth=11, attention=attention), RngState(71),
                               np.float64)
         gen = RngState(72).generator()
         x = Tensor(gen.standard_normal((8, 3, 32, 32)), dtype=np.float64)
         labels = gen.integers(0, 10, size=8)
+        shards = shard_outputs(monkeypatch)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             loss = softmax_cross_entropy(model(x, training=True), labels)
             tape = tracemalloc.get_traced_memory()[0] - base
-            activations, bn = graph_buffer_bytes(loss)
-            unfused = unfused_relus(loss)
+            # Every shard's graph, and the loss and the join above them.
+            assert len(shards) == backbone._TRAIN_SHARDS
+            roots = [loss, *shards]
+            activations, bn = graph_buffer_bytes(*roots)
+            unfused = unfused_relus(*roots)
             # The 4-D adds are the blocks' skip additions; the gates add
             # only (B, C) maps.
-            shared = [np.shares_memory(n.data, n._parents[0].data) for n in graph_nodes(loss)
+            shared = [np.shares_memory(n.data, n._parents[0].data) for n in graph_nodes(*roots)
                       if n._backward.__name__ == "add_backward" and n.ndim == 4]
             tracemalloc.reset_peak()
             backward(loss)
@@ -274,7 +307,7 @@ class TestTapeMemory:
         assert unfused == 0, unfused
         # Each block sums its skip into the branch output's own buffer (a
         # gate or conv3 output no backward rule reads), not a new one.
-        assert shared == [True] * 3 * model.blocks_per_stage, shared
+        assert shared == [True] * 3 * model.blocks_per_stage * len(shards), shared
         # Freed as backward consumes it, the tape is not held twice.
         assert peak <= 1.25 * tape, (peak, tape)
         # Only activations: a padded conv input copy or a (B, Cin*k*k,
@@ -403,18 +436,26 @@ class TestShardedEval:
                 assert g.weights.shape == (37, 3)
                 assert g.weights.tobytes() == w.weights.tobytes()
 
-    def test_batch_statistics_forward_is_not_sharded(self, monkeypatch):
+    @pytest.mark.usefixtures("small_train_shards")
+    def test_no_grad_training_forward_matches_the_recording_one(self, monkeypatch):
         # training=True under no_grad (the non-finite rerun) normalises by
-        # the whole batch's statistics, so it must see the whole batch.
+        # the whole batch's statistics, as the recording forward does: both
+        # run the same two shards, so logits and BN buffers agree bit for bit.
         model = build_network(RunConfig(depth=11, attention="sem"), RngState(96))
         twin = build_network(RunConfig(depth=11, attention="sem"), RngState(96))
         x = small_input(RngState(97).generator(), b=8)
-        monkeypatch.setattr(backbone, "eval_shard_count", lambda: 2)
+        monkeypatch.setattr(backbone, "eval_shard_count", lambda: 3)
         calls = shard_spy(monkeypatch)
         with no_grad():
             got = model(x, training=True)
         want = twin(x, training=True)
-        assert calls == [(threading.current_thread().name, 8), (threading.current_thread().name, 8)]
+        assert got._backward is None and want._backward is not None
+        caller = threading.current_thread().name
+        assert len(calls) == 4
+        for pair in (calls[:2], calls[2:]):  # each forward: its shards, in either order
+            assert sorted(size for _, size in pair) == [4, 4]
+            assert sum(name == caller for name, _ in pair) == 1
+            assert sum(name.startswith("semnet-eval") for name, _ in pair) == 1
         assert got.data.tobytes() == want.data.tobytes()
         for (_, a), (_, b) in zip(model.named_buffers(), twin.named_buffers()):
             assert a.tobytes() == b.tobytes()
@@ -535,7 +576,7 @@ class TestShardedEval:
         for i in range(4):
             assert results[i].tobytes() == want[i:].tobytes(), i
 
-    def test_import_and_training_start_no_thread(self, tmp_path):
+    def test_import_starts_no_thread_and_training_one(self, tmp_path):
         script = (
             "import threading\n"
             "import numpy as np\n"
@@ -547,18 +588,270 @@ class TestShardedEval:
             "model = backbone.build_network(semnet.RunConfig(depth=11), RngState(1))\n"
             "x = Tensor(np.ones((4, 3, 32, 32), np.float32))\n"
             "backward(softmax_cross_entropy(model(x, training=True), [0, 1, 2, 3]))\n"
+            "assert threading.active_count() == 1, 'small batch'\n"
+            "backbone._MIN_SHARD_SAMPLES = 1\n"
+            "backward(softmax_cross_entropy(model(x, training=True), [0, 1, 2, 3]))\n"
             "with no_grad():\n"
             "    model(x, training=True)\n"
-            "assert threading.active_count() == 1, 'training'\n"
+            "assert threading.active_count() == 2, 'training'\n"
+            "assert all(t.name.startswith('semnet-eval') for t in threading.enumerate()\n"
+            "           if t is not threading.main_thread())\n"
             "backbone.eval_shard_count = lambda: 2\n"
             "with no_grad():\n"
             "    model(x)\n"
             "assert threading.active_count() > 1, 'eval'\n")
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        run_isolated(script, tmp_path)
+
+    @pytest.mark.skipif(not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"),
+                        reason="glibc's malloc_info")
+    def test_pool_threads_allocate_from_the_callers_heap(self, tmp_path):
+        # A heap per thread would hold the pool thread's peak on top of the
+        # caller's; glibc's malloc_info lists one <heap> per arena.
+        script = """
+            import ctypes, os
+            import numpy as np
+            import semnet
+            from semnet import backbone
+            from semnet.rng import RngState
+            from semnet.tensor import Tensor, backward, no_grad, softmax_cross_entropy
+
+            backbone._MIN_SHARD_SAMPLES = 1
+            backbone.eval_shard_count = lambda: 2
+            model = backbone.build_network(semnet.RunConfig(depth=11), RngState(1))
+            x = Tensor(np.ones((4, 3, 32, 32), np.float32))
+            backward(softmax_cross_entropy(model(x, training=True), [0, 1, 2, 3]))
+            with no_grad():
+                model(x)
+            libc = ctypes.CDLL(None)
+            libc.fopen.restype = ctypes.c_void_p
+            stream = ctypes.c_void_p(libc.fopen(b"heaps.xml", b"w"))
+            assert libc.malloc_info(0, stream) == 0
+            libc.fclose(stream)
+            heaps = open("heaps.xml").read().count("<heap nr=")
+            assert heaps == 1, heaps
+        """
+        run_isolated(script, tmp_path)
+
+
+# Imports and a depth-11 SEM step for the scripts run_isolated runs.
+STEP_PRELUDE = """
+    import sys, threading
+    import numpy as np
+    from semnet import backbone, tensor, training
+    from semnet.backbone import build_network
+    from semnet.rng import RngState
+    from semnet.tensor import Tensor, backward, softmax_cross_entropy
+    from semnet.training import RunConfig
+
+    backbone._MIN_SHARD_SAMPLES = 1  # the 5-sample batch runs two shards
+    gen = RngState(111).generator()
+    x = Tensor(gen.standard_normal((5, 3, 32, 32)).astype(np.float32))
+    labels = gen.integers(0, 10, size=5)
+
+    def step(model):
+        loss = softmax_cross_entropy(model(x, training=True), labels)
+        backward(loss)
+        return loss
+"""
+
+
+def shard_oracle_pair(seed, dtype=np.float64):
+    """Two identical depth-11 SEM models, their BN buffers away from 0/1."""
+    pair = [build_network(RunConfig(depth=11, attention="sem"), RngState(seed), dtype)
+            for _ in range(2)]
+    for model in pair:
+        random_buffers(model, seed + 1)
+    return pair
+
+
+def close(got, want, rtol=1e-12):
+    """Normwise relative agreement."""
+    return np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("b,sizes", [(1, [1]), (16, [16]), (127, [127]), (128, [64, 64]),
+                                     (201, [100, 101])])
+def test_training_shards_only_batches_of_two_full_shards(monkeypatch, b, sizes):
+    # With fewer samples a shard's step is bound by Python op dispatch, and
+    # two shards taking turns on the interpreter lock run slower than one.
+    model = build_network(RunConfig(depth=11), RngState(118))
+    seen = []
+
+    def stub(model, x, training, capture):
+        seen.append(len(x.data))
+        return Tensor(np.zeros((len(x.data), 10), np.float32))
+
+    monkeypatch.setattr(backbone.Model, "_forward", stub)
+    out = model(Tensor(np.zeros((b, 3, 32, 32), np.float32)), training=True)
+    assert sorted(seen) == sizes and out.shape == (b, 10)
+
+
+@pytest.mark.usefixtures("small_train_shards")
+class TestShardedTraining:
+    @pytest.mark.parametrize("b", [1, 2, 3, 37])
+    def test_step_matches_the_whole_batch_oracle(self, b):
+        # Synchronized batch norm and the per-shard sweeps add up to the
+        # whole-batch step; only the order of the sums differs.
+        model, oracle = shard_oracle_pair(112)
+        gen = RngState(113).generator()
+        x = Tensor(gen.standard_normal((b, 3, 32, 32)), dtype=np.float64)
+        labels = gen.integers(0, 10, size=b)
+        loss = softmax_cross_entropy(model(x, training=True), labels)
+        backward(loss)
+        want = softmax_cross_entropy(oracle._forward(x, True, None), labels)
+        backward(want)
+        assert close(loss.data, want.data)
+        for (name, p), q in zip(model.named_parameters(), oracle.parameters()):
+            assert close(p.grad, q.grad), name
+        for (name, buf), (_, ref) in zip(model.named_buffers(), oracle.named_buffers()):
+            assert close(buf, ref), name
+
+    def test_running_buffers_take_one_update_per_step(self):
+        model, oracle = shard_oracle_pair(114)
+        x = Tensor(RngState(115).generator().standard_normal((6, 3, 32, 32)), dtype=np.float64)
+        bn = model.stages[0][0].bn1
+        before = bn.running_mean.copy(), bn.running_var.copy()
+        with no_grad():
+            h = model.stem(x).data  # bn1's input
+            model(x, training=True)
+            oracle._forward(x, True, None)
+        for got, old, stat in zip((bn.running_mean, bn.running_var), before,
+                                  (h.mean(axis=(0, 2, 3)), h.var(axis=(0, 2, 3)))):
+            assert close(got, 0.9 * old + 0.1 * stat)
+        for (name, buf), (_, ref) in zip(model.named_buffers(), oracle.named_buffers()):
+            assert close(buf, ref), name
+
+    def test_skip_add_hands_its_gradient_to_one_parent(self, monkeypatch):
+        # The skip add passes its output gradient to both parents; once its
+        # node is gone the branch takes that buffer over and only the
+        # residual gets a copy, with the same bits as two copies.
+        model, twin = shard_oracle_pair(116, np.float32)
+        x = small_input(RngState(117).generator(), b=4)
+        labels = np.arange(4)
+        inner = tensor._accumulate
+        adopted = []
+
+        def spy(parents, grads, out_grad, owned, sink):
+            inner(parents, grads, out_grad, owned, sink)
+            if len(grads) == 2 and grads[0] is out_grad and grads[1] is out_grad:
+                adopted.append([p.grad is out_grad for p in parents])
+
+        monkeypatch.setattr(tensor, "_accumulate", spy)
+        backward(softmax_cross_entropy(model(x, training=True), labels))
+        # 3 skip adds per shard; the gates' 2-D adds hold a broadcast parent.
+        assert adopted == [[True, False]] * 3 * 2, adopted
+        monkeypatch.setattr(tensor, "_accumulate",
+                            lambda parents, grads, out_grad, owned, sink:
+                            inner(parents, grads, out_grad, False, sink))
+        backward(softmax_cross_entropy(twin(x, training=True), labels))
+        for (name, p), q in zip(model.named_parameters(), twin.parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes(), name
+
+    @pytest.mark.parametrize("phase", ["forward", "backward"])
+    @pytest.mark.parametrize("where", ["before", "after"])
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_shard_exception_reaches_the_caller(self, tmp_path, shard, where, phase):
+        # "before": the stem's conv forward, or the classifier's backward
+        # rule (the first of a shard's sweep), ahead of every barrier;
+        # "after": a conv of stage2.block0, behind stage1's batch norms in
+        # forward and the head's and stage3's in backward. The partner is
+        # left at a barrier, which the failed shard breaks.
+        run_isolated(STEP_PRELUDE + f"""
+    SHARD, WHERE, PHASE = {shard}, {where!r}, {phase!r}
+    model = build_network(RunConfig(depth=11, attention="sem"), RngState(110))
+    groups = []
+
+    class SpyGroup(tensor.ShardGroup):
+        def __init__(self, *args):
+            super().__init__(*args)
+            groups.append(self)
+
+    backbone.ShardGroup = tensor.ShardGroup = SpyGroup
+    layer = "stage2.block0" if WHERE == "after" else "head" if PHASE == "backward" else "stem"
+    name = "affine" if layer == "head" else "conv2d"
+    op = getattr(backbone, name)
+
+    def failing(g=None):
+        raise RuntimeError(f"shard {{SHARD}} failed")
+
+    def planted(*args, **kwargs):
+        here = tensor._layer.get() == layer and tensor._shard.get()[1] == SHARD
+        if here and PHASE == "forward":
+            failing()
+        out = op(*args, **kwargs)
+        if here:
+            out._backward = failing
+        return out
+
+    setattr(backbone, name, planted)
+    try:
+        step(model)
+    except RuntimeError as exc:  # BrokenBarrierError is one too
+        assert type(exc) is RuntimeError and str(exc) == f"shard {{SHARD}} failed", repr(exc)
+    else:
+        raise AssertionError("no error")
+    assert len(groups) == (1 if PHASE == "forward" else 2)
+    assert groups[-1]._barrier.broken
+    assert all(p.grad is None for p in model.parameters())
+    setattr(backbone, name, op)
+    assert np.isfinite(step(model).item()) and not groups[-1]._barrier.broken
+""", tmp_path)
+
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_first_nonfinite_op_names_the_failing_shards_layer(self, tmp_path, shard):
+        # Only one shard plants a NaN; its partner stops at the next batch
+        # norm's barrier, and its BrokenBarrierError does not hide the name.
+        run_isolated(STEP_PRELUDE + f"""
+    model = build_network(RunConfig(depth=11, attention="sem"), RngState(110))
+    block = model.stages[1][0]
+    conv2 = block.conv2
+
+    def planted(h):
+        if tensor._shard.get()[1] == {shard}:
+            h.data[0, 0, 0, 0] = np.nan
+        return conv2(h)
+
+    block.conv2 = planted
+    with np.errstate(invalid="ignore"):
+        name = training._first_nonfinite_op(model, x, labels)
+    assert name == "stage2.block0 (op conv2d)", name
+    block.conv2 = conv2
+    assert np.isfinite(step(model).item())
+""", tmp_path)
+
+    def test_concurrent_callers_share_the_pool(self, tmp_path):
+        # More training callers than pool threads, with frequent thread
+        # switches: each shard-1 task may wait for a pool thread, but its
+        # partner runs on its own caller, so every caller finishes with the
+        # bits of a step taken alone.
+        run_isolated(STEP_PRELUDE + """
+    callers = backbone._pool._max_workers + 2
+    models = [build_network(RunConfig(depth=11, attention="sem"), RngState(110))
+              for _ in range(callers + 1)]
+
+    def outcome(model, loss):
+        return ([loss.data.tobytes()] + [p.grad.tobytes() for p in model.parameters()]
+                + [b.tobytes() for _, b in model.named_buffers()])
+
+    want = outcome(models[-1], step(models[-1]))
+    results, errors = {}, []
+
+    def caller(i):
+        try:
+            results[i] = outcome(models[i], step(models[i]))
+        except Exception as exc:
+            errors.append(exc)
+
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=caller, args=(i,), daemon=True) for i in range(callers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=90)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert all(results[i] == want for i in range(callers))
+""", tmp_path)
 
 
 class TestCheckpointContainer:

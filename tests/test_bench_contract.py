@@ -1,6 +1,15 @@
 """The lookups the benchmark's tracer patches (perfbench/tracer.py) still
 exist and still see every op: one traced depth-11 SEM training step counts
-the expected gates and tape nodes and gives the untraced loss bit for bit."""
+the expected gates and tape nodes and gives the untraced loss bit for bit.
+
+The step runs whole, as the benchmark's batches of 16 do, or in two sample
+shards, as its batches of 128 do. Either way each forward has 3 gates of
+69 nodes and 93 nodes in its 3 blocks. Whole, the tracer counts those, the
+loss, 4 head nodes and the stem conv: 99. Sharded, it walks each shard's
+blocks and gates, the joined logits (its "head") and the first block input
+down to the images (its "stem"); it does not reach either shard's 4 head
+nodes or the other shard's stem conv, so it counts 2 x 93 + loss + join +
+one stem = 189."""
 
 import importlib.util
 import os
@@ -8,7 +17,7 @@ import os
 import numpy as np
 import pytest
 
-from semnet import training
+from semnet import backbone, training
 from semnet.rng import RngState
 from semnet.tensor import Tensor
 
@@ -46,13 +55,16 @@ def one_step(tracer):
     return loss.data
 
 
-def test_traced_step_counts_and_loss(tracer_module):
+@pytest.mark.parametrize("shards", [1, 2])
+def test_traced_step_counts_and_loss(tracer_module, monkeypatch, shards):
+    if shards == 2:  # the 4-sample batch runs two shards
+        monkeypatch.setattr(backbone, "_MIN_SHARD_SAMPLES", 1)
     tracer = tracer_module.Tracer()
     traced = one_step(tracer)
     assert not tracer.installed
     (_, counts), = tracer.summarize()
-    assert counts["attention.calls"] == 3
-    assert counts["tensor.tape_nodes"] == 99
-    assert counts["attention.nodes"] == 69
+    assert counts["attention.calls"] == shards * 3
+    assert counts["tensor.tape_nodes"] == (99 if shards == 1 else 2 * 93 + 3)
+    assert counts["attention.nodes"] == shards * 69
     untraced = one_step(tracer_module.NullTracer())
     assert traced.tobytes() == untraced.tobytes()

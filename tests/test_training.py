@@ -3,6 +3,9 @@ checkpoint round-trips."""
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -163,6 +166,39 @@ class TestTrainRun:
         r2 = train_run(tiny_config(tmp_path / "b"))
         assert (open(r1.metrics_path, "rb").read()
                 == open(r2.metrics_path, "rb").read())
+
+    def test_run_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
+        # The training shard count follows from the batch size alone and
+        # eval logits do not depend on the slice count, so at one BLAS
+        # thread a `semnet train` pinned to one CPU writes the bytes of one
+        # on every CPU, and a rerun writes them again. Its batches of 16 run
+        # two shards, as batches of 128 do by default.
+        script = ("import os, sys\n"
+                  "if sys.argv[1] == 'one':\n"
+                  "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                  "from semnet import backbone\n"
+                  "backbone._MIN_SHARD_SAMPLES = 1\n"
+                  "from semnet.cli import main\n"
+                  "sys.exit(main(sys.argv[2:]))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        runs = {}
+        out = os.path.join(tmp_path, "run")  # the checkpoint embeds the config, out_dir too
+        for label, cpus in (("a", "all"), ("b", "all"), ("one", "one")):
+            argv = ["train", "--dataset", "synthetic", "--depth", "11", "--epochs", "2",
+                    "--batch-size", "16", "--synthetic-train", "48", "--synthetic-test", "32",
+                    "--synthetic-classes", "4", "--seed", "7", "--out-dir", out]
+            proc = subprocess.run([sys.executable, "-c", script, cpus, *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            env_json = json.load(open(os.path.join(out, "environment.json")))
+            runs[label] = [open(os.path.join(out, name), "rb").read()
+                           for name in ("metrics.jsonl", "final.ckpt")]
+            assert len(env_json["cpu_affinity"]) == (
+                1 if cpus == "one" else len(os.sched_getaffinity(0)))
+            shutil.rmtree(out)
+        assert runs["a"] == runs["b"] == runs["one"]
 
     def test_timing_sidecar_says_where_the_time_went(self, tmp_path):
         result = train_run(tiny_config(tmp_path / "run"))
