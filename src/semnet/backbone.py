@@ -6,32 +6,29 @@ when configured, transforms the residual branch output of every block
 immediately before the skip addition.
 
 A training forward of at least ``2 * _MIN_SHARD_SAMPLES`` samples runs the
-batch in two contiguous sample shards at once, on the calling thread and on
-a pool thread: the gates act per sample, and batch norm sums its
-statistics, and in backward its gradient sums, over both shards
-(``tensor.ShardGroup``). The model's logits are one tape node whose rule
-runs both shards' reverse sweeps at once and adds their parameter
-gradients in shard order. The shard count follows from the batch
-size alone, so a run's numbers do not depend on the machine's CPUs.
+batch in two contiguous sample shards at once: the gates act per sample,
+and batch norm sums its statistics, and in backward its gradient sums, over
+both shards. The model's logits are one tape node whose rule runs both
+shards' reverse sweeps at once and adds their parameter gradients in shard
+order (``tensor.join_shards``). The shard count follows from the batch size
+alone, so a run's numbers do not depend on the machine's CPUs.
 
 Under ``no_grad`` an eval forward treats every sample on its own (the gates
 act per sample, batch norm uses its running statistics), so it runs in
 contiguous sample slices, one per CPU, at once. Each slice's logits are
 bit for bit those of the whole batch.
 
-numpy releases the interpreter lock inside its kernels, so shards and
-slices run in parallel.
+This module decides only how many shards a batch gets, where it splits and
+how the shards' records join; ``tensor.ShardGroup.run`` runs them, on the
+calling thread and a pool that ``semnet.tensor`` owns. numpy releases the
+interpreter lock inside its kernels, so shards run in parallel.
 """
 
 from __future__ import annotations
 
-import contextvars
-import ctypes
 import dataclasses
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,7 +51,6 @@ ATTENTION_MODES = ("none", "se", "eca", "ie", "sem", "random_single", "random_do
 # Conventional gates: one excitation operator, no decision network, and a
 # sigmoid switch (RunConfig.resolved pins it) whatever the configured one.
 SINGLE_OPERATOR_MODES = {"se": att.OPERATOR_FC, "eca": att.OPERATOR_CNN, "ie": att.OPERATOR_IE}
-_pool = ThreadPoolExecutor(thread_name_prefix="semnet-eval")  # no thread until a submit
 _TRAIN_SHARDS = 2  # sample shards of a training forward
 # Samples each training shard needs: with fewer, the step is bound by Python
 # op dispatch, not by numpy's kernels, and two shards that take turns on the
@@ -63,60 +59,12 @@ _TRAIN_SHARDS = 2  # sample shards of a training forward
 _MIN_SHARD_SAMPLES = 64
 
 
-def _share_one_heap() -> None:
-    """Have every thread of the process allocate from glibc's main heap
-    (``mallopt(M_ARENA_MAX, 1)``). A pool thread then reuses the buffers the
-    calling thread has freed, where a heap of its own would hold its peak
-    on top of the caller's, a peak that moves from run to run with how the
-    two threads' frees interleave. Does nothing on other C libraries."""
-    try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
-    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
-        libc = ""
-    if libc.startswith("glibc"):
-        ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX
-
-
-_share_one_heap()  # before the pool starts a thread
-
-
 def eval_shard_count() -> int:
     """Slices a large eval batch is split into: the CPUs in this process's
     affinity mask."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _run_shards(task, n: int, group: ShardGroup | None = None) -> list:
-    """``task(i)`` for every shard i < n at once: shard 0 on the calling
-    thread, which has already grown its heap, the rest on the pool. Each
-    runs in a copy of the caller's context, so numpy's errstate, no_grad,
-    the debug checks and the layer scope carry over, and as member i of
-    ``group`` if one is given. Returns the results in shard order once every
-    shard has finished; raises the first error in shard order, passing over
-    the BrokenBarrierError a failed member leaves its partners."""
-    def run(i):
-        if group is None:
-            return task(i)
-        with group.member(i):
-            return task(i)
-
-    futures = [_pool.submit(contextvars.copy_context().run, run, i) for i in range(1, n)]
-    results, errors = [None] * n, [None] * n
-    try:
-        results[0] = contextvars.copy_context().run(run, 0)
-    except BaseException as exc:  # re-raised once no shard is left running
-        errors[0] = exc
-    for i, future in enumerate(futures, 1):
-        errors[i] = future.exception()
-        if errors[i] is None:
-            results[i] = future.result()
-    failed = [e for e in errors if e is not None]
-    if failed:
-        raise next((e for e in failed if not isinstance(e, threading.BrokenBarrierError)),
-                   failed[0])
-    return results
 
 
 def depth_to_blocks(depth: int) -> int:
@@ -314,13 +262,12 @@ class Model:
         per gate.
 
         A training forward runs ``min(_TRAIN_SHARDS, B // _MIN_SHARD_SAMPLES)``
-        contiguous sample shards at once as one ``ShardGroup`` (a smaller
-        batch, or an ``x`` that requires a gradient, keeps the whole batch).
-        Under ``no_grad`` with ``training=False`` the batch runs in up to
-        ``eval_shard_count()`` slices at once. Either way the first runs on the calling thread and
-        the rest on the pool, and the logits and records are concatenated
-        in sample order; a recording forward returns them as one node
-        (``join_shards``)."""
+        contiguous sample shards (a smaller batch, or an ``x`` that requires
+        a gradient, keeps the whole batch); under ``no_grad`` with
+        ``training=False`` the batch runs in up to ``eval_shard_count()``
+        slices. Either way they run at once as one ``ShardGroup``, their
+        logits and records are concatenated in sample order, and a
+        recording forward returns the logits as one node (``join_shards``)."""
         b = x.shape[0]
         if training:
             n = 1 if x.requires_grad else min(_TRAIN_SHARDS, b // _MIN_SHARD_SAMPLES)
@@ -330,15 +277,15 @@ class Model:
             return self._forward(x, training, capture_decisions)
         bounds = [b * i // n for i in range(n + 1)]
         captures = [None if capture_decisions is None else [] for _ in range(n)]
-        outs = _run_shards(lambda i: self._forward(Tensor(x.data[bounds[i] : bounds[i + 1]]),
-                                                   training, captures[i]),
-                           n, ShardGroup(n, b) if training else None)
+        outs = ShardGroup(n, b).run(
+            lambda i: self._forward(Tensor(x.data[bounds[i] : bounds[i + 1]]), training,
+                                    captures[i]))
         if capture_decisions is not None:
             for records in zip(*captures):
                 weights = [r.weights for r in records]
                 capture_decisions.append(dataclasses.replace(
                     records[0], weights=None if weights[0] is None else np.concatenate(weights)))
-        return join_shards(outs, self.parameters(), _run_shards)
+        return join_shards(outs, self.parameters())
 
     def _forward(self, x: Tensor, training: bool,
                  capture_decisions: list[DecisionRecord] | None) -> Tensor:

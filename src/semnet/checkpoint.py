@@ -13,6 +13,7 @@ mid-write leaves the previous checkpoint intact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -98,7 +99,7 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             dtype = _CODE_DTYPES.get(code)
             if dtype is None:
                 raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
-            count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+            count = math.prod(shape)  # a Python int: extents cannot wrap it
             nbytes = count * dtype.itemsize
             if pos + nbytes > end:
                 raise CheckpointError(f"{path}: truncated record {name!r}")
@@ -106,7 +107,7 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
                                 count=count, offset=pos)
             arrays[name] = arr.astype(dtype).reshape(shape)
             pos += nbytes
-        except struct.error as exc:
+        except (struct.error, UnicodeDecodeError) as exc:
             raise CheckpointError(f"{path}: malformed record table: {exc}") from exc
     if pos != end:
         raise CheckpointError(f"{path}: {end - pos} stray bytes before CRC")

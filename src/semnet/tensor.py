@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
+import os
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,11 +27,8 @@ DEFAULT_DTYPE = np.float32
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 _check_finite = contextvars.ContextVar("check_finite", default=False)
 _layer = contextvars.ContextVar("layer", default=None)
-# (ShardGroup, index) of the sample shard this context runs, and the dict
-# a shard's reverse sweep adds its leaf gradients into (not their ``grad``);
-# None outside shards.
+# (ShardGroup, index) of the sample shard this context runs; None outside shards.
 _shard = contextvars.ContextVar("shard", default=None)
-_grad_sink = contextvars.ContextVar("grad_sink", default=None)
 _CHUNK_BYTES = 1 << 20  # bytes of one sample chunk of conv2d or batch norm: stays in L2
 
 
@@ -66,44 +66,84 @@ def layer_scope(name: str):
     return _set(_layer, name)
 
 
-class ShardGroup:
-    """Contiguous sample shards of one batch, each run at once on its own
-    thread as a member of the group (``member``).
+def _share_one_heap() -> None:
+    """Have every thread of the process allocate from glibc's main heap
+    (``mallopt(M_ARENA_MAX, 1)``). A pool thread then reuses the buffers the
+    calling thread has freed, where a heap of its own would hold its peak
+    on top of the caller's, a peak that moves from run to run with how the
+    two threads' frees interleave. Does nothing on other C libraries."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        libc = ""
+    if libc.startswith("glibc"):
+        ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX
 
-    Inside a member, training ``batch_norm`` normalises by the statistics
-    of the whole batch: each member hands its per-channel partial sums to
-    ``all_reduce``, which waits for every member at a barrier and returns
-    their sum, added in shard order, so every member gets the same bits.
-    Two rounds of slots alternate, so a member that moves on to the next
-    round cannot overwrite a partial its partners still read. A member that
-    raises breaks the barrier, so its partners raise ``BrokenBarrierError``
-    instead of waiting for it.
+
+_share_one_heap()  # before the pool starts a thread
+_pool = ThreadPoolExecutor(thread_name_prefix="semnet-shard")  # no thread until a submit
+
+
+class ShardGroup:
+    """Contiguous sample shards of one batch, run at once by ``run``.
+
+    Inside a shard, training ``batch_norm`` normalises by the statistics of
+    the whole batch: each shard hands its per-channel partial sums to
+    ``all_reduce``, which waits for every shard at a barrier whose action
+    adds the partials in shard order, so every shard gets the same bits. A
+    shard that raises breaks the barrier, so its partners raise
+    ``BrokenBarrierError`` instead of waiting for it. Eval slices run as a
+    group too and never reach the barrier.
     """
 
     def __init__(self, shards: int, samples: int):
         self.samples = samples  # in the whole batch
-        self._barrier = threading.Barrier(shards)
-        self._slots = [[None] * shards, [None] * shards]
-        self._rounds = [0] * shards  # member i alone touches entry i
+        self._slots = [None] * shards
+        self._barrier = threading.Barrier(shards, action=self._sum)
 
-    @contextlib.contextmanager
-    def member(self, index: int):
-        """Run the block as shard ``index`` of the group, in this context."""
+    def _sum(self) -> None:
+        self._total = sum(self._slots[1:], self._slots[0])
+        self._total.flags.writeable = False  # one array, shared by every shard
+
+    def run(self, task) -> list:
+        """``task(i)`` for every shard i at once: shard 0 on the calling
+        thread, which has already grown its heap, the rest on the pool. Each
+        runs as shard i of the group in a copy of the caller's context, so
+        numpy's errstate, no_grad, the debug checks and the layer scope carry
+        over. Returns the results in shard order once every shard has
+        finished; raises the first error in shard order, passing over the
+        BrokenBarrierError a failed shard leaves its partners."""
+        def member(i):
+            _shard.set((self, i))
+            try:
+                return task(i)
+            except BaseException:
+                self._barrier.abort()
+                raise
+
+        n = len(self._slots)
+        futures = [_pool.submit(contextvars.copy_context().run, member, i) for i in range(1, n)]
+        results, errors = [None] * n, [None] * n
         try:
-            with _set(_shard, (self, index)):
-                yield
-        except BaseException:
-            self._barrier.abort()
-            raise
+            results[0] = contextvars.copy_context().run(member, 0)
+        except BaseException as exc:  # re-raised once no shard is left running
+            errors[0] = exc
+        for i, future in enumerate(futures, 1):
+            errors[i] = future.exception()
+            if errors[i] is None:
+                results[i] = future.result()
+        failed = [e for e in errors if e is not None]
+        if failed:
+            raise next((e for e in failed if not isinstance(e, threading.BrokenBarrierError)),
+                       failed[0])
+        return results
 
     def all_reduce(self, index: int, partial: np.ndarray) -> np.ndarray:
-        """Member ``index``'s share of one round: every member's ``partial``
-        summed in shard order, once all have handed theirs in."""
-        slots = self._slots[self._rounds[index] % 2]
-        self._rounds[index] += 1
-        slots[index] = partial
+        """Every shard's ``partial`` summed in shard order, once all have
+        handed theirs in; read-only."""
+        self._slots[index] = partial
         self._barrier.wait()
-        return sum(slots[1:], slots[0])
+        return self._total
 
 
 class Tensor:
@@ -200,24 +240,26 @@ def _topological_order(root: Tensor) -> list[Tensor]:
     return [n for n in order if n._backward is not None]
 
 
-def backward(root: Tensor, grad: np.ndarray | None = None) -> None:
+def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(t) into ``t.grad`` for every reachable tensor,
-    given ``grad`` = d(loss)/d(root), by default 1 for a scalar ``root``.
+    for a scalar ``root`` recorded on an active graph.
 
-    ``root`` must be recorded on an active graph. Gradients add across
-    multiple uses of a tensor and across repeated training steps. Each node
-    is released as soon as its rule has run, so activations and
-    intermediate gradients are freed layer by layer; an intermediate keeps
-    its ``grad`` only if the caller still holds it. In a shard's sweep
-    (``join_shards``) leaf gradients go to that shard's sink instead.
+    Gradients add across multiple uses of a tensor and across repeated
+    training steps. Each node is released as soon as its rule has run, so
+    activations and intermediate gradients are freed layer by layer; an
+    intermediate keeps its ``grad`` only if the caller still holds it.
     """
-    if grad is None:
-        if root.data.size != 1:
-            raise ValueError(f"backward() needs a scalar, got shape {root.shape}")
-        grad = np.ones_like(root.data)
+    if root.data.size != 1:
+        raise ValueError(f"backward() needs a scalar, got shape {root.shape}")
+    _sweep(root, np.ones_like(root.data), None)
+
+
+def _sweep(root: Tensor, grad: np.ndarray, sink: dict | None) -> None:
+    """The reverse sweep from ``root`` given ``grad`` = d(loss)/d(root); leaf
+    gradients go to ``sink`` (a shard's, in ``join_shards``) if one is given,
+    else into their ``grad``."""
     tape = _topological_order(root)
     root.grad = grad
-    sink = _grad_sink.get()
     while tape:
         node = tape.pop()
         parents, rule, out_grad = node._parents, node._backward, node.grad
@@ -260,27 +302,22 @@ def _accumulate(parents: tuple, grads, out_grad: np.ndarray, owned: bool,
             parent.grad = held
 
 
-def join_shards(shards: list[Tensor], leaves: list[Tensor], run) -> Tensor:
+def join_shards(shards: list[Tensor], leaves: list[Tensor]) -> Tensor:
     """The sample shards' outputs concatenated along axis 0, recorded as one
     node whose parents are ``leaves`` (the parameters the shards share).
 
-    Its rule runs ``run(sweep, len(shards), group)``, which must call
-    ``sweep(i)`` for every shard at once, each as member i of the fresh
-    ``ShardGroup``. ``sweep(i)`` runs shard i's reverse sweep from its rows
-    of the gradient, its leaf gradients going to its own sink, and the rule
-    returns each leaf's gradient summed over the shards in shard order.
+    Its rule runs the shards' reverse sweeps at once as one fresh
+    ``ShardGroup``, each from its rows of the gradient into a sink of its
+    own, and returns each leaf's gradient summed over the shards in shard
+    order.
     """
     out = np.concatenate([t.data for t in shards])
     bounds = np.cumsum([0] + [len(t.data) for t in shards])
 
     def join_shards_backward(g):
         sinks = [{} for _ in shards]
-
-        def sweep(i):
-            with _set(_grad_sink, sinks[i]):
-                backward(shards[i], g[bounds[i] : bounds[i + 1]])
-
-        run(sweep, len(shards), ShardGroup(len(shards), len(out)))
+        ShardGroup(len(shards), len(out)).run(
+            lambda i: _sweep(shards[i], g[bounds[i] : bounds[i + 1]], sinks[i]))
         parts = [[sink[leaf] for sink in sinks if leaf in sink] for leaf in leaves]
         return [sum(p[1:], p[0]) if p else None for p in parts]
 

@@ -411,7 +411,7 @@ class TestShardedEval:
                 b * (i + 1) // n - b * i // n for i in range(n))
             names = [name for name, _ in calls]
             assert names.count(threading.current_thread().name) == 1
-            assert sum(name.startswith("semnet-eval") for name in names) == n - 1
+            assert sum(name.startswith("semnet-shard") for name in names) == n - 1
 
     @pytest.mark.parametrize("attention", ["sem", "se"])
     def test_capture_decisions_concatenate_the_shards(self, monkeypatch, attention):
@@ -455,7 +455,7 @@ class TestShardedEval:
         for pair in (calls[:2], calls[2:]):  # each forward: its shards, in either order
             assert sorted(size for _, size in pair) == [4, 4]
             assert sum(name == caller for name, _ in pair) == 1
-            assert sum(name.startswith("semnet-eval") for name, _ in pair) == 1
+            assert sum(name.startswith("semnet-shard") for name, _ in pair) == 1
         assert got.data.tobytes() == want.data.tobytes()
         for (_, a), (_, b) in zip(model.named_buffers(), twin.named_buffers()):
             assert a.tobytes() == b.tobytes()
@@ -483,7 +483,7 @@ class TestShardedEval:
         with no_grad(), pytest.raises(RuntimeError, match=f"{failing} slice failed"):
             model(x)
         assert len(finished) == 1
-        assert finished[0].startswith("semnet-eval") == (failing == "caller")
+        assert finished[0].startswith("semnet-shard") == (failing == "caller")
         monkeypatch.setattr(model, "head_bn", head)
         with no_grad():
             assert model(x).data.tobytes() == model(x, training=False).data.tobytes()
@@ -571,7 +571,7 @@ class TestShardedEval:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
-        assert sum(name.startswith("semnet-eval") for name, _ in calls) == 4 * (5 - 1)
+        assert sum(name.startswith("semnet-shard") for name, _ in calls) == 4 * (5 - 1)
         assert len(calls) == 4 * 5
         for i in range(4):
             assert results[i].tobytes() == want[i:].tobytes(), i
@@ -594,7 +594,7 @@ class TestShardedEval:
             "with no_grad():\n"
             "    model(x, training=True)\n"
             "assert threading.active_count() == 2, 'training'\n"
-            "assert all(t.name.startswith('semnet-eval') for t in threading.enumerate()\n"
+            "assert all(t.name.startswith('semnet-shard') for t in threading.enumerate()\n"
             "           if t is not threading.main_thread())\n"
             "backbone.eval_shard_count = lambda: 2\n"
             "with no_grad():\n"
@@ -705,6 +705,20 @@ class TestShardedTraining:
             assert close(p.grad, q.grad), name
         for (name, buf), (_, ref) in zip(model.named_buffers(), oracle.named_buffers()):
             assert close(buf, ref), name
+
+    def test_input_that_requires_grad_keeps_the_whole_batch(self):
+        # The shards' sweeps end at the join's parameters, so an input that
+        # needs its own gradient takes the whole-batch path: the oracle's bits.
+        model, oracle = shard_oracle_pair(119)
+        gen = RngState(120).generator()
+        data = gen.standard_normal((6, 3, 32, 32))
+        labels = gen.integers(0, 10, size=6)
+        x, y = (Tensor(data, requires_grad=True, dtype=np.float64) for _ in range(2))
+        backward(softmax_cross_entropy(model(x, training=True), labels))
+        backward(softmax_cross_entropy(oracle._forward(y, True, None), labels))
+        assert x.grad.tobytes() == y.grad.tobytes()
+        for (name, p), q in zip(model.named_parameters(), oracle.parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes(), name
 
     def test_running_buffers_take_one_update_per_step(self):
         model, oracle = shard_oracle_pair(114)
@@ -825,7 +839,7 @@ class TestShardedTraining:
         # partner runs on its own caller, so every caller finishes with the
         # bits of a step taken alone.
         run_isolated(STEP_PRELUDE + """
-    callers = backbone._pool._max_workers + 2
+    callers = tensor._pool._max_workers + 2
     models = [build_network(RunConfig(depth=11, attention="sem"), RngState(110))
               for _ in range(callers + 1)]
 

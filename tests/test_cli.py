@@ -3,7 +3,9 @@ plus the documented exit codes."""
 
 import json
 import os
+import struct
 import sys
+import zlib
 from dataclasses import fields
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from semnet.checkpoint import read_checkpoint, write_checkpoint
 from semnet.cli import main
+from semnet.errors import CheckpointError
 from semnet.training import RunConfig
 
 TINY = """\
@@ -213,6 +216,25 @@ def test_unusable_path_is_data_error(tiny_cfg, tmp_path, capsys, case):
             "out_dir_below_file": ("train", "--config", tiny_cfg,
                                    "--out-dir", os.path.join(blocker, "run"))}[case]
     assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,shape", [(b"\xff\xfe", (2,)), (b"w", (2**62, 4)),
+                                        (b"w", (2**63, 2))])
+def test_malformed_record_table_is_data_error(tmp_path, capsys, name, shape):
+    """A record with a valid CRC but a name that is not UTF-8, or extents
+    whose product overflows int64: CheckpointError, and eval exits 3 with
+    no traceback."""
+    record = (struct.pack("<H", len(name)) + name + struct.pack("<BB", 4, len(shape))
+              + struct.pack(f"<{len(shape)}Q", *shape) + bytes(8))
+    blob = b"SEMCKPT1\x01" + record
+    path = os.path.join(tmp_path, "bad.ckpt")
+    with open(path, "wb") as fh:
+        fh.write(blob + struct.pack("<I", zlib.crc32(blob)))
+    with pytest.raises(CheckpointError, match="bad.ckpt"):
+        read_checkpoint(path)
+    assert run_cli("eval", "--checkpoint", path) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "Traceback" not in err
 

@@ -2,6 +2,7 @@
 against central differences, broadcasting, and determinism."""
 
 import contextlib
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -14,6 +15,7 @@ from semnet.gradcheck import check_gradients, finite_difference_grad, max_relati
 from semnet.rng import RngState
 from semnet.tensor import (
     ACTIVATION_KINDS,
+    ShardGroup,
     Tensor,
     activation,
     add,
@@ -872,3 +874,43 @@ class TestTensorBasics:
         c = RngState(123, 8).generator().standard_normal(16)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestShardGroup:
+    def test_all_reduce_sums_every_round_in_shard_order(self):
+        # Frequent thread switches let a fast member run ahead into the next
+        # round while its partners still read this one's sum.
+        rounds, shards = 200, 3
+        parts = RngState(130).generator().standard_normal((rounds, shards, 17)).astype(np.float32)
+        group = ShardGroup(shards, shards)
+
+        def member(i):
+            return [group.all_reduce(i, parts[r, i].copy()) for r in range(rounds)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = group.run(member)
+        finally:
+            sys.setswitchinterval(interval)
+        for r in range(rounds):
+            want = sum(parts[r, 1:], parts[r, 0]).tobytes()
+            for i in range(shards):
+                assert results[i][r] is results[0][r], (r, i)  # one array, shared
+            assert results[0][r].tobytes() == want, r
+            assert not results[0][r].flags.writeable
+
+    @pytest.mark.parametrize("failing", [0, 2])  # the caller's shard, a pool shard
+    def test_failing_member_breaks_the_barrier(self, failing):
+        group = ShardGroup(3, 3)
+
+        def member(i):
+            for r in range(200):
+                if (i, r) == (failing, 20):
+                    raise RuntimeError(f"member {i} failed")
+                group.all_reduce(i, np.ones(4))
+
+        with pytest.raises(RuntimeError) as info:
+            group.run(member)
+        assert type(info.value) is RuntimeError and str(info.value) == f"member {failing} failed"
+        assert group._barrier.broken
