@@ -37,14 +37,16 @@ budget = sum(2 * sem_block_param_count(w * 4) for w in STAGE_WIDTHS)
 print("attention overhead:", sem.param_count() - plain.param_count(),
       "closed form:", budget)
 
-# Forward pass with decision capture: one record per block.
+# Forward pass with decision capture: each gate hands over its raw (B, 3)
+# weights, and the model turns them into one record per gate. Forwards over
+# further samples could append to the same list; the records join them.
 gen = RngState(4).generator()
 x = Tensor(gen.standard_normal((2, 3, 32, 32)).astype(np.float32))
-records = []
+decisions = []
 with no_grad():
-    logits = sem(x, capture_decisions=records)
+    logits = sem(x, decisions=decisions)
 print("logits:", logits.shape)
-for rec in records:
+for rec in sem.decision_records(decisions):
     stats = rec.stats()
     line = " ".join(f"{op}={m:.3f}" for op, (m, _) in stats.items())
     print(f"  block {rec.layer_index} (stage {rec.stage}, C={rec.channels}): {line}")

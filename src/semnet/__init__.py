@@ -4,6 +4,7 @@ from .attention import (
     ALL_OPERATORS,
     DecisionRecord,
     SemParams,
+    attention_map,
     decide,
     decision_summary_csv,
     eca_kernel_size,

@@ -214,27 +214,30 @@ def _branch_outputs(m: Tensor, params: SemParams) -> list[Tensor]:
     return branches
 
 
-def sem_forward(x: Tensor, params: SemParams, *,
-                capture: dict | None = None, inplace: bool = False) -> Tensor:
-    """Full attention layer: squeeze, decide, excite each enabled branch,
-    switch, recalibrate.
+def attention_map(x: Tensor, params: SemParams, decisions: list | None = None) -> Tensor:
+    """The attention map v (B, C) of x: squeeze, decide, excite each enabled
+    branch, switch.
 
     Params built without a decision network run with w = 1 for every
     branch; with one operator and a sigmoid switch that is the conventional
-    SE / ECA / IE gate. ``capture`` receives the raw decision and
-    attention-map arrays when provided. ``inplace`` goes to ``recalibrate``:
-    only a caller that owns x and reads it no more (a block) may pass it.
+    SE / ECA / IE gate. ``decisions``, when given, receives the gate's raw
+    (B, N) decision weights, not a copy; a gate without a decision network
+    appends nothing.
     """
     m = squeeze(x)
     weights = None
     if params.decision_weight is not None:
         weights = decide(m, params.decision_weight)
-    branches = _branch_outputs(m, params)
-    v = switch(branches, weights, params.switch_activation)
-    if capture is not None:
-        capture["decision"] = None if weights is None else weights.data.copy()
-        capture["attention"] = v.data.copy()
-    return recalibrate(x, v, inplace=inplace)
+        if decisions is not None:
+            decisions.append(weights.data)
+    return switch(_branch_outputs(m, params), weights, params.switch_activation)
+
+
+def sem_forward(x: Tensor, params: SemParams, *,
+                decisions: list | None = None, inplace: bool = False) -> Tensor:
+    """The full attention layer: x recalibrated by its ``attention_map``;
+    ``inplace`` as in ``recalibrate``, only for an x the caller reads no more."""
+    return recalibrate(x, attention_map(x, params, decisions), inplace=inplace)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +256,11 @@ class DecisionRecord:
     stage: int
     channels: int
     operators: tuple[str, ...]
-    weights: np.ndarray | None = field(repr=False, default=None)  # (B, N)
+    weights: np.ndarray = field(repr=False)  # (B, N)
 
     def stats(self) -> dict[str, tuple[float, float]]:
-        out = {}
-        if self.weights is None:
-            return out
-        for i, op in enumerate(self.operators):
-            col = self.weights[:, i]
-            out[op] = (float(col.mean()), float(col.std()))
-        return out
+        return {op: (float(self.weights[:, i].mean()), float(self.weights[:, i].std()))
+                for i, op in enumerate(self.operators)}
 
 
 def decision_summary_csv(records: list[DecisionRecord]) -> str:

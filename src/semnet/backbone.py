@@ -18,15 +18,14 @@ act per sample, batch norm uses its running statistics), so it runs in
 contiguous sample slices, one per CPU, at once. Each slice's logits are
 bit for bit those of the whole batch.
 
-This module decides only how many shards a batch gets, where it splits and
-how the shards' records join; ``tensor.ShardGroup.run`` runs them, on the
-calling thread and a pool that ``semnet.tensor`` owns. numpy releases the
-interpreter lock inside its kernels, so shards run in parallel.
+This module decides only how many shards a batch gets and where it splits;
+``tensor.ShardGroup.run`` runs them, on the calling thread and a pool that
+``semnet.tensor`` owns. numpy releases the interpreter lock inside its
+kernels, so shards run in parallel.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from typing import TYPE_CHECKING
@@ -180,7 +179,7 @@ class _Bottleneck:
         self.attention = attention
         self.out_channels = cout
 
-    def __call__(self, x: Tensor, training: bool, capture: dict | None = None) -> Tensor:
+    def __call__(self, x: Tensor, training: bool, decisions: list | None = None) -> Tensor:
         # x is the caller's; bn2, bn3 and the gate may overwrite conv outputs.
         pre = self.bn1(x, training)
         residual = self.downsample(pre) if self.downsample is not None else x
@@ -190,7 +189,7 @@ class _Bottleneck:
         out = self.conv3(self.bn3(out, training, inplace=True))
         if self.attention is not None:
             # Looked up on the module so perfbench's patch of it applies.
-            out = att.sem_forward(out, self.attention, capture=capture, inplace=True)
+            out = att.sem_forward(out, self.attention, decisions=decisions, inplace=True)
         # Neither a conv2d nor a mul rule reads its own output: sum into it.
         return add(out, residual, inplace=True)
 
@@ -257,60 +256,67 @@ class Model:
         return [att.ALL_OPERATORS] * total  # "none": unused
 
     def forward(self, x: Tensor, training: bool = False,
-                capture_decisions: list[DecisionRecord] | None = None) -> Tensor:
-        """Logits (B, num_classes). ``capture_decisions`` receives one record
-        per gate.
+                decisions: list[np.ndarray] | None = None) -> Tensor:
+        """Logits (B, num_classes). ``decisions`` receives each decision
+        gate's raw (B, N) weights; ``decision_records`` reads them.
 
         A training forward runs ``min(_TRAIN_SHARDS, B // _MIN_SHARD_SAMPLES)``
         contiguous sample shards (a smaller batch, or an ``x`` that requires
         a gradient, keeps the whole batch); under ``no_grad`` with
         ``training=False`` the batch runs in up to ``eval_shard_count()``
         slices. Either way they run at once as one ``ShardGroup``, their
-        logits and records are concatenated in sample order, and a
-        recording forward returns the logits as one node (``join_shards``)."""
+        logits are concatenated in sample order, their weights reach
+        ``decisions`` shard after shard, and a recording forward returns the
+        logits as one node (``join_shards``)."""
         b = x.shape[0]
         if training:
             n = 1 if x.requires_grad else min(_TRAIN_SHARDS, b // _MIN_SHARD_SAMPLES)
         else:
             n = 1 if is_grad_enabled() else min(eval_shard_count(), b)
         if n <= 1:
-            return self._forward(x, training, capture_decisions)
+            return self._forward(x, training, decisions)
         bounds = [b * i // n for i in range(n + 1)]
-        captures = [None if capture_decisions is None else [] for _ in range(n)]
+        parts = [None if decisions is None else [] for _ in range(n)]
         outs = ShardGroup(n, b).run(
             lambda i: self._forward(Tensor(x.data[bounds[i] : bounds[i + 1]]), training,
-                                    captures[i]))
-        if capture_decisions is not None:
-            for records in zip(*captures):
-                weights = [r.weights for r in records]
-                capture_decisions.append(dataclasses.replace(
-                    records[0], weights=None if weights[0] is None else np.concatenate(weights)))
+                                    parts[i]))
+        if decisions is not None:
+            for part in parts:
+                decisions.extend(part)
         return join_shards(outs, self.parameters())
 
     def _forward(self, x: Tensor, training: bool,
-                 capture_decisions: list[DecisionRecord] | None) -> Tensor:
+                 decisions: list[np.ndarray] | None) -> Tensor:
         with layer_scope("stem"):
             out = self.stem(x)
-        layer_index = 0
         for stage_idx, blocks in enumerate(self.stages):
             for b, block in enumerate(blocks):
-                capture = None
-                if capture_decisions is not None and block.attention is not None:
-                    capture = {}
                 with layer_scope(f"stage{stage_idx + 1}.block{b}"):
-                    out = block(out, training, capture)
-                if capture is not None:
-                    capture_decisions.append(DecisionRecord(
-                        layer_index=layer_index,
-                        stage=stage_idx + 1,
-                        channels=block.out_channels,
-                        operators=block.attention.operators,
-                        weights=capture.get("decision")))
-                layer_index += 1
+                    out = block(out, training, decisions)
         with layer_scope("head"):
             out = self.head_bn(out, training, inplace=True)  # the last block's own sum
             pooled = global_avg_pool(out)
             return self.classifier(reshape(pooled, (x.shape[0], pooled.shape[1])))
+
+    def decision_records(self, decisions: list[np.ndarray]) -> list[DecisionRecord]:
+        """One record per decision gate, in layer order, from the weights
+        that forwards appended to ``decisions``.
+
+        Each forward appends one array per gate, so forwards over
+        consecutive sample ranges (a forward's shards, an export's batches)
+        join here, gate by gate, in sample order.
+        """
+        if not decisions:
+            return []
+        gates = [(s * self.blocks_per_stage + b, s + 1, block)
+                 for s, blocks in enumerate(self.stages) for b, block in enumerate(blocks)
+                 if block.attention is not None and block.attention.decision_weight is not None]
+        if len(decisions) % len(gates):
+            raise ValueError(f"{len(decisions)} decision arrays for {len(gates)} gates")
+        return [DecisionRecord(layer_index=layer, stage=stage, channels=block.out_channels,
+                               operators=block.attention.operators,
+                               weights=np.concatenate(decisions[i :: len(gates)]))
+                for i, (layer, stage, block) in enumerate(gates)]
 
     def __call__(self, x: Tensor, training: bool = False, **kw) -> Tensor:
         return self.forward(x, training, **kw)

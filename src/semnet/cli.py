@@ -170,12 +170,12 @@ def cmd_export_decisions(args) -> int:
             f"unit_decision={str(cfg.unit_decision).lower()}; decision export "
             "needs a sem checkpoint with learned decision weights")
     sample = _split_records(args, cfg)[: args.samples]
-    images, _ = next(batch_iterator(sample, len(sample), 0, 0, shuffle=False,
-                                    channel_mean=mean, channel_std=std))
-    captured = []
+    decisions = []
     with no_grad():
-        model(images, training=False, capture_decisions=captured)
-    csv_text = decision_summary_csv(captured)
+        for images, _ in batch_iterator(sample, cfg.eval_batch_size, 0, 0, shuffle=False,
+                                        channel_mean=mean, channel_std=std):
+            model(images, training=False, decisions=decisions)
+    csv_text = decision_summary_csv(model.decision_records(decisions))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_text)

@@ -274,7 +274,8 @@ def batch_iterator(records: list[DatasetRecord], batch_size: int,
         raise ValueError("batch_size must be >= 1")
     order = np.arange(len(records))
     if shuffle:
-        order = RngState(shuffle_seed, _SHUFFLE_STREAM + epoch).generator().permutation(len(records))
+        gen = RngState(shuffle_seed, _SHUFFLE_STREAM + epoch).generator()
+        order = gen.permutation(len(records))
     aug_gen = None
     if augment_cfg is not None and augment_cfg.enabled:
         aug_gen = RngState(shuffle_seed, _AUGMENT_STREAM + epoch).generator()

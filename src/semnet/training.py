@@ -251,18 +251,9 @@ class MetricsRecord:
 
 
 def _decision_summary(records: list[DecisionRecord]) -> list:
-    out = []
-    for rec in records:
-        stats = rec.stats()
-        if not stats:
-            continue
-        out.append({
-            "layer": rec.layer_index,
-            "stage": rec.stage,
-            "channels": rec.channels,
-            "w": {op: [round(m, 8), round(s, 8)] for op, (m, s) in stats.items()},
-        })
-    return out
+    return [{"layer": rec.layer_index, "stage": rec.stage, "channels": rec.channels,
+             "w": {op: [round(m, 8), round(s, 8)] for op, (m, s) in rec.stats().items()}}
+            for rec in records]
 
 
 @dataclass
@@ -357,7 +348,6 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
     wrote_best = False
     steps = 0
     stop = False
-    n_batches = (len(train_records) + cfg.batch_size - 1) // cfg.batch_size
 
     with open(metrics_path, "w", encoding="utf-8") as mfh, \
          open(timing_path, "w", encoding="utf-8") as tfh:
@@ -369,18 +359,16 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
             loss_sum = 0.0
             seen = 0
             correct = 0
-            decisions: list[DecisionRecord] = []
-            for b, (images, labels) in enumerate(data_mod.batch_iterator(
+            decisions = []  # the epoch's last step's, which its record summarises
+            for images, labels in data_mod.batch_iterator(
                     train_records, cfg.batch_size, cfg.seed, epoch,
                     augment_cfg=augment_cfg,
-                    channel_mean=channel_mean, channel_std=channel_std)):
-                capture = decisions if b == n_batches - 1 else None
-                if capture is not None:
-                    capture.clear()
+                    channel_mean=channel_mean, channel_std=channel_std):
+                decisions = []
                 # A diverging step is reported by NumericalFailure, not by
                 # numpy warnings (the diagnostic rerun included).
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    logits = model(images, training=True, capture_decisions=capture)
+                    logits = model(images, training=True, decisions=decisions)
                     loss = softmax_cross_entropy(logits, labels)
                     loss_val = loss.item()
                     if not np.isfinite(loss_val):
@@ -407,7 +395,7 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
                 test_top1=test_top1,
                 lr=lr,
                 seconds=time.time() - t0,
-                decisions=_decision_summary(decisions))
+                decisions=_decision_summary(model.decision_records(decisions)))
             metrics.append(record)
             mfh.write(json.dumps(record.deterministic_dict(), sort_keys=True) + "\n")
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults

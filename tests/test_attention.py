@@ -10,6 +10,7 @@ import pytest
 from semnet.attention import (
     ALL_OPERATORS,
     DecisionRecord,
+    attention_map,
     decide,
     decision_summary_csv,
     eca_kernel_size,
@@ -197,13 +198,13 @@ class TestFullLayer:
         # at init so its factor is sigmoid(-0.5).
         params = init_sem_params(8, rng=RngState(50), dtype=np.float64)
         x = Tensor(np.zeros((2, 8, 3, 3)), dtype=np.float64)
-        cap = {}
-        sem_forward(x, params, capture=cap)
-        assert np.array_equal(cap["decision"], np.full((2, 3), 0.5))
+        decisions = []
+        v = attention_map(x, params, decisions)
+        assert np.array_equal(decisions[0], np.full((2, 3), 0.5))
         # fc and cnn branches are 0 -> sigmoid(0)=0.5 each; ie contributes
         # sigmoid(-1 * 0.5).
         expected = 0.5 * 0.5 * (1.0 / (1.0 + np.exp(0.5)))
-        assert np.max(np.abs(cap["attention"] - expected)) <= 1e-15
+        assert np.max(np.abs(v.data - expected)) <= 1e-15
 
     def test_single_fc_matches_independent_composition(self):
         gen = RngState(51).generator()
@@ -235,9 +236,7 @@ class TestFullLayer:
         for c in (4, 16, 64):
             params = init_sem_params(c, rng=RngState(c), dtype=np.float64)
             x = Tensor(gen.standard_normal((64, c, 2, 2)) * 5.0, dtype=np.float64)
-            cap = {}
-            sem_forward(x, params, capture=cap)
-            v = cap["attention"]
+            v = attention_map(x, params).data
             assert v.min() > 0.0 and v.max() < 1.0
 
     def test_zero_branch_multiplies_by_half_exactly(self):

@@ -23,6 +23,7 @@ from semnet.backbone import (
 )
 from semnet.checkpoint import read_checkpoint, write_checkpoint
 from semnet.errors import CheckpointError
+from semnet.optim import SGD
 from semnet.rng import RngState
 from semnet.tensor import Tensor, backward, no_grad, set_debug_checks, softmax_cross_entropy
 from semnet.training import RunConfig
@@ -172,9 +173,10 @@ class TestNetwork:
         gen = RngState(84).generator()
         x = small_input(gen)
         model = build_network(RunConfig(depth=20, attention="sem"), RngState(10))
-        records = []
+        decisions = []
         with no_grad():
-            model(x, capture_decisions=records)
+            model(x, decisions=decisions)
+        records = model.decision_records(decisions)
         assert len(records) == 6  # 3 stages x 2 blocks
         assert [r.stage for r in records] == [1, 1, 2, 2, 3, 3]
         assert [r.channels for r in records] == [64, 64, 128, 128, 256, 256]
@@ -184,11 +186,10 @@ class TestNetwork:
         gen = RngState(85).generator()
         x = small_input(gen)
         model = build_network(RunConfig(depth=11, attention="eca"), RngState(11))
-        records = []
+        decisions = []
         with no_grad():
-            model(x, capture_decisions=records)
-        assert len(records) == 3
-        assert all(r.weights is None for r in records)
+            model(x, decisions=decisions)
+        assert decisions == [] and model.decision_records(decisions) == []
 
     def test_training_step_updates_and_bn_stats(self):
         gen = RngState(86).generator()
@@ -419,22 +420,21 @@ class TestShardedEval:
         random_buffers(model, 94)
         x = small_input(RngState(95).generator(), b=37)
         want = []
-        model(x, training=False, capture_decisions=want)
+        model(x, training=False, decisions=want)
+        want = model.decision_records(want)
         monkeypatch.setattr(backbone, "eval_shard_count", lambda: 3)
         calls = shard_spy(monkeypatch)
         got = []
         with no_grad():
-            model(x, training=False, capture_decisions=got)
+            model(x, training=False, decisions=got)
+        got = model.decision_records(got)
         assert len(calls) == 3
-        assert len(got) == len(want) == 6
+        assert len(got) == len(want) == (6 if attention == "sem" else 0)
         for g, w in zip(got, want):
             assert (g.layer_index, g.stage, g.channels, g.operators) == (
                 w.layer_index, w.stage, w.channels, w.operators)
-            if w.weights is None:
-                assert g.weights is None
-            else:
-                assert g.weights.shape == (37, 3)
-                assert g.weights.tobytes() == w.weights.tobytes()
+            assert g.weights.shape == (37, 3)
+            assert g.weights.tobytes() == w.weights.tobytes()
 
     @pytest.mark.usefixtures("small_train_shards")
     def test_no_grad_training_forward_matches_the_recording_one(self, monkeypatch):
@@ -719,6 +719,25 @@ class TestShardedTraining:
         assert x.grad.tobytes() == y.grad.tobytes()
         for (name, p), q in zip(model.named_parameters(), oracle.parameters()):
             assert p.grad.tobytes() == q.grad.tobytes(), name
+
+    def test_captured_decisions_outlive_the_step(self):
+        # The gates hand over their weights without a copy, so nothing after
+        # the forward may write into them: not backward, the step or zero_grad.
+        model = build_network(RunConfig(depth=11, attention="sem"), RngState(121))
+        gen = RngState(122).generator()
+        x = small_input(gen, b=6)
+        labels = gen.integers(0, 10, size=6)
+        optimizer = SGD(model.parameters(), lr=0.1)
+        decisions = []
+        loss = softmax_cross_entropy(model(x, training=True, decisions=decisions), labels)
+        copies = [d.copy() for d in decisions]
+        backward(loss)
+        optimizer.step()
+        optimizer.zero_grad()
+        assert len(decisions) == 2 * 3  # two shards, three gates each
+        assert all(d.tobytes() == c.tobytes() for d, c in zip(decisions, copies))
+        records = model.decision_records(decisions)
+        assert [r.weights.shape for r in records] == [(6, 3)] * 3
 
     def test_running_buffers_take_one_update_per_step(self):
         model, oracle = shard_oracle_pair(114)

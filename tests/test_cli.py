@@ -11,6 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from semnet import backbone
 from semnet.checkpoint import read_checkpoint, write_checkpoint
 from semnet.cli import main
 from semnet.errors import CheckpointError
@@ -386,6 +387,33 @@ class TestExportDecisions:
         assert len(lines) == 1 + 3  # depth 11 -> one block per stage
         means = [float(v) for v in lines[1].split(",")[3:6]]
         assert all(0.0 < v < 1.0 for v in means)
+
+    def test_streams_the_sample_in_eval_batches(self, tiny_cfg, tmp_path, monkeypatch):
+        # The tiny run's eval_batch_size of 16 exports 16 samples in one batch.
+        out = os.path.join(tmp_path, "run")
+        run_cli("train", "--config", tiny_cfg, "--out-dir", out)
+        whole = os.path.join(out, "final.ckpt")
+        arrays = read_checkpoint(whole)
+        meta = json.loads(arrays["meta.config_json"].tobytes())
+        meta["eval_batch_size"] = 5
+        arrays["meta.config_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        streamed = os.path.join(tmp_path, "streamed.ckpt")
+        write_checkpoint(streamed, arrays)
+        want, got = (os.path.join(tmp_path, name) for name in ("want.csv", "got.csv"))
+        assert run_cli("export-decisions", "--checkpoint", whole, "--samples", "16",
+                       "--out", want) == 0
+        sizes = []
+        inner = backbone.Model.forward
+
+        def spy(model, x, *args, **kwargs):
+            sizes.append(x.shape[0])
+            return inner(model, x, *args, **kwargs)
+
+        monkeypatch.setattr(backbone.Model, "forward", spy)
+        assert run_cli("export-decisions", "--checkpoint", streamed, "--samples", "16",
+                       "--out", got) == 0
+        assert sizes == [5, 5, 5, 1]
+        assert open(got, "rb").read() == open(want, "rb").read()
 
     def test_non_sem_checkpoint_is_usage_error(self, tiny_cfg, tmp_path):
         out = os.path.join(tmp_path, "run")

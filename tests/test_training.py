@@ -310,6 +310,14 @@ class TestTrainRun:
         assert result.steps == 4
         assert len(result.metrics) == 2  # 3 batches/epoch -> stopped in epoch 2
 
+    def test_max_steps_epoch_logs_its_last_steps_decisions(self, tmp_path):
+        # Stopped after 2 of its 3 batches, the epoch still summarises the
+        # decisions of the step it ended on.
+        result = train_run(tiny_config(tmp_path / "r8", epochs=1, max_steps=2))
+        record = json.loads(open(result.metrics_path).read().splitlines()[0])
+        assert [d["layer"] for d in record["decisions"]] == [0, 1, 2]
+        assert all(sorted(d["w"]) == ["cnn", "fc", "ie"] for d in record["decisions"])
+
     def test_non_finite_loss_aborts_with_layer_name(self, tmp_path):
         cfg = tiny_config(tmp_path / "r6", lr=1e18, epochs=3)
         with pytest.raises(NumericalFailure,
