@@ -53,9 +53,6 @@ def _unit_float(pixels: np.ndarray) -> np.ndarray:
     return pixels.astype(np.float32) / np.float32(255.0)
 
 
-_UNIT_FLOAT64 = _unit_float(np.arange(256, dtype=np.uint8)).astype(np.float64)
-
-
 @dataclass
 class AugmentConfig:
     crop_pad: int = 4
@@ -100,11 +97,8 @@ def decode_records(buf: bytes, variant: int, *, source: str = "<bytes>") -> list
             f"{source}: label {labels[bad]} >= {variant} at byte offset "
             f"{bad * stride + label_col}")
     pixels = raw[:, stride - PIXELS_PER_IMAGE :].reshape(n, *IMAGE_SHAPE)
-    return [
-        DatasetRecord(pixels[i], int(labels[i]),
-                      None if coarse is None else int(coarse[i]))
-        for i in range(n)
-    ]
+    coarse = [None] * n if coarse is None else coarse.tolist()
+    return list(map(DatasetRecord, pixels, labels.tolist(), coarse))
 
 
 def encode_record(record: DatasetRecord, variant: int) -> bytes:
@@ -162,22 +156,28 @@ def _dataset_root(path, variant: int) -> str:
 # ---------------------------------------------------------------------------
 
 def compute_channel_stats(records: list[DatasetRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and population std over a split, in float64. Per-image
-    sums are added in split order; 16-image chunks keep ``x`` in cache."""
+    """Per-channel mean and population std over a split in float64, correctly
+    rounded from exact integer pixel sums, so independent of record order.
+    Record chunks are cast into one float32 scratch and summed in runs of at
+    most 256 pixels, which float32 sums exactly (256 * 255**2 < 2**24)."""
     if not records:
         raise ValueError("cannot compute statistics of an empty split")
-    sums = np.empty((len(records), 2, 3))
-    for start in range(0, len(records), 16):
-        block = _stack_pixels(records[start : start + 16])
-        x = np.take(_UNIT_FLOAT64, block)
-        sums[start : start + len(x), 0] = x.sum(axis=(2, 3))
-        x *= x
-        sums[start : start + len(x), 1] = x.sum(axis=(2, 3))
-    acc, acc_sq = np.cumsum(sums, axis=0)[-1]
-    n = len(records) * block.shape[2] * block.shape[3]
-    mean = acc / n
-    var = acc_sq / n - mean * mean
-    return mean, np.sqrt(np.maximum(var, 0.0))
+    c, h, w = records[0].pixels.shape
+    scratch = np.empty((128, c, h, w), dtype=np.float32)
+    ones = np.ones(math.gcd(h * w, 256), dtype=np.float32)
+    sums = np.zeros((2, c), dtype=np.int64)  # pixels, squared pixels
+    for start in range(0, len(records), len(scratch)):
+        x = _stack_pixels(records[start : start + len(scratch)],
+                          out=scratch[: len(records) - start])
+        runs = x.reshape(len(x), c, -1, len(ones))
+        parts = np.stack([runs @ ones, np.einsum("...i,...i", runs, runs)])
+        sums += parts.sum(axis=(1, 3), dtype=np.float64).astype(np.int64)
+    n = len(records) * h * w
+    (s, s2), scale = sums.tolist(), (255 * n) ** 2
+    var = [n * q - p * p for p, q in zip(s, s2)]  # scale times the variance
+    if 0 in var:  # exactly when a channel is constant
+        raise IngestionError(f"channel {var.index(0)} is constant over the split: std 0")
+    return np.array([p / (255 * n) for p in s]), np.sqrt([v / scale for v in var])
 
 
 def normalize_images(images: np.ndarray, mean, std) -> np.ndarray:
@@ -293,9 +293,10 @@ def batch_iterator(records: list[DatasetRecord], batch_size: int,
         yield Tensor(np.ascontiguousarray(images, dtype=dtype)), labels
 
 
-def _stack_pixels(batch: list[DatasetRecord]) -> np.ndarray:
-    """The batch as one (B, C, H, W) array of uint8 pixels."""
+def _stack_pixels(batch: list[DatasetRecord], out=None) -> np.ndarray:
+    """The batch as one (B, C, H, W) array of its uint8 pixels, cast into
+    ``out`` if given."""
     for r in batch:
         if r.pixels.dtype != np.uint8:
             raise ValueError(f"record pixels must be uint8, got {r.pixels.dtype}")
-    return np.stack([r.pixels for r in batch])
+    return np.stack([r.pixels for r in batch], out=out)

@@ -2,7 +2,8 @@
 
 
 class IngestionError(Exception):
-    """Raised when a dataset file fails structural validation."""
+    """Raised when a dataset fails validation: a malformed file, or a
+    split with a constant channel, which no normalisation can scale."""
 
 
 class CheckpointError(Exception):

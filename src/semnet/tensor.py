@@ -514,7 +514,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     reads x itself in one GEMM. Others take the batch in sample chunks
     whose grids and tap sums fit ``_CHUNK_BYTES`` of reused scratch, so
     forward allocates only its output and backward only dx, and the tape
-    keeps no padded copy of x. dkernel's batch sum runs in sample order.
+    keeps no padded copy of x. dkernel's batch sum runs in sample order;
+    dx is None when x needs no gradient, as the images do.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d needs 4-D tensors, got {x.shape} and {kernel.shape}")
@@ -576,7 +577,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     def conv2d_backward(g):
         dkernel = np.zeros_like(kernel.data)  # an empty batch runs no chunk
-        dx = np.empty_like(x.data) if direct else np.zeros_like(x.data)
+        dx = (np.empty_like if direct else np.zeros_like)(x.data) if x.requires_grad else None
         step, chunks = _sample_chunks(b, dt.itemsize * (
             2 * q * q * cin * cells * (not direct) + (cout + cin) * span + cout * cin))
         grids, dgrids = (None, None) if direct else np.zeros((2, q * q, step, cin, cells), dt)
@@ -595,6 +596,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                 if s:
                     dks[0] = dkernel[:, :, i, j]
                 dkernel[:, :, i, j] = dks[(s == 0) : m + 1].sum(axis=0)
+            if dx is None:
+                continue
             dgrid = dx[s:e].reshape(1, m, cin, cells) if direct else dgrids[:, :m]
             if k == 1:  # the one tap spans the whole grid: its GEMM writes it
                 np.matmul(kt[0, 0].T, gm, out=dgrid[0])

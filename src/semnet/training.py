@@ -8,8 +8,9 @@ A run writes into its output directory:
 * ``metrics.jsonl``: one deterministic record per epoch (wall-clock times
   go to ``timing.jsonl`` so two identical runs produce byte-identical
   metrics logs);
-* ``timing.jsonl``: per epoch, the seconds spent training and evaluating
-  and the minor page faults (``ru_minflt``) the process took;
+* ``timing.jsonl``: first the set-up seconds (loading the data, its
+  channel statistics, building the model), then per epoch the seconds spent
+  training and evaluating and the minor page faults (``ru_minflt``) taken;
 * ``final.ckpt`` / ``best.ckpt``: parameters, batch-norm buffers, the
   normalisation statistics, and the resolved config embedded as bytes.
 """
@@ -322,9 +323,13 @@ def evaluate(model: Model, records: list, batch_size: int,
 def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
     """Run the full training protocol and write the run directory."""
     cfg = cfg.resolved()
+    marks = [time.time()]
     train_records, test_records = load_datasets(cfg)
+    marks.append(time.time())
     channel_mean, channel_std = data_mod.compute_channel_stats(train_records)
+    marks.append(time.time())
     model = build_network(cfg, RngState(cfg.seed, _STREAM_PARAMS))
+    marks.append(time.time())
     optimizer = SGD(model.parameters(), lr=cfg.lr,
                     momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     schedule = MultiStepSchedule(cfg.lr, cfg.milestones, cfg.lr_decay)
@@ -351,6 +356,8 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
 
     with open(metrics_path, "w", encoding="utf-8") as mfh, \
          open(timing_path, "w", encoding="utf-8") as tfh:
+        tfh.write(json.dumps({"setup": dict(zip(
+            ("load_s", "stats_s", "build_s"), np.diff(marks).tolist()))}) + "\n")
         for epoch in range(cfg.epochs):
             t0 = time.time()
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

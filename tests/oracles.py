@@ -367,19 +367,20 @@ def float32_decode(buf, variant):
     return images, [int(v) for v in raw[:, head - 1]]
 
 
-def per_record_channel_stats(images):
-    """Channel mean and population std in float64, one image at a time."""
-    acc = np.zeros(3)
-    acc_sq = np.zeros(3)
-    n = 0
-    for img in images:
-        img = img.astype(np.float64)
-        acc += img.sum(axis=(1, 2))
-        acc_sq += (img * img).sum(axis=(1, 2))
+def exact_channel_stats(pixels):
+    """Channel mean and population std of uint8 images scaled by 1/255:
+    naive per-channel sums of the pixels and their squares in Python ints,
+    then one correctly rounded int division each."""
+    s, s2, n = [0] * 3, [0] * 3, 0
+    for img in pixels:
+        for c in range(3):
+            values = img[c].ravel().tolist()
+            s[c] += sum(values)
+            s2[c] += sum(v * v for v in values)
         n += img.shape[1] * img.shape[2]
-    mean = acc / n
-    var = acc_sq / n - mean * mean
-    return mean, np.sqrt(np.maximum(var, 0.0))
+    mean = np.array([a / (255 * n) for a in s])
+    var = np.array([(n * b - a * a) / (255 * n) ** 2 for a, b in zip(s, s2)])
+    return mean, np.sqrt(var)
 
 
 def float32_batches(images, batch_size, order, aug_rng=None, crop_pad=4,

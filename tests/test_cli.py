@@ -14,6 +14,7 @@ import pytest
 from semnet import backbone
 from semnet.checkpoint import read_checkpoint, write_checkpoint
 from semnet.cli import main
+from semnet.data import CIFAR10_RECORD_BYTES, CIFAR10_TEST_FILES, CIFAR10_TRAIN_FILES
 from semnet.errors import CheckpointError
 from semnet.training import RunConfig
 
@@ -219,6 +220,25 @@ def test_unusable_path_is_data_error(tiny_cfg, tmp_path, capsys, case):
     assert run_cli(*argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "Traceback" not in err
+
+
+def test_constant_channel_is_data_error(cifar10_dir, tmp_path, capsys):
+    """CIFAR-10 files whose G channel holds one value: the train split's
+    statistics reject it (its std would be 0), exit 3, no traceback."""
+    data_dir = os.path.join(tmp_path, "data")
+    os.makedirs(data_dir)
+    for name in CIFAR10_TRAIN_FILES + CIFAR10_TEST_FILES:
+        raw = np.fromfile(os.path.join(cifar10_dir, name), dtype=np.uint8)
+        raw = raw.reshape(-1, CIFAR10_RECORD_BYTES)
+        raw[:, 1 + 1024 : 1 + 2048] = 77
+        raw.tofile(os.path.join(data_dir, name))
+    out = os.path.join(tmp_path, "run")
+    assert run_cli("train", "--dataset", "cifar10", "--data-dir", data_dir,
+                   "--train-subset", "32", "--depth", "11", "--batch-size", "16",
+                   "--max-steps", "1", "--out-dir", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: channel 1 is constant") and "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("name,shape", [(b"\xff\xfe", (2,)), (b"w", (2**62, 4)),

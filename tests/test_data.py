@@ -148,18 +148,23 @@ class TestUint8Storage:
             assert record.pixels.dtype == np.uint8
             assert record.pixels.tobytes() == row[-3 * 32 * 32 :].tobytes()
 
+    def file_pixels(self, buf):
+        raw = np.frombuffer(buf, dtype=np.uint8).reshape(self.N, -1)
+        return raw[:, -3 * 32 * 32 :].reshape(self.N, 3, 32, 32)
+
     def test_channel_stats(self, variant):
-        _, records, (images, _) = self.decoded(variant)
+        buf, records, _ = self.decoded(variant)
         for got, want in zip(compute_channel_stats(records),
-                             oracles.per_record_channel_stats(images)):
+                             oracles.exact_channel_stats(self.file_pixels(buf))):
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("augment", [True, False])
     @pytest.mark.parametrize("normalise", [True, False])
     def test_batches(self, variant, dtype, augment, normalise):
-        _, records, (images, labels) = self.decoded(variant)
-        mean, std = oracles.per_record_channel_stats(images) if normalise else (None, None)
+        buf, records, (images, labels) = self.decoded(variant)
+        mean, std = (oracles.exact_channel_stats(self.file_pixels(buf)) if normalise
+                     else (None, None))
         seed, epoch = 3, 2
         order = RngState(seed, data_mod._SHUFFLE_STREAM + epoch).generator().permutation(self.N)
         aug_rng = (RngState(seed, data_mod._AUGMENT_STREAM + epoch).generator()
@@ -182,6 +187,58 @@ class TestUint8Storage:
             next(batch_iterator(mixed, 11, 0, 0, shuffle=False))
         with pytest.raises(ValueError, match="uint8, got float32"):
             compute_channel_stats(mixed)
+
+
+def uint8_records(images):
+    return [DatasetRecord(np.ascontiguousarray(img, dtype=np.uint8), 0) for img in images]
+
+
+class TestChannelStats:
+    """The statistics are the correctly rounded values of the exact pixel
+    sums: bit for bit the exact oracle's, in any record order."""
+
+    @staticmethod
+    def check_exact(records):
+        got = compute_channel_stats(records)
+        want = oracles.exact_channel_stats([r.pixels for r in records])
+        for a, b in zip(got, want):
+            assert a.dtype == np.float64 and a.shape == (3,) and a.tobytes() == b.tobytes()
+        return got
+
+    def test_synthetic_records(self):
+        self.check_exact(synthetic_dataset(300, 10, seed=4))
+
+    def test_one_record_split(self):
+        image = np.random.default_rng(5).integers(0, 256, size=(1, 3, 32, 32))
+        self.check_exact(uint8_records(image))
+
+    @pytest.mark.parametrize("dark", [1, 200])
+    def test_extreme_pixels(self, dark):
+        # All-255 images fill every 256-pixel run to 256 * 255**2, the
+        # largest sum float32 must hold exactly; chunks of 128 records are
+        # crossed twice.
+        images = np.full((300, 3, 32, 32), 255, dtype=np.uint8)
+        images[:dark] = 0
+        mean, std = self.check_exact(uint8_records(images))
+        assert np.all(mean == (300 - dark) / 300)
+
+    def test_independent_of_record_order(self):
+        records = decode_records(cifar_layout_bytes(10, 300, seed=6), 10)
+        shuffled = [records[i] for i in np.random.default_rng(7).permutation(300)]
+        for a, b in zip(self.check_exact(records), self.check_exact(shuffled)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_empty_split_rejected(self):
+        with pytest.raises(ValueError, match="empty split"):
+            compute_channel_stats([])
+
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    def test_constant_channel_is_a_data_error(self, channel):
+        # Its std would be 0, and every batch's normalisation would fail.
+        images = np.random.default_rng(8).integers(0, 256, size=(130, 3, 32, 32))
+        images[:, channel] = 77
+        with pytest.raises(IngestionError, match=f"channel {channel} is constant"):
+            compute_channel_stats(uint8_records(images))
 
 
 class TestDataMemory:

@@ -1,6 +1,8 @@
 """Source layout rules that hold across the package, the tests and the demos."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -19,3 +21,15 @@ def test_no_line_exceeds_the_limit(folder):
                 if len(line.rstrip("\n")) > MAX_LINE:
                     long_lines.append(f"{folder}/{name}:{number}")
     assert not long_lines, long_lines
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # A fresh interpreter, so no module another test imported hides one.
+    code = ("import sys; before = set(sys.modules); import semnet; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "semnet" in loaded and "numpy" in loaded
+    top = {name.partition(".")[0] for name in loaded}
+    assert not top - set(sys.stdlib_module_names) - {"numpy", "semnet"}

@@ -541,6 +541,22 @@ class TestConv2dOracle:
             assert len(chunks) >= 3 and chunks[-1][1] == 7
             assert step == 1 or chunks[-1][1] - chunks[-1][0] < step
 
+    @pytest.mark.parametrize("step", [1, 3])
+    @pytest.mark.parametrize("k,stride,pad", CONV_GRID)
+    def test_input_without_gradient_gets_no_dx(self, k, stride, pad, step, monkeypatch):
+        # As for the stem's images: the rule builds no dx, and dkernel keeps
+        # the bits it has when dx is built.
+        gen = RngState(300 + 9 * k + 3 * stride + pad).generator()
+        hout, wout = ((n + 2 * pad - k) // stride + 1 for n in (7, 5))
+        x, kernel, g = (gen.standard_normal(shape).astype(np.float32) for shape in
+                        ((7, 3, 7, 5), (4, 3, k, k), (7, 4, hout, wout)))
+        force_chunk_step(monkeypatch, step)
+        out = conv2d(Tensor(x), Tensor(kernel, requires_grad=True), stride=stride, pad=pad)
+        dx, dkernel = out._backward(g)
+        assert dx is None
+        want = oracles.batched_conv2d_backward(x, kernel, g, stride, pad)[1]
+        assert dkernel.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (1, 1, 0), (1, 2, 0)])
     def test_empty_batch(self, k, stride, pad):
         x = Tensor(np.zeros((0, 3, 8, 8)), requires_grad=True)

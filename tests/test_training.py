@@ -203,7 +203,11 @@ class TestTrainRun:
     def test_timing_sidecar_says_where_the_time_went(self, tmp_path):
         result = train_run(tiny_config(tmp_path / "run"))
         lines = open(os.path.join(tmp_path, "run", "timing.jsonl")).read().splitlines()
-        assert len(lines) == 2
+        assert len(lines) == 3
+        setup = json.loads(lines.pop(0))
+        assert list(setup) == ["setup"]
+        assert set(setup["setup"]) == {"load_s", "stats_s", "build_s"}
+        assert all(isinstance(v, float) and v >= 0 for v in setup["setup"].values())
         for epoch, line in enumerate(lines):
             rec = json.loads(line)
             assert set(rec) == {"epoch", "seconds", "train_s", "eval_s", "minor_faults"}
@@ -211,7 +215,8 @@ class TestTrainRun:
             assert rec["train_s"] > 0 and rec["eval_s"] > 0
             assert abs(rec["train_s"] + rec["eval_s"] - rec["seconds"]) < 1e-6
             assert isinstance(rec["minor_faults"], int) and rec["minor_faults"] >= 0
-        assert "minor_faults" not in open(result.metrics_path).read()
+        metrics = open(result.metrics_path).read()
+        assert "minor_faults" not in metrics and "setup" not in metrics
 
     def test_run_directory_contents(self, tmp_path):
         result = train_run(tiny_config(tmp_path / "run"))
