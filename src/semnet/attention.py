@@ -72,7 +72,6 @@ class SemParams:
     """
 
     operators: tuple[str, ...]
-    reduction: int = 16
     switch_activation: str = "sigmoid"
     decision_weight: Tensor | None = None   # (N, C); None means unit decision
     reduce_weight: Tensor | None = None     # (hidden, C)
@@ -80,15 +79,6 @@ class SemParams:
     conv_kernel: Tensor | None = None       # (k,), k odd
     ie_scale: Tensor | None = None          # (1, 1)
     ie_shift: Tensor | None = None          # (1, 1)
-
-    def named_tensors(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        names = ("decision_weight", "reduce_weight", "expand_weight",
-                 "conv_kernel", "ie_scale", "ie_shift")
-        return [(prefix + n, getattr(self, n)) for n in names
-                if getattr(self, n) is not None]
-
-    def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named_tensors()]
 
 
 def hidden_width(channels: int, reduction: int) -> int:
@@ -119,8 +109,7 @@ def init_sem_params(channels: int,
     """
     ops = normalize_operator_set(operators)
     gen = rng.generator() if isinstance(rng, RngState) else rng
-    params = SemParams(operators=ops, reduction=reduction,
-                       switch_activation=switch_activation)
+    params = SemParams(operators=ops, switch_activation=switch_activation)
     if with_decision:
         params.decision_weight = Tensor(
             _uniform_fan_in(gen, (len(ops), channels), channels, dtype), requires_grad=True)
@@ -244,8 +233,8 @@ def sem_forward(x: Tensor, params: SemParams, *,
 # Decision-weight reporting
 # ---------------------------------------------------------------------------
 
-DECISION_CSV_HEADER = ("layer_index,stage,channels,"
-                       "w_fc_mean,w_cnn_mean,w_ie_mean,w_fc_std,w_cnn_std,w_ie_std")
+DECISION_CSV_HEADER = ",".join(["layer_index", "stage", "channels"] + [
+    f"w_{op}_{stat}" for stat in ("mean", "std") for op in ALL_OPERATORS])
 
 
 @dataclass

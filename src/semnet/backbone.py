@@ -120,9 +120,6 @@ class _Conv:
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, stride=self.stride, pad=self.pad)
 
-    def named(self, prefix):
-        yield prefix + ".weight", self.weight
-
 
 class _BatchNorm:
     """Pre-activation batch norm: every one in the backbone feeds a ReLU,
@@ -138,14 +135,6 @@ class _BatchNorm:
         return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
                           training, relu=True, inplace=inplace)
 
-    def named(self, prefix):
-        yield prefix + ".gamma", self.gamma
-        yield prefix + ".beta", self.beta
-
-    def named_buffers(self, prefix):
-        yield prefix + ".running_mean", self.running_mean
-        yield prefix + ".running_var", self.running_var
-
 
 class _Linear:
     def __init__(self, cin: int, cout: int, gen: np.random.Generator, dtype):
@@ -155,10 +144,6 @@ class _Linear:
 
     def __call__(self, x: Tensor) -> Tensor:
         return affine(x, self.weight, self.bias)
-
-    def named(self, prefix):
-        yield prefix + ".weight", self.weight
-        yield prefix + ".bias", self.bias
 
 
 class _Bottleneck:
@@ -193,19 +178,20 @@ class _Bottleneck:
         # Neither a conv2d nor a mul rule reads its own output: sum into it.
         return add(out, residual, inplace=True)
 
-    def named(self, prefix):
-        parts = [("bn1", self.bn1), ("conv1", self.conv1), ("bn2", self.bn2),
-                 ("conv2", self.conv2), ("bn3", self.bn3), ("conv3", self.conv3)]
-        if self.downsample is not None:
-            parts.append(("downsample", self.downsample))
-        for name, layer in parts:
-            yield from layer.named(f"{prefix}.{name}")
-        if self.attention is not None:
-            yield from self.attention.named_tensors(f"{prefix}.attention.")
 
-    def named_buffers(self, prefix):
-        for name, bn in (("bn1", self.bn1), ("bn2", self.bn2), ("bn3", self.bn3)):
-            yield from bn.named_buffers(f"{prefix}.{name}")
+_LAYERS = (_Conv, _BatchNorm, _Linear, _Bottleneck, SemParams)
+
+
+def named_state(layer, prefix: str, kind=(Tensor, np.ndarray)):
+    """``(name, value)`` for every ``kind`` under ``layer``, depth first in
+    attribute order: the Tensors are its parameters, the ndarrays its batch
+    norm buffers. The name joins the attribute path to ``prefix`` with dots."""
+    for attr, value in vars(layer).items():
+        name = f"{prefix}.{attr}"
+        if isinstance(value, kind):
+            yield name, value
+        elif isinstance(value, _LAYERS):
+            yield from named_state(value, name, kind)
 
 
 class Model:
@@ -289,10 +275,9 @@ class Model:
                  decisions: list[np.ndarray] | None) -> Tensor:
         with layer_scope("stem"):
             out = self.stem(x)
-        for stage_idx, blocks in enumerate(self.stages):
-            for b, block in enumerate(blocks):
-                with layer_scope(f"stage{stage_idx + 1}.block{b}"):
-                    out = block(out, training, decisions)
+        for scope, _, block in self._blocks():
+            with layer_scope(scope):
+                out = block(out, training, decisions)
         with layer_scope("head"):
             out = self.head_bn(out, training, inplace=True)  # the last block's own sum
             pooled = global_avg_pool(out)
@@ -308,8 +293,7 @@ class Model:
         """
         if not decisions:
             return []
-        gates = [(s * self.blocks_per_stage + b, s + 1, block)
-                 for s, blocks in enumerate(self.stages) for b, block in enumerate(blocks)
+        gates = [(layer, stage, block) for layer, (_, stage, block) in enumerate(self._blocks())
                  if block.attention is not None and block.attention.decision_weight is not None]
         if len(decisions) % len(gates):
             raise ValueError(f"{len(decisions)} decision arrays for {len(gates)} gates")
@@ -323,32 +307,34 @@ class Model:
 
     # -- parameter and state plumbing ------------------------------------
 
+    def _blocks(self) -> list[tuple[str, int, _Bottleneck]]:
+        """``(scope, stage, block)`` for every block in layer order; the
+        scope names the block's layer scope, state keys and gate record."""
+        return [(f"stage{s + 1}.block{b}", s + 1, block)
+                for s, blocks in enumerate(self.stages) for b, block in enumerate(blocks)]
+
+    def _state(self, kind):
+        yield from named_state(self.stem, "stem", kind)
+        for scope, _, block in self._blocks():
+            yield from named_state(block, scope, kind)
+        yield from named_state(self.head_bn, "head.bn", kind)
+        yield from named_state(self.classifier, "head.fc", kind)
+
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = list(self.stem.named("stem"))
-        for s, blocks in enumerate(self.stages):
-            for b, block in enumerate(blocks):
-                out.extend(block.named(f"stage{s + 1}.block{b}"))
-        out.extend(self.head_bn.named("head.bn"))
-        out.extend(self.classifier.named("head.fc"))
-        return out
+        return list(self._state(Tensor))
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for s, blocks in enumerate(self.stages):
-            for b, block in enumerate(blocks):
-                out.extend(block.named_buffers(f"stage{s + 1}.block{b}"))
-        out.extend(self.head_bn.named_buffers("head.bn"))
-        return out
+        return list(self._state(np.ndarray))
 
     def param_count(self) -> int:
         return sum(t.size for _, t in self.named_parameters())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         state = {name: t.data for name, t in self.named_parameters()}
-        state.update({name: buf for name, buf in self.named_buffers()})
+        state.update(self.named_buffers())
         return state
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:

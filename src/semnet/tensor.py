@@ -646,9 +646,6 @@ def conv1d_channel(m: Tensor, kernel: Tensor) -> Tensor:
 # Activations
 # ---------------------------------------------------------------------------
 
-ACTIVATION_KINDS = ("sigmoid", "tanh", "relu", "leaky_relu")
-
-
 def sigmoid(x: Tensor) -> Tensor:
     out = _stable_sigmoid(x.data)
 
@@ -695,17 +692,15 @@ def leaky_relu(x: Tensor) -> Tensor:
     return _make(out, (x,), leaky_relu_backward)
 
 
+_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu, "leaky_relu": leaky_relu}
+ACTIVATION_KINDS = tuple(_ACTIVATIONS)
+
+
 def activation(x: Tensor, kind: str) -> Tensor:
     """Elementwise nonlinearity dispatcher over ACTIVATION_KINDS."""
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "tanh":
-        return tanh(x)
-    if kind == "relu":
-        return relu(x)
-    if kind == "leaky_relu":
-        return leaky_relu(x)
-    raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATION_KINDS}")
+    if kind not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATION_KINDS}")
+    return _ACTIVATIONS[kind](x)
 
 
 # ---------------------------------------------------------------------------

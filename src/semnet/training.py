@@ -23,7 +23,7 @@ import os
 import platform
 import resource
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -119,7 +119,8 @@ class RunConfig:
                           ("attention_seed", 0), ("synthetic_train", 1),
                           ("synthetic_test", 1), ("synthetic_classes", 2),
                           ("num_classes", max(2, labels[cfg.dataset])),
-                          ("train_subset", 1), ("max_steps", 1)):
+                          ("train_subset", 1), ("max_steps", 1), ("lr", 0),
+                          ("lr_decay", 0), ("momentum", 0), ("weight_decay", 0)):
             value = getattr(cfg, name)
             if value is not None and value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
@@ -231,24 +232,15 @@ def _format_value(value) -> str:
 
 @dataclass
 class MetricsRecord:
+    """One epoch's line of ``metrics.jsonl``, field for field. It holds no
+    wall-clock time, so identical runs log identically."""
+
     epoch: int
     train_loss: float
     train_top1: float
     test_top1: float
     lr: float
-    seconds: float
     decisions: list = field(default_factory=list)
-
-    def deterministic_dict(self) -> dict:
-        # Wall-clock seconds are excluded so identical runs log identically.
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "train_top1": self.train_top1,
-            "test_top1": self.test_top1,
-            "lr": self.lr,
-            "decisions": self.decisions,
-        }
 
 
 def _decision_summary(records: list[DecisionRecord]) -> list:
@@ -395,20 +387,19 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
             train_s = time.time() - t0
             test_top1 = evaluate(model, test_records, cfg.eval_batch_size,
                                  channel_mean, channel_std)
+            seconds = time.time() - t0
             record = MetricsRecord(
                 epoch=epoch,
                 train_loss=loss_sum / max(seen, 1),
                 train_top1=100.0 * correct / max(seen, 1),
                 test_top1=test_top1,
                 lr=lr,
-                seconds=time.time() - t0,
                 decisions=_decision_summary(model.decision_records(decisions)))
             metrics.append(record)
-            mfh.write(json.dumps(record.deterministic_dict(), sort_keys=True) + "\n")
+            mfh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            tfh.write(json.dumps({"epoch": epoch, "seconds": record.seconds,
-                                  "train_s": train_s, "eval_s": record.seconds - train_s,
-                                  "minor_faults": faults}) + "\n")
+            tfh.write(json.dumps({"epoch": epoch, "seconds": seconds, "train_s": train_s,
+                                  "eval_s": seconds - train_s, "minor_faults": faults}) + "\n")
             if log:
                 log(f"epoch {epoch}: loss {record.train_loss:.4f} "
                     f"train {record.train_top1:.2f}% test {record.test_top1:.2f}% lr {lr:g}")
@@ -492,17 +483,9 @@ def _save_checkpoint(path: str, model: Model, cfg: RunConfig,
     arrays = dict(model.state_arrays())
     arrays["norm.channel_mean"] = np.asarray(channel_mean, dtype=np.float64)
     arrays["norm.channel_std"] = np.asarray(channel_std, dtype=np.float64)
-    blob = json.dumps(_config_dict(cfg), sort_keys=True).encode("utf-8")
+    blob = json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
     arrays["meta.config_json"] = np.frombuffer(blob, dtype=np.uint8)
     write_checkpoint(path, arrays)
-
-
-def _config_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out
 
 
 def load_run_checkpoint(path: str) -> tuple[Model, RunConfig, np.ndarray, np.ndarray]:

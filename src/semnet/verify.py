@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import init_sem_params, sem_forward
-from .backbone import build_network
+from .backbone import build_network, named_state
 from .gradcheck import DEFAULT_TOLERANCE, check_gradients
 from .rng import RngState
 from .tensor import Tensor
@@ -179,7 +179,7 @@ def _scope_full_block(gen):
                               np.float64).stages[0][index]
         x = _randn(gen, (2, block.bn1.gamma.shape[0], 6, 6))
         w = _probe(gen, (2, 64, 6, 6))
-        inputs = {f"{name}.input": x, **dict(block.named(name))}
+        inputs = {f"{name}.input": x, **dict(named_state(block, name, Tensor))}
         errs.update(check_gradients(lambda: T.mul(block(x, training=training), w).mean(), inputs))
     return errs
 

@@ -406,3 +406,34 @@ def float32_batches(images, batch_size, order, aug_rng=None, crop_pad=4,
             for c in range(3):
                 x[:, c] = (x[:, c] - dtype(mean[c])) / dtype(std[c])
         yield x
+
+
+def state_keys(depth, block_operators, with_decision):
+    """A model's ``state_arrays()`` keys in order, written out from the
+    documented scheme: the stem; per block bn1, conv1, bn2, conv2, bn3,
+    conv3, the first block's downsample, then the attention tensors operator
+    by operator; head.bn, head.fc; then every batch norm's running
+    statistics. ``block_operators`` gives each block's operators (None for
+    no attention), blocks counted stage after stage."""
+    n = (depth - 2) // 9
+    blocks = [f"stage{s}.block{b}" for s in (1, 2, 3) for b in range(n)]
+    bns = [f"{block}.bn{i}" for block in blocks for i in (1, 2, 3)] + ["head.bn"]
+    attention = {"fc": ["reduce_weight", "expand_weight"], "cnn": ["conv_kernel"],
+                 "ie": ["ie_scale", "ie_shift"]}
+    keys = ["stem.weight"]
+    for i, block in enumerate(blocks):
+        for j in (1, 2, 3):
+            keys += [f"{block}.bn{j}.gamma", f"{block}.bn{j}.beta", f"{block}.conv{j}.weight"]
+        if block.endswith(".block0"):
+            keys.append(f"{block}.downsample.weight")
+        ops = block_operators[i]
+        if ops is None:
+            continue
+        if with_decision:
+            keys.append(f"{block}.attention.decision_weight")
+        for op in ("fc", "cnn", "ie"):
+            if op in ops:
+                keys += [f"{block}.attention.{name}" for name in attention[op]]
+    keys += ["head.bn.gamma", "head.bn.beta", "head.fc.weight", "head.fc.bias"]
+    keys += [f"{bn}.running_{stat}" for bn in bns for stat in ("mean", "var")]
+    return keys

@@ -25,7 +25,7 @@ from semnet.attention import (
     squeeze,
     switch,
 )
-from semnet.backbone import build_network
+from semnet.backbone import build_network, named_state
 from semnet.gradcheck import check_gradients
 from semnet.rng import RngState
 from semnet.tensor import Tensor, mul, no_grad, sigmoid
@@ -226,7 +226,7 @@ class TestFullLayer:
                    dtype=np.float64)
         probe = Tensor(gen.standard_normal((2, 8, 3, 3)), dtype=np.float64)
         inputs = {"x": x}
-        inputs.update(dict(params.named_tensors()))
+        inputs.update(named_state(params, "attention"))
         errs = check_gradients(lambda: mul(sem_forward(x, params), probe).mean(),
                                inputs)
         assert max(errs.values()) <= 1e-4, errs
@@ -353,7 +353,7 @@ class TestParamsAndReporting:
         assert params.conv_kernel.shape == (3,)
         assert params.ie_scale.data[0, 0] == 0.0
         assert params.ie_shift.data[0, 0] == -1.0
-        assert all(t.requires_grad for t in params.tensors())
+        assert all(t.requires_grad for _, t in named_state(params, "attention"))
 
     def test_decision_csv_layout(self):
         weights = np.array([[0.25, 0.5, 0.75], [0.25, 0.5, 0.75]])

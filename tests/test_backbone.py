@@ -153,6 +153,21 @@ class TestNetwork:
         with no_grad():
             assert sem(x).data.tobytes() == plain(x).data.tobytes()
 
+    @pytest.mark.parametrize("depth", [11, 20])
+    @pytest.mark.parametrize("mode", ATTENTION_MODES + ("unit_decision",))
+    def test_state_keys_follow_the_documented_scheme(self, depth, mode):
+        cfg = RunConfig(depth=depth, attention="sem" if mode == "unit_decision" else mode,
+                        unit_decision=mode == "unit_decision", attention_seed=9)
+        total = 3 * depth_to_blocks(depth)
+        plans = {"none": [None] * total, "se": [("fc",)] * total, "eca": [("cnn",)] * total,
+                 "ie": [("ie",)] * total, "sem": [("fc", "cnn", "ie")] * total,
+                 "unit_decision": [("fc", "cnn", "ie")] * total,
+                 "random_single": assign_random_operators(total, 1, 9),
+                 "random_double": assign_random_operators(total, 2, 9)}
+        model = build_network(cfg, RngState(3))
+        assert list(model.state_arrays()) == oracles.state_keys(depth, plans[mode],
+                                                                with_decision=mode == "sem")
+
     def test_unit_decision_network_has_no_decision_weights(self):
         model = build_network(RunConfig(depth=11, attention="sem", unit_decision=True),
                               RngState(8))

@@ -107,6 +107,10 @@ REJECTED_OVERRIDES = [
     ("--lr", "nan"),
     ("--momentum", "inf"),
     ("--weight-decay", "nan"),
+    ("--lr", "-1"),
+    ("--momentum", "-0.5"),
+    ("--weight-decay", "-0.0001"),
+    ("--lr-decay", "-0.1"),
 ]
 
 

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from semnet.optim import SGD, MultiStepSchedule
 from semnet.rng import RngState
 from semnet.tensor import Tensor, mul
 from semnet.training import (
+    MetricsRecord,
     RunConfig,
     _parser_for,
     evaluate,
@@ -217,6 +219,11 @@ class TestTrainRun:
             assert isinstance(rec["minor_faults"], int) and rec["minor_faults"] >= 0
         metrics = open(result.metrics_path).read()
         assert "minor_faults" not in metrics and "setup" not in metrics
+        # A metrics line is its record's fields, none of them wall-clock.
+        for line in metrics.splitlines():
+            keys = list(json.loads(line))
+            assert keys == sorted(f.name for f in fields(MetricsRecord))
+            assert not set(keys) & {"seconds", "train_s", "eval_s"}
 
     def test_run_directory_contents(self, tmp_path):
         result = train_run(tiny_config(tmp_path / "run"))
