@@ -35,8 +35,8 @@ import numpy as np
 from . import attention as att
 from .attention import DecisionRecord, SemParams
 from .rng import RngState
-from .tensor import (ShardGroup, Tensor, add, affine, batch_norm, conv2d, global_avg_pool,
-                     is_grad_enabled, join_shards, layer_scope, reshape)
+from .tensor import (PreActivation, ShardGroup, Tensor, add, affine, batch_norm, conv2d,
+                     global_avg_pool, is_grad_enabled, join_shards, layer_scope, reshape)
 # Unused here since every ReLU is fused into its batch norm; imported so
 # perfbench's tracer, which patches ``semnet.backbone.relu``, finds it.
 from .tensor import relu  # noqa: F401
@@ -117,13 +117,14 @@ class _Conv:
         self.stride = stride
         self.pad = pad
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, stride=self.stride, pad=self.pad)
+    def __call__(self, x: Tensor, pre: PreActivation | None = None) -> Tensor:
+        return conv2d(x, self.weight, stride=self.stride, pad=self.pad, pre=pre)
 
 
 class _BatchNorm:
     """Pre-activation batch norm: every one in the backbone feeds a ReLU,
-    so the pair runs as one fused node."""
+    so the pair runs as one fused node, and where one conv alone reads it,
+    inside that conv's node (``pre``)."""
 
     def __init__(self, channels: int, dtype):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
@@ -134,6 +135,10 @@ class _BatchNorm:
     def __call__(self, x: Tensor, training: bool, inplace: bool = False) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
                           training, relu=True, inplace=inplace)
+
+    def pre(self, training: bool) -> PreActivation:
+        return PreActivation(self.gamma, self.beta, self.running_mean, self.running_var,
+                             training)
 
 
 class _Linear:
@@ -165,13 +170,15 @@ class _Bottleneck:
         self.out_channels = cout
 
     def __call__(self, x: Tensor, training: bool, decisions: list | None = None) -> Tensor:
-        # x is the caller's; bn2, bn3 and the gate may overwrite conv outputs.
-        pre = self.bn1(x, training)
-        residual = self.downsample(pre) if self.downsample is not None else x
-        out = self.conv1(pre)
-        del pre  # without a tape nothing else holds it
-        out = self.conv2(self.bn2(out, training, inplace=True))
-        out = self.conv3(self.bn3(out, training, inplace=True))
+        # x is the caller's; the gate may overwrite conv3's output.
+        if self.downsample is None:
+            residual, out = x, self.conv1(x, self.bn1.pre(training))
+        else:  # two convs read bn1's output
+            pre = self.bn1(x, training)
+            residual, out = self.downsample(pre), self.conv1(pre)
+            del pre  # without a tape nothing else holds it
+        out = self.conv2(out, self.bn2.pre(training))
+        out = self.conv3(out, self.bn3.pre(training))
         if self.attention is not None:
             # Looked up on the module so perfbench's patch of it applies.
             out = att.sem_forward(out, self.attention, decisions=decisions, inplace=True)
@@ -203,8 +210,6 @@ class Model:
         self.cfg = cfg
         gen = rng.generator() if isinstance(rng, RngState) else rng
         n = depth_to_blocks(cfg.depth)
-        self.blocks_per_stage = n
-
         per_block_ops = self._operator_plan(n)
         self.stem = _Conv(3, STAGE_WIDTHS[0], 3, 1, 1, gen, dtype)
         self.stages: list[list[_Bottleneck]] = []

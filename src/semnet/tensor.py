@@ -16,6 +16,7 @@ import os
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,7 +81,47 @@ def _share_one_heap() -> None:
         ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX
 
 
+def _openblas():
+    """(set_num_threads, get_num_threads, get_config) of the OpenBLAS this
+    process has loaded (numpy's), under its plain, ``scipy_`` prefixed or
+    ``64_`` suffixed names; None on another BLAS or where the loaded
+    libraries cannot be listed."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({f[5].strip() for f in (line.split(maxsplit=5) for line in fh)
+                            if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()})
+        for path in paths:
+            lib = ctypes.CDLL(path)  # the loaded copy, not a second one
+            for prefix in ("", "scipy_"):
+                for suffix in ("", "64_"):
+                    names = [f"{prefix}openblas_{op}{suffix}"
+                             for op in ("set_num_threads", "get_num_threads", "get_config")]
+                    if all(hasattr(lib, name) for name in names):
+                        calls = [getattr(lib, name) for name in names]
+                        calls[2].restype = ctypes.c_char_p
+                        return calls
+    except (OSError, ValueError):
+        pass
+    return None
+
+
 _share_one_heap()  # before the pool starts a thread
+# One BLAS thread, whatever the environment asks: the training shards and
+# eval slices already keep every CPU busy, and a second BLAS thread per
+# shard makes a step about twice as slow.
+_BLAS = _openblas()
+if _BLAS is not None:
+    _BLAS[0](1)
+
+
+def blas_runtime() -> dict:
+    """The BLAS threads and build string read back from the loaded
+    OpenBLAS, both None on a BLAS semnet cannot drive."""
+    if _BLAS is None:
+        return {"threads": None, "config": None}
+    return {"threads": int(_BLAS[1]()), "config": _BLAS[2]().decode(errors="replace")}
+
+
 _pool = ThreadPoolExecutor(thread_name_prefix="semnet-shard")  # no thread until a submit
 
 
@@ -502,7 +543,19 @@ def _sample_chunks(b: int, sample_bytes: int) -> tuple[int, list[tuple[int, int]
     return step, [(s, min(s + step, b)) for s in range(0, b, step)]
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
+class PreActivation(NamedTuple):
+    """The pre-activation unit a ``conv2d`` applies to its input first:
+    relu(batch_norm(x, gamma, beta, running_mean, running_var, training))."""
+
+    gamma: Tensor
+    beta: Tensor
+    running_mean: np.ndarray
+    running_var: np.ndarray
+    training: bool
+
+
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
+           pre: PreActivation | None = None) -> Tensor:
     """Cross-correlation with zero padding, one GEMM per tap and sample.
 
     x: (B, Cin, H, W), kernel: (Cout, Cin, k, k), square window. Output
@@ -516,6 +569,16 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     forward allocates only its output and backward only dx, and the tape
     keeps no padded copy of x. dkernel's batch sum runs in sample order;
     dx is None when x needs no gradient, as the images do.
+
+    With ``pre``, the conv reads relu(batch_norm(x)) as one node, bit for
+    bit the two-op result, with batch_norm's statistics and its one running
+    buffer update. Each sample chunk of x is normalised and rectified
+    straight into the chunk's grids (a 1x1 stride-1 conv gets one grid
+    too), so the activation is never written whole and the tape keeps
+    only x. Backward rebuilds each chunk's grids from x and the saved
+    statistics, takes dkernel from them, masks the activation's gradient
+    with act > 0 while the chunk is in cache, and ends with batch_norm's
+    backward; the rule returns (dx, dkernel, dgamma, dbeta).
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d needs 4-D tensors, got {x.shape} and {kernel.shape}")
@@ -540,31 +603,56 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     cells = rows * wp + d  # one phase grid and the furthest tap's overrun
     taps = [(i, j, i % stride * q + j % stride, i // stride * wp + j // stride)
             for i in range(k) for j in range(k)]
-    direct = k == 1 and stride == 1 and pad == 0
+    direct = k == 1 and stride == 1 and pad == 0  # x is its own one phase grid
+    staged = not direct or pre is not None  # x goes into scratch grids
 
     def phases(buf, m):
         """(grid view of buf's first m samples, index into x, index into the grid)."""
-        for n in range(0 if direct else q * q):
+        for n in range(q * q):
             ys, us = _phase_axis(h, stride, pad, n // q, rows)
             xs, vs = _phase_axis(w, stride, pad, n % q, wp)
             yield buf[n, :m, :, : rows * wp].reshape(m, cin, rows, wp), (..., ys, xs), (..., us, vs)
 
-    def grids_of(s, e, buf):
-        """Phase grids (q*q, e-s, cin, cells) of samples s:e: x if direct, else buf."""
-        if direct:
-            return x.data[s:e].reshape(1, e - s, cin, cells)
-        for grid, xi, gi in phases(buf, e - s):
-            grid[gi] = x.data[s:e][xi]
-        return buf[:, : e - s]
+    def grids_of(s, e, buf, act, xc=None):
+        """(phase grids (q*q, e-s, cin, cells), the input they hold) of
+        samples s:e. Unless staged both are x; else the grids are buf,
+        filled from x or, with ``pre``, from its activation, which is
+        written unpadded into act (for a direct conv, into the one grid).
+        x - mean goes into ``xc`` if one is given."""
+        src = x.data[s:e]
+        if not staged:
+            return src.reshape(1, e - s, cin, cells), src
+        if pre is not None:
+            src = buf[0, : e - s].reshape(src.shape) if direct else act[: e - s]
+            np.subtract(x.data[s:e], mean, out=src if xc is None else xc)
+            np.multiply(src if xc is None else xc, scale, out=src)
+            src += beta
+            np.maximum(src, 0, out=src)
+        if not direct:
+            for grid, xi, gi in phases(buf, e - s):
+                grid[gi] = src[xi]
+        return buf[:, : e - s], src
 
     kt = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))  # (k, k, Cout, Cin)
     out = np.empty((b, cout, hout, wout), dtype=dt)
-    step, chunks = ((b, [(0, b)]) if direct else
-                    _sample_chunks(b, dt.itemsize * (q * q * cin * cells + 2 * cout * span)))
-    grids = None if direct else np.zeros((q * q, step, cin, cells), dt)  # padding stays 0
+    # Per sample: the grids and the tap sums (a direct conv's one tap
+    # writes straight into the output).
+    step, chunks = (_sample_chunks(b, dt.itemsize * (
+        q * q * cin * cells + 2 * (not direct) * cout * span)) if staged else (b, [(0, b)]))
+    # The padding stays 0; a direct conv's one grid has none.
+    grids = (np.empty if direct else np.zeros)((q * q, step, cin, cells), dt) if staged else None
+    acts = np.empty((step, cin, h, w), dt) if pre is not None and not direct else None
     acc, tmp = (None, None) if direct else np.empty((2, step, cout, span), dtype=dt)
+    parents = (x, kernel)
+    if pre is not None:
+        stats = _normalizer(x, pre.gamma, pre.beta, pre.running_mean, pre.running_var,
+                            pre.training, chunks, grids[0].reshape(step, cin, h, w)
+                            if direct else acts)
+        mean, scale, beta = (a.reshape(1, cin, 1, 1)
+                             for a in (stats[0], stats[2], pre.beta.data))
+        parents = (x, kernel, pre.gamma, pre.beta)
     for s, e in chunks:
-        grid = grids_of(s, e, grids)
+        grid, _ = grids_of(s, e, grids, acts)
         # Without wrap-around columns the taps sum straight into the output.
         dest = acc[: e - s] if d else out[s:e].reshape(e - s, cout, span)
         for t, (i, j, n, o) in enumerate(taps):
@@ -577,17 +665,25 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     def conv2d_backward(g):
         dkernel = np.zeros_like(kernel.data)  # an empty batch runs no chunk
-        dx = (np.empty_like if direct else np.zeros_like)(x.data) if x.requires_grad else None
+        # With pre, dx is first the activation's gradient.
+        dx = ((np.empty_like if direct else np.zeros_like)(x.data)
+              if x.requires_grad or pre is not None else None)
         step, chunks = _sample_chunks(b, dt.itemsize * (
-            2 * q * q * cin * cells * (not direct) + (cout + cin) * span + cout * cin))
-        grids, dgrids = (None, None) if direct else np.zeros((2, q * q, step, cin, cells), dt)
+            q * q * cin * cells * (staged + (not direct)) + (cout + cin) * span + cout * cin))
+        grids = ((np.empty if direct else np.zeros)((q * q, step, cin, cells), dt)
+                 if staged else None)
+        dgrids = None if direct else np.zeros((q * q, step, cin, cells), dt)
+        acts = np.empty((step, cin, h, w), dt) if pre is not None and not direct else None
         gpad = np.zeros((step, cout, span), dtype=dt) if d else None  # wrap columns stay 0
         tmp = np.empty((step, cin, span), dtype=dt) if k > 1 else None
         # Row 0 carries the sum of earlier chunks into this chunk's rows 1..m.
         dks = np.empty((step + 1, cout, cin), dtype=dt)
+        if pre is not None:  # batch norm's backward, in the same chunks
+            xc, per_sample = np.empty_like(x.data), np.empty((2, b, cin), dt)
+            masks = np.empty((step, cin, h, w), bool)
         for s, e in chunks:
             m = e - s
-            grid = grids_of(s, e, grids)
+            grid, src = grids_of(s, e, grids, acts, None if pre is None else xc[s:e])
             gm = gpad[:m] if d else g[s:e].reshape(m, cout, span)
             if d:
                 gm.reshape(m, cout, hout, wp)[..., :wout] = g[s:e]
@@ -605,11 +701,20 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                 dgrid[...] = 0
                 for i, j, n, o in taps:
                     dgrid[n, :, :, o : o + span] += np.matmul(kt[i, j].T, gm, out=tmp[:m])
-            for grid, xi, gi in phases(dgrid, m):
-                dx[s:e][xi] = grid[gi]
-        return dx, dkernel
+            if not direct:
+                for grid, xi, gi in phases(dgrid, m):
+                    dx[s:e][xi] = grid[gi]
+            if pre is not None:  # while the chunk is in cache
+                dx[s:e] *= np.greater(src, 0, out=masks[:m])  # the ReLU's mask
+                _sample_sums(dx[s:e], xc[s:e], per_sample[:, s:e])
+        if pre is None:
+            return dx, dkernel
+        sums = per_sample.sum(axis=1)  # in sample order
+        del per_sample
+        dx, dgamma, dbeta = _normalizer_backward(dx, xc, sums, *stats[1:])
+        return dx, dkernel, dgamma, dbeta
 
-    return _make(out, (x, kernel), conv2d_backward)
+    return _make(out, parents, conv2d_backward)
 
 
 def conv1d_channel(m: Tensor, kernel: Tensor) -> Tensor:
@@ -715,18 +820,65 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     Train mode normalises by batch statistics and folds them into the
     running buffers with the given momentum (in place); eval mode uses the
-    running buffers. gamma/beta are (C,) learnable tensors. The affine and
-    ReLU pass (in eval also the centring) and backward's scale*g run in
-    ``_CHUNK_BYTES`` sample chunks, bit for bit the whole-batch result.
+    running buffers. gamma/beta are (C,) learnable tensors. The variance,
+    the normalising pass and backward's scale*g run in ``_CHUNK_BYTES``
+    sample chunks, bit for bit the whole-batch result.
 
     ``relu=True`` returns relu(batch_norm(x)) as one node, bit for bit the
     two-op result: the ReLU runs in place on the output, and backward masks
     the gradient with ``out > 0``, which holds exactly where the
-    pre-activation is > 0, so no pre-activation buffer is kept.
+    pre-activation is > 0, so no pre-activation buffer is kept. Where one
+    conv alone reads the result, ``conv2d(..., pre=...)`` keeps no output
+    at all.
 
     ``inplace=True`` writes into ``x.data`` when no tape node is recorded
     and allocates as usual otherwise; pass it only for an ``x`` that
     nothing reads after, such as a conv output inside a block.
+    """
+    chunks = _sample_chunks(len(x.data), max(1, x.data[:1].nbytes))[1]
+    stats = _normalizer(x, gamma, beta, running_mean, running_var, training, chunks,
+                        momentum=momentum, eps=eps)
+    pshape = (1, -1) + (1,) * (x.ndim - 2)
+    mean, scale = (a.reshape(pshape) for a in (stats[0], stats[2]))
+    out = x.data if inplace and not _records((x, gamma, beta)) else np.empty_like(x.data)
+    # Subtracting the mean first avoids cancellation and, at gamma=1 and
+    # beta=0, rounds like xhat.
+    for s, e in chunks:
+        part = np.subtract(x.data[s:e], mean, out=out[s:e])
+        part *= scale
+        part += beta.data.reshape(pshape)
+        if relu:
+            np.maximum(part, 0, out=part)
+
+    def batch_norm_backward(g):
+        if relu:
+            g = g * (out > 0)
+        dx, per_sample = np.empty_like(x.data), np.empty((2,) + x.shape[:2], x.data.dtype)
+        for s, e in chunks:
+            xc = np.subtract(x.data[s:e], mean, out=dx[s:e])
+            _sample_sums(g[s:e], xc, per_sample[:, s:e])
+        sums = per_sample.sum(axis=1)  # in sample order
+        del per_sample
+        return _normalizer_backward(g, dx, sums, *stats[1:])
+
+    return _make(out, (x, gamma, beta), batch_norm_backward)
+
+
+def _normalizer(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+                running_var: np.ndarray, training: bool, chunks: list,
+                scratch: np.ndarray | None = None, momentum: float = 0.9,
+                eps: float = 1e-5) -> tuple:
+    """(mean, inv_std, scale, inv_n) of batch norm over x, per channel,
+    once its arguments pass the checks.
+
+    Train mode takes the batch statistics, summed over the shards of this
+    context's group, and folds them into the running buffers once per
+    batch. The variance squares x - mean one sample chunk of ``chunks`` at
+    a time into ``scratch`` (allocated if None) and sums per sample, then
+    over the samples in order: bit for bit numpy's whole-batch
+    ``square(x - mean).sum``, which adds each sample's pairwise sums in
+    sample order. Eval mode uses the running buffers; its statistics do
+    not depend on x, so inv_n is 0.
     """
     if x.ndim not in (2, 4):
         raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.shape}")
@@ -737,67 +889,70 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     if running_mean.shape != (c,) or running_var.shape != (c,):
         raise ValueError("running statistics must be shaped (C,)")
     _check_same_dtype(x, gamma, beta)
+    dt = x.data.dtype
+    if not training:
+        mean, var = running_mean.astype(dt, copy=False), running_var.astype(dt, copy=False)
+        inv_std = 1.0 / np.sqrt(var + dt.type(eps))
+        return mean, inv_std, gamma.data * inv_std, dt.type(0.0)
     n = x.data.size // c
-    if training and n == 0:
+    if n == 0:
         raise ValueError(f"training batch_norm needs values to normalise, got {x.shape}")
-    shard = _shard.get() if training else None
+    shard = _shard.get()
     if shard is not None:
         n = n // len(x.data) * shard[0].samples  # values per channel in the whole batch
-
     axes = (0,) if x.ndim == 2 else (0, 2, 3)
-    pshape = (1, c) if x.ndim == 2 else (1, c, 1, 1)
-    dt = x.data.dtype
-
-    if training:
-        mean = _all_reduce(x.data.sum(axis=axes, dtype=dt)) / n
-    else:
-        mean = running_mean.astype(dt, copy=False)
-    out = x.data if inplace and not _records((x, gamma, beta)) else np.empty_like(x.data)
-    # One per-channel scale, so only x is kept; subtracting the mean first
-    # avoids cancellation and, at gamma=1 and beta=0, rounds like xhat.
-    if training:
-        np.subtract(x.data, mean.reshape(pshape), out=out)
-        # np.var's own reduction, on the centred buffer already at hand.
-        var = _all_reduce(np.square(out).sum(axis=axes, dtype=dt)) / n
-        if shard is None or shard[1] == 0:  # one update per batch
-            running_mean *= dt.type(momentum)
-            running_mean += dt.type(1.0 - momentum) * mean
-            running_var *= dt.type(momentum)
-            running_var += dt.type(1.0 - momentum) * var
-    else:
-        var = running_var.astype(dt, copy=False)
-
+    mean = _all_reduce(x.data.sum(axis=axes, dtype=dt)) / n
+    centre = mean.reshape((1, c) + (1,) * (x.ndim - 2))
+    if scratch is None:
+        scratch = np.empty((chunks[0][1],) + x.shape[1:], dt)
+    squares = np.empty((len(x.data), c), dt)  # per sample
+    for s, e in chunks:
+        part = np.subtract(x.data[s:e], centre, out=scratch[: e - s])
+        np.square(part, out=part)
+        np.sum(part, axis=axes[1:], dtype=dt, out=squares[s:e])
+    var = _all_reduce(squares.sum(axis=0, dtype=dt)) / n
+    if shard is None or shard[1] == 0:  # one update per batch
+        running_mean *= dt.type(momentum)
+        running_mean += dt.type(1.0 - momentum) * mean
+        running_var *= dt.type(momentum)
+        running_var += dt.type(1.0 - momentum) * var
     inv_std = 1.0 / np.sqrt(var + dt.type(eps))
-    scale = gamma.data * inv_std
-    for s, e in _sample_chunks(len(out), max(1, out[:1].nbytes))[1]:
-        part = out[s:e] if training else np.subtract(x.data[s:e], mean.reshape(pshape),
-                                                     out=out[s:e])
-        part *= scale.reshape(pshape)
-        part += beta.data.reshape(pshape)
-        if relu:
-            np.maximum(part, 0, out=part)
-    dims = list(range(x.ndim))
-    # Eval-mode statistics do not depend on x, so their terms drop out.
-    inv_n = dt.type(1.0 / n if training else 0.0)
+    return mean, inv_std, gamma.data * inv_std, dt.type(1.0 / n)
 
-    def batch_norm_backward(g):
-        if relu:
-            g = g * (out > 0)
-        # Rebuilt from x in one buffer that starts as xc = x - mean:
-        # dgamma = inv_std*sum(g*xc), and scale*(g - dbeta/n - xhat*dgamma/n)
-        # = scale*g + kx*xc + k0 with per-channel kx and k0, from the sums
-        # over the whole batch. scale*g is added one sample chunk at a time
-        # to keep its temporary small.
-        dx = x.data - mean.reshape(pshape)
-        sums = np.stack([np.einsum(g, dims, [1]), np.einsum(g, dims, dx, dims, [1])])
-        total = _all_reduce(sums)
-        dx *= (-scale * inv_std * (inv_std * total[1]) * inv_n).reshape(pshape)
-        dx -= (scale * total[0] * inv_n).reshape(pshape)
-        for s, e in _sample_chunks(len(dx), max(1, dx[:1].nbytes))[1]:
-            dx[s:e] += g[s:e] * scale.reshape(pshape)
-        return dx, inv_std * sums[1], sums[0]  # this shard's share of dgamma, dbeta
 
-    return _make(out, (x, gamma, beta), batch_norm_backward)
+def _sample_sums(g: np.ndarray, xc: np.ndarray, out: np.ndarray) -> None:
+    """The per-sample, per-channel sums of g and of g*xc into out[0] and
+    out[1], (2, B, C): added over the samples in order, they are bit for
+    bit numpy's whole-batch ``einsum``."""
+    dims = list(range(g.ndim))
+    np.einsum(g, dims, [0, 1], out=out[0])
+    np.einsum(g, dims, xc, dims, [0, 1], out=out[1])
+
+
+def _normalizer_backward(g: np.ndarray, dx: np.ndarray, sums: np.ndarray,
+                         inv_std: np.ndarray, scale: np.ndarray, inv_n) -> tuple:
+    """(dx, dgamma, dbeta) of scale * (x - mean) + beta with ``_normalizer``'s
+    statistics, for the gradient ``g`` at that output, given dx holding
+    xc = x - mean and ``sums`` the sums of g and g*xc over this shard's
+    samples in order (``_sample_sums``); dgamma and dbeta are this shard's
+    share.
+
+    dgamma = inv_std*sum(g*xc), and scale*(g - dbeta/n - xhat*dgamma/n) =
+    scale*g + kx*xc + k0 with per-channel kx and k0, from the sums over the
+    whole batch; dx is finished in place one sample chunk at a time.
+    """
+    pshape = (1, -1) + (1,) * (dx.ndim - 2)
+    total = _all_reduce(sums)
+    kx = (-scale * inv_std * (inv_std * total[1]) * inv_n).reshape(pshape)
+    k0 = (scale * total[0] * inv_n).reshape(pshape)
+    step, chunks = _sample_chunks(len(dx), max(1, dx[:1].nbytes))
+    tmp = np.empty((step,) + dx.shape[1:], dx.dtype)  # scale*g of one chunk
+    for s, e in chunks:
+        part = dx[s:e]
+        part *= kx
+        part -= k0
+        part += np.multiply(g[s:e], scale.reshape(pshape), out=tmp[: e - s])
+    return dx, inv_std * sums[1], sums[0]
 
 
 def _all_reduce(partial: np.ndarray) -> np.ndarray:

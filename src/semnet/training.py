@@ -35,8 +35,8 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, NumericalFailure
 from .optim import SGD, MultiStepSchedule
 from .rng import RngState
-from .tensor import (ACTIVATION_KINDS, backward, layer_scope, no_grad, set_debug_checks,
-                     softmax_cross_entropy)
+from .tensor import (ACTIVATION_KINDS, backward, blas_runtime, layer_scope, no_grad,
+                     set_debug_checks, softmax_cross_entropy)
 
 DATASETS = ("cifar10", "cifar100", "synthetic")
 DATA_DIR_ENV = "SEM_DATA_DIR"
@@ -463,7 +463,7 @@ def run_environment() -> dict:
         blas = {}
     return {
         "numpy": np.__version__,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": {"name": blas.get("name"), "version": blas.get("version"), **blas_runtime()},
         "threads": {var: os.environ.get(var) for var in
                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "cpu_count": os.cpu_count(),

@@ -169,7 +169,7 @@ def _scope_full_block(gen):
     """A SEM and a plain block with a projection shortcut, and a SEM block
     whose shortcut is its own input, which the in-place skip add must not
     write. The SEM blocks also run in eval mode, whose finite-difference
-    passes take the in-place path of bn2, bn3 and the gate."""
+    passes take the untaped path of the fused units and the in-place gate."""
     errs = {}
     for name, depth, attention, index, training in (
             ("sem", 11, "sem", 0, True), ("plain", 11, "none", 0, True),

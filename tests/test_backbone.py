@@ -276,6 +276,17 @@ def unfused_relus(*roots):
                for node in graph_nodes(*roots) if node._backward.__name__ == "relu_backward")
 
 
+def fused_unit_outputs(*roots):
+    """Count of batch norm nodes in the recorded graph that one conv alone
+    reads: such a unit runs inside the conv's node and keeps no output."""
+    readers = {}
+    for node in graph_nodes(*roots):
+        for p in node._parents:
+            if p._backward is not None and p._backward.__name__ == "batch_norm_backward":
+                readers.setdefault(id(p), []).append(node._backward.__name__)
+    return sum(r == ["conv2d_backward"] for r in readers.values())
+
+
 def shard_outputs(monkeypatch):
     """Record the logits of every shard's forward: the shard graphs hang
     off these, not off the joined logits, whose parents are parameters."""
@@ -310,6 +321,8 @@ class TestTapeMemory:
             roots = [loss, *shards]
             activations, bn = graph_buffer_bytes(*roots)
             unfused = unfused_relus(*roots)
+            lone = fused_unit_outputs(*roots)
+            norms = sum(n._backward.__name__ == "batch_norm_backward" for n in graph_nodes(*roots))
             # The 4-D adds are the blocks' skip additions; the gates add
             # only (B, C) maps.
             shared = [np.shares_memory(n.data, n._parents[0].data) for n in graph_nodes(*roots)
@@ -321,9 +334,14 @@ class TestTapeMemory:
             tracemalloc.stop()
         # Every batch norm feeds a ReLU; fused, no pre-activation is kept.
         assert unfused == 0, unfused
+        # bn2 and bn3 run inside the conv that reads them; only bn1, which
+        # the projection shortcut (every depth-11 block has one) and conv1
+        # both read, and the head's keep an output on the tape.
+        assert lone == 0, lone
+        assert norms == (3 + 1) * len(shards), norms
         # Each block sums its skip into the branch output's own buffer (a
         # gate or conv3 output no backward rule reads), not a new one.
-        assert shared == [True] * 3 * model.blocks_per_stage * len(shards), shared
+        assert shared == [True] * 3 * depth_to_blocks(11) * len(shards), shared
         # Freed as backward consumes it, the tape is not held twice.
         assert peak <= 1.25 * tape, (peak, tape)
         # Only activations: a padded conv input copy or a (B, Cin*k*k,
@@ -348,10 +366,11 @@ class TestEvalInPlace:
     @pytest.mark.parametrize("attention", ["sem", "se", "none"])
     @pytest.mark.parametrize("depth", [11, 20])
     def test_no_grad_eval_matches_the_recording_forward(self, depth, attention):
-        # Under no_grad bn2, bn3, the gate and the head BN overwrite buffers
-        # in place; with grad on the same forward records and allocates. An
-        # in-place write into a buffer read later (a block input, the
-        # images, a parameter) makes the two differ or changes the state.
+        # Under no_grad the gate and the head BN overwrite buffers in place
+        # and the fused units write no activation; with grad on the same
+        # forward records and allocates. An in-place write into a buffer
+        # read later (a block input, the images, a parameter) makes the two
+        # differ or changes the state.
         model = build_network(RunConfig(depth=depth, attention=attention), RngState(75))
         x = small_input(RngState(76).generator(), b=3)
         state = [(name, a.copy()) for name, a in model.state_arrays().items()]
@@ -366,10 +385,9 @@ class TestEvalInPlace:
         assert all(now[name].tobytes() == a.tobytes() for name, a in state)
 
     def test_untaped_block_drops_its_bn1_output(self):
-        # Identity block (in = out = 64 channels, width 16): the live set
-        # peaks at bn1's output plus conv1's (1.25 x), or at conv2's plus
-        # conv3's. Keeping bn1's output to the end of the block would add
-        # it to the latter, 2.25 x.
+        # Identity block (in = out = 64 channels, width 16): bn1 runs inside
+        # conv1, so the live set peaks at conv2's output plus conv3's (1.25
+        # x). A bn1 output kept to the end of the block would add 1 x.
         block = build_network(RunConfig(depth=20, attention="sem"), RngState(77)).stages[0][1]
         x = Tensor(RngState(78).generator().standard_normal((16, 64, 32, 32)), dtype=np.float32)
         with no_grad():
@@ -514,15 +532,16 @@ class TestShardedEval:
         conv2 = block.conv2
         in_head, checked = threading.Event(), threading.Event()
 
-        def planted_conv2(h):
+        def planted_conv2(h, pre):
+            # h is bn2's input; bn2 runs inside conv2's node.
             if h.shape[0] == 2:
                 try:
                     assert in_head.wait(10)
                     h.data[1, 0, 0, 0] = np.nan
-                    return conv2(h)
+                    return conv2(h, pre)
                 finally:
                     checked.set()
-            return conv2(h)
+            return conv2(h, pre)
 
         def waiting_head(out, training, inplace=False):
             if out.shape[0] == 1:
@@ -847,17 +866,18 @@ class TestShardedTraining:
 
     @pytest.mark.parametrize("shard", [0, 1])
     def test_first_nonfinite_op_names_the_failing_shards_layer(self, tmp_path, shard):
-        # Only one shard plants a NaN; its partner stops at the next batch
-        # norm's barrier, and its BrokenBarrierError does not hide the name.
+        # Only one shard plants a NaN, in bn2's input; the batch statistics
+        # inside conv2's node carry it to the partner, whose error in the
+        # same node names the same layer.
         run_isolated(STEP_PRELUDE + f"""
     model = build_network(RunConfig(depth=11, attention="sem"), RngState(110))
     block = model.stages[1][0]
     conv2 = block.conv2
 
-    def planted(h):
+    def planted(h, pre):
         if tensor._shard.get()[1] == {shard}:
             h.data[0, 0, 0, 0] = np.nan
-        return conv2(h)
+        return conv2(h, pre)
 
     block.conv2 = planted
     with np.errstate(invalid="ignore"):

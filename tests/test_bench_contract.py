@@ -4,12 +4,14 @@ the expected gates and tape nodes and gives the untraced loss bit for bit.
 
 The step runs whole, as the benchmark's batches of 16 do, or in two sample
 shards, as its batches of 128 do. Either way each forward has 3 gates of
-69 nodes and 93 nodes in its 3 blocks. Whole, the tracer counts those, the
-loss, 4 head nodes and the stem conv: 99. Sharded, it walks each shard's
-blocks and gates, the joined logits (its "head") and the first block input
-down to the images (its "stem"); it does not reach either shard's 4 head
-nodes or the other shard's stem conv, so it counts 2 x 93 + loss + join +
-one stem = 189."""
+69 nodes and 87 nodes in its 3 blocks: each block has 29, its bn1, its
+projection shortcut, conv1, conv2 (bn2 runs inside its node), conv3 (bn3
+likewise), 23 gate nodes and the skip add. Whole, the tracer counts those,
+the loss, 4 head nodes and the stem conv: 93. Sharded, it walks each
+shard's blocks and gates, the joined logits (its "head") and the first
+block input down to the images (its "stem"); it does not reach either
+shard's 4 head nodes or the other shard's stem conv, so it counts 2 x 87 +
+loss + join + one stem = 177."""
 
 import importlib.util
 import os
@@ -64,7 +66,7 @@ def test_traced_step_counts_and_loss(tracer_module, monkeypatch, shards):
     assert not tracer.installed
     (_, counts), = tracer.summarize()
     assert counts["attention.calls"] == shards * 3
-    assert counts["tensor.tape_nodes"] == (99 if shards == 1 else 2 * 93 + 3)
+    assert counts["tensor.tape_nodes"] == (93 if shards == 1 else 2 * 87 + 3)
     assert counts["attention.nodes"] == shards * 69
     untraced = one_step(tracer_module.NullTracer())
     assert traced.tobytes() == untraced.tobytes()

@@ -15,6 +15,7 @@ from semnet.gradcheck import check_gradients, finite_difference_grad, max_relati
 from semnet.rng import RngState
 from semnet.tensor import (
     ACTIVATION_KINDS,
+    PreActivation,
     ShardGroup,
     Tensor,
     activation,
@@ -631,6 +632,192 @@ class TestConv2dOracle:
         for grad, parent in zip(out._backward(np.ones_like(out.data)), (x, kernel)):
             assert grad.shape == parent.shape and grad.dtype == parent.dtype
             assert grad.base is None and grad.flags.owndata and grad.flags.writeable
+
+
+PRE_CONVS = [(1, 1, 0), (3, 1, 1), (3, 2, 1)]  # (k, stride, pad) of the backbone's units
+
+
+def unit_inputs(dtype, seed, b=4, cin=3, cout=4, k=3):
+    """x, kernel, gamma, beta, running mean and var of one pre-activation
+    unit, with an input mean far from 0 and a ReLU that clips a share."""
+    gen = RngState(seed).generator()
+    x = (gen.standard_normal((b, cin, 6, 5)) * 2.5 + 3.0).astype(dtype)
+    kernel = gen.standard_normal((cout, cin, k, k)).astype(dtype)
+    gamma = (gen.standard_normal(cin) + 0.5).astype(dtype)
+    beta = (gen.standard_normal(cin) * 0.5).astype(dtype)
+    rm = (gen.standard_normal(cin) + 3.0).astype(dtype)
+    rv = (gen.random(cin) * 6.0 + 0.5).astype(dtype)
+    return x, kernel, gamma, beta, rm, rv
+
+
+def run_unit(fused, x, kernel, gamma, beta, buffers, training, stride, pad, g, shards=1):
+    """(out, dx, dkernel, dgamma, dbeta) of relu(batch_norm(x)) -> conv2d,
+    as the one fused node or as the two public ops, over ``shards``
+    contiguous sample shards run as one ShardGroup (forward, then
+    backward); ``buffers`` (running mean, var) are updated in place."""
+    kt, gt, bt = (Tensor(v, requires_grad=True) for v in (kernel, gamma, beta))
+    parts = [slice(len(x) * i // shards, len(x) * (i + 1) // shards) for i in range(shards)]
+    outs = [None] * shards
+
+    def forward(i):
+        xt = Tensor(x[parts[i]], requires_grad=True)
+        if fused:
+            outs[i] = conv2d(xt, kt, stride, pad, pre=PreActivation(gt, bt, *buffers, training))
+        else:
+            outs[i] = conv2d(batch_norm(xt, gt, bt, *buffers, training, relu=True),
+                             kt, stride, pad)
+
+    def backward(i):
+        if fused:
+            return outs[i]._backward(g[parts[i]])
+        dact, dkernel = outs[i]._backward(g[parts[i]])
+        dx, dgamma, dbeta = outs[i]._parents[0]._backward(dact)
+        return dx, dkernel, dgamma, dbeta
+
+    if shards == 1:
+        forward(0)
+        grads = [backward(0)]
+    else:
+        ShardGroup(shards, len(x)).run(forward)
+        grads = ShardGroup(shards, len(x)).run(backward)
+    # Parameter gradients add over the shards in shard order, as join_shards does.
+    return (np.concatenate([o.data for o in outs]), np.concatenate([r[0] for r in grads]),
+            *(sum((r[j] for r in grads[1:]), grads[0][j]) for j in (1, 2, 3)))
+
+
+class TestPreActivationConv:
+    """conv2d(x, kernel, pre=...) computes conv(relu(batch_norm(x))) as one
+    node: against the float64 textbook loops of oracles.py, and bit for bit
+    against the batch_norm(relu=True) -> conv2d pair it replaces, for the
+    backbone's 1x1, 3x3 and strided 3x3 units, whole or in two shards."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("k,stride,pad", PRE_CONVS)
+    def test_float64_matches_naive(self, k, stride, pad, training, shards):
+        x, kernel, gamma, beta, rm, rv = unit_inputs(np.float64, 40 + 3 * k + stride, k=k)
+        hout, wout = ((n + 2 * pad - k) // stride + 1 for n in x.shape[2:])
+        g = RngState(41).generator().standard_normal((len(x), len(kernel), hout, wout))
+        buffers = rm.copy(), rv.copy()
+        got = run_unit(True, x, kernel, gamma, beta, buffers, training, stride, pad, g, shards)
+        # The output and buffers need no upstream gradient; dx, dgamma and
+        # dbeta take the activation's gradient from the conv's loops.
+        act, *_, want_rm, want_rv = oracles.naive_batch_norm(
+            x, gamma, beta, rm, rv, np.zeros_like(x), training, relu=True)
+        dact, dkernel = oracles.naive_conv2d_backward(act, kernel, g, stride, pad)
+        _, dx, dgamma, dbeta, *_ = oracles.naive_batch_norm(
+            x, gamma, beta, rm, rv, dact, training, relu=True)
+        want = (oracles.naive_conv2d(act, kernel, stride, pad), dx, dkernel, dgamma, dbeta)
+        assert 0 < np.count_nonzero(act) < act.size  # the ReLU clips
+        errs = {name: normwise_error(a, b) for name, a, b in
+                zip(("out", "dx", "dkernel", "dgamma", "dbeta"), got, want)}
+        assert max(errs.values()) <= 1e-9, errs
+        assert normwise_error(buffers[0], want_rm) <= 1e-12
+        assert normwise_error(buffers[1], want_rv) <= 1e-12
+
+    @pytest.mark.parametrize("step", [None, 1, 3])
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("k,stride,pad", PRE_CONVS)
+    def test_float32_is_bitwise_the_unfused_pair(self, k, stride, pad, training, shards, step,
+                                                monkeypatch):
+        # 7 samples: 2- and 3-sample chunks leave a ragged tail in each shard.
+        x, kernel, gamma, beta, rm, rv = unit_inputs(np.float32, 50 + 3 * k + stride, b=7,
+                                                     cin=5, cout=6, k=k)
+        hout, wout = ((n + 2 * pad - k) // stride + 1 for n in x.shape[2:])
+        g = RngState(51).generator().standard_normal((7, 6, hout, wout)).astype(np.float32)
+        if step is not None:
+            force_chunk_step(monkeypatch, step)
+        results = []
+        for fused in (True, False):
+            buffers = rm.copy(), rv.copy()
+            got = run_unit(fused, x, kernel, gamma, beta, buffers, training, stride, pad, g,
+                           shards)
+            results.append([a.tobytes() for a in (*got, *buffers)])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("k,stride,pad", PRE_CONVS)
+    def test_running_buffers_take_one_update(self, k, stride, pad, shards):
+        # Forward folds the batch statistics in once; backward rebuilds the
+        # activation from the saved ones and leaves the buffers alone.
+        x, kernel, gamma, beta, rm, rv = unit_inputs(np.float32, 60, b=6, k=k)
+        hout, wout = ((n + 2 * pad - k) // stride + 1 for n in x.shape[2:])
+        g = np.ones((6, 4, hout, wout), np.float32)
+        m, w = np.float32(0.9), np.float32(1.0 - 0.9)
+        # The whole batch's statistics from the shards' sums, in shard order.
+        parts = [x[6 * i // shards : 6 * (i + 1) // shards] for i in range(shards)]
+
+        def batch_sum(f):
+            return sum((f(p) for p in parts[1:]), f(parts[0]))
+
+        mean = batch_sum(lambda p: p.sum(axis=(0, 2, 3), dtype=np.float32)) / (6 * 30)
+        var = batch_sum(lambda p: np.square(p - mean.reshape(1, -1, 1, 1)).sum(
+            axis=(0, 2, 3), dtype=np.float32)) / (6 * 30)
+        for training in (True, False):
+            buffers = rm.copy(), rv.copy()
+            run_unit(True, x, kernel, gamma, beta, buffers, training, stride, pad, g, shards)
+            if training:  # one update
+                want = rm * m + w * mean, rv * m + w * var
+            else:
+                want = rm, rv
+            assert [b.tobytes() for b in buffers] == [b.tobytes() for b in want], training
+
+    @pytest.mark.parametrize("k,stride,pad", PRE_CONVS)
+    def test_keeps_only_x_and_its_output(self, k, stride, pad):
+        # The unfused pair keeps relu(batch_norm(x)) too: 15 KiB here.
+        x, kernel, gamma, beta, rm, rv = unit_inputs(np.float64, 61, b=8, cin=8, cout=8, k=k)
+        x, kernel, gamma, beta = (Tensor(v, requires_grad=True) for v in (x, kernel, gamma, beta))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, kernel, stride, pad, pre=PreActivation(gamma, beta, rm, rv, True))
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # Output, transposed kernel, per-channel statistics and closures.
+        assert kept <= out.data.nbytes + kernel.data.nbytes + 8192, (kept, x.data.nbytes)
+
+    def test_transient_peaks(self):
+        # 16 samples at (16, 64, 32, 32) float32, 4 MiB, into a 1x1 conv.
+        gen = RngState(62).generator()
+        x = Tensor(gen.standard_normal((16, 64, 32, 32)).astype(np.float32), requires_grad=True)
+        kernel, gamma, beta = (Tensor(gen.standard_normal(shape).astype(np.float32),
+                                      requires_grad=True)
+                               for shape in ((16, 64, 1, 1), (64,), (64,)))
+        pre = PreActivation(gamma, beta, np.zeros(64, np.float32), np.ones(64, np.float32), True)
+        g = gen.standard_normal((16, 16, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, kernel, pre=pre)
+            forward = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            dx, *_ = out._backward(g)
+            backward = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        slack = 2 * tensor._CHUNK_BYTES + (64 << 10)
+        # Forward writes no full-size activation, backward only dx and the
+        # activation's gradient: the pair's third buffer, the masked
+        # gradient, would break this bound.
+        assert forward <= out.data.nbytes + slack, forward
+        assert backward <= 2 * dx.nbytes + slack, backward
+
+    @pytest.mark.parametrize("k,stride,pad", PRE_CONVS)
+    def test_empty_batch(self, k, stride, pad):
+        x = Tensor(np.zeros((0, 3, 8, 8)), requires_grad=True)
+        kernel, gamma, beta = (Tensor(np.ones(shape), requires_grad=True)
+                               for shape in ((4, 3, k, k), (3,), (3,)))
+        rm, rv = np.zeros(3), np.ones(3)
+        with pytest.raises(ValueError, match="needs values"):
+            conv2d(x, kernel, stride, pad, pre=PreActivation(gamma, beta, rm, rv, True))
+        assert rm.tolist() == [0.0] * 3 and rv.tolist() == [1.0] * 3
+        out = conv2d(x, kernel, stride, pad, pre=PreActivation(gamma, beta, rm, rv, False))
+        dx, dkernel, dgamma, dbeta = out._backward(np.zeros_like(out.data))
+        assert out.shape[:2] == (0, 4) and dx.shape == x.shape
+        assert not dkernel.any() and not dgamma.any() and not dbeta.any()
 
 
 class TestAutodiff:

@@ -233,7 +233,7 @@ class TestTrainRun:
         env = json.load(open(os.path.join(tmp_path, "run", "environment.json")))
         assert set(env) == {"numpy", "blas", "threads", "cpu_count", "cpu_affinity",
                             "eval_shards", "python"}
-        assert set(env["blas"]) == {"name", "version"}
+        assert set(env["blas"]) == {"name", "version", "threads", "config"}
         assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                        "MKL_NUM_THREADS"}
         assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
@@ -246,6 +246,24 @@ class TestTrainRun:
                                "test_top1", "lr", "decisions"}
         assert record["decisions"] and "w" in record["decisions"][0]
         assert 0.0 <= record["test_top1"] <= 100.0
+
+    def test_blas_runs_on_one_thread_without_the_variables(self, tmp_path):
+        # semnet sets the thread count itself at import; OpenBLAS would take
+        # its default (one per CPU) from an environment without the variables.
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = ("import json; from semnet.training import run_environment; "
+                  "print(json.dumps(run_environment()['blas']))")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        blas = json.loads(proc.stdout)
+        if "openblas" in (blas["name"] or "").lower():
+            assert blas["threads"] == 1 and blas["config"].startswith("OpenBLAS"), blas
+        else:  # a BLAS semnet cannot drive is recorded as such
+            assert blas["threads"] is None and blas["config"] is None, blas
 
     def test_epochs_zero_emits_initial_checkpoint_only(self, tmp_path):
         result = train_run(tiny_config(tmp_path / "r0", epochs=0))
