@@ -18,10 +18,19 @@ import numpy as np
 
 from .rng import RngState
 from .tensor import (
+    _ACTIVATION_RULES,
+    ChannelGate,
+    PreActivation,
     Tensor,
+    _channel_conv,
+    _channel_conv_backward,
+    _row_products,
+    _stable_sigmoid,
     activation,
     affine,
+    channel_gate,
     conv1d_channel,
+    conv2d,
     global_avg_pool,
     mul,
     relu,
@@ -130,7 +139,8 @@ def init_sem_params(channels: int,
 
 
 # ---------------------------------------------------------------------------
-# Stages
+# Stages, one tape node each: the reference the one-node gate is tested
+# against
 # ---------------------------------------------------------------------------
 
 def squeeze(x: Tensor) -> Tensor:
@@ -183,12 +193,11 @@ def switch(branches: list[Tensor], weights: Tensor | None,
     return v
 
 
-def recalibrate(x: Tensor, v: Tensor, *, inplace: bool = False) -> Tensor:
-    """Rescale each channel of (B,C,H,W) by the per-sample map v (B,C);
-    ``inplace`` as in ``tensor.mul``, only for an x that nothing reads after."""
+def recalibrate(x: Tensor, v: Tensor) -> Tensor:
+    """Rescale each channel of (B,C,H,W) by the per-sample map v (B,C)."""
     if v.shape != x.shape[:2]:
         raise ValueError(f"attention map {v.shape} incompatible with input {x.shape}")
-    return mul(x, reshape(v, (x.shape[0], x.shape[1], 1, 1)), inplace=inplace)
+    return mul(x, reshape(v, (x.shape[0], x.shape[1], 1, 1)))
 
 
 def _branch_outputs(m: Tensor, params: SemParams) -> list[Tensor]:
@@ -222,11 +231,111 @@ def attention_map(x: Tensor, params: SemParams, decisions: list | None = None) -
     return switch(_branch_outputs(m, params), weights, params.switch_activation)
 
 
+# ---------------------------------------------------------------------------
+# The gate as one node
+# ---------------------------------------------------------------------------
+
+def gate_params(params: SemParams) -> list[Tensor]:
+    """The gate's allocated parameters, in ``SemParams`` field order."""
+    return [t for t in (params.decision_weight, params.reduce_weight, params.expand_weight,
+                        params.conv_kernel, params.ie_scale, params.ie_shift) if t is not None]
+
+
+def _gate_terms(m: np.ndarray, params: SemParams) -> tuple:
+    """(decision weights, FC hidden layer, branch outputs, their scaled
+    inputs to the switch, the switch's activations, v) of the gate for the
+    descriptor m (B, C), with the stages' arithmetic, so v has their bits.
+    Each sample's terms depend on its row of m alone."""
+    weights = hidden = None
+    if params.decision_weight is not None:
+        weights = _stable_sigmoid(_row_products(m, params.decision_weight.data))
+    act = _ACTIVATION_RULES[params.switch_activation][0]
+    shape = (len(m), len(params.operators), m.shape[1])
+    branches, scaled, gated = (np.empty(shape, m.dtype) for _ in range(3))
+    v = None
+    for i, op in enumerate(params.operators):
+        if op == OPERATOR_FC:
+            hidden = np.maximum(_row_products(m, params.reduce_weight.data), 0)
+            branches[:, i] = _row_products(hidden, params.expand_weight.data)
+        elif op == OPERATOR_CNN:
+            branches[:, i] = _channel_conv(m, params.conv_kernel.data)
+        else:
+            branches[:, i] = m * params.ie_scale.data + params.ie_shift.data
+        scaled[:, i] = branches[:, i] if weights is None else branches[:, i] * weights[:, i:i + 1]
+        gated[:, i] = act(scaled[:, i])
+        v = gated[:, i].copy() if v is None else v * gated[:, i]
+    return weights, hidden, branches, scaled, gated, v
+
+
+def _gate_forward(m: np.ndarray, params: SemParams, decisions: list | None) -> np.ndarray:
+    """The gate's v for the descriptor m; the decision weights go to ``decisions``."""
+    weights, *_, v = _gate_terms(m, params)
+    if decisions is not None and weights is not None:
+        decisions.append(weights)
+    return v
+
+
+def _gate_backward(params: SemParams, m: np.ndarray, dv: np.ndarray) -> tuple:
+    """(dm, gradients of ``gate_params``) for the gradient dv at the v of
+    the descriptor m, from the gate's terms computed again."""
+    weights, hidden, branches, scaled, gated, _ = _gate_terms(m, params)
+    rule = _ACTIVATION_RULES[params.switch_activation][1]
+    n = len(params.operators)
+    dscaled = np.empty_like(scaled)
+    for i in range(n):
+        others = dv
+        for j in range(n):
+            if j != i:
+                others = others * gated[:, j]
+        dscaled[:, i] = rule(others, scaled[:, i], gated[:, i])
+    p, grads = params, {}
+    dm = np.zeros_like(m)
+    dbranches = dscaled
+    if weights is not None:
+        dweights = np.einsum("bnc,bnc->bn", dscaled, branches)
+        dbranches = dscaled * weights[:, :, None]
+        dlogits = dweights * weights * (1.0 - weights)
+        grads[p.decision_weight] = dlogits.T @ m
+        dm += dlogits @ p.decision_weight.data
+    for i, op in enumerate(p.operators):
+        g = dbranches[:, i]
+        if op == OPERATOR_FC:
+            grads[p.expand_weight] = g.T @ hidden
+            dhidden = (g @ p.expand_weight.data) * (hidden > 0)
+            grads[p.reduce_weight] = dhidden.T @ m
+            dm += dhidden @ p.reduce_weight.data
+        elif op == OPERATOR_CNN:
+            dm_cnn, grads[p.conv_kernel] = _channel_conv_backward(m, p.conv_kernel.data, g)
+            dm += dm_cnn
+        else:
+            grads[p.ie_scale] = np.sum(m * g, dtype=m.dtype).reshape(1, 1)
+            grads[p.ie_shift] = np.sum(g, dtype=m.dtype).reshape(1, 1)
+            dm += g * p.ie_scale.data
+    return dm, [grads[t] for t in gate_params(p)]
+
+
 def sem_forward(x: Tensor, params: SemParams, *,
-                decisions: list | None = None, inplace: bool = False) -> Tensor:
-    """The full attention layer: x recalibrated by its ``attention_map``;
-    ``inplace`` as in ``recalibrate``, only for an x the caller reads no more."""
-    return recalibrate(x, attention_map(x, params, decisions), inplace=inplace)
+                conv: tuple[Tensor, PreActivation | None] | None = None,
+                decisions: list | None = None) -> Tensor:
+    """The full attention layer as one tape node: squeeze, decide, excite
+    each enabled branch, switch and recalibrate, bit for bit the stages'
+    forward. ``decisions``, when given, receives the gate's raw (B, N)
+    decision weights, not a copy; a gate without a decision network
+    appends nothing.
+
+    Without ``conv`` the gate reads x (``tensor.channel_gate``). With
+    ``conv = (kernel, pre)``, a 1x1 kernel (C, Cin, 1, 1) and an optional
+    pre-activation unit, x is the input of that conv and the gate runs
+    inside the conv's node (``tensor.conv2d(..., gate=...)``), which keeps
+    no conv output.
+    """
+    gate = ChannelGate(tuple(gate_params(params)),
+                       lambda m: _gate_forward(m, params, decisions),
+                       lambda m, dv: _gate_backward(params, m, dv))
+    if conv is None:
+        return channel_gate(x, gate)
+    kernel, pre = conv
+    return conv2d(x, kernel, pre=pre, gate=gate)
 
 
 # ---------------------------------------------------------------------------

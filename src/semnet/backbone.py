@@ -170,7 +170,6 @@ class _Bottleneck:
         self.out_channels = cout
 
     def __call__(self, x: Tensor, training: bool, decisions: list | None = None) -> Tensor:
-        # x is the caller's; the gate may overwrite conv3's output.
         if self.downsample is None:
             residual, out = x, self.conv1(x, self.bn1.pre(training))
         else:  # two convs read bn1's output
@@ -178,11 +177,13 @@ class _Bottleneck:
             residual, out = self.downsample(pre), self.conv1(pre)
             del pre  # without a tape nothing else holds it
         out = self.conv2(out, self.bn2.pre(training))
-        out = self.conv3(out, self.bn3.pre(training))
-        if self.attention is not None:
+        if self.attention is None:
+            out = self.conv3(out, self.bn3.pre(training))
+        else:  # the gate runs inside conv3's node
             # Looked up on the module so perfbench's patch of it applies.
-            out = att.sem_forward(out, self.attention, decisions=decisions, inplace=True)
-        # Neither a conv2d nor a mul rule reads its own output: sum into it.
+            out = att.sem_forward(out, self.attention, decisions=decisions,
+                                  conv=(self.conv3.weight, self.bn3.pre(training)))
+        # No conv2d rule reads its own output: sum into it.
         return add(out, residual, inplace=True)
 
 

@@ -47,7 +47,8 @@ ABLATIONS = {
         (act, replace(base, attention="sem", switch_activation=act))
         for act in ("tanh", "relu", "leaky_relu", "sigmoid")],
     "no_augment": lambda base: [
-        (f"{mode}_noaug", replace(base, attention=mode, augment=False))
+        (f"{mode}_noaug", replace(base, attention=mode, augment=False,
+                                  unit_decision=base.unit_decision and mode == "sem"))
         for mode in ("none", "se", "sem")],
 }
 

@@ -16,7 +16,7 @@ import os
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -410,7 +410,7 @@ def _broadcastable(a_shape: tuple, b_shape: tuple) -> bool:
 def add(a: Tensor, b: Tensor, *, inplace: bool = False) -> Tensor:
     """a + b. ``inplace=True`` writes the sum into ``a.data`` and shares that
     buffer, so ``a`` must be a full-shape op output whose buffer no backward
-    rule reads (a conv2d or mul output; add's own rule reads only shapes)."""
+    rule reads (a conv2d output; add's own rule reads only shapes)."""
     _check_same_dtype(a, b)
     if not _broadcastable(a.shape, b.shape):
         raise ValueError(f"cannot broadcast {a.shape} + {b.shape}")
@@ -422,13 +422,11 @@ def add(a: Tensor, b: Tensor, *, inplace: bool = False) -> Tensor:
     return _make(out, (a, b), add_backward)
 
 
-def mul(a: Tensor, b: Tensor, *, inplace: bool = False) -> Tensor:
-    """a * b. ``inplace=True`` writes into ``a.data`` when no tape node is
-    recorded; pass it only for a full-shape ``a`` that nothing reads after."""
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     if not _broadcastable(a.shape, b.shape):
         raise ValueError(f"cannot broadcast {a.shape} * {b.shape}")
-    out = np.multiply(a.data, b.data, out=a.data if inplace and not _records((a, b)) else None)
+    out = np.multiply(a.data, b.data)
 
     def mul_backward(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
@@ -507,7 +505,7 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ValueError(f"affine shape mismatch: x {x.shape}, weight {weight.shape}")
     parents = [x, weight]
     _check_same_dtype(x, weight)
-    out = np.matmul(x.data[:, None, :], weight.data.T).reshape(x.shape[0], weight.shape[0])
+    out = _row_products(x.data, weight.data)
     if bias is not None:
         if bias.shape != (weight.shape[0],):
             raise ValueError(f"bias shape {bias.shape} != ({weight.shape[0]},)")
@@ -522,6 +520,11 @@ def affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         return grads
 
     return _make(out, tuple(parents), affine_backward)
+
+
+def _row_products(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """x @ weight.T for x (B, Cin), one product per row (see ``affine``)."""
+    return np.matmul(x[:, None, :], weight.T).reshape(x.shape[0], weight.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +557,40 @@ class PreActivation(NamedTuple):
     training: bool
 
 
+class ChannelGate(NamedTuple):
+    """A per-sample channel gate on the Tensors ``params``: ``forward(m)``
+    maps a (B, C) map m to the scales v (B, C), each row from m's row
+    alone; ``backward(m, dv)`` returns (dm, a gradient for each of
+    ``params``) for the gradient dv at m's v, summed over m's rows."""
+
+    params: tuple
+    forward: Callable
+    backward: Callable
+
+
+def channel_gate(x: Tensor, gate: ChannelGate) -> Tensor:
+    """x * v[..., None, None] for (B, C, H, W) x, with v the gate's scales
+    of x's spatial mean m, as one node that keeps x, m and v. Backward
+    forms dv = sum_hw g*x in one einsum and dx = g*v + dm/HW; the rule
+    returns (dx, *gate param gradients)."""
+    if x.ndim != 4:
+        raise ValueError(f"channel_gate needs (B, C, H, W), got {x.shape}")
+    _check_same_dtype(x, *gate.params)
+    m = x.data.mean(axis=(2, 3))
+    v = gate.forward(m)
+    out = x.data * v[:, :, None, None]
+
+    def channel_gate_backward(g):
+        dm, grads = gate.backward(m, np.einsum("bchw,bchw->bc", g, x.data))
+        dx = np.multiply(g, v[:, :, None, None])
+        dx += (dm * dm.dtype.type(1.0 / (x.shape[2] * x.shape[3])))[:, :, None, None]
+        return (dx, *grads)
+
+    return _make(out, (x, *gate.params), channel_gate_backward)
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
-           pre: PreActivation | None = None) -> Tensor:
+           pre: PreActivation | None = None, gate: ChannelGate | None = None) -> Tensor:
     """Cross-correlation with zero padding, one GEMM per tap and sample.
 
     x: (B, Cin, H, W), kernel: (Cout, Cin, k, k), square window. Output
@@ -579,6 +614,18 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
     statistics, takes dkernel from them, masks the activation's gradient
     with act > 0 while the chunk is in cache, and ends with batch_norm's
     backward; the rule returns (dx, dkernel, dgamma, dbeta).
+
+    With ``gate``, on a direct conv only, the node returns the output
+    scaled by the gate as ``channel_gate`` would, and keeps no output
+    either, only m and v: each chunk's GEMM output gives its samples'
+    spatial mean m, one gate forward maps m to v and the output is scaled
+    in place. Backward first takes, per sample, the product P = g a^T
+    that dkernel needs anyway, of the gradient g at the gate's output and
+    the conv's input a, for the whole batch: dv[c] = sum_k W[c,k] P[c,k]
+    feeds one gate backward, and dkernel is the sum of diag(v) P +
+    (dm/HW) (sum_hw a)^T. The chunks then form a's gradient as
+    (W diag v)^T g + W^T dm/HW, so the gate adds no GEMM. The gate's
+    parameter gradients end the rule's result.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d needs 4-D tensors, got {x.shape} and {kernel.shape}")
@@ -595,6 +642,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
         raise ValueError(f"empty conv output for input {x.shape}, k={k}, "
                          f"stride={stride}, pad={pad}")
     _check_same_dtype(x, kernel)
+    direct = k == 1 and stride == 1 and pad == 0  # x is its own one phase grid
+    if gate is not None:
+        if not direct:
+            raise ValueError("a gate needs a 1x1 stride-1 conv without padding")
+        _check_same_dtype(x, *gate.params)
 
     dt = x.data.dtype
     d, q = (k - 1) // stride, min(stride, k)  # furthest tap shift, phases per axis
@@ -603,7 +655,6 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
     cells = rows * wp + d  # one phase grid and the furthest tap's overrun
     taps = [(i, j, i % stride * q + j % stride, i // stride * wp + j // stride)
             for i in range(k) for j in range(k)]
-    direct = k == 1 and stride == 1 and pad == 0  # x is its own one phase grid
     staged = not direct or pre is not None  # x goes into scratch grids
 
     def phases(buf, m):
@@ -651,6 +702,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
         mean, scale, beta = (a.reshape(1, cin, 1, 1)
                              for a in (stats[0], stats[2], pre.beta.data))
         parents = (x, kernel, pre.gamma, pre.beta)
+    if gate is not None:
+        parents += tuple(gate.params)
+        means = np.empty((b, cout), dt)
     for s, e in chunks:
         grid, _ = grids_of(s, e, grids, acts)
         # Without wrap-around columns the taps sum straight into the output.
@@ -662,6 +716,31 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
                 dest += part
         if d:
             out[s:e] = dest.reshape(e - s, cout, hout, wp)[..., :wout]
+        if gate is not None:
+            np.mean(out[s:e], axis=(2, 3), out=means[s:e])
+    if gate is not None:
+        v = gate.forward(means)
+        out *= v[:, :, None, None]
+
+    def gate_backward(g, chunks, grids, acts, xc, masks, dkernel):
+        """The gate's share of backward, run before the chunks that form
+        dx: per sample the product P = g a^T, of the gradient at the
+        output and the conv's input a, for the whole batch; from it the
+        gate's backward once, and dkernel. Returns dm/HW and the gate's
+        parameter gradients. With ``pre`` the chunks rebuild a from x and
+        leave x - mean in xc and a > 0 in masks, both whole-batch."""
+        prods, sums = np.empty((b, cout, cin), dt), np.empty((b, cin), dt)
+        for s, e in chunks:
+            grid, src = grids_of(s, e, grids, acts, None if xc is None else xc[s:e])
+            np.matmul(g[s:e].reshape(e - s, cout, span), grid[0].transpose(0, 2, 1),
+                      out=prods[s:e])
+            np.sum(grid[0], axis=2, out=sums[s:e])
+            if masks is not None:
+                np.greater(src, 0, out=masks[s:e])
+        dm, grads = gate.backward(means, np.einsum("bck,ck->bc", prods, kt[0, 0]))
+        dm *= dt.type(1.0 / span)
+        dkernel[:, :, 0, 0] = np.einsum("bc,bck->ck", v, prods) + dm.T @ sums
+        return dm, grads
 
     def conv2d_backward(g):
         dkernel = np.zeros_like(kernel.data)  # an empty batch runs no chunk
@@ -677,25 +756,36 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
         gpad = np.zeros((step, cout, span), dtype=dt) if d else None  # wrap columns stay 0
         tmp = np.empty((step, cin, span), dtype=dt) if k > 1 else None
         # Row 0 carries the sum of earlier chunks into this chunk's rows 1..m.
-        dks = np.empty((step + 1, cout, cin), dtype=dt)
+        dks = np.empty((step + 1, cout, cin), dtype=dt) if gate is None else None
+        xc = masks = None
         if pre is not None:  # batch norm's backward, in the same chunks
             xc, per_sample = np.empty_like(x.data), np.empty((2, b, cin), dt)
-            masks = np.empty((step, cin, h, w), bool)
+            masks = np.empty((step if gate is None else b, cin, h, w), bool)
+        gate_grads = []
+        if gate is not None:
+            dm, gate_grads = gate_backward(g, chunks, grids, acts, xc, masks, dkernel)
+            scaled = np.empty((step, cin, cout), dt)  # (W diag v)^T of each sample
         for s, e in chunks:
             m = e - s
-            grid, src = grids_of(s, e, grids, acts, None if pre is None else xc[s:e])
             gm = gpad[:m] if d else g[s:e].reshape(m, cout, span)
-            if d:
-                gm.reshape(m, cout, hout, wp)[..., :wout] = g[s:e]
-            for i, j, n, o in taps:
-                np.matmul(gm, grid[n, :, :, o : o + span].transpose(0, 2, 1), out=dks[1 : m + 1])
-                if s:
-                    dks[0] = dkernel[:, :, i, j]
-                dkernel[:, :, i, j] = dks[(s == 0) : m + 1].sum(axis=0)
+            if gate is None:
+                grid, src = grids_of(s, e, grids, acts, None if pre is None else xc[s:e])
+                if d:
+                    gm.reshape(m, cout, hout, wp)[..., :wout] = g[s:e]
+                for i, j, n, o in taps:
+                    np.matmul(gm, grid[n, :, :, o : o + span].transpose(0, 2, 1),
+                              out=dks[1 : m + 1])
+                    if s:
+                        dks[0] = dkernel[:, :, i, j]
+                    dkernel[:, :, i, j] = dks[(s == 0) : m + 1].sum(axis=0)
             if dx is None:
                 continue
             dgrid = dx[s:e].reshape(1, m, cin, cells) if direct else dgrids[:, :m]
-            if k == 1:  # the one tap spans the whole grid: its GEMM writes it
+            if gate is not None:
+                np.multiply(kt[0, 0].T, v[s:e, None, :], out=scaled[:m])
+                np.matmul(scaled[:m], gm, out=dgrid[0])
+                dgrid[0] += (dm[s:e] @ kt[0, 0])[:, :, None]
+            elif k == 1:  # the one tap spans the whole grid: its GEMM writes it
                 np.matmul(kt[0, 0].T, gm, out=dgrid[0])
             else:
                 dgrid[...] = 0
@@ -705,14 +795,15 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
                 for grid, xi, gi in phases(dgrid, m):
                     dx[s:e][xi] = grid[gi]
             if pre is not None:  # while the chunk is in cache
-                dx[s:e] *= np.greater(src, 0, out=masks[:m])  # the ReLU's mask
+                # The ReLU's mask.
+                dx[s:e] *= masks[s:e] if gate is not None else np.greater(src, 0, out=masks[:m])
                 _sample_sums(dx[s:e], xc[s:e], per_sample[:, s:e])
         if pre is None:
-            return dx, dkernel
+            return dx, dkernel, *gate_grads
         sums = per_sample.sum(axis=1)  # in sample order
         del per_sample
         dx, dgamma, dbeta = _normalizer_backward(dx, xc, sums, *stats[1:])
-        return dx, dkernel, dgamma, dbeta
+        return dx, dkernel, dgamma, dbeta, *gate_grads
 
     return _make(out, parents, conv2d_backward)
 
@@ -728,84 +819,104 @@ def conv1d_channel(m: Tensor, kernel: Tensor) -> Tensor:
     k = kernel.shape[0]
     if k % 2 == 0:
         raise ValueError(f"kernel length must be odd, got {k}")
-    pad = (k - 1) // 2
     _check_same_dtype(m, kernel)
-    b, c = m.shape
-    mp = np.pad(m.data, ((0, 0), (pad, pad))) if pad else m.data
-    win = np.lib.stride_tricks.sliding_window_view(mp, k, axis=1)
-    out = win @ kernel.data
+    out = _channel_conv(m.data, kernel.data)
 
     def conv1d_channel_backward(g):
-        dkernel = np.empty_like(kernel.data)
-        dmp = np.zeros((b, c + 2 * pad), dtype=m.data.dtype)
-        for t in range(k):
-            dkernel[t] = np.sum(mp[:, t : t + c] * g, dtype=m.data.dtype)
-            dmp[:, t : t + c] += kernel.data[t] * g
-        dm = dmp[:, pad : pad + c] if pad else dmp
-        return dm, dkernel
+        return _channel_conv_backward(m.data, kernel.data, g)
 
     return _make(out, (m, kernel), conv1d_channel_backward)
+
+
+def _zero_padded(m: np.ndarray, pad: int) -> np.ndarray:
+    """(B, C) m with ``pad`` zero columns on each side."""
+    mp = np.zeros((len(m), m.shape[1] + 2 * pad), m.dtype)
+    mp[:, pad : pad + m.shape[1]] = m
+    return mp
+
+
+def _channel_conv(m: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``conv1d_channel`` on arrays."""
+    (b, c), k = m.shape, len(kernel)
+    mp = _zero_padded(m, (k - 1) // 2)
+    windows = np.lib.stride_tricks.as_strided(mp, (b, c, k), mp.strides + mp.strides[1:])
+    return windows @ kernel
+
+
+def _channel_conv_backward(m: np.ndarray, kernel: np.ndarray, g: np.ndarray) -> tuple:
+    """(dm, dkernel) of ``_channel_conv`` for the gradient g at its output."""
+    (b, c), k = m.shape, len(kernel)
+    pad = (k - 1) // 2
+    mp = _zero_padded(m, pad)
+    dkernel = np.empty_like(kernel)
+    dmp = np.zeros((b, c + 2 * pad), dtype=m.dtype)
+    for t in range(k):
+        dkernel[t] = np.sum(mp[:, t : t + c] * g, dtype=m.dtype)
+        dmp[:, t : t + c] += kernel[t] * g
+    return (dmp[:, pad : pad + c] if pad else dmp), dkernel
 
 
 # ---------------------------------------------------------------------------
 # Activations
 # ---------------------------------------------------------------------------
 
-def sigmoid(x: Tensor) -> Tensor:
-    out = _stable_sigmoid(x.data)
-
-    def sigmoid_backward(g):
-        return (g * out * (1.0 - out),)
-
-    return _make(out, (x,), sigmoid_backward)
-
-
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere,
+    so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 
+def _leaky_relu(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0, x, x * x.dtype.type(0.01))
+
+
+# kind -> (forward(x), backward(g, x, out)) on arrays, for the ops below
+# and for the attention gate's switch.
+_ACTIVATION_RULES = {
+    "sigmoid": (_stable_sigmoid, lambda g, x, out: g * out * (1.0 - out)),
+    "tanh": (np.tanh, lambda g, x, out: g * (1.0 - out * out)),
+    "relu": (lambda x: np.maximum(x, 0), lambda g, x, out: g * (x > 0)),
+    "leaky_relu": (_leaky_relu, lambda g, x, out: g * np.where(
+        x > 0, x.dtype.type(1.0), x.dtype.type(0.01))),
+}
+ACTIVATION_KINDS = tuple(_ACTIVATION_RULES)
+
+
+def _activation_op(x: Tensor, kind: str) -> Tensor:
+    forward, rule = _ACTIVATION_RULES[kind]
+    out = forward(x.data)
+
+    def backward(g):
+        return (rule(g, x.data, out),)
+
+    backward.__name__ = f"{kind}_backward"
+    return _make(out, (x,), backward)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    return _activation_op(x, "sigmoid")
+
+
 def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-
-    def tanh_backward(g):
-        return (g * (1.0 - out * out),)
-
-    return _make(out, (x,), tanh_backward)
+    return _activation_op(x, "tanh")
 
 
 def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0)
-
-    def relu_backward(g):
-        return (g * (x.data > 0),)
-
-    return _make(out, (x,), relu_backward)
+    return _activation_op(x, "relu")
 
 
 def leaky_relu(x: Tensor) -> Tensor:
-    s = x.data.dtype.type(0.01)
-    out = np.where(x.data > 0, x.data, x.data * s)
-
-    def leaky_relu_backward(g):
-        return (g * np.where(x.data > 0, x.data.dtype.type(1.0), s),)
-
-    return _make(out, (x,), leaky_relu_backward)
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu, "leaky_relu": leaky_relu}
-ACTIVATION_KINDS = tuple(_ACTIVATIONS)
+    return _activation_op(x, "leaky_relu")
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
     """Elementwise nonlinearity dispatcher over ACTIVATION_KINDS."""
-    if kind not in _ACTIVATIONS:
+    if kind not in _ACTIVATION_RULES:
         raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATION_KINDS}")
-    return _ACTIVATIONS[kind](x)
+    return _activation_op(x, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,9 @@ class RunConfig:
         if cfg.switch_activation not in ACTIVATION_KINDS:
             raise ValueError(f"unknown switch_activation {cfg.switch_activation!r}; "
                              f"valid: {ACTIVATION_KINDS}")
+        if cfg.unit_decision and cfg.attention != "sem":
+            raise ValueError(f"unit_decision needs attention=sem; attention={cfg.attention!r} "
+                             "has no decision network")
         depth_to_blocks(cfg.depth)
         cfg.operator_set = normalize_operator_set(cfg.operator_set)
         if cfg.attention in SINGLE_OPERATOR_MODES:

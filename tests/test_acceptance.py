@@ -118,14 +118,18 @@ def test_criterion_3_composition_oracle():
         "ie": (("ie",), lambda p: oracles.naive_ie_gate(
             x.data, p.ie_scale.data[0, 0], p.ie_shift.data[0, 0])),
     }
+    # Alone, and inside a 1x1 conv's node as the backbone runs it, with the
+    # identity kernel so the conv hands the gate x itself.
+    identity = Tensor(np.eye(16)[:, :, None, None], dtype=np.float64)
     for kind, (ops, standalone) in gates.items():
         params = init_sem_params(16, ops, rng=RngState(301), dtype=np.float64,
                                  with_decision=False)
         if kind == "ie":
             params.ie_scale.data[...] = 1.5  # at init (0) the descriptor is ignored
-        routed = sem_forward(x, params)
-        diff = float(np.max(np.abs(routed.data - standalone(params))))
-        assert diff <= 1e-9, (kind, diff)
+        for conv in (None, (identity, None)):
+            routed = sem_forward(x, params, conv=conv)
+            diff = float(np.max(np.abs(routed.data - standalone(params))))
+            assert diff <= 1e-9, (kind, conv is None, diff)
 
 
 @criterion(4, "adaptive kernel-size table")
@@ -143,13 +147,17 @@ def test_criterion_5_decision_removal_bitwise():
     params = init_sem_params(32, rng=RngState(501), dtype=np.float64)
     x = Tensor(gen.standard_normal((3, 32, 4, 4)), requires_grad=False,
                dtype=np.float64)
-    unit = sem_forward(x, dataclasses.replace(params, decision_weight=None))
     m = squeeze(x)
     v = sigmoid(excite_fc(m, params.reduce_weight, params.expand_weight))
     v = mul(v, sigmoid(excite_cnn(m, params.conv_kernel)))
     v = mul(v, sigmoid(excite_ie(m, params.ie_scale, params.ie_shift)))
     explicit = recalibrate(x, v)
-    assert unit.data.tobytes() == explicit.data.tobytes()
+    # Alone, and inside a 1x1 conv's node as the backbone runs it, with the
+    # identity kernel so the conv hands the gate x itself.
+    identity = Tensor(np.eye(32)[:, :, None, None], dtype=np.float64)
+    for conv in (None, (identity, None)):
+        unit = sem_forward(x, dataclasses.replace(params, decision_weight=None), conv=conv)
+        assert unit.data.tobytes() == explicit.data.tobytes(), conv is None
 
 
 @criterion(6, "depth-20 SEM overfits 64 samples within 300 steps")

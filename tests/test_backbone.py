@@ -287,6 +287,42 @@ def fused_unit_outputs(*roots):
     return sum(r == ["conv2d_backward"] for r in readers.values())
 
 
+def held_arrays(fn):
+    """Every array a backward rule can reach through its closure: in the
+    cells of the rule and of the functions, Tensors and tuples there."""
+    stack, seen = [fn], set()
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, Tensor):
+            stack.append(item.data)
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif callable(item):
+            for cell in getattr(item, "__closure__", None) or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a variable the function never got
+                    pass
+
+
+def batch_buffers(batch, *roots):
+    """The shapes of the distinct (batch, C, H, W) buffers the recorded graph
+    keeps: node outputs and the arrays their rules hold."""
+    buffers = {}
+    for node in graph_nodes(*roots):
+        for a in (node.data, *held_arrays(node._backward)):
+            while a.base is not None:
+                a = a.base
+            if a.ndim == 4 and a.shape[0] == batch:
+                buffers[id(a)] = a.shape
+    return sorted(buffers.values())
+
+
 def shard_outputs(monkeypatch):
     """Record the logits of every shard's forward: the shard graphs hang
     off these, not off the joined logits, whose parents are parameters."""
@@ -348,6 +384,34 @@ class TestTapeMemory:
         # Hout*Wout) im2col copy per conv, or a second (xhat or pre-ReLU)
         # buffer per batch norm, would break this bound.
         assert tape <= activations + 0.5 * bn, (tape, activations, bn)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_gates_keep_no_activation(self, monkeypatch, shards):
+        # Each gate runs inside conv3's node and keeps only (B, C) maps, so
+        # the SEM graph holds the plain graph's activations and no more.
+        monkeypatch.setattr(backbone, "_MIN_SHARD_SAMPLES", 8 // shards)
+        gen = RngState(79).generator()
+        x = Tensor(gen.standard_normal((8, 3, 32, 32)), dtype=np.float64)
+        labels = gen.integers(0, 10, size=8)
+        kept = {}
+        for attention in ("sem", "none"):
+            model = build_network(RunConfig(depth=11, attention=attention), RngState(80),
+                                  np.float64)
+            outs = shard_outputs(monkeypatch)
+            loss = softmax_cross_entropy(model(x, training=True), labels)
+            assert len(outs) == shards
+            roots = [loss, *outs]
+            kept[attention] = batch_buffers(8 // shards, *roots)
+            # conv3's x, kernel, gamma and beta, then the gate's parameters.
+            gates = [n for n in graph_nodes(*roots) if n.ndim == 4 and len(n._parents) > 4]
+            if attention == "sem":
+                assert len(gates) == 3 * depth_to_blocks(11) * shards
+            for node in gates:
+                inputs = node._parents[0].data
+                for a in held_arrays(node._backward):
+                    assert a.ndim < 4 or a.shape[0] != len(inputs) or np.shares_memory(
+                        a, inputs), a.shape
+        assert kept["sem"] == kept["none"]
 
     def test_skip_add_leaves_the_block_input(self):
         # An identity-shortcut block sums its input into the branch output;
@@ -805,7 +869,7 @@ class TestShardedTraining:
 
         monkeypatch.setattr(tensor, "_accumulate", spy)
         backward(softmax_cross_entropy(model(x, training=True), labels))
-        # 3 skip adds per shard; the gates' 2-D adds hold a broadcast parent.
+        # 3 skip adds per shard.
         assert adopted == [[True, False]] * 3 * 2, adopted
         monkeypatch.setattr(tensor, "_accumulate",
                             lambda parents, grads, out_grad, owned, sink:

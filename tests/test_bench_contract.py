@@ -4,14 +4,15 @@ the expected gates and tape nodes and gives the untraced loss bit for bit.
 
 The step runs whole, as the benchmark's batches of 16 do, or in two sample
 shards, as its batches of 128 do. Either way each forward has 3 gates of
-69 nodes and 87 nodes in its 3 blocks: each block has 29, its bn1, its
-projection shortcut, conv1, conv2 (bn2 runs inside its node), conv3 (bn3
-likewise), 23 gate nodes and the skip add. Whole, the tracer counts those,
-the loss, 4 head nodes and the stem conv: 93. Sharded, it walks each
-shard's blocks and gates, the joined logits (its "head") and the first
-block input down to the images (its "stem"); it does not reach either
-shard's 4 head nodes or the other shard's stem conv, so it counts 2 x 87 +
-loss + join + one stem = 177."""
+one node each and 18 nodes in its 3 blocks: each block has 6, its bn1, its
+projection shortcut, conv1, conv2 (bn2 runs inside its node), conv3 with
+bn3 and the gate inside its node, and the skip add. The tracer times the
+gate's call, which makes that conv3 node the gate's one node. Whole, the
+tracer counts the blocks' nodes, the loss, 4 head nodes and the stem conv:
+24. Sharded, it walks each shard's blocks and gates, the joined logits
+(its "head") and the first block input down to the images (its "stem"); it
+does not reach either shard's 4 head nodes or the other shard's stem conv,
+so it counts 2 x 18 + loss + join + one stem = 39."""
 
 import importlib.util
 import os
@@ -66,7 +67,7 @@ def test_traced_step_counts_and_loss(tracer_module, monkeypatch, shards):
     assert not tracer.installed
     (_, counts), = tracer.summarize()
     assert counts["attention.calls"] == shards * 3
-    assert counts["tensor.tape_nodes"] == (93 if shards == 1 else 2 * 87 + 3)
-    assert counts["attention.nodes"] == shards * 69
+    assert counts["tensor.tape_nodes"] == (24 if shards == 1 else 2 * 18 + 3)
+    assert counts["attention.nodes"] == shards * 3
     untraced = one_step(tracer_module.NullTracer())
     assert traced.tobytes() == untraced.tobytes()

@@ -102,6 +102,7 @@ class TestTrain:
 REJECTED_OVERRIDES = [
     ("--attention", "sem", "--switch-activation", "bogus"),
     ("--attention", "se", "--switch-activation", "bogus"),
+    ("--attention", "se", "--unit-decision", "true"),  # a gate without a decision network
     ("--reduction", "0"),
     ("--dataset", "cifar10"),  # no data_dir and no $SEM_DATA_DIR
     ("--lr", "nan"),
@@ -380,9 +381,12 @@ class TestAblate:
                                                        "leaky_relu", "sigmoid"]
         assert all(r.split(",")[1] in ("ok", "diverged") for r in rows[1:])
 
-    def test_no_augment_grid(self, tiny_cfg, tmp_path):
+    @pytest.mark.parametrize("unit", ["false", "true"])
+    def test_no_augment_grid(self, tiny_cfg, tmp_path, unit):
+        # A unit-decision base keeps its unit decision on the sem variant
+        # only; the gates of the others have no decision network.
         out = os.path.join(tmp_path, "abl")
-        assert run_cli("ablate", "--which", "no_augment",
+        assert run_cli("ablate", "--which", "no_augment", "--unit-decision", unit,
                        "--config", tiny_cfg, "--out-dir", out) == 0
         rows = open(os.path.join(out, "ablation_no_augment.csv")).read().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["none_noaug", "se_noaug",
@@ -390,6 +394,8 @@ class TestAblate:
         for sub in ("none_noaug", "se_noaug", "sem_noaug"):
             resolved = open(os.path.join(out, sub, "config.resolved")).read()
             assert "augment=false" in resolved
+            want = unit if sub == "sem_noaug" else "false"
+            assert f"unit_decision={want}" in resolved
 
 
 class TestExportDecisions:

@@ -11,6 +11,14 @@ import numpy as np
 import pytest
 
 from semnet import tensor, verify
+from semnet.attention import (
+    ALL_OPERATORS,
+    attention_map,
+    gate_params,
+    init_sem_params,
+    recalibrate,
+    sem_forward,
+)
 from semnet.gradcheck import check_gradients, finite_difference_grad, max_relative_error
 from semnet.rng import RngState
 from semnet.tensor import (
@@ -419,7 +427,7 @@ class TestBatchNormOracle:
 
 
 class TestInplace:
-    """``inplace=True`` of batch_norm and mul: without a tape the output is
+    """``inplace=True`` of batch_norm: without a tape the output is
     the input's buffer, with a tape it is a fresh one, and either way every
     value and gradient is the out-of-place call's, byte for byte."""
 
@@ -429,14 +437,12 @@ class TestInplace:
         x = (gen.standard_normal((5, 4, 3, 3)) * 2.0 + 1.0).astype(np.float32)
         gamma, beta = (gen.standard_normal(4).astype(np.float32) + 0.5 for _ in range(2))
         mean, var = gen.standard_normal(4).astype(np.float32), np.ones(4, np.float32)
-        b = gen.standard_normal((5, 4, 1, 1)).astype(np.float32)
         for training in (True, False):
             for relu_on in (False, True):
                 def bn(ts, inplace, training=training, relu_on=relu_on):
                     return batch_norm(*ts, mean.copy(), var.copy(), training,
                                       relu=relu_on, inplace=inplace)
                 yield f"batch_norm-{training}-{relu_on}", (x, gamma, beta), bn
-        yield "mul", (x, b), lambda ts, inplace: mul(*ts, inplace=inplace)
 
     def test_without_tape_writes_the_input(self):
         for name, arrays, op in self.calls(RngState(35).generator()):
@@ -818,6 +824,171 @@ class TestPreActivationConv:
         dx, dkernel, dgamma, dbeta = out._backward(np.zeros_like(out.data))
         assert out.shape[:2] == (0, 4) and dx.shape == x.shape
         assert not dkernel.any() and not dgamma.any() and not dbeta.any()
+
+
+# (operators, decision network, switch activation) of the gates under test:
+# SEM, its operator pairs, the SE, ECA and IE gates, SEM with unit
+# decisions, and SEM with each other switch activation.
+GATES = [(ALL_OPERATORS, True, "sigmoid"), (("fc", "cnn"), True, "sigmoid"),
+         (("fc", "ie"), True, "sigmoid"), (("cnn", "ie"), True, "sigmoid"),
+         (("fc",), False, "sigmoid"), (("cnn",), False, "sigmoid"), (("ie",), False, "sigmoid"),
+         (ALL_OPERATORS, False, "sigmoid"), (ALL_OPERATORS, True, "tanh"),
+         (ALL_OPERATORS, True, "relu"), (ALL_OPERATORS, True, "leaky_relu")]
+GATE_IDS = ["sem", "fc+cnn", "fc+ie", "cnn+ie", "se", "eca", "ie", "unit_decision", "tanh",
+            "relu", "leaky_relu"]
+
+
+def gate_of(dtype, operators, decision, switch_activation, channels=16):
+    """A gate every branch of which reads its input: 4 hidden FC units and
+    a non-zero enhance scale, with a shift that keeps a ReLU switch open."""
+    params = init_sem_params(channels, operators, reduction=4,
+                             switch_activation=switch_activation, rng=RngState(70),
+                             dtype=dtype, with_decision=decision)
+    if params.ie_scale is not None:
+        params.ie_scale.data[...] = 0.8
+        params.ie_shift.data[...] = 0.3
+    return params
+
+
+def run_gated_unit(fused, x, kernel, gamma, beta, buffers, training, params, g, shards=1):
+    """The gate on conv(relu(batch_norm(x))) for a 1x1 kernel, as the one
+    node of ``sem_forward(..., conv=...)`` or as the pre-activation conv
+    and the stage-by-stage gate, over ``shards`` contiguous sample shards
+    run as one ShardGroup (forward, then backward): (out, decision weights,
+    [dx, dkernel, dgamma, dbeta, *gate parameter gradients]). ``buffers``
+    (running mean, var) are updated in place."""
+    kt, gt, bt = (Tensor(v, requires_grad=True) for v in (kernel, gamma, beta))
+    parts = [slice(len(x) * i // shards, len(x) * (i + 1) // shards) for i in range(shards)]
+    xs = [Tensor(x[part], requires_grad=True) for part in parts]
+    outs, decisions, sinks = [None] * shards, [[] for _ in parts], [{} for _ in parts]
+
+    def forward(i):
+        pre = PreActivation(gt, bt, *buffers, training)
+        if fused:
+            outs[i] = sem_forward(xs[i], params, conv=(kt, pre), decisions=decisions[i])
+        else:
+            out = conv2d(xs[i], kt, pre=pre)
+            outs[i] = recalibrate(out, attention_map(out, params, decisions[i]))
+
+    def backward(i):
+        tensor._sweep(outs[i], g[parts[i]], sinks[i])
+
+    for step in (forward, backward):
+        if shards == 1:
+            step(0)
+        else:
+            ShardGroup(shards, len(x)).run(step)
+    # Parameter gradients add over the shards in shard order, as join_shards does.
+    params_grads = [sum((sink[t] for sink in sinks[1:]), sinks[0][t])
+                    for t in (kt, gt, bt, *gate_params(params))]
+    return (np.concatenate([o.data for o in outs]),
+            [np.concatenate(d) for d in zip(*decisions)],
+            [np.concatenate([sink[t] for sink, t in zip(sinks, xs)]), *params_grads])
+
+
+def oracle_gated_unit(x, kernel, gamma, beta, rm, rv, training, params, g):
+    """(out, [dx, dkernel, dgamma, dbeta, *gate parameter gradients],
+    running buffers) of the stage-by-stage gate on the textbook loops'
+    conv(relu(batch_norm(x)))."""
+    act, *_, want_rm, want_rv = oracles.naive_batch_norm(
+        x, gamma, beta, rm, rv, np.zeros_like(x), training, relu=True)
+    z = Tensor(oracles.naive_conv2d(act, kernel), requires_grad=True)
+    gates = gate_params(params)
+    out = recalibrate(z, attention_map(z, params))
+    backward(mul(out, Tensor(g)).sum())
+    gate_grads = [t.grad for t in gates]
+    for t in gates:
+        t.zero_grad()
+    dact, dkernel = oracles.naive_conv2d_backward(act, kernel, z.grad)
+    _, dx, dgamma, dbeta, *_ = oracles.naive_batch_norm(x, gamma, beta, rm, rv, dact,
+                                                        training, relu=True)
+    return out.data, [dx, dkernel, dgamma, dbeta, *gate_grads], (want_rm, want_rv)
+
+
+class TestGatedConv:
+    """sem_forward(x, params, conv=(kernel, pre)) runs the gate inside the
+    1x1 conv's node: against the stage-by-stage gate on the float64
+    textbook loops of oracles.py, and in float32 with the forward bit for
+    bit that of the pre-activation conv and the stage-by-stage gate, for
+    every gate kind the backbone builds, whole or in two shards."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("operators,decision,act", GATES, ids=GATE_IDS)
+    def test_float64_matches_the_stages_on_naive_units(self, operators, decision, act,
+                                                        training, shards):
+        x, kernel, gamma, beta, rm, rv = unit_inputs(np.float64, 80, b=4, cin=3, cout=16, k=1)
+        params = gate_of(np.float64, operators, decision, act)
+        g = RngState(81).generator().standard_normal((4, 16, 6, 5))
+        buffers = rm.copy(), rv.copy()
+        out, _, grads = run_gated_unit(True, x, kernel, gamma, beta, buffers, training,
+                                       params, g, shards)
+        want_out, want_grads, want_buffers = oracle_gated_unit(
+            x, kernel, gamma, beta, rm, rv, training, params, g)
+        names = ["dx", "dkernel", "dgamma", "dbeta"] + [
+            f"gate{i}" for i in range(len(gate_params(params)))]
+        errs = {"out": normwise_error(out, want_out)}
+        for name, got, want in zip(names, grads, want_grads):
+            assert got.shape == want.shape, name
+            errs[name] = normwise_error(got, want)
+        assert len(grads) == len(want_grads) == len(names)
+        assert max(errs.values()) <= 1e-9, errs
+        for got, want in zip(buffers, want_buffers):
+            assert normwise_error(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("step", [None, 1, 3])
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("operators,decision,act", GATES, ids=GATE_IDS)
+    def test_float32_forward_is_bitwise_the_unfused_path(self, operators, decision, act,
+                                                         training, shards, step, monkeypatch):
+        # 7 samples: 2- and 3-sample chunks leave a ragged tail in each shard.
+        x, kernel, gamma, beta, rm, rv = unit_inputs(np.float32, 90, b=7, cin=5, cout=16, k=1)
+        params = gate_of(np.float32, operators, decision, act)
+        g = RngState(91).generator().standard_normal((7, 16, 6, 5)).astype(np.float32)
+        if step is not None:
+            force_chunk_step(monkeypatch, step)
+        results = []
+        for fused in (True, False):
+            buffers = rm.copy(), rv.copy()
+            out, decisions, _ = run_gated_unit(fused, x, kernel, gamma, beta, buffers,
+                                               training, params, g, shards)
+            results.append([a.tobytes() for a in (out, *decisions, *buffers)])
+        assert len(results[0]) == 3 + decision
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("operators,decision,act", GATES, ids=GATE_IDS)
+    def test_without_conv_matches_the_stages(self, operators, decision, act):
+        # The gate on its own input, one node keeping x: the stages' forward
+        # bit for bit, and their gradients.
+        gen = RngState(92).generator()
+        params = gate_of(np.float64, operators, decision, act)
+        data, g = (gen.standard_normal((4, 16, 6, 5)) for _ in range(2))
+        gates = gate_params(params)
+        results = []
+        for one_node in (True, False):
+            x = Tensor(data, requires_grad=True)
+            decisions = []
+            out = (sem_forward(x, params, decisions=decisions) if one_node
+                   else recalibrate(x, attention_map(x, params, decisions)))
+            assert (out._parents == (x, *gates)) == one_node
+            backward(mul(out, Tensor(g)).sum())
+            results.append((out.data, decisions, [x.grad] + [t.grad for t in gates]))
+            for t in gates:
+                t.zero_grad()
+        (out, decisions, grads), (want, want_decisions, want_grads) = results
+        assert out.tobytes() == want.tobytes()
+        assert [d.tobytes() for d in decisions] == [d.tobytes() for d in want_decisions]
+        errs = [normwise_error(a, b) for a, b in zip(grads, want_grads)]
+        assert len(grads) == len(want_grads) and max(errs) <= 1e-9, errs
+
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (1, 2, 0), (1, 1, 1)])
+    def test_gate_needs_a_direct_conv(self, k, stride, pad):
+        x, kernel, gamma, beta, rm, rv = unit_inputs(np.float64, 93, cout=16, k=k)
+        params = gate_of(np.float64, ALL_OPERATORS, True, "sigmoid")
+        with pytest.raises(ValueError, match="1x1 stride-1"):
+            conv2d(Tensor(x), Tensor(kernel), stride, pad,
+                   gate=tensor.ChannelGate(tuple(gate_params(params)), None, None))
 
 
 class TestAutodiff:

@@ -265,6 +265,33 @@ class TestTrainRun:
         else:  # a BLAS semnet cannot drive is recorded as such
             assert blas["threads"] is None and blas["config"] is None, blas
 
+    def test_run_bytes_do_not_depend_on_the_blas_variable(self, tmp_path):
+        # semnet pins BLAS to one thread at import, so a `semnet train` in an
+        # environment asking for two threads runs on one and writes the bytes
+        # of one that asks for none. (At this size two BLAS threads would
+        # give the same bytes too; the read-back count shows the pin.)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = os.path.join(tmp_path, "run")  # the checkpoint embeds the config, out_dir too
+        runs = []
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+            argv = ["train", "--dataset", "synthetic", "--depth", "11", "--epochs", "1",
+                    "--batch-size", "16", "--synthetic-train", "48", "--synthetic-test", "16",
+                    "--synthetic-classes", "4", "--seed", "7", "--out-dir", out]
+            proc = subprocess.run([sys.executable, "-m", "semnet", *argv],
+                                  env=dict(env, **threads), cwd=tmp_path,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            blas = json.load(open(os.path.join(out, "environment.json")))["blas"]
+            assert blas["threads"] == (1 if "openblas" in (blas["name"] or "").lower()
+                                       else None), (threads, blas)
+            runs.append([open(os.path.join(out, name), "rb").read()
+                         for name in ("metrics.jsonl", "final.ckpt")])
+            shutil.rmtree(out)
+        assert runs[0] == runs[1]
+
     def test_epochs_zero_emits_initial_checkpoint_only(self, tmp_path):
         result = train_run(tiny_config(tmp_path / "r0", epochs=0))
         assert result.metrics == []
@@ -349,9 +376,11 @@ class TestTrainRun:
         assert all(sorted(d["w"]) == ["cnn", "fc", "ie"] for d in record["decisions"])
 
     def test_non_finite_loss_aborts_with_layer_name(self, tmp_path):
+        # An affine layer of the gate overflows first; the gate runs inside
+        # conv3's node.
         cfg = tiny_config(tmp_path / "r6", lr=1e18, epochs=3)
         with pytest.raises(NumericalFailure,
-                           match=r"first offending layer: stage1\.block0 \(op affine\)$"):
+                           match=r"first offending layer: stage1\.block0 \(op conv2d\)$"):
             train_run(cfg)
         # The per-op check that located it is off again.
         assert mul(Tensor(np.array([np.inf])), Tensor(np.array([1.0]))).data[0] == np.inf
