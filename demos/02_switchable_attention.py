@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """The attention layer stage by stage: squeeze, decide, excite, switch,
-recalibrate, plus the single-operator special case (the ECA gate).
+recalibrate; the same layer as the one tape node the backbone runs inside
+a 1x1 conv; and the single-operator special case (the ECA gate).
 
 Run:  python demos/02_switchable_attention.py
 """
@@ -10,12 +11,14 @@ import numpy as np
 from semnet import (
     RngState,
     Tensor,
+    attention_map,
     decide,
     eca_kernel_size,
     excite_cnn,
     excite_fc,
     excite_ie,
     init_sem_params,
+    recalibrate,
     sem_forward,
     squeeze,
 )
@@ -51,16 +54,22 @@ print("ie branch at init is constant:", branches[2].data[0, :4], "(scale 0, shif
 v = switch(branches, weights)
 print("attention map range: (%.4f, %.4f)" % (v.data.min(), v.data.max()))
 
-# 5) the whole layer in one call, recalibration included
-out = sem_forward(x, params)
+# 5) recalibrate, and the whole layer as one tape node: the backbone runs
+# it inside the 1x1 conv that feeds it, here with the identity kernel, so
+# the conv hands the gate x itself
+reference = recalibrate(x, attention_map(x, params))
+identity = Tensor(np.eye(C)[:, :, None, None], dtype=np.float64)
+out = sem_forward(x, params, conv=(identity, None))
 print("recalibrated feature map:", out.shape)
+print("one node inside the conv vs the stages, max diff:",
+      float(np.max(np.abs(out.data - reference.data))))
 
 # The conventional gates are single-operator special cases: with one
 # operator and unit decision weights the layer is x * sigmoid(branch(m)),
 # here the ECA gate with a k-tap convolution along the channel axis.
 eca_params = init_sem_params(C, ("cnn",), rng=RngState(3), dtype=np.float64,
                              with_decision=False)
-a = sem_forward(x, eca_params)
+a = sem_forward(x, eca_params, conv=(identity, None))
 kernel = eca_params.conv_kernel.data
 half = len(kernel) // 2
 padded = np.pad(x.data.mean(axis=(2, 3)), ((0, 0), (half, half)))

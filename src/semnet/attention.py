@@ -28,7 +28,6 @@ from .tensor import (
     _stable_sigmoid,
     activation,
     affine,
-    channel_gate,
     conv1d_channel,
     conv2d,
     global_avg_pool,
@@ -232,7 +231,7 @@ def attention_map(x: Tensor, params: SemParams, decisions: list | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# The gate as one node
+# The gate inside its conv's node
 # ---------------------------------------------------------------------------
 
 def gate_params(params: SemParams) -> list[Tensor]:
@@ -315,25 +314,20 @@ def _gate_backward(params: SemParams, m: np.ndarray, dv: np.ndarray) -> tuple:
 
 
 def sem_forward(x: Tensor, params: SemParams, *,
-                conv: tuple[Tensor, PreActivation | None] | None = None,
+                conv: tuple[Tensor, PreActivation | None],
                 decisions: list | None = None) -> Tensor:
-    """The full attention layer as one tape node: squeeze, decide, excite
-    each enabled branch, switch and recalibrate, bit for bit the stages'
-    forward. ``decisions``, when given, receives the gate's raw (B, N)
-    decision weights, not a copy; a gate without a decision network
-    appends nothing.
-
-    Without ``conv`` the gate reads x (``tensor.channel_gate``). With
-    ``conv = (kernel, pre)``, a 1x1 kernel (C, Cin, 1, 1) and an optional
-    pre-activation unit, x is the input of that conv and the gate runs
-    inside the conv's node (``tensor.conv2d(..., gate=...)``), which keeps
-    no conv output.
+    """The attention layer on the output of a 1x1 conv, inside that conv's
+    tape node: ``conv = (kernel, pre)``, a 1x1 kernel (C, Cin, 1, 1) and an
+    optional pre-activation unit, convolves x, and the gate squeezes,
+    decides, excites each enabled branch, switches and recalibrates the
+    conv's output, bit for bit the stages' forward, keeping no conv output
+    (``tensor.conv2d(..., gate=...)``). ``decisions``, when given, receives
+    the gate's raw (B, N) decision weights, not a copy; a gate without a
+    decision network appends nothing.
     """
     gate = ChannelGate(tuple(gate_params(params)),
                        lambda m: _gate_forward(m, params, decisions),
                        lambda m, dv: _gate_backward(params, m, dv))
-    if conv is None:
-        return channel_gate(x, gate)
     kernel, pre = conv
     return conv2d(x, kernel, pre=pre, gate=gate)
 

@@ -370,11 +370,15 @@ def _records(parents: tuple) -> bool:
     return _grad_enabled.get() and any(p.requires_grad for p in parents)
 
 
+def _check_output(data: np.ndarray, op: str) -> None:
+    """Under the debug checks, raise for a non-finite ``data`` of ``op``."""
+    if _check_finite.get() and not np.isfinite(data).all():
+        raise FloatingPointError(f"{_layer.get() or 'no layer'} (op {op})")
+
+
 def _make(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor(out_data, dtype=out_data.dtype)
-    if _check_finite.get() and not np.isfinite(out.data).all():
-        op = backward_fn.__name__.removesuffix("_backward")
-        raise FloatingPointError(f"{_layer.get() or 'no layer'} (op {op})")
+    _check_output(out.data, backward_fn.__name__.removesuffix("_backward"))
     if _records(parents):
         out.requires_grad = True
         out._parents = parents
@@ -558,35 +562,15 @@ class PreActivation(NamedTuple):
 
 
 class ChannelGate(NamedTuple):
-    """A per-sample channel gate on the Tensors ``params``: ``forward(m)``
-    maps a (B, C) map m to the scales v (B, C), each row from m's row
-    alone; ``backward(m, dv)`` returns (dm, a gradient for each of
-    ``params``) for the gradient dv at m's v, summed over m's rows."""
+    """The per-sample channel gate a direct ``conv2d`` scales its output
+    by, on the Tensors ``params``: ``forward(m)`` maps a (B, C) map m to
+    the scales v (B, C), each row from m's row alone; ``backward(m, dv)``
+    returns (dm, a gradient for each of ``params``) for the gradient dv at
+    m's v, summed over m's rows."""
 
     params: tuple
     forward: Callable
     backward: Callable
-
-
-def channel_gate(x: Tensor, gate: ChannelGate) -> Tensor:
-    """x * v[..., None, None] for (B, C, H, W) x, with v the gate's scales
-    of x's spatial mean m, as one node that keeps x, m and v. Backward
-    forms dv = sum_hw g*x in one einsum and dx = g*v + dm/HW; the rule
-    returns (dx, *gate param gradients)."""
-    if x.ndim != 4:
-        raise ValueError(f"channel_gate needs (B, C, H, W), got {x.shape}")
-    _check_same_dtype(x, *gate.params)
-    m = x.data.mean(axis=(2, 3))
-    v = gate.forward(m)
-    out = x.data * v[:, :, None, None]
-
-    def channel_gate_backward(g):
-        dm, grads = gate.backward(m, np.einsum("bchw,bchw->bc", g, x.data))
-        dx = np.multiply(g, v[:, :, None, None])
-        dx += (dm * dm.dtype.type(1.0 / (x.shape[2] * x.shape[3])))[:, :, None, None]
-        return (dx, *grads)
-
-    return _make(out, (x, *gate.params), channel_gate_backward)
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
@@ -615,17 +599,19 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
     with act > 0 while the chunk is in cache, and ends with batch_norm's
     backward; the rule returns (dx, dkernel, dgamma, dbeta).
 
-    With ``gate``, on a direct conv only, the node returns the output
-    scaled by the gate as ``channel_gate`` would, and keeps no output
-    either, only m and v: each chunk's GEMM output gives its samples'
-    spatial mean m, one gate forward maps m to v and the output is scaled
-    in place. Backward first takes, per sample, the product P = g a^T
-    that dkernel needs anyway, of the gradient g at the gate's output and
-    the conv's input a, for the whole batch: dv[c] = sum_k W[c,k] P[c,k]
-    feeds one gate backward, and dkernel is the sum of diag(v) P +
-    (dm/HW) (sum_hw a)^T. The chunks then form a's gradient as
-    (W diag v)^T g + W^T dm/HW, so the gate adds no GEMM. The gate's
-    parameter gradients end the rule's result.
+    With ``gate``, on a direct conv only, the node returns out * v[...,
+    None, None], with v the gate's scales of the output's spatial mean m,
+    and keeps no output either, only m and v: each chunk's GEMM output
+    gives its samples' spatial mean m, one gate forward maps m to v and
+    the output is scaled in place. The debug checks name a non-finite
+    output before the gate ``conv2d`` and one after it ``attention``.
+    Backward first takes, per sample, the product P = g a^T that dkernel
+    needs anyway, of the gradient g at the gate's output and the conv's
+    input a, for the whole batch: dv[c] = sum_k W[c,k] P[c,k] feeds one
+    gate backward, and dkernel is the sum of diag(v) P + (dm/HW) (sum_hw
+    a)^T. The chunks then form a's gradient as (W diag v)^T g + W^T
+    dm/HW, so the gate adds no GEMM. The gate's parameter gradients end
+    the rule's result.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d needs 4-D tensors, got {x.shape} and {kernel.shape}")
@@ -719,8 +705,12 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
         if gate is not None:
             np.mean(out[s:e], axis=(2, 3), out=means[s:e])
     if gate is not None:
+        # The debug checks name the conv or its gate: a non-finite v
+        # leaves the scaled output non-finite too.
+        _check_output(out, "conv2d")
         v = gate.forward(means)
         out *= v[:, :, None, None]
+        _check_output(out, "attention")
 
     def gate_backward(g, chunks, grids, acts, xc, masks, dkernel):
         """The gate's share of backward, run before the chunks that form
@@ -900,16 +890,8 @@ def sigmoid(x: Tensor) -> Tensor:
     return _activation_op(x, "sigmoid")
 
 
-def tanh(x: Tensor) -> Tensor:
-    return _activation_op(x, "tanh")
-
-
 def relu(x: Tensor) -> Tensor:
     return _activation_op(x, "relu")
-
-
-def leaky_relu(x: Tensor) -> Tensor:
-    return _activation_op(x, "leaky_relu")
 
 
 def activation(x: Tensor, kind: str) -> Tensor:

@@ -1,5 +1,5 @@
-"""Named gradient-check scopes: single ops, a full attention layer, and a
-whole residual block, all run in float64 against central differences."""
+"""Named gradient-check scopes: single ops, the attention gate inside its
+conv, and a whole residual block, all run in float64 against central differences."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 
 from . import tensor as T
-from .attention import init_sem_params, sem_forward
+from .attention import gate_params, init_sem_params, sem_forward
 from .backbone import build_network, named_state
 from .gradcheck import DEFAULT_TOLERANCE, check_gradients
 from .rng import RngState
@@ -147,20 +147,33 @@ def _scope_take_column(gen):
     return check_gradients(lambda: T.mul(T.take_column(x, 2), w).mean(), {"x": x})
 
 
-def _scope_sem_layer(gen, channels: int = 8):
+def _scope_sem_layer(gen, channels: int = 8, cin: int = 4):
+    """The gate inside its 1x1 conv's node, as a block's conv3 runs it in
+    training: conv(relu(batch_norm(x))) gated by every operator."""
     params = init_sem_params(channels, rng=RngState(11), dtype=np.float64)
-    x = _randn(gen, (2, channels, 3, 3))
+    x = _randn(gen, (2, cin, 3, 3))
+    kernel = _randn(gen, (channels, cin, 1, 1))
+    gamma = Tensor(gen.standard_normal(cin) + 1.5, requires_grad=True, dtype=np.float64)
+    mean, var = gen.standard_normal(cin), gen.random(cin) + 0.5
+    beta = Tensor(_kink_free_beta(x.data, gamma.data, True, mean, var),
+                  requires_grad=True, dtype=np.float64)
+
+    def pre():  # fresh running buffers on every call
+        return T.PreActivation(gamma, beta, mean.copy(), var.copy(), True)
+
+    # The FC branch's one hidden unit live on sample 0 and dead on sample 1,
+    # each 0.5 from the ReLU's kink: the reduce weight moves by the least
+    # change that sets those pre-activations of the conv output's mean.
+    with T.no_grad():
+        m = T.conv2d(x, kernel, pre=pre()).data.mean(axis=(2, 3))
+    reduce = params.reduce_weight.data
+    reduce += np.linalg.lstsq(m, np.array([[0.5], [-0.5]]) - m @ reduce.T, rcond=None)[0].T
     w = _probe(gen, (2, channels, 3, 3))
-    inputs = {
-        "input": x,
-        "decision": params.decision_weight,
-        "fc_reduce": params.reduce_weight,
-        "fc_expand": params.expand_weight,
-        "cnn_kernel": params.conv_kernel,
-        "ie_scale": params.ie_scale,
-        "ie_shift": params.ie_shift,
-    }
-    errs = check_gradients(lambda: T.mul(sem_forward(x, params), w).mean(), inputs)
+    inputs = {"input": x, "kernel": kernel, "gamma": gamma, "beta": beta, **dict(zip(
+        ("decision", "fc_reduce", "fc_expand", "cnn_kernel", "ie_scale", "ie_shift"),
+        gate_params(params)))}
+    errs = check_gradients(
+        lambda: T.mul(sem_forward(x, params, conv=(kernel, pre())), w).mean(), inputs)
     errs["ie"] = max(errs.pop("ie_scale"), errs.pop("ie_shift"))
     return errs
 

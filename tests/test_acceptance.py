@@ -118,18 +118,19 @@ def test_criterion_3_composition_oracle():
         "ie": (("ie",), lambda p: oracles.naive_ie_gate(
             x.data, p.ie_scale.data[0, 0], p.ie_shift.data[0, 0])),
     }
-    # Alone, and inside a 1x1 conv's node as the backbone runs it, with the
-    # identity kernel so the conv hands the gate x itself.
+    # Stage by stage, and inside a 1x1 conv's node as the backbone runs it,
+    # with the identity kernel so the conv hands the gate x itself.
     identity = Tensor(np.eye(16)[:, :, None, None], dtype=np.float64)
     for kind, (ops, standalone) in gates.items():
         params = init_sem_params(16, ops, rng=RngState(301), dtype=np.float64,
                                  with_decision=False)
         if kind == "ie":
             params.ie_scale.data[...] = 1.5  # at init (0) the descriptor is ignored
-        for conv in (None, (identity, None)):
-            routed = sem_forward(x, params, conv=conv)
+        routes = {"stages": recalibrate(x, attention_map(x, params)),
+                  "conv": sem_forward(x, params, conv=(identity, None))}
+        for route, routed in routes.items():
             diff = float(np.max(np.abs(routed.data - standalone(params))))
-            assert diff <= 1e-9, (kind, conv is None, diff)
+            assert diff <= 1e-9, (kind, route, diff)
 
 
 @criterion(4, "adaptive kernel-size table")
@@ -152,12 +153,14 @@ def test_criterion_5_decision_removal_bitwise():
     v = mul(v, sigmoid(excite_cnn(m, params.conv_kernel)))
     v = mul(v, sigmoid(excite_ie(m, params.ie_scale, params.ie_shift)))
     explicit = recalibrate(x, v)
-    # Alone, and inside a 1x1 conv's node as the backbone runs it, with the
-    # identity kernel so the conv hands the gate x itself.
+    # Stage by stage, and inside a 1x1 conv's node as the backbone runs it,
+    # with the identity kernel so the conv hands the gate x itself.
+    unit_params = dataclasses.replace(params, decision_weight=None)
     identity = Tensor(np.eye(32)[:, :, None, None], dtype=np.float64)
-    for conv in (None, (identity, None)):
-        unit = sem_forward(x, dataclasses.replace(params, decision_weight=None), conv=conv)
-        assert unit.data.tobytes() == explicit.data.tobytes(), conv is None
+    routes = {"stages": recalibrate(x, attention_map(x, unit_params)),
+              "conv": sem_forward(x, unit_params, conv=(identity, None))}
+    for route, unit in routes.items():
+        assert unit.data.tobytes() == explicit.data.tobytes(), route
 
 
 @criterion(6, "depth-20 SEM overfits 64 samples within 300 steps")

@@ -270,11 +270,15 @@ class TestGradcheck:
         assert run_cli("gradcheck", "--scope", "conv1d_channel") == 0
         assert "[ok]" in capsys.readouterr().out
 
-    def test_sem_layer_reports_five_groups(self, capsys):
+    def test_sem_layer_reports_the_conv_and_gate_groups(self, capsys):
+        # The gate inside its 1x1 conv: the conv's input, kernel and
+        # pre-activation unit, then the gate's parameters.
         assert run_cli("gradcheck", "--scope", "sem-layer") == 0
-        out = capsys.readouterr().out
-        for group in ("decision", "fc_reduce", "fc_expand", "cnn_kernel", "ie"):
-            assert group in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("sem-layer: ") and lines[0].endswith(" [ok]")
+        assert [line.split(":")[0].strip() for line in lines[1:]] == sorted(
+            ["input", "kernel", "gamma", "beta", "decision", "fc_reduce", "fc_expand",
+             "cnn_kernel", "ie"])
 
     def test_unknown_scope_usage_error(self, capsys):
         assert run_cli("gradcheck", "--scope", "does-not-exist") == 2

@@ -18,10 +18,13 @@ def test_demo_runs(name, capsys):
 
 
 def test_attention_demo_single_operator_matches_formula(capsys):
+    # Also: the one node inside a conv with the identity kernel has the
+    # stages' bits.
     runpy.run_path(os.path.join(DEMOS, "02_switchable_attention.py"), run_name="__main__")
-    line = next(text for text in capsys.readouterr().out.splitlines()
-                if text.startswith("single-cnn route"))
-    assert float(line.rsplit(" ", 1)[1]) <= 1e-12
+    diffs = {text.split(",")[0]: float(text.rsplit(" ", 1)[1])
+             for text in capsys.readouterr().out.splitlines() if "max diff:" in text}
+    assert diffs["single-cnn route vs the ECA formula"] <= 1e-12
+    assert diffs["one node inside the conv vs the stages"] == 0.0
 
 
 def test_grid_demo_prints_its_reports(tmp_path, monkeypatch, capsys):

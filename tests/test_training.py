@@ -377,13 +377,29 @@ class TestTrainRun:
 
     def test_non_finite_loss_aborts_with_layer_name(self, tmp_path):
         # An affine layer of the gate overflows first; the gate runs inside
-        # conv3's node.
+        # conv3's node, whose output before the gate is still finite.
         cfg = tiny_config(tmp_path / "r6", lr=1e18, epochs=3)
         with pytest.raises(NumericalFailure,
-                           match=r"first offending layer: stage1\.block0 \(op conv2d\)$"):
+                           match=r"first offending layer: stage1\.block0 \(op attention\)$"):
             train_run(cfg)
         # The per-op check that located it is off again.
         assert mul(Tensor(np.array([np.inf])), Tensor(np.array([1.0]))).data[0] == np.inf
+
+    @pytest.mark.parametrize("planted,op", [("attention.ie_shift", "attention"),
+                                            ("attention.decision_weight", "attention"),
+                                            ("conv3.weight", "conv2d")])
+    def test_first_nonfinite_op_tells_the_gate_from_its_conv(self, planted, op):
+        # One NaN in a gate parameter or in conv3's kernel of stage2.block0:
+        # the gate runs inside conv3's node, and the rerun still names which
+        # of the two went non-finite.
+        model = build_network(RunConfig(depth=11, attention="sem"), RngState(120))
+        owner, attr = planted.split(".")
+        getattr(getattr(model.stages[1][0], owner), attr).data.flat[0] = np.nan
+        images = Tensor(RngState(121).generator().standard_normal((4, 3, 8, 8)),
+                        dtype=np.float32)
+        with np.errstate(invalid="ignore"):
+            name = training._first_nonfinite_op(model, images, np.arange(4))
+        assert name == f"stage2.block0 (op {op})"
 
     def test_subset_selection_deterministic(self):
         cfg = tiny_config("unused", synthetic_train=64, train_subset=16).resolved()
