@@ -957,7 +957,33 @@ class TestGatedConv:
         assert len(results[0]) == 3 + decision
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (1, 2, 0), (1, 1, 1)])
+    @pytest.mark.parametrize("operators,decision,act", GATES, ids=GATE_IDS)
+    def test_identity_conv_matches_the_stages(self, operators, decision, act):
+        # The gate on x itself, as one node inside an identity-kernel 1x1
+        # conv: the stages' forward bit for bit, and their gradients.
+        gen = RngState(92).generator()
+        params = gate_of(np.float64, operators, decision, act)
+        data, g = (gen.standard_normal((4, 16, 6, 5)) for _ in range(2))
+        identity = Tensor(np.eye(16)[:, :, None, None])
+        gates = gate_params(params)
+        results = []
+        for one_node in (True, False):
+            x = Tensor(data, requires_grad=True)
+            decisions = []
+            out = (sem_forward(x, params, conv=(identity, None), decisions=decisions)
+                   if one_node else recalibrate(x, attention_map(x, params, decisions)))
+            assert all(t in out._parents for t in gates) == one_node
+            backward(mul(out, Tensor(g)).sum())
+            results.append((out.data, decisions, [x.grad] + [t.grad for t in gates]))
+            for t in gates:
+                t.zero_grad()
+        (out, decisions, grads), (want, want_decisions, want_grads) = results
+        assert out.tobytes() == want.tobytes()
+        assert [d.tobytes() for d in decisions] == [d.tobytes() for d in want_decisions]
+        errs = [normwise_error(a, b) for a, b in zip(grads, want_grads)]
+        assert len(grads) == len(want_grads) and max(errs) <= 1e-9, errs
+
+    @pytest.mark.parametrize("k,stride,pad",[(3, 1, 1), (1, 2, 0), (1, 1, 1)])
     def test_gate_needs_a_direct_conv(self, k, stride, pad):
         x, kernel, gamma, beta, rm, rv = unit_inputs(np.float64, 93, cout=16, k=k)
         params = gate_of(np.float64, ALL_OPERATORS, True, "sigmoid")
