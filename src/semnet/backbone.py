@@ -6,22 +6,21 @@ when configured, transforms the residual branch output of every block
 immediately before the skip addition.
 
 A training forward of at least ``2 * _MIN_SHARD_SAMPLES`` samples runs the
-batch in two contiguous sample shards at once: the gates act per sample,
-and batch norm sums its statistics, and in backward its gradient sums, over
-both shards. The model's logits are one tape node whose rule runs both
-shards' reverse sweeps at once and adds their parameter gradients in shard
-order (``tensor.join_shards``). The shard count follows from the batch size
-alone, so a run's numbers do not depend on the machine's CPUs.
+batch in two contiguous sample shards at once: shard 0 on the calling
+thread, shard 1 in a worker process forked from this one (``semnet.shards``).
+The gates act per sample, and batch norm sums its statistics, and in
+backward its gradient sums, over both shards. The model's logits are one
+tape node whose rule runs both shards' reverse sweeps at once and adds
+their parameter gradients in shard order (``tensor.join_shards``). The
+shard count follows from the batch size alone, so a run's numbers do not
+depend on the machine's CPUs.
 
 Under ``no_grad`` an eval forward treats every sample on its own (the gates
 act per sample, batch norm uses its running statistics), so it runs in
-contiguous sample slices, one per CPU, at once. Each slice's logits are
-bit for bit those of the whole batch.
-
-This module decides only how many shards a batch gets and where it splits;
-``tensor.ShardGroup.run`` runs them, on the calling thread and a pool that
-``semnet.tensor`` owns. numpy releases the interpreter lock inside its
-kernels, so shards run in parallel.
+contiguous sample slices, one per CPU, at once, on the calling thread and
+a pool that ``semnet.tensor`` owns (``tensor.run_slices``); numpy releases
+the interpreter lock inside its kernels, so slices run in parallel. Each
+slice's logits are bit for bit those of the whole batch.
 """
 
 from __future__ import annotations
@@ -35,8 +34,10 @@ import numpy as np
 from . import attention as att
 from .attention import DecisionRecord, SemParams
 from .rng import RngState
-from .tensor import (PreActivation, ShardGroup, Tensor, add, affine, batch_norm, conv2d,
-                     global_avg_pool, is_grad_enabled, join_shards, layer_scope, reshape)
+from .shards import worker_for
+from .tensor import (PreActivation, Tensor, add, affine, batch_norm, conv2d, current_shard,
+                     global_avg_pool, is_grad_enabled, join_shards, layer_scope, reshape,
+                     run_slices)
 # Unused here since every ReLU is fused into its batch norm; imported so
 # perfbench's tracer, which patches ``semnet.backbone.relu``, finds it.
 from .tensor import relu  # noqa: F401
@@ -50,12 +51,13 @@ ATTENTION_MODES = ("none", "se", "eca", "ie", "sem", "random_single", "random_do
 # Conventional gates: one excitation operator, no decision network, and a
 # sigmoid switch (RunConfig.resolved pins it) whatever the configured one.
 SINGLE_OPERATOR_MODES = {"se": att.OPERATOR_FC, "eca": att.OPERATOR_CNN, "ie": att.OPERATOR_IE}
-_TRAIN_SHARDS = 2  # sample shards of a training forward
-# Samples each training shard needs: with fewer, the step is bound by Python
-# op dispatch, not by numpy's kernels, and two shards that take turns on the
-# interpreter lock at every kernel and batch norm barrier run slower, and far
-# less steadily, than the whole batch on one thread.
-_MIN_SHARD_SAMPLES = 64
+_TRAIN_SHARDS = 2  # sample shards of a training forward: the caller's and the worker's
+# Samples each training shard needs, the fewest at which two shards beat
+# the whole batch. Measured in-process on 2 vCPUs: two shards of 4 won at
+# depths 20 and 164 (B=8, 5 of 5 rounds each, 1.15-1.5x); two of 2 won and
+# lost by turns; two of 1 never won. With so few samples a step is bound by
+# Python op dispatch, and the shards' all-reduces cost as much as they save.
+_MIN_SHARD_SAMPLES = 4
 
 
 def eval_shard_count() -> int:
@@ -252,30 +254,52 @@ class Model:
         """Logits (B, num_classes). ``decisions`` receives each decision
         gate's raw (B, N) weights; ``decision_records`` reads them.
 
-        A training forward runs ``min(_TRAIN_SHARDS, B // _MIN_SHARD_SAMPLES)``
-        contiguous sample shards (a smaller batch, or an ``x`` that requires
-        a gradient, keeps the whole batch); under ``no_grad`` with
-        ``training=False`` the batch runs in up to ``eval_shard_count()``
-        slices. Either way they run at once as one ``ShardGroup``, their
-        logits are concatenated in sample order, their weights reach
-        ``decisions`` shard after shard, and a recording forward returns the
-        logits as one node (``join_shards``)."""
+        A training forward of at least ``_TRAIN_SHARDS * _MIN_SHARD_SAMPLES``
+        samples runs two contiguous sample shards at once, the second in the
+        worker process (``semnet.shards``), and returns the logits as one
+        node (``join_shards``); a smaller batch, an ``x`` that requires a
+        gradient, or a forward inside a shard keeps the whole batch. Under
+        ``no_grad`` with ``training=False`` the batch runs in up to
+        ``eval_shard_count()`` slices on threads. Either way the logits are
+        concatenated in sample order and the weights reach ``decisions``
+        shard after shard."""
         b = x.shape[0]
         if training:
-            n = 1 if x.requires_grad else min(_TRAIN_SHARDS, b // _MIN_SHARD_SAMPLES)
-        else:
-            n = 1 if is_grad_enabled() else min(eval_shard_count(), b)
+            if x.requires_grad or current_shard() is not None \
+                    or b < _TRAIN_SHARDS * _MIN_SHARD_SAMPLES:
+                return self._forward(x, training, decisions)
+            return self._forward_in_shards(x, decisions)
+        n = 1 if is_grad_enabled() else min(eval_shard_count(), b)
         if n <= 1:
             return self._forward(x, training, decisions)
         bounds = [b * i // n for i in range(n + 1)]
         parts = [None if decisions is None else [] for _ in range(n)]
-        outs = ShardGroup(n, b).run(
-            lambda i: self._forward(Tensor(x.data[bounds[i] : bounds[i + 1]]), training,
-                                    parts[i]))
+        outs = run_slices(
+            n, lambda i: self._forward(Tensor(x.data[bounds[i] : bounds[i + 1]]), training,
+                                       parts[i]))
         if decisions is not None:
             for part in parts:
                 decisions.extend(part)
-        return join_shards(outs, self.parameters())
+        return Tensor(np.concatenate([t.data for t in outs]))
+
+    def _forward_in_shards(self, x: Tensor, decisions: list[np.ndarray] | None) -> Tensor:
+        """A training forward in two sample shards, the second in the worker."""
+        b = x.shape[0]
+        split = b // 2
+        params = self.parameters()
+        worker = worker_for(self, params)
+        own = None if decisions is None else []
+        logits, step, rest, theirs = worker.forward(
+            lambda: self._forward(Tensor(x.data[:split]), True, own), x.data[split:],
+            decisions is not None, b)
+        if decisions is not None:
+            decisions.extend(own)
+            decisions.extend(theirs)
+
+        def sweep_rest(sweep, g, model=self):  # the model, so its worker, outlives the tape
+            return worker.backward(step, sweep, g, b)
+
+        return join_shards(logits, rest, params, sweep_rest)
 
     def _forward(self, x: Tensor, training: bool,
                  decisions: list[np.ndarray] | None) -> Tensor:

@@ -13,7 +13,6 @@ import contextlib
 import contextvars
 import ctypes
 import os
-import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
@@ -28,7 +27,7 @@ DEFAULT_DTYPE = np.float32
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 _check_finite = contextvars.ContextVar("check_finite", default=False)
 _layer = contextvars.ContextVar("layer", default=None)
-# (ShardGroup, index) of the sample shard this context runs; None outside shards.
+# (group, index) of the training shard this context runs; None outside shards.
 _shard = contextvars.ContextVar("shard", default=None)
 _CHUNK_BYTES = 1 << 20  # bytes of one sample chunk of conv2d or batch norm: stays in L2
 
@@ -125,66 +124,40 @@ def blas_runtime() -> dict:
 _pool = ThreadPoolExecutor(thread_name_prefix="semnet-shard")  # no thread until a submit
 
 
-class ShardGroup:
-    """Contiguous sample shards of one batch, run at once by ``run``.
+def run_slices(n: int, task) -> list:
+    """``task(i)`` for every slice i of an eval batch at once: slice 0 on
+    the calling thread, which has already grown its heap, the rest on the
+    pool. Each runs in a copy of the caller's context, so numpy's errstate,
+    no_grad, the debug checks and the layer scope carry over. Returns the
+    results in slice order once every slice has finished; raises the first
+    error in slice order."""
+    futures = [_pool.submit(contextvars.copy_context().run, task, i) for i in range(1, n)]
+    results, errors = [None] * n, [None] * n
+    try:
+        results[0] = contextvars.copy_context().run(task, 0)
+    except BaseException as exc:  # re-raised once no slice is left running
+        errors[0] = exc
+    for i, future in enumerate(futures, 1):
+        errors[i] = future.exception()
+        if errors[i] is None:
+            results[i] = future.result()
+    failed = [e for e in errors if e is not None]
+    if failed:
+        raise failed[0]
+    return results
 
-    Inside a shard, training ``batch_norm`` normalises by the statistics of
-    the whole batch: each shard hands its per-channel partial sums to
-    ``all_reduce``, which waits for every shard at a barrier whose action
-    adds the partials in shard order, so every shard gets the same bits. A
-    shard that raises breaks the barrier, so its partners raise
-    ``BrokenBarrierError`` instead of waiting for it. Eval slices run as a
-    group too and never reach the barrier.
-    """
 
-    def __init__(self, shards: int, samples: int):
-        self.samples = samples  # in the whole batch
-        self._slots = [None] * shards
-        self._barrier = threading.Barrier(shards, action=self._sum)
+def in_shard(group, index: int):
+    """Run the block as sample shard ``index`` of ``group`` in this context:
+    training batch norm then normalises by statistics summed over the
+    group's shards with ``group.all_reduce(index, partial)``, reading the
+    whole batch's size from ``group.samples``."""
+    return _set(_shard, (group, index))
 
-    def _sum(self) -> None:
-        self._total = sum(self._slots[1:], self._slots[0])
-        self._total.flags.writeable = False  # one array, shared by every shard
 
-    def run(self, task) -> list:
-        """``task(i)`` for every shard i at once: shard 0 on the calling
-        thread, which has already grown its heap, the rest on the pool. Each
-        runs as shard i of the group in a copy of the caller's context, so
-        numpy's errstate, no_grad, the debug checks and the layer scope carry
-        over. Returns the results in shard order once every shard has
-        finished; raises the first error in shard order, passing over the
-        BrokenBarrierError a failed shard leaves its partners."""
-        def member(i):
-            _shard.set((self, i))
-            try:
-                return task(i)
-            except BaseException:
-                self._barrier.abort()
-                raise
-
-        n = len(self._slots)
-        futures = [_pool.submit(contextvars.copy_context().run, member, i) for i in range(1, n)]
-        results, errors = [None] * n, [None] * n
-        try:
-            results[0] = contextvars.copy_context().run(member, 0)
-        except BaseException as exc:  # re-raised once no shard is left running
-            errors[0] = exc
-        for i, future in enumerate(futures, 1):
-            errors[i] = future.exception()
-            if errors[i] is None:
-                results[i] = future.result()
-        failed = [e for e in errors if e is not None]
-        if failed:
-            raise next((e for e in failed if not isinstance(e, threading.BrokenBarrierError)),
-                       failed[0])
-        return results
-
-    def all_reduce(self, index: int, partial: np.ndarray) -> np.ndarray:
-        """Every shard's ``partial`` summed in shard order, once all have
-        handed theirs in; read-only."""
-        self._slots[index] = partial
-        self._barrier.wait()
-        return self._total
+def current_shard():
+    """(group, index) of the sample shard this context runs; None outside one."""
+    return _shard.get()
 
 
 class Tensor:
@@ -343,24 +316,29 @@ def _accumulate(parents: tuple, grads, out_grad: np.ndarray, owned: bool,
             parent.grad = held
 
 
-def join_shards(shards: list[Tensor], leaves: list[Tensor]) -> Tensor:
-    """The sample shards' outputs concatenated along axis 0, recorded as one
-    node whose parents are ``leaves`` (the parameters the shards share).
+def join_shards(first: Tensor, rest: np.ndarray, leaves: list[Tensor], sweep_rest) -> Tensor:
+    """Shard 0's output ``first`` and the other shard's rows ``rest``
+    concatenated along axis 0, recorded as one node whose parents are
+    ``leaves`` (the parameters the shards share).
 
-    Its rule runs the shards' reverse sweeps at once as one fresh
-    ``ShardGroup``, each from its rows of the gradient into a sink of its
-    own, and returns each leaf's gradient summed over the shards in shard
-    order.
+    Its rule calls ``sweep_rest(sweep, g)``, which runs ``sweep``, shard
+    0's reverse sweep from its rows of the gradient into a sink of its own,
+    while the other shard sweeps from its rows ``g``, and returns that
+    shard's gradient for each leaf (None for a leaf it did not reach). The
+    rule returns each leaf's gradient summed in shard order.
     """
-    out = np.concatenate([t.data for t in shards])
-    bounds = np.cumsum([0] + [len(t.data) for t in shards])
+    out = np.concatenate([first.data, rest])
+    split = len(first.data)
 
     def join_shards_backward(g):
-        sinks = [{} for _ in shards]
-        ShardGroup(len(shards), len(out)).run(
-            lambda i: _sweep(shards[i], g[bounds[i] : bounds[i + 1]], sinks[i]))
-        parts = [[sink[leaf] for sink in sinks if leaf in sink] for leaf in leaves]
-        return [sum(p[1:], p[0]) if p else None for p in parts]
+        sink = {}
+        theirs = sweep_rest(lambda: _sweep(first, g[:split], sink), g[split:])
+        grads = []
+        for leaf, other in zip(leaves, theirs):
+            own = sink.get(leaf)
+            grads.append(own if other is None else np.array(other) if own is None
+                         else own + other)
+        return grads
 
     return _make(out, tuple(leaves), join_shards_backward)
 
@@ -737,8 +715,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
         # With pre, dx is first the activation's gradient.
         dx = ((np.empty_like if direct else np.zeros_like)(x.data)
               if x.requires_grad or pre is not None else None)
+        # Per sample, the scratch allocated below: grids, dgrids, acts,
+        # gpad, tmp, dks or scaled, then the ReLU's masks (one byte each).
         step, chunks = _sample_chunks(b, dt.itemsize * (
-            q * q * cin * cells * (staged + (not direct)) + (cout + cin) * span + cout * cin))
+            q * q * cin * cells * (staged + (not direct))
+            + (pre is not None and not direct) * cin * h * w + bool(d) * cout * span
+            + (k > 1) * cin * span + cout * cin)
+            + (pre is not None and gate is None) * cin * h * w)
         grids = ((np.empty if direct else np.zeros)((q * q, step, cin, cells), dt)
                  if staged else None)
         dgrids = None if direct else np.zeros((q * q, step, cin, cells), dt)

@@ -35,6 +35,7 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, NumericalFailure
 from .optim import SGD, MultiStepSchedule
 from .rng import RngState
+from .shards import close_worker
 from .tensor import (ACTIVATION_KINDS, backward, blas_runtime, layer_scope, no_grad,
                      set_debug_checks, softmax_cross_entropy)
 
@@ -316,8 +317,15 @@ def evaluate(model: Model, records: list, batch_size: int,
 
 
 def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
-    """Run the full training protocol and write the run directory."""
-    cfg = cfg.resolved()
+    """Run the full training protocol and write the run directory. The
+    shard worker its steps fork is closed when the run ends or fails."""
+    try:
+        return _train_run(cfg.resolved(), log)
+    finally:
+        close_worker()
+
+
+def _train_run(cfg: RunConfig, log) -> TrainResult:
     marks = [time.time()]
     train_records, test_records = load_datasets(cfg)
     marks.append(time.time())
@@ -486,7 +494,10 @@ def _save_checkpoint(path: str, model: Model, cfg: RunConfig,
     arrays = dict(model.state_arrays())
     arrays["norm.channel_mean"] = np.asarray(channel_mean, dtype=np.float64)
     arrays["norm.channel_std"] = np.asarray(channel_std, dtype=np.float64)
-    blob = json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
+    # Without out_dir: where a run was written is not part of what it learned,
+    # so identical runs in two directories write identical bytes.
+    meta = {k: v for k, v in asdict(cfg).items() if k != "out_dir"}
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     arrays["meta.config_json"] = np.frombuffer(blob, dtype=np.uint8)
     write_checkpoint(path, arrays)
 

@@ -1,3 +1,5 @@
+import gc
+import glob
 import os
 import sys
 
@@ -11,6 +13,43 @@ from semnet.data import (  # noqa: E402
     CIFAR100_RECORD_BYTES,
     CIFAR10_TRAIN_FILES,
 )
+from semnet.shards import close_worker  # noqa: E402
+
+
+def live_children() -> list[int]:
+    """This process's child processes that have not exited, from
+    /proc/self/task/*/children (empty where /proc has no such files)."""
+    pids = []
+    for path in glob.glob("/proc/self/task/*/children"):
+        try:
+            with open(path) as fh:
+                pids += [int(pid) for pid in fh.read().split()]
+        except OSError:  # the thread ended meanwhile
+            pass
+    alive = []
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                state = fh.read().rpartition(")")[2].split()[0]
+        except OSError:  # reaped meanwhile
+            continue
+        if state != "Z":
+            alive.append(pid)
+    return alive
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_alive():
+    """Fail a test that leaves a child of the pytest process alive, such as
+    a shard worker whose model the test still holds. A model that only a
+    reference cycle keeps is collected first, which reaps its worker."""
+    yield
+    if live_children():
+        gc.collect()
+    left = live_children()
+    if left:
+        close_worker()  # so the next test starts without it
+        pytest.fail(f"child processes left alive: {left}")
 
 
 def write_cifar10_style(root, *, train_records=50_000, test_records=10_000,

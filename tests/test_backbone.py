@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semnet import backbone, tensor
+from semnet import backbone, shards, tensor
 from semnet.backbone import (
     ATTENTION_MODES,
     STAGE_WIDTHS,
@@ -29,6 +29,7 @@ from semnet.tensor import Tensor, backward, no_grad, set_debug_checks, softmax_c
 from semnet.training import RunConfig
 
 import oracles
+from conftest import live_children
 
 
 def small_input(gen, b=2):
@@ -316,7 +317,7 @@ def batch_buffers(batch, *roots):
     buffers = {}
     for node in graph_nodes(*roots):
         for a in (node.data, *held_arrays(node._backward)):
-            while a.base is not None:
+            while isinstance(a.base, np.ndarray):  # a parameter's ends at its mmap
                 a = a.base
             if a.ndim == 4 and a.shape[0] == batch:
                 buffers[id(a)] = a.shape
@@ -352,8 +353,9 @@ class TestTapeMemory:
             base = tracemalloc.get_traced_memory()[0]
             loss = softmax_cross_entropy(model(x, training=True), labels)
             tape = tracemalloc.get_traced_memory()[0] - base
-            # Every shard's graph, and the loss and the join above them.
-            assert len(shards) == backbone._TRAIN_SHARDS
+            # Shard 0's graph, and the loss and the join above it; shard 1's
+            # graph lives in the worker process.
+            assert len(shards) == 1
             roots = [loss, *shards]
             activations, bn = graph_buffer_bytes(*roots)
             unfused = unfused_relus(*roots)
@@ -388,7 +390,8 @@ class TestTapeMemory:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_gates_keep_no_activation(self, monkeypatch, shards):
         # Each gate runs inside conv3's node and keeps only (B, C) maps, so
-        # the SEM graph holds the plain graph's activations and no more.
+        # the SEM graph holds the plain graph's activations and no more. Of
+        # two shards, this process holds shard 0's graph.
         monkeypatch.setattr(backbone, "_MIN_SHARD_SAMPLES", 8 // shards)
         gen = RngState(79).generator()
         x = Tensor(gen.standard_normal((8, 3, 32, 32)), dtype=np.float64)
@@ -399,13 +402,13 @@ class TestTapeMemory:
                                   np.float64)
             outs = shard_outputs(monkeypatch)
             loss = softmax_cross_entropy(model(x, training=True), labels)
-            assert len(outs) == shards
+            assert len(outs) == 1
             roots = [loss, *outs]
             kept[attention] = batch_buffers(8 // shards, *roots)
             # conv3's x, kernel, gamma and beta, then the gate's parameters.
             gates = [n for n in graph_nodes(*roots) if n.ndim == 4 and len(n._parents) > 4]
             if attention == "sem":
-                assert len(gates) == 3 * depth_to_blocks(11) * shards
+                assert len(gates) == 3 * depth_to_blocks(11)
             for node in gates:
                 inputs = node._parents[0].data
                 for a in held_arrays(node._backward):
@@ -547,12 +550,9 @@ class TestShardedEval:
             got = model(x, training=True)
         want = twin(x, training=True)
         assert got._backward is None and want._backward is not None
+        # Each forward runs shard 0 here and shard 1 in the worker process.
         caller = threading.current_thread().name
-        assert len(calls) == 4
-        for pair in (calls[:2], calls[2:]):  # each forward: its shards, in either order
-            assert sorted(size for _, size in pair) == [4, 4]
-            assert sum(name == caller for name, _ in pair) == 1
-            assert sum(name.startswith("semnet-shard") for name, _ in pair) == 1
+        assert calls == [(caller, 4), (caller, 4)]
         assert got.data.tobytes() == want.data.tobytes()
         for (_, a), (_, b) in zip(model.named_buffers(), twin.named_buffers()):
             assert a.tobytes() == b.tobytes()
@@ -674,30 +674,35 @@ class TestShardedEval:
         for i in range(4):
             assert results[i].tobytes() == want[i:].tobytes(), i
 
-    def test_import_starts_no_thread_and_training_one(self, tmp_path):
+    def test_import_starts_no_thread_and_training_one_process(self, tmp_path):
         script = (
-            "import threading\n"
+            "import os, threading\n"
             "import numpy as np\n"
             "import semnet\n"
-            "from semnet import backbone\n"
+            "from semnet import backbone, shards\n"
             "from semnet.rng import RngState\n"
             "from semnet.tensor import Tensor, backward, no_grad, softmax_cross_entropy\n"
-            "assert threading.active_count() == 1, 'import'\n"
+            "def children():\n"
+            "    return [int(pid) for task in os.listdir('/proc/self/task')\n"
+            "            for pid in open(f'/proc/self/task/{task}/children').read().split()]\n"
+            "assert threading.active_count() == 1 and not children(), 'import'\n"
             "model = backbone.build_network(semnet.RunConfig(depth=11), RngState(1))\n"
             "x = Tensor(np.ones((4, 3, 32, 32), np.float32))\n"
             "backward(softmax_cross_entropy(model(x, training=True), [0, 1, 2, 3]))\n"
-            "assert threading.active_count() == 1, 'small batch'\n"
+            "assert threading.active_count() == 1 and not children(), 'small batch'\n"
             "backbone._MIN_SHARD_SAMPLES = 1\n"
             "backward(softmax_cross_entropy(model(x, training=True), [0, 1, 2, 3]))\n"
             "with no_grad():\n"
             "    model(x, training=True)\n"
-            "assert threading.active_count() == 2, 'training'\n"
-            "assert all(t.name.startswith('semnet-shard') for t in threading.enumerate()\n"
-            "           if t is not threading.main_thread())\n"
+            "assert threading.active_count() == 1, 'training'\n"
+            "assert children() == [shards._worker.pid], 'training'\n"
             "backbone.eval_shard_count = lambda: 2\n"
             "with no_grad():\n"
             "    model(x)\n"
-            "assert threading.active_count() > 1, 'eval'\n")
+            "assert threading.active_count() > 1, 'eval'\n"
+            "assert all(t.name.startswith('semnet-shard') for t in threading.enumerate()\n"
+            "           if t is not threading.main_thread())\n"
+            "assert children() == [shards._worker.pid], 'eval'\n")
         run_isolated(script, tmp_path)
 
     @pytest.mark.skipif(not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"),
@@ -733,9 +738,9 @@ class TestShardedEval:
 
 # Imports and a depth-11 SEM step for the scripts run_isolated runs.
 STEP_PRELUDE = """
-    import sys, threading
+    import os
     import numpy as np
-    from semnet import backbone, tensor, training
+    from semnet import backbone, shards, tensor, training
     from semnet.backbone import build_network
     from semnet.rng import RngState
     from semnet.tensor import Tensor, backward, softmax_cross_entropy
@@ -767,21 +772,25 @@ def close(got, want, rtol=1e-12):
     return np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("b,sizes", [(1, [1]), (16, [16]), (127, [127]), (128, [64, 64]),
-                                     (201, [100, 101])])
-def test_training_shards_only_batches_of_two_full_shards(monkeypatch, b, sizes):
-    # With fewer samples a shard's step is bound by Python op dispatch, and
-    # two shards taking turns on the interpreter lock run slower than one.
+@pytest.mark.parametrize("b", [1, 2 * backbone._MIN_SHARD_SAMPLES - 1,
+                               2 * backbone._MIN_SHARD_SAMPLES, 37, 128, 201])
+def test_training_shards_only_batches_of_two_full_shards(monkeypatch, b):
+    # With fewer samples two shards lose to one: a step is then bound by
+    # Python op dispatch, not by numpy's kernels.
     model = build_network(RunConfig(depth=11), RngState(118))
     seen = []
 
-    def stub(model, x, training, capture):
+    def stub(model, x, training, capture):  # each row holds its shard's size
         seen.append(len(x.data))
-        return Tensor(np.zeros((len(x.data), 10), np.float32))
+        return Tensor(np.full((len(x.data), 10), len(x.data), np.float32))
 
     monkeypatch.setattr(backbone.Model, "_forward", stub)
     out = model(Tensor(np.zeros((b, 3, 32, 32), np.float32)), training=True)
-    assert sorted(seen) == sizes and out.shape == (b, 10)
+    sizes = [b] if b < 2 * backbone._MIN_SHARD_SAMPLES else [b // 2, b - b // 2]
+    assert out.shape == (b, 10)
+    # Shard 0 runs here, shard 1 in the worker process.
+    assert seen == sizes[:1]
+    assert out.data[:, 0].tolist() == [n for n in sizes for _ in range(n)]
 
 
 @pytest.mark.usefixtures("small_train_shards")
@@ -869,8 +878,8 @@ class TestShardedTraining:
 
         monkeypatch.setattr(tensor, "_accumulate", spy)
         backward(softmax_cross_entropy(model(x, training=True), labels))
-        # 3 skip adds per shard.
-        assert adopted == [[True, False]] * 3 * 2, adopted
+        # 3 skip adds in shard 0; shard 1's run in the worker process.
+        assert adopted == [[True, False]] * 3, adopted
         monkeypatch.setattr(tensor, "_accumulate",
                             lambda parents, grads, out_grad, owned, sink:
                             inner(parents, grads, out_grad, False, sink))
@@ -883,21 +892,15 @@ class TestShardedTraining:
     @pytest.mark.parametrize("shard", [0, 1])
     def test_shard_exception_reaches_the_caller(self, tmp_path, shard, where, phase):
         # "before": the stem's conv forward, or the classifier's backward
-        # rule (the first of a shard's sweep), ahead of every barrier;
+        # rule (the first of a shard's sweep), ahead of every all-reduce;
         # "after": a conv of stage2.block0, behind stage1's batch norms in
         # forward and the head's and stage3's in backward. The partner is
-        # left at a barrier, which the failed shard breaks.
+        # left waiting at an all-reduce, which the failed shard aborts. The
+        # worker forks with the planted op; a marker file switches it on in
+        # both processes.
         run_isolated(STEP_PRELUDE + f"""
     SHARD, WHERE, PHASE = {shard}, {where!r}, {phase!r}
     model = build_network(RunConfig(depth=11, attention="sem"), RngState(110))
-    groups = []
-
-    class SpyGroup(tensor.ShardGroup):
-        def __init__(self, *args):
-            super().__init__(*args)
-            groups.append(self)
-
-    backbone.ShardGroup = tensor.ShardGroup = SpyGroup
     layer = "stage2.block0" if WHERE == "after" else "head" if PHASE == "backward" else "stem"
     name = "affine" if layer == "head" else "conv2d"
     op = getattr(backbone, name)
@@ -906,7 +909,8 @@ class TestShardedTraining:
         raise RuntimeError(f"shard {{SHARD}} failed")
 
     def planted(*args, **kwargs):
-        here = tensor._layer.get() == layer and tensor._shard.get()[1] == SHARD
+        here = (os.path.exists("fail") and tensor._layer.get() == layer
+                and tensor.current_shard()[1] == SHARD)
         if here and PHASE == "forward":
             failing()
         out = op(*args, **kwargs)
@@ -915,75 +919,153 @@ class TestShardedTraining:
         return out
 
     setattr(backbone, name, planted)
+    open("fail", "w").close()
     try:
         step(model)
-    except RuntimeError as exc:  # BrokenBarrierError is one too
+    except RuntimeError as exc:  # ShardAborted is one too
         assert type(exc) is RuntimeError and str(exc) == f"shard {{SHARD}} failed", repr(exc)
     else:
         raise AssertionError("no error")
-    assert len(groups) == (1 if PHASE == "forward" else 2)
-    assert groups[-1]._barrier.broken
     assert all(p.grad is None for p in model.parameters())
-    setattr(backbone, name, op)
-    assert np.isfinite(step(model).item()) and not groups[-1]._barrier.broken
+    worker = shards._worker.pid
+    os.remove("fail")
+    assert np.isfinite(step(model).item()) and shards._worker.pid == worker
 """, tmp_path)
 
     @pytest.mark.parametrize("shard", [0, 1])
     def test_first_nonfinite_op_names_the_failing_shards_layer(self, tmp_path, shard):
         # Only one shard plants a NaN, in bn2's input; the batch statistics
         # inside conv2's node carry it to the partner, whose error in the
-        # same node names the same layer.
+        # same node names the same layer. The model stays usable.
         run_isolated(STEP_PRELUDE + f"""
     model = build_network(RunConfig(depth=11, attention="sem"), RngState(110))
     block = model.stages[1][0]
     conv2 = block.conv2
 
     def planted(h, pre):
-        if tensor._shard.get()[1] == {shard}:
+        if os.path.exists("nan") and tensor.current_shard()[1] == {shard}:
             h.data[0, 0, 0, 0] = np.nan
         return conv2(h, pre)
 
     block.conv2 = planted
+    open("nan", "w").close()
     with np.errstate(invalid="ignore"):
         name = training._first_nonfinite_op(model, x, labels)
     assert name == "stage2.block0 (op conv2d)", name
-    block.conv2 = conv2
+    os.remove("nan")
     assert np.isfinite(step(model).item())
 """, tmp_path)
 
-    def test_concurrent_callers_share_the_pool(self, tmp_path):
-        # More training callers than pool threads, with frequent thread
-        # switches: each shard-1 task may wait for a pool thread, but its
-        # partner runs on its own caller, so every caller finishes with the
-        # bits of a step taken alone.
-        run_isolated(STEP_PRELUDE + """
-    callers = tensor._pool._max_workers + 2
-    models = [build_network(RunConfig(depth=11, attention="sem"), RngState(110))
-              for _ in range(callers + 1)]
+    def test_sharded_forward_replaces_the_tape_a_backward_needs(self):
+        model = build_network(RunConfig(depth=11, attention="sem"), RngState(123))
+        gen = RngState(124).generator()
+        x = small_input(gen, b=4)
+        labels = gen.integers(0, 10, size=4)
+        first = softmax_cross_entropy(model(x, training=True), labels)
+        second = softmax_cross_entropy(model(x, training=True), labels)
+        with pytest.raises(RuntimeError, match="holds no tape of step 1"):
+            backward(first)
+        backward(second)
+        assert all(p.grad is not None for p in model.parameters())
 
-    def outcome(model, loss):
-        return ([loss.data.tobytes()] + [p.grad.tobytes() for p in model.parameters()]
-                + [b.tobytes() for _, b in model.named_buffers()])
+    @pytest.mark.parametrize("change", ["load_state_arrays", "rebind"])
+    def test_later_steps_see_the_callers_parameters(self, change):
+        # The worker forks at the first step; the parameters it reads after
+        # load_state_arrays or a rebound p.data are the caller's, so each
+        # step keeps matching the whole-batch oracle.
+        model, oracle = shard_oracle_pair(125)
+        gen = RngState(126).generator()
+        x = Tensor(gen.standard_normal((6, 3, 32, 32)), dtype=np.float64)
+        labels = gen.integers(0, 10, size=6)
+        for step in range(3):
+            if step:
+                new = {name: a + 0.01 * gen.standard_normal(a.shape)
+                       for name, a in oracle.state_arrays().items()}
+                oracle.load_state_arrays(new)
+                if change == "load_state_arrays":
+                    model.load_state_arrays(new)
+                else:
+                    for name, p in model.named_parameters():
+                        p.data = new[name].copy()
+                    for name, buf in model.named_buffers():
+                        buf[...] = new[name]
+            for m in (model, oracle):
+                for p in m.parameters():
+                    p.grad = None
+            loss = softmax_cross_entropy(model(x, training=True), labels)
+            backward(loss)
+            want = softmax_cross_entropy(oracle._forward(x, True, None), labels)
+            backward(want)
+            assert close(loss.data, want.data), step
+            for (name, p), q in zip(model.named_parameters(), oracle.parameters()):
+                assert close(p.grad, q.grad), (step, name)
 
-    want = outcome(models[-1], step(models[-1]))
-    results, errors = {}, []
 
-    def caller(i):
+class TestShardWorker:
+    SCRIPT = """
+        import os, sys, time
+        import numpy as np
+        from semnet import backbone, shards
+        from semnet.rng import RngState
+        from semnet.tensor import Tensor, backward, softmax_cross_entropy
+        from semnet.training import RunConfig
+
+        model = backbone.build_network(RunConfig(depth=11), RngState(1))
+        x = Tensor(np.ones((2 * backbone._MIN_SHARD_SAMPLES, 3, 32, 32), np.float32))
+        backward(softmax_cross_entropy(model(x, training=True), np.zeros(len(x.data), int)))
+        print(shards._worker.pid, flush=True)
+        if sys.argv[1] == "wait":
+            time.sleep(120)
+    """
+
+    @staticmethod
+    def gone(pid, seconds):
+        """Whether process ``pid`` has exited (or is a zombie) within ``seconds``."""
+        deadline = time.monotonic() + seconds
+        while True:
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    if fh.read().rpartition(")")[2].split()[0] == "Z":
+                        return True
+            except OSError:
+                return True
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.05)
+
+    def test_exit_reaps_the_worker(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(self.SCRIPT), "exit"],
+                              env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert self.gone(int(proc.stdout), 0)
+
+    def test_worker_dies_with_a_killed_parent(self, tmp_path):
+        proc = subprocess.Popen([sys.executable, "-c", textwrap.dedent(self.SCRIPT), "wait"],
+                                env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,
+                                stdout=subprocess.PIPE, text=True)
         try:
-            results[i] = outcome(models[i], step(models[i]))
-        except Exception as exc:
-            errors.append(exc)
+            pid = int(proc.stdout.readline())
+            assert not self.gone(pid, 0)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        assert self.gone(pid, 5)
 
-    sys.setswitchinterval(1e-6)
-    threads = [threading.Thread(target=caller, args=(i,), daemon=True) for i in range(callers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=90)
-    assert not any(t.is_alive() for t in threads)
-    assert not errors, errors
-    assert all(results[i] == want for i in range(callers))
-""", tmp_path)
+    def test_one_worker_that_goes_with_its_model(self):
+        gen = RngState(127).generator()
+        x = small_input(gen, b=2 * backbone._MIN_SHARD_SAMPLES)
+        labels = gen.integers(0, 10, size=len(x.data))
+        pids = []
+        models = [build_network(RunConfig(depth=11), RngState(128)) for _ in range(2)]
+        for model in models:
+            backward(softmax_cross_entropy(model(x, training=True), labels))
+            pids.append(shards._worker.pid)
+            assert live_children() == [pids[-1]]
+        assert pids[0] != pids[1] and self.gone(pids[0], 0)
+        del model, models
+        assert live_children() == [] and self.gone(pids[1], 0)
 
 
 class TestCheckpointContainer:

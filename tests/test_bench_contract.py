@@ -2,17 +2,18 @@
 exist and still see every op: one traced depth-11 SEM training step counts
 the expected gates and tape nodes and gives the untraced loss bit for bit.
 
-The step runs whole, as the benchmark's batches of 16 do, or in two sample
-shards, as its batches of 128 do. Either way each forward has 3 gates of
-one node each and 18 nodes in its 3 blocks: each block has 6, its bn1, its
+The step runs whole, as small batches do, or in two sample shards, as the
+benchmark's batches of 16 and 128 do. Each forward has 3 gates of one node
+each and 18 nodes in its 3 blocks: each block has 6, its bn1, its
 projection shortcut, conv1, conv2 (bn2 runs inside its node), conv3 with
 bn3 and the gate inside its node, and the skip add. The tracer times the
 gate's call, which makes that conv3 node the gate's one node. Whole, the
 tracer counts the blocks' nodes, the loss, 4 head nodes and the stem conv:
-24. Sharded, it walks each shard's blocks and gates, the joined logits
-(its "head") and the first block input down to the images (its "stem"); it
-does not reach either shard's 4 head nodes or the other shard's stem conv,
-so it counts 2 x 18 + loss + join + one stem = 39."""
+24. Sharded, the tracer sees only this process: shard 0's 3 gates and its
+blocks' 18 nodes, the joined logits (its "head"), shard 0's stem conv and
+the loss, 21 nodes. It does not reach shard 0's 4 head nodes, whose output
+the join reads as data, and shard 1 runs in the worker process, with the
+tracer's patches but out of its reach."""
 
 import importlib.util
 import os
@@ -66,8 +67,8 @@ def test_traced_step_counts_and_loss(tracer_module, monkeypatch, shards):
     traced = one_step(tracer)
     assert not tracer.installed
     (_, counts), = tracer.summarize()
-    assert counts["attention.calls"] == shards * 3
-    assert counts["tensor.tape_nodes"] == (24 if shards == 1 else 2 * 18 + 3)
-    assert counts["attention.nodes"] == shards * 3
+    assert counts["attention.calls"] == 3
+    assert counts["tensor.tape_nodes"] == (24 if shards == 1 else 18 + 3)
+    assert counts["attention.nodes"] == 3
     untraced = one_step(tracer_module.NullTracer())
     assert traced.tobytes() == untraced.tobytes()

@@ -19,12 +19,13 @@ from semnet.attention import (
     recalibrate,
     sem_forward,
 )
+from semnet.backbone import build_network
 from semnet.gradcheck import check_gradients, finite_difference_grad, max_relative_error
 from semnet.rng import RngState
+from semnet.shards import ShardAborted, SharedReduce
 from semnet.tensor import (
     ACTIVATION_KINDS,
     PreActivation,
-    ShardGroup,
     Tensor,
     activation,
     add,
@@ -44,6 +45,7 @@ from semnet.tensor import (
     softmax_cross_entropy,
     take_column,
 )
+from semnet.training import RunConfig
 from semnet.verify import _kink_free_beta
 
 import oracles
@@ -612,6 +614,34 @@ class TestConv2dOracle:
         assert forward <= out.data.nbytes + kernel.data.nbytes + slack, forward
         assert backward <= dx.nbytes + dkernel.nbytes + slack, backward
 
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_direct_conv_backward_chunks_by_its_scratch(self, monkeypatch, gated):
+        # Stage 1's conv3 at depth 164 / B=16: a 1x1 16 -> 64 conv at 32x32
+        # with bn3 (and the gate) inside its node. Per sample, backward
+        # allocates one grid (64 KiB), dkernel's row (4 KiB) and, ungated,
+        # the ReLU's mask (16 KiB): 12 or 15 samples fit 1 MiB, so 2
+        # chunks. Counting g and dx as scratch too gave 2 samples, 8 chunks.
+        block = build_network(RunConfig(depth=164, attention="sem"), RngState(34)).stages[0][1]
+        h = Tensor(RngState(35).generator().standard_normal((16, 16, 32, 32)),
+                   dtype=np.float32)
+        seen = []
+        sample_chunks = tensor._sample_chunks
+
+        def spy(b, sample_bytes):
+            seen.append(sample_chunks(b, sample_bytes)[1])
+            return sample_chunks(b, sample_bytes)
+
+        monkeypatch.setattr(tensor, "_sample_chunks", spy)
+        pre = block.bn3.pre(True)
+        if gated:
+            out = sem_forward(h, block.attention, conv=(block.conv3.weight, pre))
+        else:
+            out = block.conv3(h, pre)
+        out._backward(np.ones_like(out.data))
+        # conv2d's forward, its backward, then batch norm's backward.
+        assert len(seen) == 3
+        assert seen[1] == [(0, 15), (15, 16)] if gated else [(0, 12), (12, 16)]
+
     def test_forward_keeps_no_padded_copy(self):
         gen = RngState(31).generator()
         x = Tensor(gen.standard_normal((4, 8, 16, 16)), requires_grad=True, dtype=np.float64)
@@ -640,6 +670,35 @@ class TestConv2dOracle:
             assert grad.base is None and grad.flags.owndata and grad.flags.writeable
 
 
+def run_linked(shards, samples, task):
+    """``task(i)`` for every shard i of a batch of ``samples`` at once, each
+    on a thread of its own as shard i of one ``SharedReduce`` (the training
+    batch norm all-reduce the worker process uses); the results in shard
+    order, or the first error in shard order that is not ``ShardAborted``."""
+    link = SharedReduce(shards)
+    link.begin(samples, clear=True)
+    results, errors = [None] * shards, [None] * shards
+
+    def member(i):
+        try:
+            with tensor.in_shard(link, i):
+                results[i] = task(i)
+        except BaseException as exc:
+            errors[i] = exc
+            link.abort()
+
+    threads = [threading.Thread(target=member, args=(i,)) for i in range(shards)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    link.close()
+    failed = [e for e in errors if e is not None]
+    if failed:
+        raise next((e for e in failed if not isinstance(e, ShardAborted)), failed[0])
+    return results
+
+
 PRE_CONVS = [(1, 1, 0), (3, 1, 1), (3, 2, 1)]  # (k, stride, pad) of the backbone's units
 
 
@@ -659,7 +718,7 @@ def unit_inputs(dtype, seed, b=4, cin=3, cout=4, k=3):
 def run_unit(fused, x, kernel, gamma, beta, buffers, training, stride, pad, g, shards=1):
     """(out, dx, dkernel, dgamma, dbeta) of relu(batch_norm(x)) -> conv2d,
     as the one fused node or as the two public ops, over ``shards``
-    contiguous sample shards run as one ShardGroup (forward, then
+    contiguous sample shards run linked by ``run_linked`` (forward, then
     backward); ``buffers`` (running mean, var) are updated in place."""
     kt, gt, bt = (Tensor(v, requires_grad=True) for v in (kernel, gamma, beta))
     parts = [slice(len(x) * i // shards, len(x) * (i + 1) // shards) for i in range(shards)]
@@ -684,8 +743,8 @@ def run_unit(fused, x, kernel, gamma, beta, buffers, training, stride, pad, g, s
         forward(0)
         grads = [backward(0)]
     else:
-        ShardGroup(shards, len(x)).run(forward)
-        grads = ShardGroup(shards, len(x)).run(backward)
+        run_linked(shards, len(x), forward)
+        grads = run_linked(shards, len(x), backward)
     # Parameter gradients add over the shards in shard order, as join_shards does.
     return (np.concatenate([o.data for o in outs]), np.concatenate([r[0] for r in grads]),
             *(sum((r[j] for r in grads[1:]), grads[0][j]) for j in (1, 2, 3)))
@@ -854,7 +913,7 @@ def run_gated_unit(fused, x, kernel, gamma, beta, buffers, training, params, g, 
     """The gate on conv(relu(batch_norm(x))) for a 1x1 kernel, as the one
     node of ``sem_forward(..., conv=...)`` or as the pre-activation conv
     and the stage-by-stage gate, over ``shards`` contiguous sample shards
-    run as one ShardGroup (forward, then backward): (out, decision weights,
+    run linked by ``run_linked`` (forward, then backward): (out, decision weights,
     [dx, dkernel, dgamma, dbeta, *gate parameter gradients]). ``buffers``
     (running mean, var) are updated in place."""
     kt, gt, bt = (Tensor(v, requires_grad=True) for v in (kernel, gamma, beta))
@@ -877,7 +936,7 @@ def run_gated_unit(fused, x, kernel, gamma, beta, buffers, training, params, g, 
         if shards == 1:
             step(0)
         else:
-            ShardGroup(shards, len(x)).run(step)
+            run_linked(shards, len(x), step)
     # Parameter gradients add over the shards in shard order, as join_shards does.
     params_grads = [sum((sink[t] for sink in sinks[1:]), sinks[0][t])
                     for t in (kt, gt, bt, *gate_params(params))]
@@ -1251,41 +1310,52 @@ class TestTensorBasics:
         assert not np.array_equal(a, c)
 
 
-class TestShardGroup:
+class TestSharedReduce:
     def test_all_reduce_sums_every_round_in_shard_order(self):
         # Frequent thread switches let a fast member run ahead into the next
-        # round while its partners still read this one's sum.
+        # round while its partners still read this one's slots.
         rounds, shards = 200, 3
         parts = RngState(130).generator().standard_normal((rounds, shards, 17)).astype(np.float32)
-        group = ShardGroup(shards, shards)
 
         def member(i):
-            return [group.all_reduce(i, parts[r, i].copy()) for r in range(rounds)]
+            link, index = tensor.current_shard()
+            return [link.all_reduce(index, parts[r, i].copy()) for r in range(rounds)]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = group.run(member)
+            results = run_linked(shards, shards, member)
         finally:
             sys.setswitchinterval(interval)
         for r in range(rounds):
             want = sum(parts[r, 1:], parts[r, 0]).tobytes()
             for i in range(shards):
-                assert results[i][r] is results[0][r], (r, i)  # one array, shared
-            assert results[0][r].tobytes() == want, r
-            assert not results[0][r].flags.writeable
+                assert results[i][r].tobytes() == want, (r, i)
 
-    @pytest.mark.parametrize("failing", [0, 2])  # the caller's shard, a pool shard
-    def test_failing_member_breaks_the_barrier(self, failing):
-        group = ShardGroup(3, 3)
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_failing_member_aborts_its_partners(self, failing):
+        aborted = []
 
         def member(i):
+            link = tensor.current_shard()[0]
             for r in range(200):
                 if (i, r) == (failing, 20):
                     raise RuntimeError(f"member {i} failed")
-                group.all_reduce(i, np.ones(4))
+                try:
+                    link.all_reduce(i, np.ones(4))
+                except ShardAborted:
+                    aborted.append(i)
+                    raise
 
         with pytest.raises(RuntimeError) as info:
-            group.run(member)
+            run_linked(3, 3, member)
         assert type(info.value) is RuntimeError and str(info.value) == f"member {failing} failed"
-        assert group._barrier.broken
+        assert sorted(aborted) == [i for i in range(3) if i != failing]
+
+    def test_oversized_partial_is_refused(self):
+        link = SharedReduce(2)
+        try:
+            with pytest.raises(ValueError, match="exceeds"):
+                link.all_reduce(0, np.zeros(1 << 14))
+        finally:
+            link.close()

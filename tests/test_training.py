@@ -3,7 +3,6 @@ checkpoint round-trips."""
 
 import json
 import os
-import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -169,25 +168,31 @@ class TestTrainRun:
         assert (open(r1.metrics_path, "rb").read()
                 == open(r2.metrics_path, "rb").read())
 
+    def test_checkpoint_bytes_do_not_depend_on_the_out_dir(self, tmp_path):
+        # The embedded config leaves out_dir out, so identical runs written
+        # to two directories write identical checkpoints.
+        r1 = train_run(tiny_config(tmp_path / "a"))
+        r2 = train_run(tiny_config(tmp_path / "b"))
+        assert (open(r1.final_checkpoint, "rb").read()
+                == open(r2.final_checkpoint, "rb").read())
+
     def test_run_bytes_do_not_depend_on_the_cpu_count(self, tmp_path):
         # The training shard count follows from the batch size alone and
         # eval logits do not depend on the slice count, so at one BLAS
         # thread a `semnet train` pinned to one CPU writes the bytes of one
         # on every CPU, and a rerun writes them again. Its batches of 16 run
-        # two shards, as batches of 128 do by default.
+        # two shards, the second in the worker process.
         script = ("import os, sys\n"
                   "if sys.argv[1] == 'one':\n"
                   "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-                  "from semnet import backbone\n"
-                  "backbone._MIN_SHARD_SAMPLES = 1\n"
                   "from semnet.cli import main\n"
                   "sys.exit(main(sys.argv[2:]))\n")
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                    MKL_NUM_THREADS="1")
         runs = {}
-        out = os.path.join(tmp_path, "run")  # the checkpoint embeds the config, out_dir too
         for label, cpus in (("a", "all"), ("b", "all"), ("one", "one")):
+            out = os.path.join(tmp_path, label)
             argv = ["train", "--dataset", "synthetic", "--depth", "11", "--epochs", "2",
                     "--batch-size", "16", "--synthetic-train", "48", "--synthetic-test", "32",
                     "--synthetic-classes", "4", "--seed", "7", "--out-dir", out]
@@ -199,7 +204,6 @@ class TestTrainRun:
                            for name in ("metrics.jsonl", "final.ckpt")]
             assert len(env_json["cpu_affinity"]) == (
                 1 if cpus == "one" else len(os.sched_getaffinity(0)))
-            shutil.rmtree(out)
         assert runs["a"] == runs["b"] == runs["one"]
 
     def test_timing_sidecar_says_where_the_time_went(self, tmp_path):
@@ -274,9 +278,9 @@ class TestTrainRun:
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
         env["PYTHONPATH"] = os.path.join(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        out = os.path.join(tmp_path, "run")  # the checkpoint embeds the config, out_dir too
         runs = []
         for threads in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+            out = os.path.join(tmp_path, f"run{len(runs)}")
             argv = ["train", "--dataset", "synthetic", "--depth", "11", "--epochs", "1",
                     "--batch-size", "16", "--synthetic-train", "48", "--synthetic-test", "16",
                     "--synthetic-classes", "4", "--seed", "7", "--out-dir", out]
@@ -289,7 +293,6 @@ class TestTrainRun:
                                        else None), (threads, blas)
             runs.append([open(os.path.join(out, name), "rb").read()
                          for name in ("metrics.jsonl", "final.ckpt")])
-            shutil.rmtree(out)
         assert runs[0] == runs[1]
 
     def test_epochs_zero_emits_initial_checkpoint_only(self, tmp_path):
