@@ -716,11 +716,14 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
         dx = ((np.empty_like if direct else np.zeros_like)(x.data)
               if x.requires_grad or pre is not None else None)
         # Per sample, the scratch allocated below: grids, dgrids, acts,
-        # gpad, tmp, dks or scaled, then the ReLU's masks (one byte each).
+        # gpad, tmp, dks or scaled, then the ReLU's masks (one byte each). A
+        # gated conv also counts g and dx, which it does not allocate: its
+        # dx adds dm[s:e] @ W, one GEMM per chunk that OpenBLAS rounds by
+        # the chunk's row count, so larger chunks would change its bits.
         step, chunks = _sample_chunks(b, dt.itemsize * (
             q * q * cin * cells * (staged + (not direct))
             + (pre is not None and not direct) * cin * h * w + bool(d) * cout * span
-            + (k > 1) * cin * span + cout * cin)
+            + (k > 1) * cin * span + cout * cin + (gate is not None) * (cout + cin) * span)
             + (pre is not None and gate is None) * cin * h * w)
         grids = ((np.empty if direct else np.zeros)((q * q, step, cin, cells), dt)
                  if staged else None)

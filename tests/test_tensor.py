@@ -617,10 +617,11 @@ class TestConv2dOracle:
     @pytest.mark.parametrize("gated", [False, True])
     def test_direct_conv_backward_chunks_by_its_scratch(self, monkeypatch, gated):
         # Stage 1's conv3 at depth 164 / B=16: a 1x1 16 -> 64 conv at 32x32
-        # with bn3 (and the gate) inside its node. Per sample, backward
-        # allocates one grid (64 KiB), dkernel's row (4 KiB) and, ungated,
-        # the ReLU's mask (16 KiB): 12 or 15 samples fit 1 MiB, so 2
-        # chunks. Counting g and dx as scratch too gave 2 samples, 8 chunks.
+        # with bn3 inside its node. Ungated, backward allocates per sample
+        # one grid (64 KiB), dkernel's row (4 KiB) and the ReLU's mask (16
+        # KiB): 12 samples fit 1 MiB, 2 chunks, where counting g and dx as
+        # scratch too gave 2 samples, 8 chunks. Gated, it still counts them:
+        # its dx's dm @ W GEMM per chunk rounds by the chunk's row count.
         block = build_network(RunConfig(depth=164, attention="sem"), RngState(34)).stages[0][1]
         h = Tensor(RngState(35).generator().standard_normal((16, 16, 32, 32)),
                    dtype=np.float32)
@@ -640,7 +641,8 @@ class TestConv2dOracle:
         out._backward(np.ones_like(out.data))
         # conv2d's forward, its backward, then batch norm's backward.
         assert len(seen) == 3
-        assert seen[1] == [(0, 15), (15, 16)] if gated else [(0, 12), (12, 16)]
+        assert seen[1] == ([(s, s + 2) for s in range(0, 16, 2)] if gated
+                           else [(0, 12), (12, 16)])
 
     def test_forward_keeps_no_padded_copy(self):
         gen = RngState(31).generator()
