@@ -54,8 +54,8 @@ SINGLE_OPERATOR_MODES = {"se": att.OPERATOR_FC, "eca": att.OPERATOR_CNN, "ie": a
 _TRAIN_SHARDS = 2  # sample shards of a training forward: the caller's and the worker's
 # Samples each training shard needs, the fewest at which two shards beat
 # the whole batch. Measured in-process on 2 vCPUs: two shards of 4 won at
-# depths 20 and 164 (B=8, 5 of 5 rounds each, 1.15-1.5x); two of 2 won and
-# lost by turns; two of 1 never won. With so few samples a step is bound by
+# depths 20 and 164 (B=8, 5 of 5 rounds each, 1.15-1.7x); two of 2 won 5 of
+# 10 rounds and two of 1 won 1 of 4. With so few samples a step is bound by
 # Python op dispatch, and the shards' all-reduces cost as much as they save.
 _MIN_SHARD_SAMPLES = 4
 

@@ -15,7 +15,8 @@ then, with the parameter values of every later step:
   scope and errstate; the worker sends back its logits and decision weights,
   then which parameters it reached. It writes their gradients into a second
   shared buffer of the same layout, and ``tensor.join_shards`` adds them to
-  shard 0's in shard order.
+  shard 0's in shard order. The worker keeps the tape of its last forward
+  only, so the backward of an earlier sharded forward raises.
 * Training batch norm all-reduces its sums through ``SharedReduce``.
 * A shard that raises aborts the reduce, so its partner raises
   ``ShardAborted`` at its next all-reduce instead of waiting; the caller
@@ -24,7 +25,9 @@ then, with the parameter values of every later step:
 At most one worker is alive: a sharded step of another model closes it and
 forks its own. It is killed and reaped when its model is collected, when
 ``close_worker`` is called and at interpreter exit, and it dies with its
-parent (``PR_SET_PDEATHSIG`` on Linux). No other process is started.
+parent (``PR_SET_PDEATHSIG`` on Linux, which fires when the thread that
+forked it ends; a step that finds its worker gone forks a new one). No
+other process is started.
 """
 
 from __future__ import annotations
@@ -206,10 +209,12 @@ class ShardWorker:
         self._lock = threading.Lock()
         requests, replies = os.pipe(), os.pipe()
         parent = os.getpid()
-        # The worker's collections then never walk, and so never copy, the
-        # pages of the objects it inherits (8 MiB less PSS at depth 164).
+        # The worker's collections never walk, and so never copy, the pages
+        # of the objects it inherits (8 MiB less PSS at depth 164).
         gc.freeze()
         try:
+            # The worker keeps only this thread. The eval pool's threads, if
+            # any, wait on their queue, holding no lock the worker needs.
             pid = os.fork()
         except BaseException:
             gc.unfreeze()
@@ -319,9 +324,12 @@ def _die_with(parent: int) -> None:
     """Have the kernel kill this process when its parent exits, and exit
     now if the parent already has."""
     try:
-        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        prctl = ctypes.CDLL(None).prctl
     except (AttributeError, OSError):  # not Linux
         pass
+    else:
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
     if os.getppid() != parent:
         os._exit(0)
 

@@ -12,7 +12,8 @@ A run writes into its output directory:
   channel statistics, building the model), then per epoch the seconds spent
   training and evaluating and the minor page faults (``ru_minflt``) taken;
 * ``final.ckpt`` / ``best.ckpt``: parameters, batch-norm buffers, the
-  normalisation statistics, and the resolved config embedded as bytes.
+  normalisation statistics, and the resolved config but its ``out_dir``
+  embedded as bytes.
 """
 
 from __future__ import annotations
@@ -319,8 +320,9 @@ def evaluate(model: Model, records: list, batch_size: int,
 def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
     """Run the full training protocol and write the run directory. The
     shard worker its steps fork is closed when the run ends or fails."""
+    cfg = cfg.resolved()
     try:
-        return _train_run(cfg.resolved(), log)
+        return _train_run(cfg, log)
     finally:
         close_worker()
 

@@ -693,7 +693,8 @@ def run_linked(shards, samples, task):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads), "a shard is left waiting"
     link.close()
     failed = [e for e in errors if e is not None]
     if failed:
