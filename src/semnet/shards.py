@@ -85,8 +85,10 @@ class SharedReduce:
         self._slots = np.frombuffer(self._buf, np.uint8, offset=head).reshape(
             2, parties, _SLOT_BYTES)
         self._wake = [os.pipe() for _ in range(parties)]
-        for _, write in self._wake:
+        self._pollers = [select.poll() for _ in range(parties)]
+        for (read, write), poller in zip(self._wake, self._pollers):
             os.set_blocking(write, False)
+            poller.register(read, select.POLLIN)
         self._rounds = [0] * parties  # this process's rounds, per party
         self.partner_alive = lambda: True
 
@@ -138,9 +140,8 @@ class SharedReduce:
             if time.perf_counter() < spin_until:
                 continue
             # A wake-up left over from a round the spin caught only loops.
-            ready = select.select([self._wake[index][0]], [], [], _POLL_S)[0]
-            if ready:
-                os.read(ready[0], 1 << 16)
+            if self._pollers[index].poll(_POLL_S * 1000):
+                os.read(self._wake[index][0], 1 << 16)
             elif not self.partner_alive():
                 raise ShardAborted("a partner shard's process is gone")
 

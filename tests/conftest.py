@@ -16,6 +16,15 @@ from semnet.data import (  # noqa: E402
 from semnet.shards import close_worker  # noqa: E402
 
 
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:  # no such process
+        return False
+
+
 def live_children() -> list[int]:
     """This process's child processes that have not exited, from
     /proc/self/task/*/children (empty where /proc has no such files)."""
@@ -26,16 +35,7 @@ def live_children() -> list[int]:
                 pids += [int(pid) for pid in fh.read().split()]
         except OSError:  # the thread ended meanwhile
             pass
-    alive = []
-    for pid in pids:
-        try:
-            with open(f"/proc/{pid}/stat") as fh:
-                state = fh.read().rpartition(")")[2].split()[0]
-        except OSError:  # reaped meanwhile
-            continue
-        if state != "Z":
-            alive.append(pid)
-    return alive
+    return [pid for pid in pids if running(pid)]
 
 
 @pytest.fixture(autouse=True)

@@ -2,6 +2,7 @@
 random operator assignment, and the checkpoint container."""
 
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -29,7 +30,7 @@ from semnet.tensor import Tensor, backward, no_grad, set_debug_checks, softmax_c
 from semnet.training import RunConfig
 
 import oracles
-from conftest import live_children
+from conftest import live_children, running
 
 
 def small_input(gen, b=2):
@@ -1022,16 +1023,11 @@ class TestShardWorker:
     def gone(pid, seconds):
         """Whether process ``pid`` has exited (or is a zombie) within ``seconds``."""
         deadline = time.monotonic() + seconds
-        while True:
-            try:
-                with open(f"/proc/{pid}/stat") as fh:
-                    if fh.read().rpartition(")")[2].split()[0] == "Z":
-                        return True
-            except OSError:
-                return True
+        while running(pid):
             if time.monotonic() > deadline:
                 return False
             time.sleep(0.05)
+        return True
 
     def test_exit_reaps_the_worker(self, tmp_path):
         proc = subprocess.run([sys.executable, "-c", textwrap.dedent(self.SCRIPT), "exit"],
@@ -1066,6 +1062,21 @@ class TestShardWorker:
         assert pids[0] != pids[1] and self.gone(pids[0], 0)
         del model, models
         assert live_children() == [] and self.gone(pids[1], 0)
+
+    def test_a_dead_worker_is_replaced_at_the_next_step(self):
+        gen = RngState(129).generator()
+        x = small_input(gen, b=2 * backbone._MIN_SHARD_SAMPLES)
+        labels = gen.integers(0, 10, size=len(x.data))
+        model = build_network(RunConfig(depth=11), RngState(130))
+        first = softmax_cross_entropy(model(x, training=True), labels)
+        backward(first)
+        dead = shards._worker.pid
+        os.kill(dead, signal.SIGKILL)
+        assert self.gone(dead, 5)
+        again = softmax_cross_entropy(model(x, training=True), labels)
+        backward(again)
+        assert shards._worker.pid != dead and live_children() == [shards._worker.pid]
+        assert np.isfinite(again.item())
 
 
 class TestCheckpointContainer:
