@@ -106,7 +106,7 @@ def two_eval_shards(monkeypatch):
 @pytest.fixture
 def small_train_shards(monkeypatch):
     """Split every training forward of 2 samples or more into shards, so
-    the tests' small batches run the sharded path the benchmark's batches
-    of 128 take."""
+    the tests' smallest batches run the sharded path that training batches
+    of 8 or more take."""
     from semnet import backbone
     monkeypatch.setattr(backbone, "_MIN_SHARD_SAMPLES", 1)
