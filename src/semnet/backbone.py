@@ -34,7 +34,7 @@ import numpy as np
 from . import attention as att
 from .attention import DecisionRecord, SemParams
 from .rng import RngState
-from .shards import worker_for
+from . import shards
 from .tensor import (PreActivation, Tensor, add, affine, batch_norm, conv2d, current_shard,
                      global_avg_pool, is_grad_enabled, join_shards, layer_scope, reshape,
                      run_slices)
@@ -258,14 +258,16 @@ class Model:
         samples runs two contiguous sample shards at once, the second in the
         worker process (``semnet.shards``), and returns the logits as one
         node (``join_shards``); a smaller batch, an ``x`` that requires a
-        gradient, or a forward inside a shard keeps the whole batch. Under
+        gradient, a forward inside a shard, a machine without the worker
+        (``shards.AVAILABLE``) and a step of another model, taken on another
+        thread, that holds it keep the whole batch. Under
         ``no_grad`` with ``training=False`` the batch runs in up to
         ``eval_shard_count()`` slices on threads. Either way the logits are
         concatenated in sample order and the weights reach ``decisions``
         shard after shard."""
         b = x.shape[0]
         if training:
-            if x.requires_grad or current_shard() is not None \
+            if x.requires_grad or current_shard() is not None or not shards.AVAILABLE \
                     or b < _TRAIN_SHARDS * _MIN_SHARD_SAMPLES:
                 return self._forward(x, training, decisions)
             return self._forward_in_shards(x, decisions)
@@ -283,22 +285,22 @@ class Model:
         return Tensor(np.concatenate([t.data for t in outs]))
 
     def _forward_in_shards(self, x: Tensor, decisions: list[np.ndarray] | None) -> Tensor:
-        """A training forward in two sample shards, the second in the worker."""
+        """A training forward in two sample shards, the second in the worker;
+        the whole batch while another thread's step of another model holds
+        the worker."""
         b = x.shape[0]
         split = b // 2
         params = self.parameters()
-        worker = worker_for(self, params)
         own = None if decisions is None else []
-        logits, step, rest, theirs = worker.forward(
-            lambda: self._forward(Tensor(x.data[:split]), True, own), x.data[split:],
-            decisions is not None, b)
+        step = shards.forward(self, params,
+                              lambda: self._forward(Tensor(x.data[:split]), True, own),
+                              x.data[split:], decisions is not None, b)
+        if step is None:
+            return self._forward(x, True, decisions)
+        logits, rest, theirs, sweep_rest = step
         if decisions is not None:
             decisions.extend(own)
             decisions.extend(theirs)
-
-        def sweep_rest(sweep, g, model=self):  # the model, so its worker, outlives the tape
-            return worker.backward(step, sweep, g, b)
-
         return join_shards(logits, rest, params, sweep_rest)
 
     def _forward(self, x: Tensor, training: bool,

@@ -22,12 +22,20 @@ then, with the parameter values of every later step:
   ``ShardAborted`` at its next all-reduce instead of waiting; the caller
   raises the first error in shard order that is not ``ShardAborted``.
 
-At most one worker is alive: a sharded step of another model closes it and
-forks its own. It is killed and reaped when its model is collected, when
-``close_worker`` is called and at interpreter exit, and it dies with its
-parent (``PR_SET_PDEATHSIG`` on Linux, which fires when the thread that
-forked it ends; a step that finds its worker gone forks a new one). No
-other process is started.
+At most one worker is alive. A sharded step of another model closes it and
+forks its own, unless another thread took a step of the worker's model
+that is under way (its forward has run and its backward may still come):
+that step keeps the worker, and the other model's forward takes the whole
+batch. The worker is
+killed and reaped when its model is collected, when ``close_worker`` is
+called, when a step finds it dead or stops waiting for it (^C), and at
+interpreter exit, and it dies with its parent (``PR_SET_PDEATHSIG`` on Linux, which fires when the
+thread that forked it ends; a step that finds its worker gone forks a new
+one). No other process is started.
+
+Sharded training needs ``os.fork`` and x86-64's store order (see
+``_wait``); elsewhere ``AVAILABLE`` is false and training keeps the whole
+batch.
 """
 
 from __future__ import annotations
@@ -50,10 +58,13 @@ import numpy as np
 from .tensor import Tensor, _check_finite, _grad_enabled, _layer, _set, _sweep, in_shard
 
 _SLOT_BYTES = 1 << 16  # one shard's partial of one all-reduce: 2 x 4,096 float64 sums
-# x86-64 keeps stores in program order, so a shard that sees its partner's
-# count also sees the partner's slot. Elsewhere every wait blocks on the
-# wake pipe, whose system calls order the memory.
-_SPIN_S = 2e-4 if platform.machine().lower() in ("x86_64", "amd64") else 0.0
+# Whether training may run its second shard in a worker: the worker is
+# forked, and a shard reads its partner's slot as soon as it sees the
+# partner's count, which only a machine that keeps stores in program order
+# (x86-64) makes safe without a memory barrier.
+AVAILABLE = (hasattr(os, "fork") and hasattr(select, "poll")
+             and platform.machine().lower() in ("x86_64", "amd64"))
+_SPIN_S = 2e-4  # how long a shard spins on its partner's count before it blocks
 _POLL_S = 1.0  # how often a blocked shard checks that its partner is alive
 _HEADER = struct.Struct("<Q")
 
@@ -63,47 +74,43 @@ class ShardAborted(RuntimeError):
 
 
 class SharedReduce:
-    """Sums of per-shard partials for ``parties`` shards that share its
-    anonymous ``mmap``: forked processes, or threads.
+    """Sums of the partials of shards 0 and 1, which share its anonymous
+    ``mmap``: two forked processes, or two threads.
 
-    Each party writes its partial into its slot of the round's buffer,
+    Each shard writes its partial into its slot of the round's buffer,
     raises its published count and waits, spinning for ``_SPIN_S`` and then
-    blocking on its wake pipe, until every partner's count has reached the
-    round. Every party then adds slot 0 + slot 1 + ... in shard order, so
-    all get the same bits. Rounds alternate between two buffers: a party
-    writes a buffer again only after every partner has published the next
-    round, so after it has read this one.
+    blocking on its wake pipe, until its partner's count has reached the
+    round. Both then add slot 0 + slot 1, so both get the same bits. Rounds
+    alternate between two buffers: a shard writes a buffer again only after
+    its partner has published the next round, so after it has read this one.
     """
 
-    def __init__(self, parties: int = 2):
-        self.parties = parties
+    def __init__(self):
         self.samples = 0  # in the whole batch, for training batch norm
-        head = 8 * (parties + 1)
-        self._buf = mmap.mmap(-1, head + 2 * parties * _SLOT_BYTES)
-        # Each party's published count, then the abort flag.
-        self._counts = memoryview(self._buf)[:head].cast("q")
-        self._slots = np.frombuffer(self._buf, np.uint8, offset=head).reshape(
-            2, parties, _SLOT_BYTES)
-        self._wake = [os.pipe() for _ in range(parties)]
-        self._pollers = [select.poll() for _ in range(parties)]
+        self._buf = mmap.mmap(-1, 24 + 2 * 2 * _SLOT_BYTES)
+        # Shard 0's and shard 1's published counts, then the abort flag.
+        self._counts = memoryview(self._buf)[:24].cast("q")
+        self._slots = np.frombuffer(self._buf, np.uint8, offset=24).reshape(2, 2, _SLOT_BYTES)
+        self._wake = (os.pipe(), os.pipe())  # (read, write) that wakes shard 0, shard 1
+        self._pollers = (select.poll(), select.poll())
         for (read, write), poller in zip(self._wake, self._pollers):
             os.set_blocking(write, False)
             poller.register(read, select.POLLIN)
-        self._rounds = [0] * parties  # this process's rounds, per party
+        self._rounds = [0, 0]  # this process's rounds, per shard
         self.partner_alive = lambda: True
 
     def begin(self, samples: int, clear: bool) -> None:
         """Start a run over a batch of ``samples``; ``clear`` zeroes the
-        shared counts and abort flag, which only the party that starts the
-        run may do, while every partner is idle."""
+        shared counts and abort flag, which only the shard that starts the
+        run may do, while its partner is idle."""
         self.samples = samples
-        self._rounds = [0] * self.parties
+        self._rounds = [0, 0]
         if clear:
-            for i in range(self.parties + 1):
+            for i in range(3):
                 self._counts[i] = 0
 
     def all_reduce(self, index: int, partial: np.ndarray) -> np.ndarray:
-        """Every party's ``partial`` summed in shard order, a fresh array."""
+        """Both shards' ``partial`` summed in shard order, a fresh array."""
         partial = np.ascontiguousarray(partial)
         if partial.nbytes > _SLOT_BYTES:
             raise ValueError(f"an all-reduce of {partial.nbytes} bytes exceeds {_SLOT_BYTES}")
@@ -111,31 +118,33 @@ class SharedReduce:
         slots = self._slots[r % 2, :, : partial.nbytes]
         slots[index] = partial.reshape(-1).view(np.uint8)
         self._counts[index] = r
-        self._wake_partners(index)
+        self._wake_up(1 - index)
         self._wait(index, r)
-        parts = [s.view(partial.dtype).reshape(partial.shape) for s in slots]
-        return sum(parts[1:], parts[0])
+        first, second = (s.view(partial.dtype).reshape(partial.shape) for s in slots)
+        return first + second
 
     def abort(self) -> None:
-        """Make every party's current or next wait raise ``ShardAborted``."""
-        self._counts[self.parties] = 1
-        self._wake_partners(None)
+        """Make both shards' current or next wait raise ``ShardAborted``."""
+        self._counts[2] = 1
+        self._wake_up(0)
+        self._wake_up(1)
 
-    def _wake_partners(self, index: int | None) -> None:
-        for i, (_, write) in enumerate(self._wake):
-            if i != index:
-                try:
-                    os.write(write, b"\0")
-                except BlockingIOError:  # the pipe is full of wake-ups already
-                    pass
+    def _wake_up(self, index: int) -> None:
+        try:
+            os.write(self._wake[index][1], b"\0")
+        except BlockingIOError:  # the pipe is full of wake-ups already
+            pass
 
     def _wait(self, index: int, r: int) -> None:
-        counts, n = self._counts, self.parties
+        # The partner stored its slot before its count, and x86-64 keeps
+        # stores, and loads, in program order: once this shard sees the
+        # count it reads the slot's new bytes (see ``AVAILABLE``).
+        counts, partner = self._counts, 1 - index
         spin_until = time.perf_counter() + _SPIN_S
         while True:
-            if all(counts[i] >= r for i in range(n) if i != index):
+            if counts[partner] >= r:
                 return
-            if counts[n]:
+            if counts[2]:
                 raise ShardAborted("a partner shard failed")
             if time.perf_counter() < spin_until:
                 continue
@@ -149,7 +158,7 @@ class SharedReduce:
         for fds in self._wake:
             for fd in fds:
                 os.close(fd)
-        self._wake = []
+        self._wake = ()
 
 
 def _shared_like(arrays: list[np.ndarray]) -> list[np.ndarray]:
@@ -205,8 +214,13 @@ class ShardWorker:
             view[...] = p.data
             p.data = view
         self.grads = _shared_like(self.views)
-        self.link = SharedReduce(2)
+        self.link = SharedReduce()
         self.step = 0
+        # What holds the worker for a step of its model: (the thread that
+        # took the step, True) from the claim through the forward, then (the
+        # thread, a weak reference to the step's ``sweep_rest``) until its
+        # backward has run; None between steps.
+        self.held = None
         self._lock = threading.Lock()
         requests, replies = os.pipe(), os.pipe()
         parent = os.getpid()
@@ -244,6 +258,15 @@ class ShardWorker:
         self._reaped = os.waitpid(self.pid, os.WNOHANG) != (0, 0)
         return not self._reaped
 
+    def busy(self) -> bool:
+        """Whether a step of the worker's model that another thread took
+        holds it (see ``held``). A step on this thread does not: a caller
+        that starts another model's step has moved on from it."""
+        if self.held is None:
+            return False
+        thread, hold = self.held
+        return thread != threading.get_ident() and (hold is True or hold() is not None)
+
     def serves(self, model, params: list[Tensor]) -> bool:
         """Whether this worker runs ``model`` with these parameter Tensors,
         each still of its shape and dtype, and is alive."""
@@ -255,35 +278,50 @@ class ShardWorker:
     def forward(self, local, x: np.ndarray, capture: bool, samples: int):
         """Run ``local()`` (shard 0's forward) as shard 0 while the worker
         runs its model on ``x`` in training mode; returns (local's result,
-        step, shard 1's logits, its decision weights or None)."""
-        for p, view in zip(self.params, self.views):
-            if p.data is not view:  # rebound since the last step
-                view[...] = p.data
-                p.data = view
-        self.step += 1
-        mine, (logits, decisions) = self._run(local, ("forward", self.step, samples,
-                                                      (x, capture)))
-        return mine, self.step, logits, decisions
+        shard 1's logits, its decision weights or None, ``sweep_rest``).
 
-    def backward(self, step: int, local, g: np.ndarray, samples: int) -> list:
-        """Run ``local()`` (shard 0's sweep) as shard 0 while the worker
-        sweeps step ``step``'s shard 1 from ``g``; returns shard 1's
-        gradient for each parameter, None where it has none."""
-        _, reached = self._run(local, ("backward", step, samples, g))
-        reached = set(reached)
-        return [g if i in reached else None for i, g in enumerate(self.grads)]
+        ``sweep_rest(sweep, g)``, for ``tensor.join_shards``, runs ``sweep``
+        (shard 0's reverse sweep) as shard 0 while the worker sweeps this
+        step's shard 1 from ``g``, and returns shard 1's gradient for each
+        parameter, None where it has none. Under grad mode the worker stays
+        held for this step while ``sweep_rest`` lives and has not run.
+        """
+        thread = threading.get_ident()
+        try:
+            for p, view in zip(self.params, self.views):
+                if p.data is not view:  # rebound since the last step
+                    view[...] = p.data
+                    p.data = view
+            self.step += 1
+            step, model = self.step, self.owner()
+            mine, (logits, decisions) = self._run(local, ("forward", step, samples,
+                                                          (x, capture)))
+        except BaseException:
+            self.held = None
+            raise
+
+        def sweep_rest(sweep, g, model=model):  # the model, so its worker, outlives the tape
+            try:
+                _, reached = self._run(sweep, ("backward", step, samples, g))
+            finally:
+                if self.held is not None and self.held[1] is hold:
+                    self.held = None
+            reached = set(reached)
+            return [g if i in reached else None for i, g in enumerate(self.grads)]
+
+        hold = weakref.ref(sweep_rest)
+        self.held = (thread, hold) if _grad_enabled.get() else None
+        return mine, logits, decisions, sweep_rest
 
     def _run(self, local, request) -> tuple:
         with self._lock:
             if self.pid is None:
-                raise RuntimeError("the shard worker was closed; another model's sharded "
-                                   "step replaces it")
+                raise RuntimeError("the shard worker was closed")
             self.link.begin(request[2], clear=True)
             try:
                 _send(self._requests, request + (_modes(),))
-            except BaseException:
-                self.close()
-                raise
+            except BaseException as exc:
+                self._lost(exc, None)
             mine = error = None
             try:
                 with in_shard(self.link, 0):
@@ -293,11 +331,8 @@ class ShardWorker:
                 error = exc
             try:
                 status, theirs = _receive(self._replies)
-            except BaseException as exc:
-                self.close()
-                if isinstance(exc, EOFError):
-                    raise RuntimeError("the shard worker exited") from (error or exc)
-                raise
+            except BaseException as exc:  # ^C here, or the worker died mid-step
+                self._lost(exc, error)
         if error is not None and not isinstance(error, ShardAborted):
             raise error
         if status == "error":
@@ -306,19 +341,31 @@ class ShardWorker:
             raise error
         return mine, theirs
 
+    def _lost(self, exc: BaseException, error: BaseException | None) -> None:
+        """Close the worker, whose request or reply failed with ``exc``
+        (after shard 0's ``error``, if any), and raise."""
+        self._shut()
+        if isinstance(exc, (EOFError, BrokenPipeError)):
+            raise RuntimeError("the shard worker exited") from (error or exc)
+        raise exc
+
     def close(self) -> None:
         """Kill and reap the worker process; idempotent."""
         with self._lock:
-            pid, self.pid = self.pid, None
-            if pid is None:
-                return
-            self._finalizer.detach()
-            os.close(self._requests)
-            os.close(self._replies)
-            self.link.close()
-            if not self._reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            self._shut()
+
+    def _shut(self) -> None:
+        """``close`` for a caller that holds ``_lock``."""
+        pid, self.pid = self.pid, None
+        if pid is None:
+            return
+        self._finalizer.detach()
+        os.close(self._requests)
+        os.close(self._replies)
+        self.link.close()
+        if not self._reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _die_with(parent: int) -> None:
@@ -387,17 +434,24 @@ _worker: ShardWorker | None = None
 _worker_lock = threading.Lock()
 
 
-def worker_for(model, params: list[Tensor]) -> ShardWorker:
-    """The worker that runs ``model``'s shard 1, forked now if no live
-    worker runs it with these parameters; the previous worker is closed
-    first, so at most one is alive."""
+def forward(model, params: list[Tensor], local, x: np.ndarray, capture: bool,
+            samples: int):
+    """``ShardWorker.forward`` of the worker that runs ``model``'s shard 1
+    with these parameters, forked now if no live worker does; the previous
+    worker is closed first, so at most one is alive. Returns None, having
+    run nothing, while a step of another model that another thread took
+    holds the live worker."""
     global _worker
     with _worker_lock:
-        if _worker is None or not _worker.serves(model, params):
-            if _worker is not None:
-                _worker.close()
-            _worker = ShardWorker(model, params)
-        return _worker
+        worker = _worker
+        if worker is None or not worker.serves(model, params):
+            if worker is not None and worker.busy() and worker.alive():
+                return None
+            if worker is not None:
+                worker.close()
+            _worker = worker = ShardWorker(model, params)
+        worker.held = threading.get_ident(), True
+    return worker.forward(local, x, capture, samples)
 
 
 def close_worker() -> None:

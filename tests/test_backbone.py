@@ -9,6 +9,7 @@ import textwrap
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -933,6 +934,57 @@ class TestShardedTraining:
     assert np.isfinite(step(model).item()) and shards._worker.pid == worker
 """, tmp_path)
 
+    @pytest.mark.parametrize("phase", ["forward", "backward"])
+    def test_a_worker_killed_mid_step_is_replaced_at_the_next_step(self, tmp_path, phase):
+        # Shard 0 kills the worker in stage2.block0, with batch norms still
+        # ahead of it, as an out-of-memory kill would: shard 0 finds its
+        # partner gone at its next all-reduce, and the caller reaps the
+        # worker and raises instead of waiting for a reply.
+        run_isolated(STEP_PRELUDE + f"""
+    import signal
+    PHASE = {phase!r}
+    model = build_network(RunConfig(depth=11, attention="sem"), RngState(110))
+    conv2d = backbone.conv2d
+
+    def kill():
+        if os.path.exists("kill") and tensor.current_shard()[1] == 0:
+            os.remove("kill")
+            os.kill(shards._worker.pid, signal.SIGKILL)
+
+    def planted(*args, **kwargs):
+        here = tensor._layer.get() == "stage2.block0"
+        if here and PHASE == "forward":
+            kill()
+        out = conv2d(*args, **kwargs)
+        if here and PHASE == "backward":
+            rule = out._backward
+
+            def killing(g):
+                kill()
+                return rule(g)
+
+            out._backward = killing
+        return out
+
+    backbone.conv2d = planted
+    step(model)
+    dead = shards._worker.pid
+    open("kill", "w").close()
+    try:
+        step(model)
+    except RuntimeError as exc:
+        assert str(exc) == "the shard worker exited", repr(exc)
+    else:
+        raise AssertionError("no error")
+    try:
+        os.waitpid(dead, os.WNOHANG)
+    except ChildProcessError:  # reaped
+        pass
+    else:
+        raise AssertionError("the killed worker is not reaped")
+    assert np.isfinite(step(model).item()) and shards._worker.pid not in (None, dead)
+""", tmp_path)
+
     @pytest.mark.parametrize("shard", [0, 1])
     def test_first_nonfinite_op_names_the_failing_shards_layer(self, tmp_path, shard):
         # Only one shard plants a NaN, in bn2's input; the batch statistics
@@ -968,6 +1020,129 @@ class TestShardedTraining:
             backward(first)
         backward(second)
         assert all(p.grad is not None for p in model.parameters())
+
+    def test_an_interrupt_while_the_caller_waits_closes_the_worker(self, tmp_path):
+        # ^C reaches the caller while it waits for the worker's reply: shard
+        # 0's forward is done, and shard 1 is still in its classifier, past
+        # the last all-reduce. The step kills and reaps the worker and
+        # raises; the next step forks a new one.
+        run_isolated(STEP_PRELUDE + """
+    import signal
+    import threading
+    import time
+
+    model = build_network(RunConfig(depth=11, attention="sem"), RngState(110))
+    affine = backbone.affine
+
+    def planted(*args, **kwargs):
+        if os.path.exists("slow") and tensor.current_shard()[1] == 1:
+            time.sleep(60)
+        return affine(*args, **kwargs)
+
+    backbone.affine = planted
+    step(model)
+    worker = shards._worker
+    open("slow", "w").close()
+    threading.Timer(2, os.kill, (os.getpid(), signal.SIGINT)).start()
+    try:
+        step(model)
+    except KeyboardInterrupt:
+        pass
+    else:
+        raise AssertionError("no interrupt")
+    assert worker.pid is None
+    os.remove("slow")
+    assert np.isfinite(step(model).item()) and shards._worker is not worker
+""", tmp_path)
+
+    def test_concurrent_callers_share_the_worker(self, tmp_path):
+        # Several models train on threads at once, with frequent thread
+        # switches. A model's step takes the worker over, or takes the whole
+        # batch while another model's step holds it; either way each caller
+        # finishes with the bits of that step taken alone.
+        run_isolated(STEP_PRELUDE + """
+    import sys
+    import threading
+
+    callers = 4
+    models = [build_network(RunConfig(depth=11, attention="sem"), RngState(110))
+              for _ in range(callers + 2)]
+
+    def outcome(model, loss):
+        return ([loss.data.tobytes()] + [p.grad.tobytes() for p in model.parameters()]
+                + [b.tobytes() for _, b in model.named_buffers()])
+
+    sharded = outcome(models[-1], step(models[-1]))
+    shards.close_worker()
+    loss = softmax_cross_entropy(models[-2]._forward(x, True, None), labels)
+    backward(loss)
+    whole = outcome(models[-2], loss)
+    results, errors = {}, []
+
+    def caller(i):
+        try:
+            results[i] = outcome(models[i], step(models[i]))
+        except Exception as exc:
+            errors.append(exc)
+
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=caller, args=(i,), daemon=True) for i in range(callers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=90)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert all(results[i] in (sharded, whole) for i in range(callers))
+    assert sharded in results.values()  # the first caller forks the worker
+""", tmp_path)
+
+    def test_a_step_under_way_on_another_thread_keeps_the_worker(self):
+        # a's forward, taken on another thread, has run and its backward is
+        # still to come, so b's step here takes the whole batch, the bits of
+        # its oracle, and leaves a the worker. Once a's step is done, or its
+        # loss dropped, b takes the worker over; on one thread it always does.
+        a = build_network(RunConfig(depth=11, attention="sem"), RngState(131), np.float64)
+        b, oracle = shard_oracle_pair(132)
+        gen = RngState(133).generator()
+        x = Tensor(gen.standard_normal((6, 3, 32, 32)), dtype=np.float64)
+        labels = gen.integers(0, 10, size=6)
+
+        # The thread outlives the worker it forks, which dies with it.
+        other = ThreadPoolExecutor(1)
+
+        def loss_on_a_thread(model):
+            return other.submit(lambda: softmax_cross_entropy(model(x, training=True),
+                                                              labels)).result()
+
+        pending = loss_on_a_thread(a)
+        worker = shards._worker.pid
+        loss = softmax_cross_entropy(b(x, training=True), labels)
+        backward(loss)
+        want = softmax_cross_entropy(oracle._forward(x, True, None), labels)
+        backward(want)
+        assert loss.data.tobytes() == want.data.tobytes()
+        for (name, p), q in zip(b.named_parameters(), oracle.parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes(), name
+        backward(pending)
+        assert shards._worker.pid == worker
+        assert all(p.grad is not None for p in a.parameters())
+        b(x, training=True)
+        assert shards._worker.pid != worker
+        worker = shards._worker.pid
+        dropped = loss_on_a_thread(a)
+        assert shards._worker.pid != worker
+        worker = shards._worker.pid
+        del dropped
+        b(x, training=True)
+        assert shards._worker.pid != worker
+        worker = shards._worker.pid
+        pending = softmax_cross_entropy(a(x, training=True), labels)
+        b(x, training=True)
+        assert shards._worker.pid != worker and live_children() == [shards._worker.pid]
+        with pytest.raises(RuntimeError, match="the shard worker was closed"):
+            backward(pending)
+        other.shutdown()
 
     @pytest.mark.parametrize("change", ["load_state_arrays", "rebind"])
     def test_later_steps_see_the_callers_parameters(self, change):
