@@ -91,7 +91,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _split_records(args, cfg: RunConfig) -> list:
+def _split_records(args, cfg: RunConfig):
     """The ``--split`` records of a checkpoint's dataset, from ``--data-dir`` if given."""
     if args.data_dir:
         cfg = replace(cfg, data_dir=args.data_dir)

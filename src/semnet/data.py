@@ -3,15 +3,21 @@
 The binary formats are read exactly as published: CIFAR-10 records are
 3,073 bytes (label byte + 1,024 R + 1,024 G + 1,024 B row-major pixels);
 CIFAR-100 records are 3,074 bytes (coarse label, fine label, pixels).
-Every record holds uint8 pixels: decoded records keep views of the file's
-bytes and synthetic images are quantised to the same 8 bits. Batches scale
-them to [0, 1] float32.
+Every record holds uint8 pixels: decoded records keep views of the bytes
+read from their file, and synthetic images are quantised to the same 8
+bits. Batches scale them to [0, 1] float32.
 """
 
 from __future__ import annotations
 
+import bisect
+import copy
+import itertools
 import math
+import operator
 import os
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +38,7 @@ CIFAR10_TEST_FILES = ("test_batch.bin",)
 CIFAR100_TRAIN_FILES = ("train.bin",)
 CIFAR100_TEST_FILES = ("test.bin",)
 _CANONICAL_SUBDIRS = {10: "cifar-10-batches-bin", 100: "cifar-100-binary"}
+_BLOCK_RECORDS = 1024  # records a split reads at once while it validates a file: 3 MiB
 
 # Independent RNG stream namespaces under one seed, so shuffling and
 # augmentation draws never interleave.
@@ -70,17 +77,28 @@ class AugmentConfig:
 # Binary decoding
 # ---------------------------------------------------------------------------
 
-def decode_records(buf: bytes, variant: int, *, source: str = "<bytes>") -> list[DatasetRecord]:
+def decode_records(buf: bytes, variant: int, *, source: str = "<bytes>",
+                   offset: int = 0) -> list[DatasetRecord]:
     """Decode a block of binary records, validating stride and label range.
 
-    Errors name the byte offset in ``buf`` of the first offending byte.
+    The pixels are read-only views of ``buf``. Errors name the byte offset
+    of the first offending byte, counted from ``offset``: where ``buf``
+    starts in its file.
     """
+    labels, coarse, pixels = _parse(buf, variant, source, offset)
+    coarse = [None] * len(labels) if coarse is None else coarse.tolist()
+    return list(map(DatasetRecord, pixels, labels.tolist(), coarse))
+
+
+def _parse(buf, variant: int, source: str, offset: int):
+    """``decode_records``' checks; returns the block's labels, coarse labels
+    (None for CIFAR-10) and (N, C, H, W) pixels, all views of ``buf``."""
     stride = _record_stride(variant)
     if len(buf) % stride != 0:
         raise IngestionError(
             f"{source}: truncated file, partial record starts at byte offset "
-            f"{len(buf) - len(buf) % stride} "
-            f"(size {len(buf)} not a multiple of {stride})")
+            f"{offset + len(buf) - len(buf) % stride} "
+            f"(size {offset + len(buf)} not a multiple of {stride})")
     n = len(buf) // stride
     raw = np.frombuffer(buf, dtype=np.uint8).reshape(n, stride)
     label_col = 0 if variant == 10 else 1
@@ -90,15 +108,13 @@ def decode_records(buf: bytes, variant: int, *, source: str = "<bytes>") -> list
         bad = int(np.argmax(coarse >= 20))
         raise IngestionError(
             f"{source}: coarse label {coarse[bad]} out of range at byte offset "
-            f"{bad * stride}")
+            f"{offset + bad * stride}")
     if labels.size and labels.max() >= variant:
         bad = int(np.argmax(labels >= variant))
         raise IngestionError(
             f"{source}: label {labels[bad]} >= {variant} at byte offset "
-            f"{bad * stride + label_col}")
-    pixels = raw[:, stride - PIXELS_PER_IMAGE :].reshape(n, *IMAGE_SHAPE)
-    coarse = [None] * n if coarse is None else coarse.tolist()
-    return list(map(DatasetRecord, pixels, labels.tolist(), coarse))
+            f"{offset + bad * stride + label_col}")
+    return labels, coarse, raw[:, stride - PIXELS_PER_IMAGE :].reshape(n, *IMAGE_SHAPE)
 
 
 def encode_record(record: DatasetRecord, variant: int) -> bytes:
@@ -119,8 +135,9 @@ def _record_stride(variant: int) -> int:
     raise ValueError(f"variant must be 10 or 100, got {variant}")
 
 
-def load_cifar(path, variant: int) -> tuple[list[DatasetRecord], list[DatasetRecord]]:
-    """Load the train and test splits from the canonical binary files.
+def load_cifar(path, variant: int) -> tuple[CifarSplit, CifarSplit]:
+    """The train and test splits in the canonical binary files, each read
+    from its open files on demand (see ``CifarSplit``).
 
     Exactly 50,000 train and 10,000 test records are required.
     """
@@ -128,22 +145,94 @@ def load_cifar(path, variant: int) -> tuple[list[DatasetRecord], list[DatasetRec
     root = _dataset_root(path, variant)
     train_files = CIFAR10_TRAIN_FILES if variant == 10 else CIFAR100_TRAIN_FILES
     test_files = CIFAR10_TEST_FILES if variant == 10 else CIFAR100_TEST_FILES
+    train = CifarSplit(root, train_files, variant, CIFAR_TRAIN_COUNT)
+    return train, CifarSplit(root, test_files, variant, CIFAR_TEST_COUNT)
 
-    def read_split(names, expected):
-        records = []
-        for name in names:
-            full = os.path.join(root, name)
-            if not os.path.exists(full):
-                raise IngestionError(f"missing dataset file {full}")
-            with open(full, "rb") as fh:
-                buf = fh.read()
-            records.extend(decode_records(buf, variant, source=full))
-        if len(records) != expected:
+
+def _close_all(fds: list[int]) -> None:
+    for fd in fds:
+        os.close(fd)
+
+
+class CifarSplit(Sequence):
+    """The records of one split, read from its open files when indexed.
+
+    At load each file is streamed once through one buffer of
+    ``_BLOCK_RECORDS`` records and validated by ``decode_records``' checks;
+    the split keeps only each record's label bytes and its place in the
+    files, and no pixels. An index reads its record with one ``os.pread``; a
+    slice reads each run of consecutive records in one file as one block,
+    decoded by ``decode_records``. A read that no longer finds the loaded
+    records, because a file was cut short or rewritten, raises
+    ``IngestionError``. ``take`` gives a view over some of the records. The
+    files are closed once the split and its views are collected.
+    """
+
+    def __init__(self, root: str, names, variant: int, expected: int):
+        self._variant, self._paths, self._fds = variant, [], []
+        self._close = weakref.finalize(self, _close_all, self._fds)
+        self._owner = None  # the split a view reads through, kept alive
+        stride = _record_stride(variant)
+        buf = memoryview(bytearray(_BLOCK_RECORDS * stride))
+        heads, counts = [], []
+        try:
+            for name in names:
+                full = os.path.join(root, name)
+                if not os.path.exists(full):
+                    raise IngestionError(f"missing dataset file {full}")
+                self._fds.append(os.open(full, os.O_RDONLY))
+                self._paths.append(full)
+                offset = 0
+                while n := os.preadv(self._fds[-1], [buf], offset):
+                    _parse(buf[:n], variant, full, offset)
+                    heads.append(np.frombuffer(buf[:n], np.uint8).reshape(-1, stride)
+                                 [:, : stride - PIXELS_PER_IMAGE].tobytes())
+                    offset += n
+                counts.append(offset // stride)
+            if sum(counts) != expected:
+                raise IngestionError(
+                    f"{root}: expected {expected} records in {names}, got {sum(counts)}")
+        except BaseException:
+            self._close()
+            raise
+        self._heads = b"".join(heads)  # each record's label byte(s), in record order
+        self._first = list(itertools.accumulate(counts, initial=0))  # each file's first record
+        self._numbers = np.arange(expected)  # the records this split holds, in order
+
+    def __len__(self) -> int:
+        return len(self._numbers)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            numbers = self._numbers[key]
+            runs = np.split(numbers, np.flatnonzero(np.diff(numbers) != 1) + 1)
+            return [r for run in runs if len(run) for r in self._block(int(run[0]), len(run))]
+        return self._block(int(self._numbers[operator.index(key)]), 1)[0]
+
+    def take(self, indices) -> CifarSplit:
+        """A view of the records at ``indices``, in that order, read from the
+        same files: no pixels are copied."""
+        view = copy.copy(self)
+        view._owner, view._numbers = self, self._numbers[np.asarray(indices)]
+        return view
+
+    def _block(self, first: int, count: int) -> list[DatasetRecord]:
+        """Records ``first`` to ``first + count`` of the files, one read per file."""
+        f = bisect.bisect_right(self._first, first) - 1
+        here = min(count, self._first[f + 1] - first)
+        stride = _record_stride(self._variant)
+        h = stride - PIXELS_PER_IMAGE
+        offset = (first - self._first[f]) * stride
+        buf = os.pread(self._fds[f], here * stride, offset)
+        heads = self._heads[first * h : (first + here) * h]
+        if len(buf) < here * stride or any(buf[j::stride] != heads[j::h] for j in range(h)):
+            bad = next(i for i in range(here) if len(buf) < (i + 1) * stride
+                       or buf[i * stride : i * stride + h] != heads[i * h : (i + 1) * h])
             raise IngestionError(
-                f"{root}: expected {expected} records in {names}, got {len(records)}")
-        return records
-
-    return read_split(train_files, CIFAR_TRAIN_COUNT), read_split(test_files, CIFAR_TEST_COUNT)
+                f"{self._paths[f]}: changed since it was loaded: the record at byte offset "
+                f"{offset + bad * stride} is cut short or relabelled")
+        records = decode_records(buf, self._variant, source=self._paths[f], offset=offset)
+        return records if here == count else records + self._block(first + here, count - here)
 
 
 def _dataset_root(path, variant: int) -> str:
@@ -155,7 +244,7 @@ def _dataset_root(path, variant: int) -> str:
 # Normalisation and augmentation
 # ---------------------------------------------------------------------------
 
-def compute_channel_stats(records: list[DatasetRecord]) -> tuple[np.ndarray, np.ndarray]:
+def compute_channel_stats(records: Sequence[DatasetRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and population std over a split in float64, correctly
     rounded from exact integer pixel sums, so independent of record order.
     Record chunks are cast into one float32 scratch and summed in runs of at
@@ -257,7 +346,7 @@ def synthetic_dataset(n: int, classes: int, seed: int) -> list[DatasetRecord]:
 # Batching
 # ---------------------------------------------------------------------------
 
-def batch_iterator(records: list[DatasetRecord], batch_size: int,
+def batch_iterator(records: Sequence[DatasetRecord], batch_size: int,
                    shuffle_seed: int, epoch: int, *,
                    shuffle: bool = True,
                    augment_cfg: AugmentConfig | None = None,
@@ -281,7 +370,8 @@ def batch_iterator(records: list[DatasetRecord], batch_size: int,
         aug_gen = RngState(shuffle_seed, _AUGMENT_STREAM + epoch).generator()
     for start in range(0, len(records), batch_size):
         idx = order[start : start + batch_size]
-        batch = [records[i] for i in idx]
+        # In order, a batch is one slice: one block read of a CifarSplit.
+        batch = [records[i] for i in idx] if shuffle else records[start : start + batch_size]
         images = _stack_pixels(batch)
         labels = np.array([r.label for r in batch], dtype=np.int64)
         if aug_gen is not None:

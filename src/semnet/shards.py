@@ -29,9 +29,8 @@ that step keeps the worker, and the other model's forward takes the whole
 batch. The worker is
 killed and reaped when its model is collected, when ``close_worker`` is
 called, when a step finds it dead or stops waiting for it (^C), and at
-interpreter exit, and it dies with its parent (``PR_SET_PDEATHSIG`` on Linux, which fires when the
-thread that forked it ends; a step that finds its worker gone forks a new
-one). No other process is started.
+interpreter exit. It exits within ``_POLL_S`` once its parent process is
+gone, whichever thread forked it. No other process is started.
 
 Sharded training needs ``os.fork`` and x86-64's store order (see
 ``_wait``); elsewhere ``AVAILABLE`` is false and training keeps the whole
@@ -40,7 +39,6 @@ batch.
 
 from __future__ import annotations
 
-import ctypes
 import gc
 import mmap
 import os
@@ -368,29 +366,20 @@ class ShardWorker:
             os.waitpid(pid, 0)
 
 
-def _die_with(parent: int) -> None:
-    """Have the kernel kill this process when its parent exits, and exit
-    now if the parent already has."""
-    try:
-        prctl = ctypes.CDLL(None).prctl
-    except (AttributeError, OSError):  # not Linux
-        pass
-    else:
-        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-    if os.getppid() != parent:
-        os._exit(0)
-
-
 def _serve(model, worker: ShardWorker, requests: int, replies: int, parent: int) -> None:
-    """The worker's loop: one reply per request until the pipe closes."""
-    _die_with(parent)
+    """The worker's loop: one reply per request until the pipe closes or,
+    checked every ``_POLL_S`` while idle, the parent is gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C
     link = worker.link
     link.partner_alive = lambda: os.getppid() == parent
+    idle = select.poll()
+    idle.register(requests, select.POLLIN)
     index = {id(p): i for i, p in enumerate(worker.params)}
     tape = None  # (step, logits) of the last forward
     while True:
+        while not idle.poll(_POLL_S * 1000):
+            if not link.partner_alive():
+                return
         try:
             kind, step, samples, payload, (grad, check, layer, errs) = _receive(requests)
         except EOFError:

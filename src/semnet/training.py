@@ -24,6 +24,7 @@ import os
 import platform
 import resource
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -279,7 +280,7 @@ class TrainResult:
 # Data assembly
 # ---------------------------------------------------------------------------
 
-def load_datasets(cfg: RunConfig) -> tuple[list, list]:
+def load_datasets(cfg: RunConfig) -> tuple[Sequence, Sequence]:
     """Train/test records for the configured dataset, subset applied."""
     if cfg.dataset == "synthetic":
         total = cfg.synthetic_train + cfg.synthetic_test
@@ -294,9 +295,12 @@ def load_datasets(cfg: RunConfig) -> tuple[list, list]:
         train, test = data_mod.load_cifar(cfg.data_dir, variant)
     if cfg.train_subset is not None and cfg.train_subset < len(train):
         order = RngState(cfg.seed, _STREAM_SUBSET).generator().permutation(len(train))
-        kept = [train[i] for i in order[: cfg.train_subset]]
-        # Copied, so the kept pixels do not pin every file's buffer.
-        train = [data_mod.DatasetRecord(r.pixels.copy(), r.label, r.coarse_label) for r in kept]
+        kept = order[: cfg.train_subset]
+        if isinstance(train, data_mod.CifarSplit):
+            train = train.take(kept)  # read from the files, as the whole split
+        else:  # copied, so the kept pixels do not pin a decoded buffer
+            train = [data_mod.DatasetRecord(train[i].pixels.copy(), train[i].label,
+                                            train[i].coarse_label) for i in kept]
     return train, test
 
 
@@ -304,7 +308,7 @@ def load_datasets(cfg: RunConfig) -> tuple[list, list]:
 # Evaluation and training
 # ---------------------------------------------------------------------------
 
-def evaluate(model: Model, records: list, batch_size: int,
+def evaluate(model: Model, records: Sequence, batch_size: int,
              channel_mean, channel_std) -> float:
     """Top-1 accuracy (percent) with running-statistics normalisation."""
     correct = 0

@@ -1,6 +1,7 @@
 import gc
 import glob
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -52,6 +53,27 @@ def no_child_left_alive():
         pytest.fail(f"child processes left alive: {left}")
 
 
+def open_fds() -> set[str]:
+    """This process's open file descriptors, from /proc/self/fd."""
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture(autouse=True)
+def no_file_left_open():
+    """Fail a test that leaves a file descriptor open once its objects are
+    collected, such as a CIFAR split's files. Skipped where /proc/self/fd
+    does not exist."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = open_fds()
+    yield
+    gc.collect()
+    left = open_fds() - before
+    if left:
+        pytest.fail(f"file descriptors left open: {sorted(left, key=int)}")
+
+
 def write_cifar10_style(root, *, train_records=50_000, test_records=10_000,
                         seed=1234) -> str:
     """Synthesise files in the exact CIFAR-10 binary layout."""
@@ -83,6 +105,18 @@ def _write_records(path, n, variant, gen):
         block[:, 1] = gen.integers(0, 100, size=n, dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write(block.tobytes())
+
+
+def with_own_test_file(cifar_dir, root) -> str:
+    """A copy of the CIFAR directory ``cifar_dir`` at ``root`` whose test
+    file may be changed: the train files are links to ``cifar_dir``'s."""
+    os.makedirs(root, exist_ok=True)
+    for name in os.listdir(cifar_dir):
+        if name.startswith("test"):
+            shutil.copyfile(os.path.join(cifar_dir, name), os.path.join(root, name))
+        else:
+            os.symlink(os.path.join(cifar_dir, name), os.path.join(root, name))
+    return root
 
 
 @pytest.fixture(scope="session")

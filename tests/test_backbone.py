@@ -9,7 +9,6 @@ import textwrap
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -769,6 +768,18 @@ def shard_oracle_pair(seed, dtype=np.float64):
     return pair
 
 
+def loss_on_an_ended_thread(model, x, labels):
+    """The training loss of ``model`` on (x, labels), its forward run on a
+    thread that has ended."""
+    losses = []
+    other = threading.Thread(target=lambda: losses.append(
+        softmax_cross_entropy(model(x, training=True), labels)))
+    other.start()
+    other.join(timeout=60)
+    assert not other.is_alive()
+    return losses[0]
+
+
 def close(got, want, rtol=1e-12):
     """Normwise relative agreement."""
     return np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
@@ -1108,14 +1119,7 @@ class TestShardedTraining:
         x = Tensor(gen.standard_normal((6, 3, 32, 32)), dtype=np.float64)
         labels = gen.integers(0, 10, size=6)
 
-        # The thread outlives the worker it forks, which dies with it.
-        other = ThreadPoolExecutor(1)
-
-        def loss_on_a_thread(model):
-            return other.submit(lambda: softmax_cross_entropy(model(x, training=True),
-                                                              labels)).result()
-
-        pending = loss_on_a_thread(a)
+        pending = loss_on_an_ended_thread(a, x, labels)
         worker = shards._worker.pid
         loss = softmax_cross_entropy(b(x, training=True), labels)
         backward(loss)
@@ -1130,7 +1134,7 @@ class TestShardedTraining:
         b(x, training=True)
         assert shards._worker.pid != worker
         worker = shards._worker.pid
-        dropped = loss_on_a_thread(a)
+        dropped = loss_on_an_ended_thread(a, x, labels)
         assert shards._worker.pid != worker
         worker = shards._worker.pid
         del dropped
@@ -1142,7 +1146,25 @@ class TestShardedTraining:
         assert shards._worker.pid != worker and live_children() == [shards._worker.pid]
         with pytest.raises(RuntimeError, match="the shard worker was closed"):
             backward(pending)
-        other.shutdown()
+
+    def test_a_forward_on_an_ended_thread_keeps_its_worker(self):
+        # The worker is forked on a thread that ends before the backward;
+        # it serves that backward all the same, with the bits of a step
+        # taken on one thread.
+        model, twin = shard_oracle_pair(134)
+        gen = RngState(135).generator()
+        x = Tensor(gen.standard_normal((6, 3, 32, 32)), dtype=np.float64)
+        labels = gen.integers(0, 10, size=6)
+        want = softmax_cross_entropy(twin(x, training=True), labels)
+        backward(want)
+        loss = loss_on_an_ended_thread(model, x, labels)
+        worker = shards._worker.pid
+        time.sleep(0.2)  # time for a signal sent as the thread ended to land
+        backward(loss)
+        assert shards._worker.pid == worker and live_children() == [worker]
+        assert loss.data.tobytes() == want.data.tobytes()
+        for (name, p), q in zip(model.named_parameters(), twin.parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes(), name
 
     @pytest.mark.parametrize("change", ["load_state_arrays", "rebind"])
     def test_later_steps_see_the_callers_parameters(self, change):

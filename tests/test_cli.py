@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 
 from semnet import backbone
+from semnet import data as data_mod
 from semnet.checkpoint import read_checkpoint, write_checkpoint
 from semnet.cli import main
 from semnet.data import CIFAR10_RECORD_BYTES, CIFAR10_TEST_FILES, CIFAR10_TRAIN_FILES
 from semnet.errors import CheckpointError
 from semnet.training import RunConfig
+
+from conftest import with_own_test_file
 
 TINY = """\
 dataset=synthetic
@@ -244,6 +247,36 @@ def test_constant_channel_is_data_error(cifar10_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error: channel 1 is constant") and "Traceback" not in err
     assert not os.path.exists(out)
+
+
+def test_test_file_cut_short_during_eval_is_data_error(cifar10_dir, tiny_cfg, tmp_path,
+                                                      capsys, monkeypatch):
+    """A test file truncated after its split was loaded: eval's first batch
+    read raises, exit 3, no traceback."""
+    out = os.path.join(tmp_path, "run")
+    assert run_cli("train", "--config", tiny_cfg, "--synthetic-classes", "10",
+                   "--out-dir", out, "--epochs", "0") == 0
+    arrays = read_checkpoint(os.path.join(out, "final.ckpt"))
+    meta = json.loads(arrays["meta.config_json"].tobytes())
+    meta["dataset"] = "cifar10"
+    arrays["meta.config_json"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    checkpoint = os.path.join(tmp_path, "cifar10.ckpt")
+    write_checkpoint(checkpoint, arrays)
+    root = with_own_test_file(cifar10_dir, os.path.join(tmp_path, "data"))
+    test_file = os.path.join(root, "test_batch.bin")
+    load = data_mod.load_cifar
+
+    def load_then_cut(path, variant):
+        splits = load(path, variant)
+        os.truncate(test_file, 100 * CIFAR10_RECORD_BYTES)
+        return splits
+
+    monkeypatch.setattr(data_mod, "load_cifar", load_then_cut)
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", checkpoint, "--data-dir", root) == 3
+    err = capsys.readouterr().err
+    assert err == (f"data error: {test_file}: changed since it was loaded: the record at "
+                   f"byte offset {100 * CIFAR10_RECORD_BYTES} is cut short or relabelled\n")
 
 
 @pytest.mark.parametrize("name,shape", [(b"\xff\xfe", (2,)), (b"w", (2**62, 4)),

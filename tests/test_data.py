@@ -11,8 +11,8 @@ from semnet import data as data_mod
 from semnet.data import (
     CIFAR10_RECORD_BYTES,
     CIFAR100_RECORD_BYTES,
-    CIFAR10_TEST_FILES,
     CIFAR10_TRAIN_FILES,
+    CIFAR100_TRAIN_FILES,
     AugmentConfig,
     DatasetRecord,
     augment_batch,
@@ -28,7 +28,7 @@ from semnet.errors import IngestionError
 from semnet.rng import RngState
 
 import oracles
-from conftest import write_cifar10_style
+from conftest import with_own_test_file, write_cifar10_style
 
 
 class TestBinaryFormat:
@@ -242,27 +242,193 @@ class TestChannelStats:
 
 
 class TestDataMemory:
-    def test_load_cifar_holds_only_the_file_bytes(self, cifar10_dir):
-        # The pixels are views into the files' bytes: no float copy is held,
-        # only about 250 bytes of Python objects per record besides them.
+    def test_load_and_stats_hold_no_copy_of_the_split(self, cifar10_dir):
+        # A split keeps each record's label byte and reads pixels on
+        # demand: loading all 60,000 records and taking the train split's
+        # statistics peak far below the 176 MiB of the files.
         tracemalloc.start()
         try:
-            before = tracemalloc.get_traced_memory()[0]
             train, test = load_cifar(cifar10_dir, 10)
-            held = tracemalloc.get_traced_memory()[0] - before
+            compute_channel_stats(train)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        file_bytes = sum(os.path.getsize(os.path.join(cifar10_dir, name))
-                         for name in CIFAR10_TRAIN_FILES + CIFAR10_TEST_FILES)
-        assert held <= file_bytes + 1024 * (len(train) + len(test))
-        roots = {}
-        for record in train + test:
-            assert record.pixels.dtype == np.uint8
-            array = record.pixels
-            while isinstance(array.base, np.ndarray):
-                array = array.base
-            roots[id(array)] = array
-        assert sum(a.nbytes for a in roots.values()) <= file_bytes
+        assert len(train) + len(test) == 60_000
+        assert peak < 16 * 2**20, peak
+
+
+def file_records(root, names, variant):
+    """Every record of the files, decoded from their whole bytes."""
+    records = []
+    for name in names:
+        path = os.path.join(root, name)
+        with open(path, "rb") as fh:
+            records += decode_records(fh.read(), variant, source=path)
+    return records
+
+
+def same_records(got, want):
+    return ([(r.pixels.dtype, r.pixels.tobytes(), r.label, r.coarse_label) for r in got]
+            == [(r.pixels.dtype, r.pixels.tobytes(), r.label, r.coarse_label) for r in want])
+
+
+@pytest.mark.parametrize("variant", [10, 100])
+class TestSplitReads:
+    """A split reads, on demand, exactly the records that decoding the
+    files' whole bytes gives."""
+
+    @staticmethod
+    def load(request, variant):
+        # Not a fixture: pytest keeps a test's fixture values until after
+        # no_file_left_open has looked for open files.
+        root = request.getfixturevalue(f"cifar{variant}_dir")
+        train, test = load_cifar(root, variant)
+        names = CIFAR10_TRAIN_FILES if variant == 10 else CIFAR100_TRAIN_FILES
+        return train, test, file_records(root, names, variant)
+
+    def test_index_slice_and_iteration(self, request, variant):
+        train, _, want = self.load(request, variant)
+        for i in [0, 1, 9_999, 10_000, 12_345, 49_999, -1, -50_000]:
+            assert same_records([train[i]], [want[i]]), i
+            assert same_records([train[np.int64(i)]], [want[i]]), i
+        for key in [slice(9_990, 10_010), slice(0, 3), slice(49_990, None),
+                    slice(100, 90), slice(5, 40_000, 3_999), slice(None, None, -7_001)]:
+            assert same_records(train[key], want[key]), key
+        assert same_records(train, want)
+        for i in [50_000, -50_001]:
+            with pytest.raises(IndexError):
+                train[i]
+
+    def test_take_is_a_view_in_the_given_order(self, request, variant):
+        train, _, want = self.load(request, variant)
+        kept = np.random.default_rng(11).permutation(50_000)[:300]
+        view = train.take(kept)
+        assert len(view) == 300
+        assert same_records(view, [want[i] for i in kept])
+        assert same_records(view[10:20], [want[i] for i in kept[10:20]])
+        assert same_records(view.take([5, 2]), [want[kept[5]], want[kept[2]]])
+        del train  # the view keeps the files open
+        assert same_records([view[-1]], [want[kept[-1]]])
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_batches_match_the_decoded_list(self, request, variant, shuffle):
+        train, _, want = self.load(request, variant)
+        kept = np.random.default_rng(12).permutation(50_000)[:700]
+        got_records, want_records = train.take(kept), [want[i] for i in kept]
+        mean, std = compute_channel_stats(want_records)
+        for split, records in [(train, want), (got_records, want_records)]:
+            batches = [batch_iterator(r, 128, 3, 2, shuffle=shuffle,
+                                      augment_cfg=AugmentConfig(enabled=True),
+                                      channel_mean=mean, channel_std=std)
+                       for r in (split, records)]
+            for n, ((x, y), (wx, wy)) in enumerate(zip(*batches)):
+                assert x.data.tobytes() == wx.data.tobytes() and y.tolist() == wy.tolist()
+                if n == 5:
+                    break
+
+    def test_stats_match_the_decoded_list(self, request, variant):
+        train, test, _ = self.load(request, variant)
+        got = compute_channel_stats(test)
+        want = compute_channel_stats(list(test))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def write_files(root, variant, counts, *, edit=None, extra=0):
+    """Write ``counts[name]`` records per file in the CIFAR layout; ``edit``
+    maps a file name to (record, column, value) to plant, and ``extra``
+    bytes trail the first file."""
+    stride = CIFAR10_RECORD_BYTES if variant == 10 else CIFAR100_RECORD_BYTES
+    for k, (name, n) in enumerate(counts.items()):
+        raw = bytearray(cifar_layout_bytes(variant, n, seed=k))
+        if edit and name in edit:
+            record, column, value = edit[name]
+            raw[record * stride + column] = value
+        with open(os.path.join(root, name), "wb") as fh:
+            fh.write(bytes(raw) + bytes(extra if k == 0 else 0))
+    return str(root)
+
+
+class TestLoadErrors:
+    """Every check fires at load with the eager loader's message, byte
+    offsets counted from the start of the file, also past the first block
+    of records a split reads at once."""
+
+    BAD = 1_500  # a record in the second 1,024-record block
+
+    def test_missing_file(self, tmp_path):
+        root = write_files(tmp_path, 10, {"data_batch_1.bin": 10})
+        with pytest.raises(IngestionError) as exc:
+            load_cifar(root, 10)
+        assert str(exc.value) == f"missing dataset file {os.path.join(root, 'data_batch_2.bin')}"
+
+    @pytest.mark.parametrize("variant,stride", [(10, 3073), (100, 3074)])
+    def test_truncated_file(self, tmp_path, variant, stride):
+        name = "data_batch_1.bin" if variant == 10 else "train.bin"
+        root = write_files(tmp_path, variant, {name: self.BAD}, extra=100)
+        with pytest.raises(IngestionError) as exc:
+            load_cifar(root, variant)
+        assert str(exc.value) == (
+            f"{os.path.join(root, name)}: truncated file, partial record starts at byte "
+            f"offset {self.BAD * stride} (size {self.BAD * stride + 100} not a multiple "
+            f"of {stride})")
+
+    @pytest.mark.parametrize("variant,column,value,message", [
+        (10, 0, 10, "label 10 >= 10 at byte offset {}"),
+        (100, 1, 100, "label 100 >= 100 at byte offset {}"),
+        (100, 0, 20, "coarse label 20 out of range at byte offset {}")])
+    def test_label_out_of_range(self, tmp_path, variant, column, value, message):
+        stride = CIFAR10_RECORD_BYTES if variant == 10 else CIFAR100_RECORD_BYTES
+        names = (["data_batch_1.bin", "data_batch_2.bin"] if variant == 10
+                 else ["train.bin"])
+        root = write_files(tmp_path, variant, {n: 2 * self.BAD for n in names},
+                           edit={names[-1]: (self.BAD, column, value)})
+        with pytest.raises(IngestionError) as exc:
+            load_cifar(root, variant)
+        offset = self.BAD * stride + column
+        assert str(exc.value) == f"{os.path.join(root, names[-1])}: {message.format(offset)}"
+
+    @pytest.mark.parametrize("variant", [10, 100])
+    def test_wrong_record_count(self, tmp_path, variant):
+        names = CIFAR10_TRAIN_FILES if variant == 10 else CIFAR100_TRAIN_FILES
+        root = write_files(tmp_path, variant, {n: 10 for n in names})
+        with pytest.raises(IngestionError) as exc:
+            load_cifar(root, variant)
+        got = 10 * len(names)
+        assert str(exc.value) == f"{root}: expected 50000 records in {names}, got {got}"
+
+
+class TestFileChangedAfterLoad:
+    def test_truncated_test_file_fails_the_next_read(self, cifar10_dir, tmp_path):
+        root = with_own_test_file(cifar10_dir, str(tmp_path))
+        path = os.path.join(root, "test_batch.bin")
+        _, test = load_cifar(root, 10)
+        want = test[4_999]
+        os.truncate(path, 5_000 * CIFAR10_RECORD_BYTES + 100)
+        message = (f"{path}: changed since it was loaded: the record at byte offset "
+                   f"{5_000 * CIFAR10_RECORD_BYTES} is cut short or relabelled")
+        assert same_records([test[4_999]], [want])
+        for read in (lambda: test[5_000], lambda: test[4_990:5_010], lambda: test[-1],
+                     lambda: list(batch_iterator(test, 256, 0, 0, shuffle=False))):
+            with pytest.raises(IngestionError) as exc:
+                read()
+            assert str(exc.value).startswith(f"{path}: changed since it was loaded")
+        with pytest.raises(IngestionError) as exc:
+            test[5_000:5_001]
+        assert str(exc.value) == message
+
+    def test_relabelled_record_fails_its_read(self, cifar10_dir, tmp_path):
+        root = with_own_test_file(cifar10_dir, str(tmp_path))
+        path = os.path.join(root, "test_batch.bin")
+        _, test = load_cifar(root, 10)
+        offset = 7 * CIFAR10_RECORD_BYTES
+        with open(path, "r+b") as fh:
+            fh.seek(offset)
+            fh.write(bytes([(test[7].label + 1) % 10]))
+        with pytest.raises(IngestionError) as exc:
+            test[0:10]
+        assert str(exc.value) == (f"{path}: changed since it was loaded: the record at "
+                                  f"byte offset {offset} is cut short or relabelled")
+        assert test[6].label == test[0:7][6].label  # the records around it still read
 
 
 def stacked(records):
