@@ -77,22 +77,20 @@ class AugmentConfig:
 # Binary decoding
 # ---------------------------------------------------------------------------
 
-def decode_records(buf: bytes, variant: int, *, source: str = "<bytes>",
-                   offset: int = 0) -> list[DatasetRecord]:
+def decode_records(buf: bytes, variant: int, *, source: str = "<bytes>") -> list[DatasetRecord]:
     """Decode a block of binary records, validating stride and label range.
 
-    The pixels are read-only views of ``buf``. Errors name the byte offset
-    of the first offending byte, counted from ``offset``: where ``buf``
-    starts in its file.
+    Errors name the byte offset in ``buf`` of the first offending byte.
     """
-    labels, coarse, pixels = _parse(buf, variant, source, offset)
+    labels, coarse, pixels = _parse(buf, variant, source, 0)
     coarse = [None] * len(labels) if coarse is None else coarse.tolist()
     return list(map(DatasetRecord, pixels, labels.tolist(), coarse))
 
 
 def _parse(buf, variant: int, source: str, offset: int):
-    """``decode_records``' checks; returns the block's labels, coarse labels
-    (None for CIFAR-10) and (N, C, H, W) pixels, all views of ``buf``."""
+    """``decode_records``' checks, byte offsets counted from ``offset``:
+    where ``buf`` starts in its file. Returns the block's labels, coarse
+    labels (None for CIFAR-10) and (N, C, H, W) pixels, all views of ``buf``."""
     stride = _record_stride(variant)
     if len(buf) % stride != 0:
         raise IngestionError(
@@ -149,6 +147,16 @@ def load_cifar(path, variant: int) -> tuple[CifarSplit, CifarSplit]:
     return train, CifarSplit(root, test_files, variant, CIFAR_TEST_COUNT)
 
 
+def _pread_into(fd: int, buf: memoryview, offset: int) -> memoryview:
+    """``buf`` filled from byte ``offset`` of ``fd``, cut where the file ends.
+    A read that returns less is repeated, so only the end of the file leaves
+    ``buf`` short."""
+    n = 0
+    while n < len(buf) and (got := os.preadv(fd, [buf[n:]], offset + n)):
+        n += got
+    return buf[:n]
+
+
 def _close_all(fds: list[int]) -> None:
     for fd in fds:
         os.close(fd)
@@ -183,11 +191,11 @@ class CifarSplit(Sequence):
                 self._fds.append(os.open(full, os.O_RDONLY))
                 self._paths.append(full)
                 offset = 0
-                while n := os.preadv(self._fds[-1], [buf], offset):
-                    _parse(buf[:n], variant, full, offset)
-                    heads.append(np.frombuffer(buf[:n], np.uint8).reshape(-1, stride)
+                while block := _pread_into(self._fds[-1], buf, offset):
+                    _parse(block, variant, full, offset)
+                    heads.append(np.frombuffer(block, np.uint8).reshape(-1, stride)
                                  [:, : stride - PIXELS_PER_IMAGE].tobytes())
-                    offset += n
+                    offset += len(block)
                 counts.append(offset // stride)
             if sum(counts) != expected:
                 raise IngestionError(
@@ -223,7 +231,7 @@ class CifarSplit(Sequence):
         stride = _record_stride(self._variant)
         h = stride - PIXELS_PER_IMAGE
         offset = (first - self._first[f]) * stride
-        buf = os.pread(self._fds[f], here * stride, offset)
+        buf = _pread_into(self._fds[f], memoryview(bytearray(here * stride)), offset)
         heads = self._heads[first * h : (first + here) * h]
         if len(buf) < here * stride or any(buf[j::stride] != heads[j::h] for j in range(h)):
             bad = next(i for i in range(here) if len(buf) < (i + 1) * stride
@@ -231,7 +239,7 @@ class CifarSplit(Sequence):
             raise IngestionError(
                 f"{self._paths[f]}: changed since it was loaded: the record at byte offset "
                 f"{offset + bad * stride} is cut short or relabelled")
-        records = decode_records(buf, self._variant, source=self._paths[f], offset=offset)
+        records = decode_records(buf.toreadonly(), self._variant)
         return records if here == count else records + self._block(first + here, count - here)
 
 
