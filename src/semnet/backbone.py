@@ -5,28 +5,22 @@ with base widths 16/32/64 (x4 at the block output). An attention gate,
 when configured, transforms the residual branch output of every block
 immediately before the skip addition.
 
-A training forward of at least ``2 * _MIN_SHARD_SAMPLES`` samples runs the
-batch in two contiguous sample shards at once: shard 0 on the calling
-thread, shard 1 in a worker process forked from this one (``semnet.shards``).
-The gates act per sample, and batch norm sums its statistics, and in
-backward its gradient sums, over both shards. The model's logits are one
-tape node whose rule runs both shards' reverse sweeps at once and adds
-their parameter gradients in shard order (``tensor.join_shards``). The
-shard count follows from the batch size alone, so a run's numbers do not
-depend on the machine's CPUs.
-
-Under ``no_grad`` an eval forward treats every sample on its own (the gates
-act per sample, batch norm uses its running statistics), so it runs in
-contiguous sample slices, one per CPU, at once, on the calling thread and
-a pool that ``semnet.tensor`` owns (``tensor.run_slices``); numpy releases
-the interpreter lock inside its kernels, so slices run in parallel. Each
-slice's logits are bit for bit those of the whole batch.
+A forward of at least ``2 * _MIN_SHARD_SAMPLES`` samples, in training or
+under ``no_grad`` in eval, runs the batch in two contiguous sample shards at
+once: shard 0 on the calling thread, shard 1 in a worker process forked
+from this one (``semnet.shards``). The gates act per sample. In training,
+batch norm sums its statistics, and in backward its gradient sums, over
+both shards, and the model's logits are one tape node whose rule runs both
+shards' reverse sweeps at once and adds their parameter gradients in shard
+order (``tensor.join_shards``). In eval, batch norm uses the caller's
+running statistics, so each sample's logits are bit for bit those of the
+whole batch. The shard count follows from the batch size alone, so a run's
+numbers do not depend on the machine's CPUs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,8 +30,7 @@ from .attention import DecisionRecord, SemParams
 from .rng import RngState
 from . import shards
 from .tensor import (PreActivation, Tensor, add, affine, batch_norm, conv2d, current_shard,
-                     global_avg_pool, is_grad_enabled, join_shards, layer_scope, reshape,
-                     run_slices)
+                     global_avg_pool, is_grad_enabled, join_shards, layer_scope, reshape)
 # Unused here since every ReLU is fused into its batch norm; imported so
 # perfbench's tracer, which patches ``semnet.backbone.relu``, finds it.
 from .tensor import relu  # noqa: F401
@@ -51,21 +44,13 @@ ATTENTION_MODES = ("none", "se", "eca", "ie", "sem", "random_single", "random_do
 # Conventional gates: one excitation operator, no decision network, and a
 # sigmoid switch (RunConfig.resolved pins it) whatever the configured one.
 SINGLE_OPERATOR_MODES = {"se": att.OPERATOR_FC, "eca": att.OPERATOR_CNN, "ie": att.OPERATOR_IE}
-_TRAIN_SHARDS = 2  # sample shards of a training forward: the caller's and the worker's
-# Samples each training shard needs, the fewest at which two shards beat
-# the whole batch. Measured in-process on 2 vCPUs: two shards of 4 won at
+_SHARDS = 2  # sample shards of a large forward: the caller's and the worker's
+# Samples each shard needs, the fewest at which two shards beat the whole
+# batch. Measured in-process on 2 vCPUs: two training shards of 4 won at
 # depths 20 and 164 (B=8, 5 of 5 rounds each, 1.15-1.7x); two of 2 won 5 of
 # 10 rounds and two of 1 won 1 of 4. With so few samples a step is bound by
 # Python op dispatch, and the shards' all-reduces cost as much as they save.
 _MIN_SHARD_SAMPLES = 4
-
-
-def eval_shard_count() -> int:
-    """Slices a large eval batch is split into: the CPUs in this process's
-    affinity mask."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def depth_to_blocks(depth: int) -> int:
@@ -254,49 +239,35 @@ class Model:
         """Logits (B, num_classes). ``decisions`` receives each decision
         gate's raw (B, N) weights; ``decision_records`` reads them.
 
-        A training forward of at least ``_TRAIN_SHARDS * _MIN_SHARD_SAMPLES``
-        samples runs two contiguous sample shards at once, the second in the
-        worker process (``semnet.shards``), and returns the logits as one
-        node (``join_shards``); a smaller batch, an ``x`` that requires a
-        gradient, a forward inside a shard, a machine without the worker
-        (``shards.AVAILABLE``) and a step of another model, taken on another
-        thread, that holds it keep the whole batch. Under
-        ``no_grad`` with ``training=False`` the batch runs in up to
-        ``eval_shard_count()`` slices on threads. Either way the logits are
-        concatenated in sample order and the weights reach ``decisions``
-        shard after shard."""
-        b = x.shape[0]
-        if training:
-            if x.requires_grad or current_shard() is not None or not shards.AVAILABLE \
-                    or b < _TRAIN_SHARDS * _MIN_SHARD_SAMPLES:
-                return self._forward(x, training, decisions)
-            return self._forward_in_shards(x, decisions)
-        n = 1 if is_grad_enabled() else min(eval_shard_count(), b)
-        if n <= 1:
+        A training forward, or an eval forward under ``no_grad``, of at least
+        ``_SHARDS * _MIN_SHARD_SAMPLES`` samples runs two contiguous sample
+        shards at once, the second in the worker process (``semnet.shards``),
+        and returns the logits concatenated in sample order, in training as
+        one node (``join_shards``); the weights reach ``decisions`` shard
+        after shard. A smaller batch, a recording eval forward, an ``x`` that
+        requires a gradient, a forward inside a shard, a machine without the
+        worker (``shards.AVAILABLE``) and a step of another model, taken on
+        another thread, that holds it keep the whole batch."""
+        if (x.requires_grad or current_shard() is not None or not shards.AVAILABLE
+                or x.shape[0] < _SHARDS * _MIN_SHARD_SAMPLES
+                or (not training and is_grad_enabled())):
             return self._forward(x, training, decisions)
-        bounds = [b * i // n for i in range(n + 1)]
-        parts = [None if decisions is None else [] for _ in range(n)]
-        outs = run_slices(
-            n, lambda i: self._forward(Tensor(x.data[bounds[i] : bounds[i + 1]]), training,
-                                       parts[i]))
-        if decisions is not None:
-            for part in parts:
-                decisions.extend(part)
-        return Tensor(np.concatenate([t.data for t in outs]))
+        return self._forward_in_shards(x, training, decisions)
 
-    def _forward_in_shards(self, x: Tensor, decisions: list[np.ndarray] | None) -> Tensor:
-        """A training forward in two sample shards, the second in the worker;
-        the whole batch while another thread's step of another model holds
-        the worker."""
+    def _forward_in_shards(self, x: Tensor, training: bool,
+                           decisions: list[np.ndarray] | None) -> Tensor:
+        """A forward in two sample shards, the second in the worker; the
+        whole batch while another thread's step of another model holds the
+        worker."""
         b = x.shape[0]
         split = b // 2
         params = self.parameters()
         own = None if decisions is None else []
         step = shards.forward(self, params,
-                              lambda: self._forward(Tensor(x.data[:split]), True, own),
-                              x.data[split:], decisions is not None, b)
+                              lambda: self._forward(Tensor(x.data[:split]), training, own),
+                              x.data[split:], training, decisions is not None, b)
         if step is None:
-            return self._forward(x, True, decisions)
+            return self._forward(x, training, decisions)
         logits, rest, theirs, sweep_rest = step
         if decisions is not None:
             decisions.extend(own)

@@ -1,23 +1,28 @@
-"""The second training shard, in a forked worker process.
+"""The second sample shard, in a forked worker process.
 
-A sharded training forward runs shard 0 on the calling thread and shard 1
-in one worker process per semnet process, so the two shards never take
-turns on one interpreter lock. The worker is forked from the caller at its
-model's first sharded training forward, and so runs the model as it was
-then, with the parameter values of every later step:
+A sharded forward, in training or in eval under ``no_grad``, runs shard 0
+on the calling thread and shard 1 in one worker process per semnet
+process, so the two shards never take turns on one interpreter lock. The
+worker is forked from the caller at its model's first sharded forward, and
+so runs the model as it was then, with the parameter values of every later
+step:
 
 * Before the fork the parameters move into one shared anonymous ``mmap``
   (their ``data`` is rebound to views of it), so SGD's in-place updates and
   ``load_state_arrays`` reach the worker with no copy. A ``data`` rebound
   since is copied back in, and the view rebound, at the next step.
-* Each step sends shard 1's images, and then its rows of the logits'
-  gradient, over a pipe, with the caller's no_grad, debug checks, layer
-  scope and errstate; the worker sends back its logits and decision weights,
-  then which parameters it reached. It writes their gradients into a second
-  shared buffer of the same layout, and ``tensor.join_shards`` adds them to
-  shard 0's in shard order. The worker keeps the tape of its last forward
-  only, so the backward of an earlier sharded forward raises.
-* Training batch norm all-reduces its sums through ``SharedReduce``.
+* Each step sends shard 1's images, and in training then its rows of the
+  logits' gradient, over a pipe, with the caller's no_grad, debug checks,
+  layer scope and errstate; the worker sends back its logits and decision
+  weights, then which parameters it reached. It writes their gradients
+  into a second shared buffer of the same layout, and
+  ``tensor.join_shards`` adds them to shard 0's in shard order. The worker
+  keeps the tape of its last recording forward only, so the backward of an
+  earlier one raises.
+* Training batch norm all-reduces its sums through ``SharedReduce``. Eval
+  batch norm reads the running statistics, which only the caller updates
+  (as shard 0 or over a whole batch) and which are not shared: an eval step
+  sends the caller's, and the worker writes them into its copies first.
 * A shard that raises aborts the reduce, so its partner raises
   ``ShardAborted`` at its next all-reduce instead of waiting; the caller
   raises the first error in shard order that is not ``ShardAborted``.
@@ -30,11 +35,10 @@ batch. The worker is
 killed and reaped when its model is collected, when ``close_worker`` is
 called, when a step finds it dead or stops waiting for it (^C), and at
 interpreter exit. It exits within ``_POLL_S`` once its parent process is
-gone, whichever thread forked it. No other process is started.
+gone, whichever thread forked it. No other process or thread is started.
 
-Sharded training needs ``os.fork`` and x86-64's store order (see
-``_wait``); elsewhere ``AVAILABLE`` is false and training keeps the whole
-batch.
+Sharding needs ``os.fork`` and x86-64's store order (see ``_wait``);
+elsewhere ``AVAILABLE`` is false and every forward keeps the whole batch.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import numpy as np
 from .tensor import Tensor, _check_finite, _grad_enabled, _layer, _set, _sweep, in_shard
 
 _SLOT_BYTES = 1 << 16  # one shard's partial of one all-reduce: 2 x 4,096 float64 sums
-# Whether training may run its second shard in a worker: the worker is
+# Whether a forward may run its second shard in a worker: the worker is
 # forked, and a shard reads its partner's slot as soon as it sees the
 # partner's count, which only a machine that keeps stores in program order
 # (x86-64) makes safe without a memory barrier.
@@ -201,8 +205,9 @@ def _modes() -> tuple:
 
 
 class ShardWorker:
-    """Shard 1 of one model's training forwards and their reverse sweeps,
-    run in a process forked from this one (see the module docstring)."""
+    """Shard 1 of one model's sharded forwards and of the training ones'
+    reverse sweeps, run in a process forked from this one (see the module
+    docstring)."""
 
     def __init__(self, model, params: list[Tensor]):
         self.owner = weakref.ref(model)
@@ -226,8 +231,7 @@ class ShardWorker:
         # of the objects it inherits (8 MiB less PSS at depth 164).
         gc.freeze()
         try:
-            # The worker keeps only this thread. The eval pool's threads, if
-            # any, wait on their queue, holding no lock the worker needs.
+            # The worker keeps only this thread: semnet starts no other.
             pid = os.fork()
         except BaseException:
             gc.unfreeze()
@@ -273,10 +277,11 @@ class ShardWorker:
                         for p, q, v in zip(params, self.params, self.views))
                 and self.alive())
 
-    def forward(self, local, x: np.ndarray, capture: bool, samples: int):
+    def forward(self, local, x: np.ndarray, training: bool, capture: bool, samples: int):
         """Run ``local()`` (shard 0's forward) as shard 0 while the worker
-        runs its model on ``x`` in training mode; returns (local's result,
-        shard 1's logits, its decision weights or None, ``sweep_rest``).
+        runs its model on ``x``, in eval with the caller's batch norm
+        running statistics; returns (local's result, shard 1's logits, its
+        decision weights or None, ``sweep_rest``).
 
         ``sweep_rest(sweep, g)``, for ``tensor.join_shards``, runs ``sweep``
         (shard 0's reverse sweep) as shard 0 while the worker sweeps this
@@ -292,8 +297,9 @@ class ShardWorker:
                     p.data = view
             self.step += 1
             step, model = self.step, self.owner()
+            buffers = None if training else [b for _, b in model.named_buffers()]
             mine, (logits, decisions) = self._run(local, ("forward", step, samples,
-                                                          (x, capture)))
+                                                          (x, training, capture, buffers)))
         except BaseException:
             self.held = None
             raise
@@ -375,7 +381,7 @@ def _serve(model, worker: ShardWorker, requests: int, replies: int, parent: int)
     idle = select.poll()
     idle.register(requests, select.POLLIN)
     index = {id(p): i for i, p in enumerate(worker.params)}
-    tape = None  # (step, logits) of the last forward
+    tape = None  # (step, logits) of the last recording forward
     while True:
         while not idle.poll(_POLL_S * 1000):
             if not link.partner_alive():
@@ -389,11 +395,16 @@ def _serve(model, worker: ShardWorker, requests: int, replies: int, parent: int)
             with _set(_grad_enabled, grad), _set(_check_finite, check), _set(_layer, layer), \
                     np.errstate(**errs), in_shard(link, 1):
                 if kind == "forward":
-                    tape = None
-                    x, capture = payload
+                    if grad:  # an untaped forward, eval's say, keeps the tape
+                        tape = None
+                    x, training, capture, buffers = payload
+                    if buffers is not None:
+                        for (_, own), theirs in zip(model.named_buffers(), buffers):
+                            own[...] = theirs
                     decisions = [] if capture else None
-                    out = model(Tensor(x), training=True, decisions=decisions)
-                    tape = step, out
+                    out = model(Tensor(x), training=training, decisions=decisions)
+                    if grad:
+                        tape = step, out
                     answer = out.data, decisions
                 else:
                     if tape is None or tape[0] != step:
@@ -423,8 +434,8 @@ _worker: ShardWorker | None = None
 _worker_lock = threading.Lock()
 
 
-def forward(model, params: list[Tensor], local, x: np.ndarray, capture: bool,
-            samples: int):
+def forward(model, params: list[Tensor], local, x: np.ndarray, training: bool,
+            capture: bool, samples: int):
     """``ShardWorker.forward`` of the worker that runs ``model``'s shard 1
     with these parameters, forked now if no live worker does; the previous
     worker is closed first, so at most one is alive. Returns None, having
@@ -440,7 +451,7 @@ def forward(model, params: list[Tensor], local, x: np.ndarray, capture: bool,
                 worker.close()
             _worker = worker = ShardWorker(model, params)
         worker.held = threading.get_ident(), True
-    return worker.forward(local, x, capture, samples)
+    return worker.forward(local, x, training, capture, samples)
 
 
 def close_worker() -> None:

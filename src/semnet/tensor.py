@@ -14,7 +14,6 @@ import contextvars
 import ctypes
 import os
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,12 +21,13 @@ import numpy as np
 SUPPORTED_DTYPES = (np.float32, np.float64)
 DEFAULT_DTYPE = np.float32
 
-# Modes of the current context: a thread a caller starts begins with
-# recording on and checks off; a task run in a copy of a context keeps them.
+# Modes of the current context, so each thread has its own: a thread a
+# caller starts begins with recording on and checks off. The shard worker
+# takes the caller's with each request (``semnet.shards``).
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 _check_finite = contextvars.ContextVar("check_finite", default=False)
 _layer = contextvars.ContextVar("layer", default=None)
-# (group, index) of the training shard this context runs; None outside shards.
+# (group, index) of the sample shard this context runs; None outside shards.
 _shard = contextvars.ContextVar("shard", default=None)
 _CHUNK_BYTES = 1 << 20  # bytes of one sample chunk of conv2d or batch norm: stays in L2
 
@@ -66,20 +66,6 @@ def layer_scope(name: str):
     return _set(_layer, name)
 
 
-def _share_one_heap() -> None:
-    """Have every thread of the process allocate from glibc's main heap
-    (``mallopt(M_ARENA_MAX, 1)``). A pool thread then reuses the buffers the
-    calling thread has freed, where a heap of its own would hold its peak
-    on top of the caller's, a peak that moves from run to run with how the
-    two threads' frees interleave. Does nothing on other C libraries."""
-    try:
-        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
-    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
-        libc = ""
-    if libc.startswith("glibc"):
-        ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX
-
-
 def _openblas():
     """(set_num_threads, get_num_threads, get_config) of the OpenBLAS this
     process has loaded (numpy's), under its plain, ``scipy_`` prefixed or
@@ -104,10 +90,9 @@ def _openblas():
     return None
 
 
-_share_one_heap()  # before the pool starts a thread
-# One BLAS thread, whatever the environment asks: the training shards and
-# eval slices already keep every CPU busy, and a second BLAS thread per
-# shard makes a step about twice as slow.
+# One BLAS thread, whatever the environment asks: the two sample shards
+# already keep two CPUs busy, and a second BLAS thread per shard makes a
+# step about twice as slow.
 _BLAS = _openblas()
 if _BLAS is not None:
     _BLAS[0](1)
@@ -119,32 +104,6 @@ def blas_runtime() -> dict:
     if _BLAS is None:
         return {"threads": None, "config": None}
     return {"threads": int(_BLAS[1]()), "config": _BLAS[2]().decode(errors="replace")}
-
-
-_pool = ThreadPoolExecutor(thread_name_prefix="semnet-shard")  # no thread until a submit
-
-
-def run_slices(n: int, task) -> list:
-    """``task(i)`` for every slice i of an eval batch at once: slice 0 on
-    the calling thread, which has already grown its heap, the rest on the
-    pool. Each runs in a copy of the caller's context, so numpy's errstate,
-    no_grad, the debug checks and the layer scope carry over. Returns the
-    results in slice order once every slice has finished; raises the first
-    error in slice order."""
-    futures = [_pool.submit(contextvars.copy_context().run, task, i) for i in range(1, n)]
-    results, errors = [None] * n, [None] * n
-    try:
-        results[0] = contextvars.copy_context().run(task, 0)
-    except BaseException as exc:  # re-raised once no slice is left running
-        errors[0] = exc
-    for i, future in enumerate(futures, 1):
-        errors[i] = future.exception()
-        if errors[i] is None:
-            results[i] = future.result()
-    failed = [e for e in errors if e is not None]
-    if failed:
-        raise failed[0]
-    return results
 
 
 def in_shard(group, index: int):

@@ -32,12 +32,12 @@ import numpy as np
 from . import data as data_mod
 from .attention import ALL_OPERATORS, DecisionRecord, normalize_operator_set
 from .backbone import (ATTENTION_MODES, SINGLE_OPERATOR_MODES, Model, build_network,
-                       depth_to_blocks, eval_shard_count)
+                       depth_to_blocks)
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import CheckpointError, NumericalFailure
 from .optim import SGD, MultiStepSchedule
 from .rng import RngState
-from .shards import close_worker
+from . import shards
 from .tensor import (ACTIVATION_KINDS, backward, blas_runtime, layer_scope, no_grad,
                      set_debug_checks, softmax_cross_entropy)
 
@@ -328,7 +328,7 @@ def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
     try:
         return _train_run(cfg, log)
     finally:
-        close_worker()
+        shards.close_worker()
 
 
 def _train_run(cfg: RunConfig, log) -> TrainResult:
@@ -473,7 +473,8 @@ def _first_nonfinite_op(model: Model, images, labels) -> str:
 
 def run_environment() -> dict:
     """The numpy/BLAS build, BLAS thread settings, the CPUs this process may
-    run on and the eval threads they give, and the host of this process."""
+    run on, whether large batches run in two shards (``shards.AVAILABLE``),
+    and the host of this process."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 returns no dicts
@@ -486,7 +487,7 @@ def run_environment() -> dict:
         "cpu_count": os.cpu_count(),
         "cpu_affinity": (sorted(os.sched_getaffinity(0))
                          if hasattr(os, "sched_getaffinity") else None),
-        "eval_shards": eval_shard_count(),
+        "sharded": shards.AVAILABLE,
         "python": platform.python_version(),
     }
 

@@ -3,6 +3,7 @@ import glob
 import os
 import shutil
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -51,6 +52,17 @@ def no_child_left_alive():
     if left:
         close_worker()  # so the next test starts without it
         pytest.fail(f"child processes left alive: {left}")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_alive():
+    """Fail a test that leaves alive a thread it did not find: semnet starts
+    none, and a test's own threads end before it returns."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads left alive: {left}")
 
 
 def open_fds() -> set[str]:
@@ -130,17 +142,9 @@ def cifar100_dir(tmp_path_factory):
 
 
 @pytest.fixture
-def two_eval_shards(monkeypatch):
-    """Split every no_grad eval forward over 2 threads, whatever the host's
-    CPUs, so a 1-CPU host still runs the threaded path."""
-    from semnet import backbone
-    monkeypatch.setattr(backbone, "eval_shard_count", lambda: 2)
-
-
-@pytest.fixture
-def small_train_shards(monkeypatch):
-    """Split every training forward of 2 samples or more into shards, so
-    the tests' smallest batches run the sharded path that training batches
-    of 8 or more take."""
+def small_shards(monkeypatch):
+    """Split every training forward and no_grad eval forward of 2 samples
+    or more into shards, so the tests' smallest batches run the sharded
+    path that batches of 8 or more take."""
     from semnet import backbone
     monkeypatch.setattr(backbone, "_MIN_SHARD_SAMPLES", 1)

@@ -340,7 +340,7 @@ def shard_outputs(monkeypatch):
 
 
 class TestTapeMemory:
-    @pytest.mark.usefixtures("small_train_shards")
+    @pytest.mark.usefixtures("small_shards")
     @pytest.mark.parametrize("attention", ["sem", "none"])
     def test_backward_peak_tracks_the_tape(self, monkeypatch, attention):
         model = build_network(RunConfig(depth=11, attention=attention), RngState(71),
@@ -429,7 +429,7 @@ class TestTapeMemory:
         assert not np.shares_memory(out.data, x.data)
 
 
-@pytest.mark.usefixtures("two_eval_shards")
+@pytest.mark.usefixtures("small_shards")
 class TestEvalInPlace:
     @pytest.mark.parametrize("attention", ["sem", "se", "none"])
     @pytest.mark.parametrize("depth", [11, 20])
@@ -471,17 +471,34 @@ class TestEvalInPlace:
         assert peak <= 1.25 * x.data.nbytes + tensor._CHUNK_BYTES + (256 << 10), peak
 
 
-def shard_spy(monkeypatch):
-    """Record (thread name, batch) of every whole-batch forward."""
-    calls = []
+def shard_spy(monkeypatch, tmp_path):
+    """Record ("caller" or "worker", batch) of every whole-batch forward in
+    a file, which both processes append to; returns a function that reads
+    and clears it. The worker must fork after the patch, so a live one is
+    closed first."""
+    shards.close_worker()
+    log, caller = tmp_path / "forwards", os.getpid()
     inner = backbone.Model._forward
 
     def spy(model, x, *args):
-        calls.append((threading.current_thread().name, x.shape[0]))
+        with open(log, "a") as fh:
+            fh.write(f"{'caller' if os.getpid() == caller else 'worker'} {x.shape[0]}\n")
         return inner(model, x, *args)
 
+    def take():
+        lines = log.read_text().split("\n")[:-1] if log.exists() else []
+        log.unlink(missing_ok=True)
+        return sorted((where, int(b)) for where, b in map(str.split, lines))
+
     monkeypatch.setattr(backbone.Model, "_forward", spy)
-    return calls
+    return take
+
+
+def halves(b):
+    """The whole-batch forwards of a no_grad eval of b samples."""
+    if b < 2 * backbone._MIN_SHARD_SAMPLES:
+        return [("caller", b)]
+    return [("caller", b // 2), ("worker", b - b // 2)]
 
 
 def random_buffers(model, seed):
@@ -493,43 +510,64 @@ def random_buffers(model, seed):
 
 
 class TestShardedEval:
-    @pytest.mark.parametrize("shards", [1, 2, 3])
     @pytest.mark.parametrize("attention", ["sem", "se", "none"])
-    def test_logits_match_the_whole_batch_bitwise(self, monkeypatch, attention, shards):
+    def test_logits_match_the_whole_batch_bitwise(self, monkeypatch, tmp_path, attention):
         model = build_network(RunConfig(depth=11, attention=attention), RngState(90))
         random_buffers(model, 91)
         x = small_input(RngState(92).generator(), b=256)
         want = model(x, training=False)  # recording: one whole-batch forward
         assert want._backward is not None
-        monkeypatch.setattr(backbone, "eval_shard_count", lambda: shards)
-        calls = shard_spy(monkeypatch)
+        take = shard_spy(monkeypatch, tmp_path)
         for b in (1, 3, 37, 256):
-            calls.clear()
             with no_grad():
                 got = model(Tensor(x.data[:b]), training=False)
             assert got.data.tobytes() == want.data[:b].tobytes(), b
-            n = min(shards, b)
-            assert sorted(size for _, size in calls) == sorted(
-                b * (i + 1) // n - b * i // n for i in range(n))
-            names = [name for name, _ in calls]
-            assert names.count(threading.current_thread().name) == 1
-            assert sum(name.startswith("semnet-shard") for name in names) == n - 1
+            assert take() == halves(b), b
+
+    @pytest.mark.parametrize("change", ["whole_batch_step", "load_state_arrays"])
+    def test_the_worker_evaluates_with_the_callers_buffers(self, change):
+        # The worker's running statistics are copies from the fork: a
+        # whole-batch training step moves only this process's, and
+        # load_state_arrays writes only this process's. Each eval step sends
+        # them, so the logits stay those of the whole batch here.
+        model = build_network(RunConfig(depth=11, attention="sem"), RngState(106))
+        random_buffers(model, 107)
+        gen = RngState(108).generator()
+        x = small_input(gen, b=256)
+        with no_grad():
+            model(x)  # forks the worker
+        worker = shards._worker.pid
+        if change == "whole_batch_step":
+            small = small_input(gen, b=4)
+            optimizer = SGD(model.parameters(), lr=0.1)
+            backward(softmax_cross_entropy(model(small, training=True),
+                                           gen.integers(0, 10, size=4)))
+            optimizer.step()
+        else:
+            other = build_network(RunConfig(depth=11, attention="sem"), RngState(109))
+            random_buffers(other, 110)
+            model.load_state_arrays(other.state_arrays())
+        want = model(x, training=False)
+        for b in (8, 37, 256):
+            with no_grad():
+                got = model(Tensor(x.data[:b]), training=False)
+            assert got.data.tobytes() == want.data[:b].tobytes(), b
+        assert shards._worker.pid == worker
 
     @pytest.mark.parametrize("attention", ["sem", "se"])
-    def test_capture_decisions_concatenate_the_shards(self, monkeypatch, attention):
+    def test_capture_decisions_concatenate_the_shards(self, monkeypatch, tmp_path, attention):
         model = build_network(RunConfig(depth=20, attention=attention), RngState(93))
         random_buffers(model, 94)
         x = small_input(RngState(95).generator(), b=37)
         want = []
         model(x, training=False, decisions=want)
         want = model.decision_records(want)
-        monkeypatch.setattr(backbone, "eval_shard_count", lambda: 3)
-        calls = shard_spy(monkeypatch)
+        take = shard_spy(monkeypatch, tmp_path)
         got = []
         with no_grad():
             model(x, training=False, decisions=got)
         got = model.decision_records(got)
-        assert len(calls) == 3
+        assert take() == halves(37)
         assert len(got) == len(want) == (6 if attention == "sem" else 0)
         for g, w in zip(got, want):
             assert (g.layer_index, g.stage, g.channels, g.operators) == (
@@ -537,85 +575,76 @@ class TestShardedEval:
             assert g.weights.shape == (37, 3)
             assert g.weights.tobytes() == w.weights.tobytes()
 
-    @pytest.mark.usefixtures("small_train_shards")
-    def test_no_grad_training_forward_matches_the_recording_one(self, monkeypatch):
+    @pytest.mark.usefixtures("small_shards")
+    def test_no_grad_training_forward_matches_the_recording_one(self, monkeypatch, tmp_path):
         # training=True under no_grad (the non-finite rerun) normalises by
         # the whole batch's statistics, as the recording forward does: both
         # run the same two shards, so logits and BN buffers agree bit for bit.
         model = build_network(RunConfig(depth=11, attention="sem"), RngState(96))
         twin = build_network(RunConfig(depth=11, attention="sem"), RngState(96))
         x = small_input(RngState(97).generator(), b=8)
-        monkeypatch.setattr(backbone, "eval_shard_count", lambda: 3)
-        calls = shard_spy(monkeypatch)
+        take = shard_spy(monkeypatch, tmp_path)
         with no_grad():
             got = model(x, training=True)
+        assert take() == halves(8)
         want = twin(x, training=True)
+        assert take() == halves(8)
         assert got._backward is None and want._backward is not None
-        # Each forward runs shard 0 here and shard 1 in the worker process.
-        caller = threading.current_thread().name
-        assert calls == [(caller, 4), (caller, 4)]
         assert got.data.tobytes() == want.data.tobytes()
         for (_, a), (_, b) in zip(model.named_buffers(), twin.named_buffers()):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.usefixtures("two_eval_shards")
-    @pytest.mark.parametrize("failing", ["caller", "pool"])
-    def test_slice_exception_reaches_the_caller(self, monkeypatch, failing):
-        # One slice fails at once; the call returns only after the other,
-        # slower slice has finished too.
+    @pytest.mark.usefixtures("small_shards")
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_shard_exception_reaches_the_caller(self, monkeypatch, tmp_path, failing):
+        # One shard fails at once; the call returns only after the other,
+        # slower shard has finished too, and the next eval works. The worker
+        # forks with the planted head; a marker file switches the failure
+        # on in both processes.
         model = build_network(RunConfig(depth=11, attention="sem"), RngState(98))
         x = small_input(RngState(99).generator(), b=3)
-        head = model.head_bn
-        caller = threading.current_thread().name
-        finished = []
+        fail, finished = tmp_path / "fail", tmp_path / "finished"
+        call = backbone._BatchNorm.__call__
 
-        def failing_head(out, training, inplace=False):
-            name = threading.current_thread().name
-            if (name == caller) == (failing == "caller"):
-                raise RuntimeError(f"{failing} slice failed")
-            time.sleep(0.2)
-            finished.append(name)
-            return head(out, training, inplace)
+        def planted(bn, out, training, inplace=False):
+            shard = tensor.current_shard()
+            if bn is model.head_bn and shard is not None and fail.exists():
+                if shard[1] == failing:
+                    raise RuntimeError(f"shard {failing} failed")
+                time.sleep(0.2)
+                finished.write_text(str(shard[1]))
+            return call(bn, out, training, inplace)
 
-        monkeypatch.setattr(model, "head_bn", failing_head)
-        with no_grad(), pytest.raises(RuntimeError, match=f"{failing} slice failed"):
+        monkeypatch.setattr(backbone._BatchNorm, "__call__", planted)
+        fail.touch()
+        with no_grad(), pytest.raises(RuntimeError, match=f"shard {failing} failed"):
             model(x)
-        assert len(finished) == 1
-        assert finished[0].startswith("semnet-shard") == (failing == "caller")
-        monkeypatch.setattr(model, "head_bn", head)
+        assert finished.read_text() == str(1 - failing)
+        fail.unlink()
         with no_grad():
             assert model(x).data.tobytes() == model(x, training=False).data.tobytes()
 
-    @pytest.mark.usefixtures("two_eval_shards")
-    def test_debug_check_names_the_failing_shards_layer(self, monkeypatch):
-        # The 2-sample shard plants a NaN in stage2.block0 while the other
-        # shard waits inside the head's scope; a process-wide layer name
-        # would read "head" there.
+    @pytest.mark.usefixtures("small_shards")
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_debug_check_names_the_failing_shards_layer(self, monkeypatch, tmp_path, shard):
+        # One shard plants a NaN in bn2's input in stage2.block0 (bn2 runs
+        # inside conv2's node). The worker forks at a first clean eval, so
+        # the checks reach it with the request, not with the fork.
         model = build_network(RunConfig(depth=11, attention="sem"), RngState(100))
         x = small_input(RngState(101).generator(), b=3)
-        block, head = model.stages[1][0], model.head_bn
-        conv2 = block.conv2
-        in_head, checked = threading.Event(), threading.Event()
+        nan = tmp_path / "nan"
+        call = backbone._Conv.__call__
 
-        def planted_conv2(h, pre):
-            # h is bn2's input; bn2 runs inside conv2's node.
-            if h.shape[0] == 2:
-                try:
-                    assert in_head.wait(10)
-                    h.data[1, 0, 0, 0] = np.nan
-                    return conv2(h, pre)
-                finally:
-                    checked.set()
-            return conv2(h, pre)
+        def planted(conv, h, pre=None):
+            if conv is model.stages[1][0].conv2 and nan.exists() \
+                    and tensor.current_shard()[1] == shard:
+                h.data[0, 0, 0, 0] = np.nan
+            return call(conv, h, pre)
 
-        def waiting_head(out, training, inplace=False):
-            if out.shape[0] == 1:
-                in_head.set()
-                assert checked.wait(10)
-            return head(out, training, inplace)
-
-        monkeypatch.setattr(block, "conv2", planted_conv2)
-        monkeypatch.setattr(model, "head_bn", waiting_head)
+        monkeypatch.setattr(backbone._Conv, "__call__", planted)
+        with no_grad():
+            model(x)
+        nan.touch()
         set_debug_checks(True)
         try:
             with no_grad(), pytest.raises(FloatingPointError) as info:
@@ -624,31 +653,37 @@ class TestShardedEval:
             set_debug_checks(False)
         assert str(info.value) == "stage2.block0 (op conv2d)"
 
-    def test_eval_threads_carry_the_callers_errstate(self, monkeypatch):
+    def test_both_shards_carry_the_callers_errstate(self, monkeypatch, tmp_path):
+        # The worker forks at the first eval, under numpy's default errstate;
+        # the second eval's errstate reaches it with the request.
         model = build_network(RunConfig(depth=11, attention="none"), RngState(102))
-        x = small_input(RngState(103).generator(), b=4)
-        monkeypatch.setattr(backbone, "eval_shard_count", lambda: 2)
-        seen = []
+        x = small_input(RngState(103).generator(), b=2 * backbone._MIN_SHARD_SAMPLES)
+        seen = tmp_path / "seen"
         pool = backbone.global_avg_pool
 
         def recording_pool(t):
-            seen.append(np.geterr()["over"])
+            with open(seen, "a") as fh:
+                fh.write(np.geterr()["over"] + "\n")
             return pool(t)
 
         monkeypatch.setattr(backbone, "global_avg_pool", recording_pool)
+        shards.close_worker()
+        with no_grad():
+            model(x)
+        assert seen.read_text().split() == ["warn", "warn"]
+        seen.unlink()
         with no_grad(), np.errstate(over="raise"):
             model(x)
-        assert seen == ["raise", "raise"]
+        assert seen.read_text().split() == ["raise", "raise"]
 
-    def test_concurrent_callers_share_one_pool(self, monkeypatch):
-        # More slices than CPUs from several caller threads at once, with
-        # frequent thread switches: every caller's slices run on the one
-        # pool and every caller gets its own batch's logits.
+    def test_concurrent_callers_share_the_worker(self, monkeypatch, tmp_path):
+        # Several caller threads evaluate at once, with frequent thread
+        # switches: their steps take the one worker in turn, and every
+        # caller gets its own batch's logits.
         model = build_network(RunConfig(depth=11, attention="sem"), RngState(104))
         x = small_input(RngState(105).generator(), b=12)
         want = model(x, training=False).data
-        monkeypatch.setattr(backbone, "eval_shard_count", lambda: 5)
-        calls = shard_spy(monkeypatch)
+        take = shard_spy(monkeypatch, tmp_path)
         results, errors = {}, []
 
         def caller(i):
@@ -670,10 +705,24 @@ class TestShardedEval:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
-        assert sum(name.startswith("semnet-shard") for name, _ in calls) == 4 * (5 - 1)
-        assert len(calls) == 4 * 5
+        assert take() == sorted(call for i in range(4) for call in halves(12 - i))
         for i in range(4):
             assert results[i].tobytes() == want[i:].tobytes(), i
+
+    def test_an_eval_between_a_step_and_its_backward_keeps_the_tape(self):
+        # The eval runs in the worker that holds shard 1's tape of the step.
+        model, twin = (build_network(RunConfig(depth=11, attention="sem"), RngState(136))
+                       for _ in range(2))
+        gen = RngState(137).generator()
+        x = small_input(gen, b=2 * backbone._MIN_SHARD_SAMPLES)
+        labels = gen.integers(0, 10, size=len(x.data))
+        backward(softmax_cross_entropy(twin(x, training=True), labels))
+        loss = softmax_cross_entropy(model(x, training=True), labels)
+        with no_grad():
+            model(x)
+        backward(loss)
+        for (name, p), q in zip(model.named_parameters(), twin.parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes(), name
 
     def test_import_starts_no_thread_and_training_one_process(self, tmp_path):
         script = (
@@ -690,50 +739,20 @@ class TestShardedEval:
             "model = backbone.build_network(semnet.RunConfig(depth=11), RngState(1))\n"
             "x = Tensor(np.ones((4, 3, 32, 32), np.float32))\n"
             "backward(softmax_cross_entropy(model(x, training=True), [0, 1, 2, 3]))\n"
+            "with no_grad():\n"
+            "    model(x)\n"
             "assert threading.active_count() == 1 and not children(), 'small batch'\n"
             "backbone._MIN_SHARD_SAMPLES = 1\n"
             "backward(softmax_cross_entropy(model(x, training=True), [0, 1, 2, 3]))\n"
             "with no_grad():\n"
             "    model(x, training=True)\n"
             "assert threading.active_count() == 1, 'training'\n"
-            "assert children() == [shards._worker.pid], 'training'\n"
-            "backbone.eval_shard_count = lambda: 2\n"
+            "worker = shards._worker.pid\n"
+            "assert children() == [worker], 'training'\n"
             "with no_grad():\n"
             "    model(x)\n"
-            "assert threading.active_count() > 1, 'eval'\n"
-            "assert all(t.name.startswith('semnet-shard') for t in threading.enumerate()\n"
-            "           if t is not threading.main_thread())\n"
-            "assert children() == [shards._worker.pid], 'eval'\n")
-        run_isolated(script, tmp_path)
-
-    @pytest.mark.skipif(not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"),
-                        reason="glibc's malloc_info")
-    def test_pool_threads_allocate_from_the_callers_heap(self, tmp_path):
-        # A heap per thread would hold the pool thread's peak on top of the
-        # caller's; glibc's malloc_info lists one <heap> per arena.
-        script = """
-            import ctypes, os
-            import numpy as np
-            import semnet
-            from semnet import backbone
-            from semnet.rng import RngState
-            from semnet.tensor import Tensor, backward, no_grad, softmax_cross_entropy
-
-            backbone._MIN_SHARD_SAMPLES = 1
-            backbone.eval_shard_count = lambda: 2
-            model = backbone.build_network(semnet.RunConfig(depth=11), RngState(1))
-            x = Tensor(np.ones((4, 3, 32, 32), np.float32))
-            backward(softmax_cross_entropy(model(x, training=True), [0, 1, 2, 3]))
-            with no_grad():
-                model(x)
-            libc = ctypes.CDLL(None)
-            libc.fopen.restype = ctypes.c_void_p
-            stream = ctypes.c_void_p(libc.fopen(b"heaps.xml", b"w"))
-            assert libc.malloc_info(0, stream) == 0
-            libc.fclose(stream)
-            heaps = open("heaps.xml").read().count("<heap nr=")
-            assert heaps == 1, heaps
-        """
+            "assert threading.active_count() == 1, 'eval'\n"
+            "assert children() == [worker] == [shards._worker.pid], 'eval'\n")
         run_isolated(script, tmp_path)
 
 
@@ -806,7 +825,7 @@ def test_training_shards_only_batches_of_two_full_shards(monkeypatch, b):
     assert out.data[:, 0].tolist() == [n for n in sizes for _ in range(n)]
 
 
-@pytest.mark.usefixtures("small_train_shards")
+@pytest.mark.usefixtures("small_shards")
 class TestShardedTraining:
     @pytest.mark.parametrize("b", [1, 2, 3, 37])
     def test_step_matches_the_whole_batch_oracle(self, b):

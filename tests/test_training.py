@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from semnet import data as data_mod
-from semnet import training
+from semnet import shards, training
 from semnet.backbone import build_network
 from semnet.data import decode_records
 from semnet.errors import NumericalFailure
@@ -236,13 +236,13 @@ class TestTrainRun:
             assert os.path.exists(os.path.join(tmp_path, "run", name)), name
         env = json.load(open(os.path.join(tmp_path, "run", "environment.json")))
         assert set(env) == {"numpy", "blas", "threads", "cpu_count", "cpu_affinity",
-                            "eval_shards", "python"}
+                            "sharded", "python"}
         assert set(env["blas"]) == {"name", "version", "threads", "config"}
         assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                        "MKL_NUM_THREADS"}
         assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
         assert env["cpu_affinity"] == sorted(os.sched_getaffinity(0))
-        assert env["eval_shards"] == len(env["cpu_affinity"])
+        assert env["sharded"] is shards.AVAILABLE
         lines = open(result.metrics_path).read().splitlines()
         assert len(lines) == 2
         record = json.loads(lines[0])
