@@ -510,19 +510,24 @@ def random_buffers(model, seed):
 
 
 class TestShardedEval:
+    @pytest.mark.parametrize("sharded", [True, False])
     @pytest.mark.parametrize("attention", ["sem", "se", "none"])
-    def test_logits_match_the_whole_batch_bitwise(self, monkeypatch, tmp_path, attention):
+    def test_logits_match_the_whole_batch_bitwise(self, monkeypatch, tmp_path, attention,
+                                                  sharded):
+        # Without the worker (a machine without fork) every batch runs whole
+        # on the caller, with the same logits.
         model = build_network(RunConfig(depth=11, attention=attention), RngState(90))
         random_buffers(model, 91)
         x = small_input(RngState(92).generator(), b=256)
         want = model(x, training=False)  # recording: one whole-batch forward
         assert want._backward is not None
         take = shard_spy(monkeypatch, tmp_path)
+        monkeypatch.setattr(shards, "AVAILABLE", sharded)
         for b in (1, 3, 37, 256):
             with no_grad():
                 got = model(Tensor(x.data[:b]), training=False)
             assert got.data.tobytes() == want.data[:b].tobytes(), b
-            assert take() == halves(b), b
+            assert take() == (halves(b) if sharded else [("caller", b)]), b
 
     @pytest.mark.parametrize("change", ["whole_batch_step", "load_state_arrays"])
     def test_the_worker_evaluates_with_the_callers_buffers(self, change):
