@@ -6,7 +6,14 @@ Run:  python demos/01_tensor_autodiff.py
 
 import numpy as np
 
-from semnet import Tensor, affine, backward, conv2d, finite_difference_grad, sigmoid
+from semnet import (
+    Tensor,
+    affine,
+    backward,
+    conv2d,
+    finite_difference_grad,
+    softmax_cross_entropy,
+)
 
 # ------------------------------------------------------------------
 # Tensors wrap contiguous float32/float64 numpy buffers. Setting
@@ -17,8 +24,8 @@ x = Tensor(gen.standard_normal((4, 3)), requires_grad=True, dtype=np.float64)
 w = Tensor(gen.standard_normal((2, 3)), requires_grad=True, dtype=np.float64)
 b = Tensor(np.zeros(2), requires_grad=True, dtype=np.float64)
 
-y = sigmoid(affine(x, w, b))      # (4, 2), graph recorded as we go
-loss = y.mean()
+y = affine(x, w, b)                # (4, 2) logits, graph recorded as we go
+loss = softmax_cross_entropy(y, np.array([0, 1, 1, 0]))
 print("loss:", loss.item())
 
 # One reverse sweep fills .grad on every reachable leaf. Each graph node

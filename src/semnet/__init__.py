@@ -4,18 +4,10 @@ from .attention import (
     ALL_OPERATORS,
     DecisionRecord,
     SemParams,
-    attention_map,
-    decide,
     decision_summary_csv,
     eca_kernel_size,
-    excite_cnn,
-    excite_fc,
-    excite_ie,
     init_sem_params,
-    recalibrate,
     sem_forward,
-    squeeze,
-    switch,
 )
 from .backbone import (
     Model,
@@ -41,15 +33,12 @@ from .optim import SGD, MultiStepSchedule
 from .rng import RngState
 from .tensor import (
     Tensor,
-    activation,
     affine,
     backward,
     batch_norm,
-    conv1d_channel,
     conv2d,
     global_avg_pool,
     no_grad,
-    sigmoid,
     softmax_cross_entropy,
 )
 from .training import MetricsRecord, RunConfig, evaluate, load_run_checkpoint, train_grid, train_run

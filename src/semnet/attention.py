@@ -19,6 +19,7 @@ import numpy as np
 from .rng import RngState
 from .tensor import (
     _ACTIVATION_RULES,
+    ACTIVATION_KINDS,
     ChannelGate,
     PreActivation,
     Tensor,
@@ -26,16 +27,7 @@ from .tensor import (
     _channel_conv_backward,
     _row_products,
     _stable_sigmoid,
-    activation,
-    affine,
-    conv1d_channel,
     conv2d,
-    global_avg_pool,
-    mul,
-    relu,
-    reshape,
-    sigmoid,
-    take_column,
 )
 
 # Canonical branch order; decision-vector index i always refers to the
@@ -116,6 +108,9 @@ def init_sem_params(channels: int,
     the adaptive rule.
     """
     ops = normalize_operator_set(operators)
+    if switch_activation not in ACTIVATION_KINDS:
+        raise ValueError(f"unknown switch activation {switch_activation!r}; "
+                         f"valid: {ACTIVATION_KINDS}")
     gen = rng.generator() if isinstance(rng, RngState) else rng
     params = SemParams(operators=ops, switch_activation=switch_activation)
     if with_decision:
@@ -138,99 +133,6 @@ def init_sem_params(channels: int,
 
 
 # ---------------------------------------------------------------------------
-# Stages, one tape node each: the reference the one-node gate is tested
-# against
-# ---------------------------------------------------------------------------
-
-def squeeze(x: Tensor) -> Tensor:
-    """Global average pooling to a per-channel descriptor: (B,C,H,W) -> (B,C)."""
-    pooled = global_avg_pool(x)
-    return reshape(pooled, (x.shape[0], x.shape[1]))
-
-
-def decide(m: Tensor, decision_weight: Tensor) -> Tensor:
-    """Per-sample soft selection weights in (0,1)^N from the descriptor."""
-    return sigmoid(affine(m, decision_weight))
-
-
-def excite_fc(m: Tensor, reduce_weight: Tensor, expand_weight: Tensor) -> Tensor:
-    """Bottleneck of two fully connected layers around a ReLU; no output
-    activation here; the switch applies it."""
-    return affine(relu(affine(m, reduce_weight)), expand_weight)
-
-
-def excite_cnn(m: Tensor, conv_kernel: Tensor) -> Tensor:
-    """Shared odd-length kernel slid along the channel axis; no bias, no
-    output activation."""
-    return conv1d_channel(m, conv_kernel)
-
-
-def excite_ie(m: Tensor, ie_scale: Tensor, ie_shift: Tensor) -> Tensor:
-    """Scalar affine enhancement of the descriptor (starts at constant -1)."""
-    return mul(m, ie_scale) + ie_shift
-
-
-def switch(branches: list[Tensor], weights: Tensor | None,
-           switch_activation: str = "sigmoid") -> Tensor:
-    """Combine branch outputs into the attention map.
-
-    Each branch is scaled by its per-sample decision weight, passed through
-    the activation, and the results are multiplied elementwise. ``weights``
-    of None means unit weights (the decision-removal configuration) and
-    skips the scaling entirely.
-    """
-    if not branches:
-        raise ValueError("switch needs at least one branch")
-    if weights is not None and weights.shape[1] != len(branches):
-        raise ValueError(
-            f"decision width {weights.shape[1]} != number of branches {len(branches)}")
-    v = None
-    for i, branch in enumerate(branches):
-        scaled = branch if weights is None else mul(branch, take_column(weights, i))
-        gated = activation(scaled, switch_activation)
-        v = gated if v is None else mul(v, gated)
-    return v
-
-
-def recalibrate(x: Tensor, v: Tensor) -> Tensor:
-    """Rescale each channel of (B,C,H,W) by the per-sample map v (B,C)."""
-    if v.shape != x.shape[:2]:
-        raise ValueError(f"attention map {v.shape} incompatible with input {x.shape}")
-    return mul(x, reshape(v, (x.shape[0], x.shape[1], 1, 1)))
-
-
-def _branch_outputs(m: Tensor, params: SemParams) -> list[Tensor]:
-    branches = []
-    for op in params.operators:
-        if op == OPERATOR_FC:
-            branches.append(excite_fc(m, params.reduce_weight, params.expand_weight))
-        elif op == OPERATOR_CNN:
-            branches.append(excite_cnn(m, params.conv_kernel))
-        else:
-            branches.append(excite_ie(m, params.ie_scale, params.ie_shift))
-    return branches
-
-
-def attention_map(x: Tensor, params: SemParams, decisions: list | None = None) -> Tensor:
-    """The attention map v (B, C) of x: squeeze, decide, excite each enabled
-    branch, switch.
-
-    Params built without a decision network run with w = 1 for every
-    branch; with one operator and a sigmoid switch that is the conventional
-    SE / ECA / IE gate. ``decisions``, when given, receives the gate's raw
-    (B, N) decision weights, not a copy; a gate without a decision network
-    appends nothing.
-    """
-    m = squeeze(x)
-    weights = None
-    if params.decision_weight is not None:
-        weights = decide(m, params.decision_weight)
-        if decisions is not None:
-            decisions.append(weights.data)
-    return switch(_branch_outputs(m, params), weights, params.switch_activation)
-
-
-# ---------------------------------------------------------------------------
 # The gate inside its conv's node
 # ---------------------------------------------------------------------------
 
@@ -243,7 +145,8 @@ def gate_params(params: SemParams) -> list[Tensor]:
 def _gate_terms(m: np.ndarray, params: SemParams) -> tuple:
     """(decision weights, FC hidden layer, branch outputs, their scaled
     inputs to the switch, the switch's activations, v) of the gate for the
-    descriptor m (B, C), with the stages' arithmetic, so v has their bits.
+    descriptor m (B, C), with the arithmetic of the tests' tape-op
+    reference (``reference_gate`` in tests/oracles.py), so v has its bits.
     Each sample's terms depend on its row of m alone."""
     weights = hidden = None
     if params.decision_weight is not None:
@@ -320,8 +223,8 @@ def sem_forward(x: Tensor, params: SemParams, *,
     tape node: ``conv = (kernel, pre)``, a 1x1 kernel (C, Cin, 1, 1) and an
     optional pre-activation unit, convolves x, and the gate squeezes,
     decides, excites each enabled branch, switches and recalibrates the
-    conv's output, bit for bit the stages' forward, keeping no conv output
-    (``tensor.conv2d(..., gate=...)``). ``decisions``, when given, receives
+    conv's output, bit for bit the tests' tape-op reference, keeping no
+    conv output (``tensor.conv2d(..., gate=...)``). ``decisions``, when given, receives
     the gate's raw (B, N) decision weights, not a copy; a gate without a
     decision network appends nothing.
     """

@@ -385,22 +385,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _make(out, (x,), reshape_backward)
 
 
-def take_column(x: Tensor, index: int) -> Tensor:
-    """Select column ``index`` of a 2-D tensor, keeping the unit axis."""
-    if x.ndim != 2:
-        raise ValueError(f"take_column needs a 2-D tensor, got {x.shape}")
-    if not 0 <= index < x.shape[1]:
-        raise ValueError(f"column {index} out of range for shape {x.shape}")
-    out = x.data[:, index : index + 1].copy()
-
-    def take_column_backward(g):
-        full = np.zeros_like(x.data)
-        full[:, index : index + 1] = g
-        return (full,)
-
-    return _make(out, (x,), take_column_backward)
-
-
 def _reduce(x: Tensor, kind: str) -> Tensor:
     out = np.asarray(getattr(x.data, kind)(dtype=x.data.dtype), dtype=x.data.dtype)
     scale = 1.0 if kind == "sum" else 1.0 / x.data.size
@@ -743,26 +727,6 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
     return _make(out, parents, conv2d_backward)
 
 
-def conv1d_channel(m: Tensor, kernel: Tensor) -> Tensor:
-    """Slide one shared k-tap kernel along the channel axis of (B, C).
-
-    Zero padding of (k-1)/2 outside [0, C) keeps the length. No bias; the
-    kernel length must be odd.
-    """
-    if m.ndim != 2 or kernel.ndim != 1:
-        raise ValueError(f"conv1d_channel needs (B, C) and (k,), got {m.shape}, {kernel.shape}")
-    k = kernel.shape[0]
-    if k % 2 == 0:
-        raise ValueError(f"kernel length must be odd, got {k}")
-    _check_same_dtype(m, kernel)
-    out = _channel_conv(m.data, kernel.data)
-
-    def conv1d_channel_backward(g):
-        return _channel_conv_backward(m.data, kernel.data, g)
-
-    return _make(out, (m, kernel), conv1d_channel_backward)
-
-
 def _zero_padded(m: np.ndarray, pad: int) -> np.ndarray:
     """(B, C) m with ``pad`` zero columns on each side."""
     mp = np.zeros((len(m), m.shape[1] + 2 * pad), m.dtype)
@@ -771,7 +735,8 @@ def _zero_padded(m: np.ndarray, pad: int) -> np.ndarray:
 
 
 def _channel_conv(m: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """``conv1d_channel`` on arrays."""
+    """Slide one shared odd-length kernel along the channel axis of (B, C),
+    zero-padded by (k-1)/2 on each side so the length is kept; no bias."""
     (b, c), k = m.shape, len(kernel)
     mp = _zero_padded(m, (k - 1) // 2)
     windows = np.lib.stride_tricks.as_strided(mp, (b, c, k), mp.strides + mp.strides[1:])
@@ -808,8 +773,8 @@ def _leaky_relu(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x, x * x.dtype.type(0.01))
 
 
-# kind -> (forward(x), backward(g, x, out)) on arrays, for the ops below
-# and for the attention gate's switch.
+# kind -> (forward(x), backward(g, x, out)) on arrays, for the attention
+# gate's switch and for relu.
 _ACTIVATION_RULES = {
     "sigmoid": (_stable_sigmoid, lambda g, x, out: g * out * (1.0 - out)),
     "tanh": (np.tanh, lambda g, x, out: g * (1.0 - out * out)),
@@ -820,30 +785,14 @@ _ACTIVATION_RULES = {
 ACTIVATION_KINDS = tuple(_ACTIVATION_RULES)
 
 
-def _activation_op(x: Tensor, kind: str) -> Tensor:
-    forward, rule = _ACTIVATION_RULES[kind]
+def relu(x: Tensor) -> Tensor:
+    forward, rule = _ACTIVATION_RULES["relu"]
     out = forward(x.data)
 
-    def backward(g):
+    def relu_backward(g):
         return (rule(g, x.data, out),)
 
-    backward.__name__ = f"{kind}_backward"
-    return _make(out, (x,), backward)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return _activation_op(x, "sigmoid")
-
-
-def relu(x: Tensor) -> Tensor:
-    return _activation_op(x, "relu")
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise nonlinearity dispatcher over ACTIVATION_KINDS."""
-    if kind not in _ACTIVATION_RULES:
-        raise ValueError(f"unknown activation {kind!r}; expected one of {ACTIVATION_KINDS}")
-    return _activation_op(x, kind)
+    return _make(out, (x,), relu_backward)
 
 
 # ---------------------------------------------------------------------------

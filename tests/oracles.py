@@ -1,12 +1,16 @@
 """Independent reference implementations the tests check against.
 
 Everything here is deliberately naive (explicit loops, no shared code
-with the library) so a bug in the fast paths cannot hide in its oracle.
+with the library) so a bug in the fast paths cannot hide in its oracle;
+``reference_gate`` alone is built from the library's tape ops, since it
+pins the bits of the gate's forward as well as its gradients.
 """
 
 import math
 
 import numpy as np
+
+from semnet import tensor as T
 
 # chi2.ppf(0.99, df), frozen from scipy 1.x.
 CHI2_CRIT_DF80 = 112.32879252029748
@@ -278,6 +282,53 @@ def naive_ie_gate(x, scale, shift):
         for j in range(m.shape[1]):
             branch[i, j] = scale * m[i, j] + shift
     return _naive_sigmoid_gate(x, branch)
+
+
+def reference_gate(x, params, decisions=None):
+    """The attention layer on x (B, C, H, W) stage by stage, one tape node
+    per op: squeeze, decide, excite each enabled branch, scale it by its
+    decision weight, switch and recalibrate. ``sem_forward`` runs the same
+    arithmetic as one node, so its forward has these bits and its
+    gradients are held to this tape's. ``decisions``, when given, receives
+    the (B, N) decision weights."""
+
+    def act(t, kind):
+        forward, rule = T._ACTIVATION_RULES[kind]
+        out = forward(t.data)
+        return T._make(out, (t,), lambda g: (rule(g, t.data, out),))
+
+    def column(t, i):
+        def take_column_backward(g):
+            full = np.zeros_like(t.data)
+            full[:, i : i + 1] = g
+            return (full,)
+
+        return T._make(t.data[:, i : i + 1].copy(), (t,), take_column_backward)
+
+    def channel_conv(t, kernel):
+        return T._make(T._channel_conv(t.data, kernel.data), (t, kernel),
+                       lambda g: T._channel_conv_backward(t.data, kernel.data, g))
+
+    b, c = x.shape[:2]
+    m = T.reshape(T.global_avg_pool(x), (b, c))
+    weights = None
+    if params.decision_weight is not None:
+        weights = act(T.affine(m, params.decision_weight), "sigmoid")
+        if decisions is not None:
+            decisions.append(weights.data)
+    v = None
+    for i, op in enumerate(params.operators):
+        if op == "fc":
+            branch = T.affine(T.relu(T.affine(m, params.reduce_weight)), params.expand_weight)
+        elif op == "cnn":
+            branch = channel_conv(m, params.conv_kernel)
+        else:
+            branch = T.add(T.mul(m, params.ie_scale), params.ie_shift)
+        if weights is not None:
+            branch = T.mul(branch, column(weights, i))
+        gated = act(branch, params.switch_activation)
+        v = gated if v is None else T.mul(v, gated)
+    return T.mul(x, T.reshape(v, (b, c, 1, 1)))
 
 
 def naive_batch_norm(x, gamma, beta, running_mean, running_var, g, training,

@@ -14,17 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from semnet.attention import (
-    attention_map,
-    eca_kernel_size,
-    excite_cnn,
-    excite_fc,
-    excite_ie,
-    init_sem_params,
-    recalibrate,
-    sem_forward,
-    squeeze,
-)
+from semnet.attention import _gate_terms, eca_kernel_size, init_sem_params, sem_forward
 from semnet.backbone import (
     STAGE_WIDTHS,
     build_network,
@@ -39,9 +29,10 @@ from semnet.data import (
     load_cifar,
     synthetic_dataset,
 )
+from semnet.gradcheck import check_gradients
 from semnet.optim import SGD
 from semnet.rng import RngState
-from semnet.tensor import Tensor, backward, mul, sigmoid, softmax_cross_entropy
+from semnet.tensor import ACTIVATION_KINDS, Tensor, backward, softmax_cross_entropy
 from semnet.training import RunConfig, train_grid, train_run
 from semnet import verify
 
@@ -79,6 +70,23 @@ def test_criterion_1_gradient_suite():
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
 
 
+def test_sem_layer_gradients_are_not_all_zero(monkeypatch):
+    # Every switch activation's scope gets a non-zero analytic gradient in
+    # every group: a closed ReLU switch would read 0 error on zeros.
+    grads = []
+
+    def recording(f, inputs):
+        errs = check_gradients(f, inputs)
+        grads.append({name: t.grad.copy() for name, t in inputs.items()})
+        return errs
+
+    monkeypatch.setattr(verify, "check_gradients", recording)
+    verify.run_scope("sem-layer")
+    assert len(grads) == len(ACTIVATION_KINDS)
+    for kind, groups in zip(ACTIVATION_KINDS, grads):
+        assert [name for name, g in groups.items() if not g.any()] == [], kind
+
+
 def test_full_block_gradient_scope():
     # Whole blocks against finite differences, their in-place skip add and
     # untaped eval path included; slower than criterion 1's budget allows.
@@ -90,16 +98,16 @@ def test_full_block_gradient_scope():
 
 @criterion(2, "attention map strictly inside (0,1) on 1e4 inputs")
 def test_criterion_2_bound_invariant():
+    # The gate's v for the descriptor of each input, its spatial mean.
     total = 0
     lo, hi = 1.0, 0.0
     for c in (4, 16, 64):
         params = init_sem_params(c, rng=RngState(100 + c), dtype=np.float64)
         gen = RngState(200 + c).generator()
-        for scale in (0.5, 1.0, 4.0):
+        for scale in (0.5, 1.0, 4.0, 5.0):
             for _ in range(6):
-                x = Tensor(gen.standard_normal((200, c, 2, 2)) * scale,
-                           dtype=np.float64)
-                v = attention_map(x, params).data
+                x = gen.standard_normal((200, c, 2, 2)) * scale
+                v = _gate_terms(x.mean(axis=(2, 3)), params)[-1]
                 lo = min(lo, float(v.min()))
                 hi = max(hi, float(v.max()))
                 total += x.shape[0]
@@ -118,19 +126,17 @@ def test_criterion_3_composition_oracle():
         "ie": (("ie",), lambda p: oracles.naive_ie_gate(
             x.data, p.ie_scale.data[0, 0], p.ie_shift.data[0, 0])),
     }
-    # Stage by stage, and inside a 1x1 conv's node as the backbone runs it,
-    # with the identity kernel so the conv hands the gate x itself.
+    # Inside a 1x1 conv's node as the backbone runs it, with the identity
+    # kernel so the conv hands the gate x itself.
     identity = Tensor(np.eye(16)[:, :, None, None], dtype=np.float64)
     for kind, (ops, standalone) in gates.items():
         params = init_sem_params(16, ops, rng=RngState(301), dtype=np.float64,
                                  with_decision=False)
         if kind == "ie":
             params.ie_scale.data[...] = 1.5  # at init (0) the descriptor is ignored
-        routes = {"stages": recalibrate(x, attention_map(x, params)),
-                  "conv": sem_forward(x, params, conv=(identity, None))}
-        for route, routed in routes.items():
-            diff = float(np.max(np.abs(routed.data - standalone(params))))
-            assert diff <= 1e-9, (kind, route, diff)
+        routed = sem_forward(x, params, conv=(identity, None))
+        diff = float(np.max(np.abs(routed.data - standalone(params))))
+        assert diff <= 1e-9, (kind, diff)
 
 
 @criterion(4, "adaptive kernel-size table")
@@ -148,19 +154,14 @@ def test_criterion_5_decision_removal_bitwise():
     params = init_sem_params(32, rng=RngState(501), dtype=np.float64)
     x = Tensor(gen.standard_normal((3, 32, 4, 4)), requires_grad=False,
                dtype=np.float64)
-    m = squeeze(x)
-    v = sigmoid(excite_fc(m, params.reduce_weight, params.expand_weight))
-    v = mul(v, sigmoid(excite_cnn(m, params.conv_kernel)))
-    v = mul(v, sigmoid(excite_ie(m, params.ie_scale, params.ie_shift)))
-    explicit = recalibrate(x, v)
-    # Stage by stage, and inside a 1x1 conv's node as the backbone runs it,
-    # with the identity kernel so the conv hands the gate x itself.
+    # x times the product of the branches' sigmoids, one tape node per op,
+    # against the one node inside an identity-kernel 1x1 conv, as the
+    # backbone runs it.
     unit_params = dataclasses.replace(params, decision_weight=None)
+    explicit = oracles.reference_gate(x, unit_params)
     identity = Tensor(np.eye(32)[:, :, None, None], dtype=np.float64)
-    routes = {"stages": recalibrate(x, attention_map(x, unit_params)),
-              "conv": sem_forward(x, unit_params, conv=(identity, None))}
-    for route, unit in routes.items():
-        assert unit.data.tobytes() == explicit.data.tobytes(), route
+    unit = sem_forward(x, unit_params, conv=(identity, None))
+    assert unit.data.tobytes() == explicit.data.tobytes()
 
 
 @criterion(6, "depth-20 SEM overfits 64 samples within 300 steps")

@@ -1,8 +1,9 @@
-"""Attention stages: operator math against oracles, switching invariants,
-kernel-size rule, single-operator gates against the SE/ECA/IE oracles,
-decision reporting."""
+"""Attention stages, from the terms of the gate the model runs: operator
+math against oracles, switching invariants, kernel-size rule,
+single-operator gates against the SE/ECA/IE oracles, decision reporting."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,25 +11,26 @@ import pytest
 from semnet.attention import (
     ALL_OPERATORS,
     DecisionRecord,
-    attention_map,
-    decide,
+    _gate_terms,
     decision_summary_csv,
     eca_kernel_size,
-    excite_cnn,
-    excite_fc,
-    excite_ie,
     hidden_width,
     init_sem_params,
     normalize_operator_set,
-    recalibrate,
     sem_forward,
-    squeeze,
-    switch,
 )
 from semnet.backbone import build_network, named_state
 from semnet.gradcheck import check_gradients
 from semnet.rng import RngState
-from semnet.tensor import Tensor, mul, no_grad, sigmoid
+from semnet.tensor import (
+    ACTIVATION_KINDS,
+    ChannelGate,
+    Tensor,
+    _stable_sigmoid,
+    conv2d,
+    mul,
+    no_grad,
+)
 from semnet.training import RunConfig
 
 import oracles
@@ -36,16 +38,35 @@ import oracles
 SIGMOID_OF_MINUS_1 = 0.2689414213699951
 
 
+def identity(x):
+    return Tensor(np.eye(x.shape[1], dtype=x.dtype)[:, :, None, None])
+
+
 def gated(x, params):
     """The layer on x itself, as the backbone runs it: inside a 1x1 conv's
     node with the identity kernel, which hands the gate x bit for bit."""
-    identity = Tensor(np.eye(x.shape[1], dtype=x.dtype)[:, :, None, None])
-    return sem_forward(x, params, conv=(identity, None))
+    return sem_forward(x, params, conv=(identity(x), None))
 
 
 def rand_input(gen, b=3, c=16, h=4, w=4):
     return Tensor(gen.standard_normal((b, c, h, w)), requires_grad=True,
                   dtype=np.float64)
+
+
+def gate_with(channels, operators=ALL_OPERATORS, switch_activation="sigmoid", **arrays):
+    """A float64 gate with the named parameters set to ``arrays`` (None
+    drops one, as ``decision_weight=None`` drops the decision network)."""
+    params = init_sem_params(channels, operators, switch_activation=switch_activation,
+                             rng=RngState(72), dtype=np.float64)
+    return dataclasses.replace(params, **{
+        name: None if a is None else Tensor(np.asarray(a, dtype=np.float64))
+        for name, a in arrays.items()})
+
+
+def terms(m, params):
+    """Named terms of the gate for the descriptor m."""
+    names = ("weights", "hidden", "branches", "scaled", "gated", "v")
+    return dict(zip(names, _gate_terms(np.asarray(m, dtype=np.float64), params)))
 
 
 class TestKernelSizeRule:
@@ -69,134 +90,129 @@ class TestKernelSizeRule:
 
 
 class TestStages:
+    def descriptor(self, x):
+        """The (B, C) descriptor the gate receives inside the identity 1x1
+        conv's node: the squeeze."""
+        seen = []
+        conv2d(x, identity(x), gate=ChannelGate(
+            (), lambda m: seen.append(m.copy()) or np.ones_like(m), None))
+        return seen[0]
+
     def test_squeeze_shape_and_constant(self):
-        x = Tensor(np.ones((2, 5, 3, 3)), dtype=np.float64)
-        m = squeeze(x)
-        assert m.shape == (2, 5)
-        assert np.array_equal(m.data, np.ones((2, 5)))
+        m = self.descriptor(Tensor(np.ones((2, 5, 3, 3)), dtype=np.float64))
+        assert np.array_equal(m, np.ones((2, 5)))
 
     def test_squeeze_matches_bruteforce(self):
         gen = RngState(40).generator()
         x = gen.standard_normal((4, 8, 3, 3))
-        m = squeeze(Tensor(x, dtype=np.float64))
-        assert np.max(np.abs(m.data - oracles.naive_gap(x))) <= 1e-12
+        m = self.descriptor(Tensor(x, dtype=np.float64))
+        assert np.max(np.abs(m - oracles.naive_gap(x))) <= 1e-12
 
     def test_decide_zero_weight_gives_half(self):
-        m = Tensor(np.random.default_rng(0).random((4, 6)), dtype=np.float64)
-        w = decide(m, Tensor(np.zeros((3, 6)), dtype=np.float64))
-        assert np.array_equal(w.data, np.full((4, 3), 0.5))
+        m = np.random.default_rng(0).random((4, 6))
+        params = gate_with(6, decision_weight=np.zeros((3, 6)))
+        assert np.array_equal(terms(m, params)["weights"], np.full((4, 3), 0.5))
 
     def test_decide_zero_descriptor_gives_half(self):
         gen = RngState(41).generator()
-        wd = Tensor(gen.standard_normal((2, 6)), dtype=np.float64)
-        w = decide(Tensor(np.zeros((3, 6)), dtype=np.float64), wd)
-        assert np.array_equal(w.data, np.full((3, 2), 0.5))
+        params = gate_with(6, ("fc", "cnn"), decision_weight=gen.standard_normal((2, 6)))
+        w = terms(np.zeros((3, 6)), params)["weights"]
+        assert np.array_equal(w, np.full((3, 2), 0.5))
 
     def test_decide_matches_affine_sigmoid_oracle(self):
         gen = RngState(42).generator()
         m = gen.standard_normal((3, 8))
         wd = gen.standard_normal((3, 8))
-        got = decide(Tensor(m, dtype=np.float64), Tensor(wd, dtype=np.float64))
+        got = terms(m, gate_with(8, decision_weight=wd))["weights"]
         expected = 1.0 / (1.0 + np.exp(-oracles.naive_affine(m, wd)))
-        assert np.max(np.abs(got.data - expected)) <= 1e-12
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_excite_fc_zero_reduce_weight(self):
         gen = RngState(43).generator()
-        m = Tensor(gen.standard_normal((2, 8)), dtype=np.float64)
-        out = excite_fc(m, Tensor(np.zeros((2, 8)), dtype=np.float64),
-                        Tensor(gen.standard_normal((8, 2)), dtype=np.float64))
-        assert not out.data.any()
+        params = gate_with(8, ("fc",), reduce_weight=np.zeros((2, 8)),
+                           expand_weight=gen.standard_normal((8, 2)))
+        assert not terms(gen.standard_normal((2, 8)), params)["branches"].any()
 
     def test_excite_fc_identity_padded_passthrough(self):
         # C=4, r=2: identity-shaped weights forward non-negative inputs.
-        m = Tensor(np.array([[0.5, 1.0, 0.0, 0.0]]), dtype=np.float64)
-        w1 = Tensor(np.eye(2, 4), dtype=np.float64)
-        w2 = Tensor(np.eye(4, 2), dtype=np.float64)
-        out = excite_fc(m, w1, w2)
-        assert np.array_equal(out.data, [[0.5, 1.0, 0.0, 0.0]])
+        m = np.array([[0.5, 1.0, 0.0, 0.0]])
+        params = gate_with(4, ("fc",), reduce_weight=np.eye(2, 4), expand_weight=np.eye(4, 2))
+        assert np.array_equal(terms(m, params)["branches"][:, 0], m)
 
     def test_excite_fc_matches_two_affine_relu_oracle(self):
         gen = RngState(44).generator()
         m = gen.standard_normal((3, 8))
         w1 = gen.standard_normal((2, 8))
         w2 = gen.standard_normal((8, 2))
-        got = excite_fc(Tensor(m, dtype=np.float64), Tensor(w1, dtype=np.float64),
-                        Tensor(w2, dtype=np.float64))
+        got = terms(m, gate_with(8, ("fc",), reduce_weight=w1, expand_weight=w2))
         hidden = np.maximum(oracles.naive_affine(m, w1), 0.0)
+        assert np.max(np.abs(got["hidden"] - hidden)) <= 1e-12
         expected = oracles.naive_affine(hidden, w2)
-        assert np.max(np.abs(got.data - expected)) <= 1e-12
+        assert np.max(np.abs(got["branches"][:, 0] - expected)) <= 1e-12
 
     def test_excite_cnn_identity_and_zero(self):
         gen = RngState(45).generator()
-        m = Tensor(gen.standard_normal((2, 16)), dtype=np.float64)
-        ident = Tensor(np.array([0.0, 1.0, 0.0]), dtype=np.float64)
-        assert np.allclose(excite_cnn(m, ident).data, m.data, atol=0)
-        zero = Tensor(np.zeros(3), dtype=np.float64)
-        assert not excite_cnn(m, zero).data.any()
+        m = gen.standard_normal((2, 16))
+        for kernel in ([1.0], [0.0, 1.0, 0.0]):
+            branch = terms(m, gate_with(16, ("cnn",), conv_kernel=kernel))["branches"][:, 0]
+            assert np.array_equal(branch, m), kernel
+        zero = gate_with(16, ("cnn",), conv_kernel=np.zeros(3))
+        assert not terms(m, zero)["branches"].any()
 
     def test_excite_cnn_matches_sliding_window(self):
         gen = RngState(46).generator()
         m = gen.standard_normal((2, 16))
         k = gen.standard_normal(3)
-        got = excite_cnn(Tensor(m, dtype=np.float64), Tensor(k, dtype=np.float64))
-        assert np.max(np.abs(got.data - oracles.naive_conv1d_channel(m, k))) <= 1e-12
+        got = terms(m, gate_with(16, ("cnn",), conv_kernel=k))["branches"][:, 0]
+        assert np.max(np.abs(got - oracles.naive_conv1d_channel(m, k))) <= 1e-12
 
     def test_excite_ie_cases(self):
-        m = Tensor(np.array([[1.0, -1.0]]), dtype=np.float64)
-        const = excite_ie(m, Tensor(np.zeros((1, 1)), dtype=np.float64),
-                          Tensor(np.full((1, 1), -1.0), dtype=np.float64))
-        assert np.array_equal(const.data, [[-1.0, -1.0]])
-        ident = excite_ie(m, Tensor(np.ones((1, 1)), dtype=np.float64),
-                          Tensor(np.zeros((1, 1)), dtype=np.float64))
-        assert np.array_equal(ident.data, m.data)
-        out = excite_ie(m, Tensor(np.full((1, 1), 2.0), dtype=np.float64),
-                        Tensor(np.full((1, 1), 0.5), dtype=np.float64))
-        assert np.array_equal(out.data, [[2.5, -1.5]])
+        m = np.array([[1.0, -1.0]])
+        for scale, shift, expected in ((0.0, -1.0, [[-1.0, -1.0]]), (1.0, 0.0, m),
+                                       (2.0, 0.5, [[2.5, -1.5]])):
+            params = gate_with(2, ("ie",), ie_scale=[[scale]], ie_shift=[[shift]])
+            assert np.array_equal(terms(m, params)["branches"][:, 0], expected)
 
     def test_switch_zero_branches_gives_eighth(self):
-        zero = Tensor(np.zeros((2, 4)), dtype=np.float64)
-        w = Tensor(np.random.default_rng(1).random((2, 3)), dtype=np.float64)
-        v = switch([zero, zero, zero], w)
-        assert np.array_equal(v.data, np.full((2, 4), 0.125))
+        # Random decision weights scale three zero branches.
+        gen = RngState(47).generator()
+        params = gate_with(4, decision_weight=gen.standard_normal((3, 4)),
+                           reduce_weight=np.zeros((1, 4)), conv_kernel=np.zeros(1),
+                           ie_shift=[[0.0]])
+        got = terms(gen.standard_normal((2, 4)), params)
+        assert len(np.unique(got["weights"])) == 6
+        assert np.array_equal(got["v"], np.full((2, 4), 0.125))
 
     def test_switch_unit_weights_equals_plain_product(self):
         gen = RngState(47).generator()
-        branches = [Tensor(gen.standard_normal((2, 5)), dtype=np.float64)
-                    for _ in range(3)]
-        got = switch(branches, None)
-        expected = sigmoid(branches[0])
-        expected = mul(expected, sigmoid(branches[1]))
-        expected = mul(expected, sigmoid(branches[2]))
-        assert got.data.tobytes() == expected.data.tobytes()
+        params = gate_with(5, decision_weight=None, ie_scale=[[0.8]])
+        got = terms(gen.standard_normal((2, 5)), params)
+        branches = got["branches"]
+        assert got["scaled"].tobytes() == branches.tobytes()
+        expected = (_stable_sigmoid(branches[:, 0]) * _stable_sigmoid(branches[:, 1])
+                    * _stable_sigmoid(branches[:, 2]))
+        assert got["v"].tobytes() == expected.tobytes()
 
-    def test_switch_matches_scalar_oracle(self):
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_switch_matches_scalar_oracle(self, kind):
         gen = RngState(48).generator()
-        branches_np = [gen.standard_normal((3, 6)) for _ in range(3)]
-        weights_np = gen.random((3, 3))
-        got = switch([Tensor(b, dtype=np.float64) for b in branches_np],
-                     Tensor(weights_np, dtype=np.float64))
-        expected = oracles.naive_switch(branches_np, weights_np)
-        assert np.max(np.abs(got.data - expected)) <= 1e-12
-
-    def test_switch_length_mismatch(self):
-        b = Tensor(np.zeros((2, 4)), dtype=np.float64)
-        w = Tensor(np.zeros((2, 3)), dtype=np.float64)
-        with pytest.raises(ValueError):
-            switch([b, b], w)
+        params = gate_with(6, switch_activation=kind, ie_scale=[[0.8]], ie_shift=[[0.3]])
+        got = terms(gen.standard_normal((3, 6)), params)
+        branches = [got["branches"][:, i] for i in range(3)]
+        expected = oracles.naive_switch(branches, got["weights"], kind)
+        assert np.max(np.abs(got["v"] - expected)) <= 1e-12
 
     def test_recalibrate_identity_zero_and_oracle(self):
         gen = RngState(49).generator()
         x = gen.standard_normal((2, 3, 4, 4))
-        xt = Tensor(x, dtype=np.float64)
-        ones = Tensor(np.ones((2, 3)), dtype=np.float64)
-        assert np.array_equal(recalibrate(xt, ones).data, x)
-        zeros = Tensor(np.zeros((2, 3)), dtype=np.float64)
-        assert not recalibrate(xt, zeros).data.any()
-        v = gen.random((2, 3))
-        got = recalibrate(xt, Tensor(v, dtype=np.float64))
-        assert np.array_equal(got.data, x * v[:, :, None, None])
-        with pytest.raises(ValueError):
-            recalibrate(xt, Tensor(np.zeros((2, 4)), dtype=np.float64))
+        # An IE gate with a ReLU switch and scale 0 has v = its shift.
+        for shift, expected in ((1.0, x), (0.0, np.zeros_like(x))):
+            params = gate_with(3, ("ie",), "relu", decision_weight=None, ie_shift=[[shift]])
+            assert np.array_equal(gated(Tensor(x, dtype=np.float64), params).data, expected)
+        params = gate_with(3)
+        v = terms(x.mean(axis=(2, 3)), params)["v"]
+        got = gated(Tensor(x, dtype=np.float64), params)
+        assert got.data.tobytes() == (x * v[:, :, None, None]).tobytes()
 
 
 class TestFullLayer:
@@ -206,12 +222,13 @@ class TestFullLayer:
         params = init_sem_params(8, rng=RngState(50), dtype=np.float64)
         x = Tensor(np.zeros((2, 8, 3, 3)), dtype=np.float64)
         decisions = []
-        v = attention_map(x, params, decisions)
+        sem_forward(x, params, conv=(identity(x), None), decisions=decisions)
         assert np.array_equal(decisions[0], np.full((2, 3), 0.5))
+        v = terms(np.zeros((2, 8)), params)["v"]
         # fc and cnn branches are 0 -> sigmoid(0)=0.5 each; ie contributes
         # sigmoid(-1 * 0.5).
         expected = 0.5 * 0.5 * (1.0 / (1.0 + np.exp(0.5)))
-        assert np.max(np.abs(v.data - expected)) <= 1e-15
+        assert np.max(np.abs(v - expected)) <= 1e-15
 
     def test_single_fc_matches_independent_composition(self):
         gen = RngState(51).generator()
@@ -238,21 +255,12 @@ class TestFullLayer:
                                inputs)
         assert max(errs.values()) <= 1e-4, errs
 
-    def test_bound_invariant_sigmoid(self):
-        gen = RngState(55).generator()
-        for c in (4, 16, 64):
-            params = init_sem_params(c, rng=RngState(c), dtype=np.float64)
-            x = Tensor(gen.standard_normal((64, c, 2, 2)) * 5.0, dtype=np.float64)
-            v = attention_map(x, params).data
-            assert v.min() > 0.0 and v.max() < 1.0
-
     def test_zero_branch_multiplies_by_half_exactly(self):
         gen = RngState(56).generator()
-        branches = [Tensor(gen.standard_normal((2, 6)), dtype=np.float64)
-                    for _ in range(2)]
-        v2 = switch(branches, None)
-        v3 = switch(branches + [Tensor(np.zeros((2, 6)), dtype=np.float64)], None)
-        assert np.array_equal(v3.data, v2.data * 0.5)
+        m = gen.standard_normal((2, 6))
+        three = gate_with(6, decision_weight=None, ie_shift=[[0.0]])
+        two = dataclasses.replace(three, operators=("fc", "cnn"), ie_scale=None, ie_shift=None)
+        assert np.array_equal(terms(m, three)["v"], terms(m, two)["v"] * 0.5)
 
     def test_per_sample_independence(self):
         gen = RngState(57).generator()
@@ -262,18 +270,6 @@ class TestFullLayer:
         out = gated(Tensor(x, dtype=np.float64), params).data
         out_perm = gated(Tensor(x[perm], dtype=np.float64), params).data
         assert np.array_equal(out[perm], out_perm)
-
-    def test_decision_removal_bitwise_equivalence(self):
-        gen = RngState(59).generator()
-        params = init_sem_params(16, rng=RngState(60), dtype=np.float64)
-        x = rand_input(gen, b=2)
-        unit = gated(x, dataclasses.replace(params, decision_weight=None))
-        m = squeeze(x)
-        v = sigmoid(excite_fc(m, params.reduce_weight, params.expand_weight))
-        v = mul(v, sigmoid(excite_cnn(m, params.conv_kernel)))
-        v = mul(v, sigmoid(excite_ie(m, params.ie_scale, params.ie_shift)))
-        explicit = recalibrate(x, v)
-        assert unit.data.tobytes() == explicit.data.tobytes()
 
 
 class TestBaselines:
@@ -295,26 +291,6 @@ class TestBaselines:
         x = rand_input(gen, c=8)
         out = gated(x, params)
         assert np.max(np.abs(out.data - SIGMOID_OF_MINUS_1 * x.data)) <= 1e-12
-
-    @pytest.mark.parametrize("ops,kind", [(("cnn",), "eca"), (("fc",), "se"),
-                                          (("ie",), "ie")])
-    def test_single_operator_equals_baseline(self, ops, kind):
-        params = init_sem_params(16, ops, rng=RngState(66), dtype=np.float64,
-                                 with_decision=False)
-        if kind == "ie":
-            params.ie_scale.data[...] = 0.75  # at init (0) the descriptor is ignored
-        gen = RngState(67).generator()
-        x = rand_input(gen)
-        a = gated(x, params)
-        if kind == "se":
-            b = oracles.naive_se_gate(x.data, params.reduce_weight.data,
-                                      params.expand_weight.data)
-        elif kind == "eca":
-            b = oracles.naive_eca_gate(x.data, params.conv_kernel.data)
-        else:
-            b = oracles.naive_ie_gate(x.data, params.ie_scale.data[0, 0],
-                                      params.ie_shift.data[0, 0])
-        assert np.max(np.abs(a.data - b)) <= 1e-9
 
     def test_unknown_baseline(self):
         with pytest.raises(ValueError, match="unknown attention mode"):
@@ -351,6 +327,10 @@ class TestParamsAndReporting:
         assert hidden_width(8, 16) == 1
         with pytest.raises(ValueError):
             hidden_width(8, 0)
+
+    def test_unknown_switch_activation(self):
+        with pytest.raises(ValueError, match=re.escape(f"'gelu'; valid: {ACTIVATION_KINDS}")):
+            init_sem_params(16, switch_activation="gelu")
 
     def test_init_shapes_and_ie_values(self):
         params = init_sem_params(64, rng=RngState(69))

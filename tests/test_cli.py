@@ -300,18 +300,19 @@ def test_malformed_record_table_is_data_error(tmp_path, capsys, name, shape):
 
 class TestGradcheck:
     def test_single_scope_passes(self, capsys):
-        assert run_cli("gradcheck", "--scope", "conv1d_channel") == 0
+        assert run_cli("gradcheck", "--scope", "reshape") == 0
         assert "[ok]" in capsys.readouterr().out
 
     def test_sem_layer_reports_the_conv_and_gate_groups(self, capsys):
-        # The gate inside its 1x1 conv: the conv's input, kernel and
-        # pre-activation unit, then the gate's parameters.
+        # The gate inside its 1x1 conv with a sigmoid switch: the conv's
+        # input, kernel and pre-activation unit, then the gate's parameters;
+        # then one line for each other switch activation.
         assert run_cli("gradcheck", "--scope", "sem-layer") == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("sem-layer: ") and lines[0].endswith(" [ok]")
         assert [line.split(":")[0].strip() for line in lines[1:]] == sorted(
             ["input", "kernel", "gamma", "beta", "decision", "fc_reduce", "fc_expand",
-             "cnn_kernel", "ie"])
+             "cnn_kernel", "ie", "tanh", "relu", "leaky_relu"])
 
     def test_unknown_scope_usage_error(self, capsys):
         assert run_cli("gradcheck", "--scope", "does-not-exist") == 2
@@ -338,7 +339,7 @@ class TestGradcheck:
         fd = os.open(os.path.join(tmp_path, "stdout"), os.O_WRONLY | os.O_CREAT)
         try:
             monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
-            assert run_cli("gradcheck", "--scope", "conv1d_channel") == 2
+            assert run_cli("gradcheck", "--scope", "reshape") == 2
             assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
         finally:
             os.close(fd)

@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 
 from semnet import tensor, verify
-from semnet.attention import (
-    ALL_OPERATORS,
-    attention_map,
-    gate_params,
-    init_sem_params,
-    recalibrate,
-    sem_forward,
-)
+from semnet.attention import ALL_OPERATORS, gate_params, init_sem_params, sem_forward
 from semnet.backbone import build_network
 from semnet.gradcheck import check_gradients, finite_difference_grad, max_relative_error
 from semnet.rng import RngState
@@ -27,12 +20,10 @@ from semnet.tensor import (
     ACTIVATION_KINDS,
     PreActivation,
     Tensor,
-    activation,
     add,
     affine,
     backward,
     batch_norm,
-    conv1d_channel,
     conv2d,
     global_avg_pool,
     is_grad_enabled,
@@ -41,9 +32,7 @@ from semnet.tensor import (
     relu,
     reshape,
     set_debug_checks,
-    sigmoid,
     softmax_cross_entropy,
-    take_column,
 )
 from semnet.training import RunConfig
 from semnet.verify import _kink_free_beta
@@ -149,34 +138,12 @@ class TestForwardSemantics:
             conv2d(Tensor(np.zeros((1, 1, 2, 2)), dtype=np.float64),
                    Tensor(np.zeros((1, 1, 5, 5)), dtype=np.float64))
 
-    def test_conv1d_identity_kernels(self):
-        gen = RngState(14).generator()
-        m = Tensor(gen.standard_normal((3, 6)), dtype=np.float64)
-        assert np.array_equal(conv1d_channel(m, Tensor([1.0], dtype=np.float64)).data,
-                              m.data)
-        k010 = Tensor(np.array([0.0, 1.0, 0.0]), dtype=np.float64)
-        assert np.allclose(conv1d_channel(m, k010).data, m.data, atol=0)
-
-    def test_conv1d_matches_sliding_window(self):
-        gen = RngState(15).generator()
-        m = gen.standard_normal((4, 8))
-        k = gen.standard_normal(3)
-        out = conv1d_channel(Tensor(m, dtype=np.float64), Tensor(k, dtype=np.float64))
-        assert np.max(np.abs(out.data - oracles.naive_conv1d_channel(m, k))) <= 1e-12
-
-    def test_conv1d_rejects_even_kernel(self):
-        with pytest.raises(ValueError):
-            conv1d_channel(Tensor(np.zeros((1, 4)), dtype=np.float64),
-                           Tensor(np.zeros(2), dtype=np.float64))
-
     def test_activation_values(self):
-        x = Tensor(np.array([0.0]), dtype=np.float64)
-        assert activation(x, "sigmoid").data[0] == 0.5
-        x = Tensor(np.array([-1.0, 2.0]), dtype=np.float64)
-        assert np.array_equal(activation(x, "relu").data, [0.0, 2.0])
-        assert np.allclose(activation(x, "leaky_relu").data, [-0.01, 2.0])
-        with pytest.raises(ValueError):
-            activation(x, "gelu")
+        rules = tensor._ACTIVATION_RULES
+        assert rules["sigmoid"][0](np.array([0.0]))[0] == 0.5
+        x = np.array([-1.0, 2.0])
+        assert np.array_equal(rules["relu"][0](x), [0.0, 2.0])
+        assert np.allclose(rules["leaky_relu"][0](x), [-0.01, 2.0])
 
     def test_elementwise_identities(self):
         gen = RngState(16).generator()
@@ -915,7 +882,7 @@ def gate_of(dtype, operators, decision, switch_activation, channels=16):
 def run_gated_unit(fused, x, kernel, gamma, beta, buffers, training, params, g, shards=1):
     """The gate on conv(relu(batch_norm(x))) for a 1x1 kernel, as the one
     node of ``sem_forward(..., conv=...)`` or as the pre-activation conv
-    and the stage-by-stage gate, over ``shards`` contiguous sample shards
+    and the reference gate of oracles.py, over ``shards`` contiguous sample shards
     run linked by ``run_linked`` (forward, then backward): (out, decision weights,
     [dx, dkernel, dgamma, dbeta, *gate parameter gradients]). ``buffers``
     (running mean, var) are updated in place."""
@@ -930,7 +897,7 @@ def run_gated_unit(fused, x, kernel, gamma, beta, buffers, training, params, g, 
             outs[i] = sem_forward(xs[i], params, conv=(kt, pre), decisions=decisions[i])
         else:
             out = conv2d(xs[i], kt, pre=pre)
-            outs[i] = recalibrate(out, attention_map(out, params, decisions[i]))
+            outs[i] = oracles.reference_gate(out, params, decisions[i])
 
     def backward(i):
         tensor._sweep(outs[i], g[parts[i]], sinks[i])
@@ -950,13 +917,13 @@ def run_gated_unit(fused, x, kernel, gamma, beta, buffers, training, params, g, 
 
 def oracle_gated_unit(x, kernel, gamma, beta, rm, rv, training, params, g):
     """(out, [dx, dkernel, dgamma, dbeta, *gate parameter gradients],
-    running buffers) of the stage-by-stage gate on the textbook loops'
-    conv(relu(batch_norm(x)))."""
+    running buffers) of the reference gate of oracles.py on the textbook
+    loops' conv(relu(batch_norm(x)))."""
     act, *_, want_rm, want_rv = oracles.naive_batch_norm(
         x, gamma, beta, rm, rv, np.zeros_like(x), training, relu=True)
     z = Tensor(oracles.naive_conv2d(act, kernel), requires_grad=True)
     gates = gate_params(params)
-    out = recalibrate(z, attention_map(z, params))
+    out = oracles.reference_gate(z, params)
     backward(mul(out, Tensor(g)).sum())
     gate_grads = [t.grad for t in gates]
     for t in gates:
@@ -969,9 +936,9 @@ def oracle_gated_unit(x, kernel, gamma, beta, rm, rv, training, params, g):
 
 class TestGatedConv:
     """sem_forward(x, params, conv=(kernel, pre)) runs the gate inside the
-    1x1 conv's node: against the stage-by-stage gate on the float64
-    textbook loops of oracles.py, and in float32 with the forward bit for
-    bit that of the pre-activation conv and the stage-by-stage gate, for
+    1x1 conv's node: against the reference gate on the float64 textbook
+    loops of oracles.py, and in float32 with the forward bit for bit that
+    of the pre-activation conv and the reference gate, for
     every gate kind the backbone builds, whole or in two shards."""
 
     @pytest.mark.parametrize("shards", [1, 2])
@@ -1022,7 +989,7 @@ class TestGatedConv:
     @pytest.mark.parametrize("operators,decision,act", GATES, ids=GATE_IDS)
     def test_identity_conv_matches_the_stages(self, operators, decision, act):
         # The gate on x itself, as one node inside an identity-kernel 1x1
-        # conv: the stages' forward bit for bit, and their gradients.
+        # conv: the reference's forward bit for bit, and its gradients.
         gen = RngState(92).generator()
         params = gate_of(np.float64, operators, decision, act)
         data, g = (gen.standard_normal((4, 16, 6, 5)) for _ in range(2))
@@ -1033,7 +1000,7 @@ class TestGatedConv:
             x = Tensor(data, requires_grad=True)
             decisions = []
             out = (sem_forward(x, params, conv=(identity, None), decisions=decisions)
-                   if one_node else recalibrate(x, attention_map(x, params, decisions)))
+                   if one_node else oracles.reference_gate(x, params, decisions))
             assert all(t in out._parents for t in gates) == one_node
             backward(mul(out, Tensor(g)).sum())
             results.append((out.data, decisions, [x.grad] + [t.grad for t in gates]))
@@ -1094,12 +1061,15 @@ class TestAutodiff:
 
     @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
     def test_activation_gradients(self, kind):
+        # The switch's rules: mean(w * act(x)) against central differences.
+        forward, rule = tensor._ACTIVATION_RULES[kind]
         gen = RngState(ACTIVATION_KINDS.index(kind) + 30).generator()
         for trial in range(25):
             x = randn(gen, (3, 5), away_from_zero=kind in ("relu", "leaky_relu"))
-            w = Tensor(gen.standard_normal((3, 5)), dtype=np.float64)
-            errs = check_gradients(lambda: mul(activation(x, kind), w).mean(), {"x": x})
-            assert errs["x"] <= (1e-6 if kind == "tanh" else TOL)
+            w = gen.standard_normal((3, 5))
+            analytic = rule(w / w.size, x.data, forward(x.data))
+            numeric = finite_difference_grad(lambda t: (w * forward(t.data)).mean(), x)
+            assert max_relative_error(analytic, numeric) <= (1e-6 if kind == "tanh" else TOL)
 
     def test_every_op_gradient_over_100_instances(self):
         # Autodiff-correctness invariant: >= 100 random instances per op.
@@ -1127,12 +1097,16 @@ class TestAutodiff:
                 name = f"conv2d_k{kk}s{stride}p{pad}"
                 worst[name] = max(worst.get(name, 0), max(errs.values()))
 
+            # The gate's channel conv: mean(pr * conv(m, kern)).
             m = randn(gen, (2, 6))
             kern = randn(gen, (3,))
-            pr = Tensor(gen.standard_normal((2, 6)), dtype=np.float64)
-            errs = check_gradients(
-                lambda: mul(conv1d_channel(m, kern), pr).mean(), {"m": m, "k": kern})
-            worst["conv1d"] = max(worst.get("conv1d", 0), max(errs.values()))
+            pr = gen.standard_normal((2, 6))
+            analytic = tensor._channel_conv_backward(m.data, kern.data, pr / pr.size)
+            for t, grad in zip((m, kern), analytic):
+                numeric = finite_difference_grad(
+                    lambda _: (pr * tensor._channel_conv(m.data, kern.data)).mean(), t)
+                worst["channel_conv"] = max(worst.get("channel_conv", 0),
+                                            max_relative_error(grad, numeric))
 
             a = randn(gen, (3, 4))
             wt = randn(gen, (2, 4))
@@ -1174,23 +1148,19 @@ class TestAutodiff:
                 {"x": x, "gamma": g, "beta": b})
             assert max(errs.values()) <= TOL, (training, fused, errs)
 
-    def test_reshape_and_take_column_gradients(self):
+    def test_reshape_gradients(self):
         gen = RngState(24).generator()
         x = randn(gen, (4, 6))
         w = Tensor(gen.standard_normal((2, 12)), dtype=np.float64)
         errs = check_gradients(lambda: mul(reshape(x, (2, 12)), w).mean(), {"x": x})
         assert errs["x"] <= TOL
-        y = randn(gen, (4, 6))
-        w2 = Tensor(gen.standard_normal((4, 1)), dtype=np.float64)
-        errs = check_gradients(lambda: mul(take_column(y, 3), w2).sum(), {"y": y})
-        assert errs["y"] <= TOL
 
     def test_backward_releases_tape_as_it_goes(self):
         x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True, dtype=np.float64)
         three, half, two = (Tensor(np.array([c]), dtype=np.float64) for c in (3.0, 0.5, 2.0))
         early = mul(x, three)
         held = relu(add(early, half))
-        late = mul(sigmoid(held), two)
+        late = mul(mul(held, held), two)
         late_data = weakref.ref(late.data)
         loss = mul(late, late).sum()
         del late
@@ -1204,9 +1174,8 @@ class TestAutodiff:
         early._backward = spy
         backward(loss)
         assert alive_at_early_rule == [False]
-        # loss = sum (2 s)^2 with s = sigmoid(held), held = relu(3x + 0.5).
-        s = 1.0 / (1.0 + np.exp(-held.data))
-        expected_held = 8.0 * s * s * (1.0 - s)
+        # loss = sum (2 held^2)^2 with held = relu(3x + 0.5).
+        expected_held = 16.0 * held.data**3
         assert np.allclose(held.grad, expected_held, rtol=1e-14, atol=0)
         assert np.allclose(x.grad, 3.0 * expected_held * (3.0 * x.data + 0.5 > 0),
                            rtol=1e-14, atol=0)
@@ -1233,7 +1202,7 @@ class TestAutodiff:
     def test_no_grad_suppresses_recording(self):
         x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
         with no_grad():
-            y = sigmoid(x)
+            y = relu(x)
         assert y._backward is None and not y.requires_grad
 
 
