@@ -734,11 +734,20 @@ def _zero_padded(m: np.ndarray, pad: int) -> np.ndarray:
     return mp
 
 
+def _channel_pad(kernel: np.ndarray) -> int:
+    """(k-1)/2 for a kernel of odd length k; an even one would make the
+    strided windows of ``_channel_conv`` read past the padded buffer."""
+    k = len(kernel)
+    if k % 2 == 0:
+        raise ValueError(f"kernel length must be odd, got {k}")
+    return (k - 1) // 2
+
+
 def _channel_conv(m: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Slide one shared odd-length kernel along the channel axis of (B, C),
     zero-padded by (k-1)/2 on each side so the length is kept; no bias."""
     (b, c), k = m.shape, len(kernel)
-    mp = _zero_padded(m, (k - 1) // 2)
+    mp = _zero_padded(m, _channel_pad(kernel))
     windows = np.lib.stride_tricks.as_strided(mp, (b, c, k), mp.strides + mp.strides[1:])
     return windows @ kernel
 
@@ -746,7 +755,7 @@ def _channel_conv(m: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 def _channel_conv_backward(m: np.ndarray, kernel: np.ndarray, g: np.ndarray) -> tuple:
     """(dm, dkernel) of ``_channel_conv`` for the gradient g at its output."""
     (b, c), k = m.shape, len(kernel)
-    pad = (k - 1) // 2
+    pad = _channel_pad(kernel)
     mp = _zero_padded(m, pad)
     dkernel = np.empty_like(kernel)
     dmp = np.zeros((b, c + 2 * pad), dtype=m.dtype)

@@ -138,6 +138,26 @@ class TestForwardSemantics:
             conv2d(Tensor(np.zeros((1, 1, 2, 2)), dtype=np.float64),
                    Tensor(np.zeros((1, 1, 5, 5)), dtype=np.float64))
 
+    def test_conv1d_identity_kernels(self):
+        gen = RngState(14).generator()
+        m = gen.standard_normal((3, 6))
+        assert np.array_equal(tensor._channel_conv(m, np.array([1.0])), m)
+        assert np.array_equal(tensor._channel_conv(m, np.array([0.0, 1.0, 0.0])), m)
+
+    def test_conv1d_matches_sliding_window(self):
+        gen = RngState(15).generator()
+        m = gen.standard_normal((4, 8))
+        k = gen.standard_normal(3)
+        out = tensor._channel_conv(m, k)
+        assert np.max(np.abs(out - oracles.naive_conv1d_channel(m, k))) <= 1e-12
+
+    def test_conv1d_rejects_even_kernel(self):
+        m, kernel = np.zeros((1, 4)), np.zeros(2)
+        with pytest.raises(ValueError, match="odd"):
+            tensor._channel_conv(m, kernel)
+        with pytest.raises(ValueError, match="odd"):
+            tensor._channel_conv_backward(m, kernel, np.zeros((1, 4)))
+
     def test_activation_values(self):
         rules = tensor._ACTIVATION_RULES
         assert rules["sigmoid"][0](np.array([0.0]))[0] == 0.5
