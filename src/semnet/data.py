@@ -170,10 +170,14 @@ class CifarSplit(Sequence):
     the split keeps only each record's label bytes and its place in the
     files, and no pixels. An index reads its record with one ``os.pread``; a
     slice reads each run of consecutive records in one file as one block,
-    decoded by ``decode_records``. A read that no longer finds the loaded
-    records, because a file was cut short or rewritten, raises
-    ``IngestionError``. ``take`` gives a view over some of the records. The
-    files are closed once the split and its views are collected.
+    decoded by ``decode_records``. The block reader ``_cast_pixels`` gives
+    the pixels alone, for ``compute_channel_stats``: it reads the records in
+    file order through one reused buffer of ``_BLOCK_RECORDS`` records and
+    decodes none. Every read is checked against the label bytes kept at
+    load, so one that no longer finds the loaded records, because a file
+    was cut short or rewritten, raises ``IngestionError``. ``take`` gives a
+    view over some of the records. The files are closed once the split and
+    its views are collected.
     """
 
     def __init__(self, root: str, names, variant: int, expected: int):
@@ -228,19 +232,54 @@ class CifarSplit(Sequence):
         """Records ``first`` to ``first + count`` of the files, one read per file."""
         f = bisect.bisect_right(self._first, first) - 1
         here = min(count, self._first[f + 1] - first)
+        buf = memoryview(bytearray(here * _record_stride(self._variant)))
+        records = decode_records(self._read(f, first, here, buf).toreadonly(), self._variant)
+        return records if here == count else records + self._block(first + here, count - here)
+
+    def _cast_pixels(self, out: np.ndarray):
+        """Yield the pixels of the split's records in file order, cast into
+        ``out`` at most ``len(out)`` records at a time; a record the split
+        holds twice is yielded twice. Each read fills one reused buffer of
+        ``_BLOCK_RECORDS`` records, from the first record still to yield to
+        the last one of the split that fits, within one file."""
+        stride = _record_stride(self._variant)
+        buf = memoryview(bytearray(_BLOCK_RECORDS * stride))
+        numbers = np.sort(self._numbers)
+        i = 0
+        while i < len(numbers):
+            first = int(numbers[i])
+            f = bisect.bisect_right(self._first, first) - 1
+            j = int(np.searchsorted(numbers, min(first + _BLOCK_RECORDS, self._first[f + 1])))
+            block = self._read(f, first, int(numbers[j - 1]) + 1 - first, buf)
+            pixels = (np.frombuffer(block, np.uint8).reshape(-1, stride)
+                      [:, stride - PIXELS_PER_IMAGE :].reshape(-1, *IMAGE_SHAPE))
+            rows = numbers[i:j] - first
+            for start in range(0, len(rows), len(out)):
+                run = rows[start : start + len(out)]
+                x = out[: len(run)]
+                if run[-1] - run[0] == len(run) - 1:  # consecutive records: no gather
+                    x[...] = pixels[run[0] : run[-1] + 1]
+                else:
+                    x[...] = pixels[run]
+                yield x
+            i = j
+
+    def _read(self, f: int, first: int, count: int, buf: memoryview) -> memoryview:
+        """Records ``first`` to ``first + count`` of the files, all in file
+        ``f``, read into the start of ``buf`` and checked against the label
+        bytes kept at load."""
         stride = _record_stride(self._variant)
         h = stride - PIXELS_PER_IMAGE
         offset = (first - self._first[f]) * stride
-        buf = _pread_into(self._fds[f], memoryview(bytearray(here * stride)), offset)
-        heads = self._heads[first * h : (first + here) * h]
-        if len(buf) < here * stride or any(buf[j::stride] != heads[j::h] for j in range(h)):
-            bad = next(i for i in range(here) if len(buf) < (i + 1) * stride
-                       or buf[i * stride : i * stride + h] != heads[i * h : (i + 1) * h])
+        got = _pread_into(self._fds[f], buf[: count * stride], offset)
+        heads = self._heads[first * h : (first + count) * h]
+        if len(got) < count * stride or any(got[j::stride] != heads[j::h] for j in range(h)):
+            bad = next(i for i in range(count) if len(got) < (i + 1) * stride
+                       or got[i * stride : i * stride + h] != heads[i * h : (i + 1) * h])
             raise IngestionError(
                 f"{self._paths[f]}: changed since it was loaded: the record at byte offset "
                 f"{offset + bad * stride} is cut short or relabelled")
-        records = decode_records(buf.toreadonly(), self._variant)
-        return records if here == count else records + self._block(first + here, count - here)
+        return got
 
 
 def _dataset_root(path, variant: int) -> str:
@@ -255,17 +294,23 @@ def _dataset_root(path, variant: int) -> str:
 def compute_channel_stats(records: Sequence[DatasetRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and population std over a split in float64, correctly
     rounded from exact integer pixel sums, so independent of record order.
-    Record chunks are cast into one float32 scratch and summed in runs of at
-    most 256 pixels, which float32 sums exactly (256 * 255**2 < 2**24)."""
+    Chunks of at most 128 records are cast into one float32 scratch and
+    summed in runs of at most 256 pixels, which float32 sums exactly
+    (256 * 255**2 < 2**24). A ``CifarSplit`` or a view of one fills the
+    scratch with its block reader, in file order, from blocks of
+    ``_BLOCK_RECORDS`` records read through one reused buffer, decoding no
+    record; a list of records is stacked 128 at a time."""
     if not records:
         raise ValueError("cannot compute statistics of an empty split")
-    c, h, w = records[0].pixels.shape
+    split = isinstance(records, CifarSplit)
+    c, h, w = IMAGE_SHAPE if split else records[0].pixels.shape
     scratch = np.empty((128, c, h, w), dtype=np.float32)
+    chunks = records._cast_pixels(scratch) if split else (
+        _stack_pixels(records[start : start + len(scratch)], out=scratch[: len(records) - start])
+        for start in range(0, len(records), len(scratch)))
     ones = np.ones(math.gcd(h * w, 256), dtype=np.float32)
     sums = np.zeros((2, c), dtype=np.int64)  # pixels, squared pixels
-    for start in range(0, len(records), len(scratch)):
-        x = _stack_pixels(records[start : start + len(scratch)],
-                          out=scratch[: len(records) - start])
+    for x in chunks:
         runs = x.reshape(len(x), c, -1, len(ones))
         parts = np.stack([runs @ ones, np.einsum("...i,...i", runs, runs)])
         sums += parts.sum(axis=(1, 3), dtype=np.float64).astype(np.int64)

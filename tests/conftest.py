@@ -119,12 +119,13 @@ def _write_records(path, n, variant, gen):
         fh.write(block.tobytes())
 
 
-def with_own_test_file(cifar_dir, root) -> str:
-    """A copy of the CIFAR directory ``cifar_dir`` at ``root`` whose test
-    file may be changed: the train files are links to ``cifar_dir``'s."""
+def with_own_files(cifar_dir, root, own="test") -> str:
+    """A copy of the CIFAR directory ``cifar_dir`` at ``root`` whose files
+    named from ``own`` (the test file by default) may be changed: the other
+    files are links to ``cifar_dir``'s."""
     os.makedirs(root, exist_ok=True)
     for name in os.listdir(cifar_dir):
-        if name.startswith("test"):
+        if name.startswith(own):
             shutil.copyfile(os.path.join(cifar_dir, name), os.path.join(root, name))
         else:
             os.symlink(os.path.join(cifar_dir, name), os.path.join(root, name))

@@ -19,7 +19,7 @@ from semnet.data import CIFAR10_RECORD_BYTES, CIFAR10_TEST_FILES, CIFAR10_TRAIN_
 from semnet.errors import CheckpointError
 from semnet.training import RunConfig
 
-from conftest import with_own_test_file
+from conftest import with_own_files
 
 TINY = """\
 dataset=synthetic
@@ -262,7 +262,7 @@ def test_test_file_cut_short_during_eval_is_data_error(cifar10_dir, tiny_cfg, tm
     arrays["meta.config_json"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
     checkpoint = os.path.join(tmp_path, "cifar10.ckpt")
     write_checkpoint(checkpoint, arrays)
-    root = with_own_test_file(cifar10_dir, os.path.join(tmp_path, "data"))
+    root = with_own_files(cifar10_dir, os.path.join(tmp_path, "data"))
     test_file = os.path.join(root, "test_batch.bin")
     load = data_mod.load_cifar
 

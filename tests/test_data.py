@@ -28,7 +28,7 @@ from semnet.errors import IngestionError
 from semnet.rng import RngState
 
 import oracles
-from conftest import with_own_test_file, write_cifar10_style
+from conftest import with_own_files, write_cifar10_style
 
 
 class TestBinaryFormat:
@@ -352,11 +352,64 @@ class TestSplitReads:
                 if n == 5:
                     break
 
-    def test_stats_match_the_decoded_list(self, request, variant):
-        train, test, _ = self.load(request, variant)
-        got = compute_channel_stats(test)
-        want = compute_channel_stats(list(test))
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    @pytest.mark.parametrize("short_reads", [False, True])
+    def test_stats_match_the_decoded_list(self, request, variant, monkeypatch, short_reads):
+        # The statistics read the files in file order, in blocks, decoding
+        # no record: bit for bit those of the decoded records, in any view,
+        # counting a record a view repeats once per occurrence.
+        if short_reads:
+            preadv = os.preadv
+            monkeypatch.setattr(os, "preadv",
+                                lambda fd, bufs, offset: preadv(fd, [bufs[0][:4_099]], offset))
+        train, test, want = self.load(request, variant)
+        shuffled = np.random.default_rng(13).permutation(50_000)[:700]
+        # Reversed and repeated, across the first file's end for CIFAR-10.
+        reversed_repeated = np.r_[12_000:8_000:-1, 8_500:11_000, 10_000:9_990:-1]
+        small = [49_999, 3, 3, 10_000, 9_999, 1_024, 1_023, 0, 3]
+        views = [(train, want), (test, list(test))] + [
+            (train.take(kept), [want[i] for i in kept])
+            for kept in (shuffled, reversed_repeated, small)]
+        for split, records in views:
+            got = compute_channel_stats(split)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(got, compute_channel_stats(records))), len(split)
+        exact = oracles.exact_channel_stats([want[i].pixels for i in small])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, exact))
+
+    def test_stats_read_each_block_once(self, request, variant, monkeypatch):
+        # Counts, not times: over the whole train split the statistics make
+        # one read per 1,024-record block of each file (a local file reads
+        # no short block), decode no record, and trace one 3 MiB read buffer
+        # and one 1.5 MiB float32 scratch.
+        root = request.getfixturevalue(f"cifar{variant}_dir")
+        train, _ = load_cifar(root, variant)
+        names = CIFAR10_TRAIN_FILES if variant == 10 else CIFAR100_TRAIN_FILES
+        stride = data_mod._record_stride(variant)
+        blocks = sum(-(-os.path.getsize(os.path.join(root, name)) // (1_024 * stride))
+                     for name in names)
+        reads, made = [], []
+        preadv, init = os.preadv, DatasetRecord.__init__
+
+        def counted_read(fd, bufs, offset):
+            reads.append(preadv(fd, bufs, offset))
+            return reads[-1]
+
+        def counted_init(record, *args, **kwargs):
+            made.append(1)
+            init(record, *args, **kwargs)
+
+        monkeypatch.setattr(os, "preadv", counted_read)
+        monkeypatch.setattr(DatasetRecord, "__init__", counted_init)
+        tracemalloc.start()
+        try:
+            compute_channel_stats(train)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks == (50 if variant == 10 else 49)
+        assert len(reads) <= blocks and sum(reads) == 50_000 * stride
+        assert made == []
+        assert peak < 8 * 2**20, peak
 
 
 def write_files(root, variant, counts, *, edit=None, extra=0):
@@ -410,7 +463,7 @@ class TestLoadErrors:
 
 class TestFileChangedAfterLoad:
     def test_truncated_test_file_fails_the_next_read(self, cifar10_dir, tmp_path):
-        root = with_own_test_file(cifar10_dir, str(tmp_path))
+        root = with_own_files(cifar10_dir, str(tmp_path))
         path = os.path.join(root, "test_batch.bin")
         _, test = load_cifar(root, 10)
         want = test[4_999]
@@ -428,7 +481,7 @@ class TestFileChangedAfterLoad:
         assert str(exc.value) == message
 
     def test_relabelled_record_fails_its_read(self, cifar10_dir, tmp_path):
-        root = with_own_test_file(cifar10_dir, str(tmp_path))
+        root = with_own_files(cifar10_dir, str(tmp_path))
         path = os.path.join(root, "test_batch.bin")
         _, test = load_cifar(root, 10)
         offset = 7 * CIFAR10_RECORD_BYTES
@@ -440,6 +493,29 @@ class TestFileChangedAfterLoad:
         assert str(exc.value) == (f"{path}: changed since it was loaded: the record at "
                                   f"byte offset {offset} is cut short or relabelled")
         assert test[6].label == test[0:7][6].label  # the records around it still read
+
+    @pytest.mark.parametrize("change", ["truncated", "relabelled"])
+    def test_changed_train_file_fails_the_statistics(self, cifar10_dir, tmp_path, change):
+        # The record is inside the fifth block the statistics read of the
+        # file, and they name it as a slice read does.
+        root = with_own_files(cifar10_dir, str(tmp_path), own="data_batch_2")
+        path = os.path.join(root, "data_batch_2.bin")
+        train, _ = load_cifar(root, 10)
+        offset = 5_000 * CIFAR10_RECORD_BYTES
+        if change == "truncated":
+            os.truncate(path, offset + 100)
+        else:
+            with open(path, "r+b") as fh:
+                fh.seek(offset)
+                fh.write(bytes([(train[15_000].label + 1) % 10]))
+        message = (f"{path}: changed since it was loaded: the record at byte offset "
+                   f"{offset} is cut short or relabelled")
+        for read in (lambda: compute_channel_stats(train), lambda: train[15_000:15_001],
+                     lambda: compute_channel_stats(train.take([15_001, 14_999, 15_000]))):
+            with pytest.raises(IngestionError) as exc:
+                read()
+            assert str(exc.value) == message
+        compute_channel_stats(train.take(range(14_999)))  # the records before it still read
 
 
 def stacked(records):
