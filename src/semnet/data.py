@@ -241,7 +241,9 @@ class CifarSplit(Sequence):
         ``out`` at most ``len(out)`` records at a time; a record the split
         holds twice is yielded twice. Each read fills one reused buffer of
         ``_BLOCK_RECORDS`` records, from the first record still to yield to
-        the last one of the split that fits, within one file."""
+        the last one of the split that fits, within one file. A sparse view
+        so reads the records between the ones it holds as well, and fails on
+        a change to any of them."""
         stride = _record_stride(self._variant)
         buf = memoryview(bytearray(_BLOCK_RECORDS * stride))
         numbers = np.sort(self._numbers)
@@ -256,12 +258,8 @@ class CifarSplit(Sequence):
             rows = numbers[i:j] - first
             for start in range(0, len(rows), len(out)):
                 run = rows[start : start + len(out)]
-                x = out[: len(run)]
-                if run[-1] - run[0] == len(run) - 1:  # consecutive records: no gather
-                    x[...] = pixels[run[0] : run[-1] + 1]
-                else:
-                    x[...] = pixels[run]
-                yield x
+                out[: len(run)] = pixels[run]
+                yield out[: len(run)]
             i = j
 
     def _read(self, f: int, first: int, count: int, buf: memoryview) -> memoryview:

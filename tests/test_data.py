@@ -366,21 +366,25 @@ class TestSplitReads:
         # Reversed and repeated, across the first file's end for CIFAR-10.
         reversed_repeated = np.r_[12_000:8_000:-1, 8_500:11_000, 10_000:9_990:-1]
         small = [49_999, 3, 3, 10_000, 9_999, 1_024, 1_023, 0, 3]
+        # A repeat balanced by a gap: as many rows as the span they cover.
+        balanced = ([0, 0, 2], [2_000, 2_001, 2_001, 2_003, 2_004])
         views = [(train, want), (test, list(test))] + [
             (train.take(kept), [want[i] for i in kept])
-            for kept in (shuffled, reversed_repeated, small)]
+            for kept in (shuffled, reversed_repeated, small, *balanced)]
         for split, records in views:
             got = compute_channel_stats(split)
             assert all(a.tobytes() == b.tobytes()
                        for a, b in zip(got, compute_channel_stats(records))), len(split)
-        exact = oracles.exact_channel_stats([want[i].pixels for i in small])
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, exact))
+        for kept in (small, *balanced):
+            got = compute_channel_stats(train.take(kept))
+            exact = oracles.exact_channel_stats([want[i].pixels for i in kept])
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, exact)), kept
 
     def test_stats_read_each_block_once(self, request, variant, monkeypatch):
         # Counts, not times: over the whole train split the statistics make
         # one read per 1,024-record block of each file (a local file reads
-        # no short block), decode no record, and trace one 3 MiB read buffer
-        # and one 1.5 MiB float32 scratch.
+        # no short block), decode no record, and trace one 3 MiB read buffer,
+        # one 1.5 MiB float32 scratch and one 393 KB gathered chunk.
         root = request.getfixturevalue(f"cifar{variant}_dir")
         train, _ = load_cifar(root, variant)
         names = CIFAR10_TRAIN_FILES if variant == 10 else CIFAR100_TRAIN_FILES
