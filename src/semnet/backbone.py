@@ -7,8 +7,8 @@ immediately before the skip addition.
 
 A forward of at least ``2 * _MIN_SHARD_SAMPLES`` samples, in training or
 under ``no_grad`` in eval, runs the batch in two contiguous sample shards at
-once: shard 0 on the calling thread, shard 1 in a worker process forked
-from this one (``semnet.shards``). The gates act per sample. In training,
+once: shard 0 on the calling thread, shard 1 in the model's worker process,
+forked from this one (``semnet.shards``). The gates act per sample. In training,
 batch norm sums its statistics, and in backward its gradient sums, over
 both shards, and the model's logits are one tape node whose rule runs both
 shards' reverse sweeps at once and adds their parameter gradients in shard
@@ -241,13 +241,13 @@ class Model:
 
         A training forward, or an eval forward under ``no_grad``, of at least
         ``_SHARDS * _MIN_SHARD_SAMPLES`` samples runs two contiguous sample
-        shards at once, the second in the worker process (``semnet.shards``),
-        and returns the logits concatenated in sample order, in training as
-        one node (``join_shards``); the weights reach ``decisions`` shard
-        after shard. A smaller batch, a recording eval forward, an ``x`` that
-        requires a gradient, a forward inside a shard, a machine without the
-        worker (``shards.AVAILABLE``) and a step of another model, taken on
-        another thread, that holds it keep the whole batch."""
+        shards at once, the second in the model's worker process
+        (``semnet.shards``), and returns the logits concatenated in sample
+        order, in training as one node (``join_shards``); the weights reach
+        ``decisions`` shard after shard. A smaller batch, a recording eval
+        forward, an ``x`` that requires a gradient, a forward inside a shard
+        and a machine without the worker (``shards.AVAILABLE``) keep the
+        whole batch."""
         if (x.requires_grad or current_shard() is not None or not shards.AVAILABLE
                 or x.shape[0] < _SHARDS * _MIN_SHARD_SAMPLES
                 or (not training and is_grad_enabled())):
@@ -256,19 +256,14 @@ class Model:
 
     def _forward_in_shards(self, x: Tensor, training: bool,
                            decisions: list[np.ndarray] | None) -> Tensor:
-        """A forward in two sample shards, the second in the worker; the
-        whole batch while another thread's step of another model holds the
-        worker."""
+        """A forward in two sample shards, the second in the worker."""
         b = x.shape[0]
         split = b // 2
         params = self.parameters()
         own = None if decisions is None else []
-        step = shards.forward(self, params,
-                              lambda: self._forward(Tensor(x.data[:split]), training, own),
-                              x.data[split:], training, decisions is not None, b)
-        if step is None:
-            return self._forward(x, training, decisions)
-        logits, rest, theirs, sweep_rest = step
+        logits, rest, theirs, sweep_rest = shards.forward(
+            self, params, lambda: self._forward(Tensor(x.data[:split]), training, own),
+            x.data[split:], training, decisions is not None, b)
         if decisions is not None:
             decisions.extend(own)
             decisions.extend(theirs)

@@ -1,11 +1,11 @@
 """The second sample shard, in a forked worker process.
 
 A sharded forward, in training or in eval under ``no_grad``, runs shard 0
-on the calling thread and shard 1 in one worker process per semnet
-process, so the two shards never take turns on one interpreter lock. The
-worker is forked from the caller at its model's first sharded forward, and
-so runs the model as it was then, with the parameter values of every later
-step:
+on the calling thread and shard 1 in its model's worker process, so the
+two shards never take turns on one interpreter lock. Each model has a
+worker of its own, forked from the caller at the model's first sharded
+forward, which so runs the model as it was then, with the parameter values
+of every later step:
 
 * Before the fork the parameters move into one shared anonymous ``mmap``
   (their ``data`` is rebound to views of it), so SGD's in-place updates and
@@ -27,15 +27,17 @@ step:
   ``ShardAborted`` at its next all-reduce instead of waiting; the caller
   raises the first error in shard order that is not ``ShardAborted``.
 
-At most one worker is alive. A sharded step of another model closes it and
-forks its own, unless another thread took a step of the worker's model
-that is under way (its forward has run and its backward may still come):
-that step keeps the worker, and the other model's forward takes the whole
-batch. The worker is
-killed and reaped when its model is collected, when ``close_worker`` is
-called, when a step finds it dead or stops waiting for it (^C), and at
-interpreter exit. It exits within ``_POLL_S`` once its parent process is
-gone, whichever thread forked it. No other process or thread is started.
+Each live model that has taken a sharded step keeps one worker, so a step
+of one model never disturbs a pending step of another, on any thread. A
+worker is killed and reaped when its model is collected, when
+``close_worker`` or ``close_worker_of`` is called, when a step finds it
+dead or stops waiting for it (^C), and at interpreter exit. It exits
+within ``_POLL_S`` once its parent process is gone, whichever thread
+forked it. A worker forked while another is alive inherits that one's pipe
+ends and ``ShardWorker``, so a worker is never shut down by an end of file,
+only killed and reaped, and it leaves only through ``os._exit``, which runs
+no finalizer that could kill a sibling. No other process or thread is
+started.
 
 Sharding needs ``os.fork`` and x86-64's store order (see ``_wait``);
 elsewhere ``AVAILABLE`` is false and every forward keeps the whole batch.
@@ -210,7 +212,6 @@ class ShardWorker:
     docstring)."""
 
     def __init__(self, model, params: list[Tensor]):
-        self.owner = weakref.ref(model)
         self.params = params
         self.views = _shared_like([p.data for p in params])
         for p, view in zip(params, self.views):
@@ -219,11 +220,6 @@ class ShardWorker:
         self.grads = _shared_like(self.views)
         self.link = SharedReduce()
         self.step = 0
-        # What holds the worker for a step of its model: (the thread that
-        # took the step, True) from the claim through the forward, then (the
-        # thread, a weak reference to the step's ``sweep_rest``) until its
-        # backward has run; None between steps.
-        self.held = None
         self._lock = threading.Lock()
         requests, replies = os.pipe(), os.pipe()
         parent = os.getpid()
@@ -260,61 +256,41 @@ class ShardWorker:
         self._reaped = os.waitpid(self.pid, os.WNOHANG) != (0, 0)
         return not self._reaped
 
-    def busy(self) -> bool:
-        """Whether a step of the worker's model that another thread took
-        holds it (see ``held``). A step on this thread does not: a caller
-        that starts another model's step has moved on from it."""
-        if self.held is None:
-            return False
-        thread, hold = self.held
-        return thread != threading.get_ident() and (hold is True or hold() is not None)
-
-    def serves(self, model, params: list[Tensor]) -> bool:
-        """Whether this worker runs ``model`` with these parameter Tensors,
-        each still of its shape and dtype, and is alive."""
-        return (self.owner() is model and len(params) == len(self.params)
+    def serves(self, params: list[Tensor]) -> bool:
+        """Whether this worker runs these parameter Tensors, each still of
+        its shape and dtype, and is alive."""
+        return (len(params) == len(self.params)
                 and all(p is q and p.data.shape == v.shape and p.data.dtype == v.dtype
                         for p, q, v in zip(params, self.params, self.views))
                 and self.alive())
 
-    def forward(self, local, x: np.ndarray, training: bool, capture: bool, samples: int):
+    def forward(self, model, local, x: np.ndarray, training: bool, capture: bool,
+                samples: int):
         """Run ``local()`` (shard 0's forward) as shard 0 while the worker
-        runs its model on ``x``, in eval with the caller's batch norm
-        running statistics; returns (local's result, shard 1's logits, its
-        decision weights or None, ``sweep_rest``).
+        runs ``model``, its own, on ``x``, in eval with the caller's batch
+        norm running statistics; returns (local's result, shard 1's logits,
+        its decision weights or None, ``sweep_rest``).
 
         ``sweep_rest(sweep, g)``, for ``tensor.join_shards``, runs ``sweep``
         (shard 0's reverse sweep) as shard 0 while the worker sweeps this
         step's shard 1 from ``g``, and returns shard 1's gradient for each
-        parameter, None where it has none. Under grad mode the worker stays
-        held for this step while ``sweep_rest`` lives and has not run.
+        parameter, None where it has none.
         """
-        thread = threading.get_ident()
-        try:
-            for p, view in zip(self.params, self.views):
-                if p.data is not view:  # rebound since the last step
-                    view[...] = p.data
-                    p.data = view
-            self.step += 1
-            step, model = self.step, self.owner()
-            buffers = None if training else [b for _, b in model.named_buffers()]
-            mine, (logits, decisions) = self._run(local, ("forward", step, samples,
-                                                          (x, training, capture, buffers)))
-        except BaseException:
-            self.held = None
-            raise
+        for p, view in zip(self.params, self.views):
+            if p.data is not view:  # rebound since the last step
+                view[...] = p.data
+                p.data = view
+        self.step += 1
+        step = self.step
+        buffers = None if training else [b for _, b in model.named_buffers()]
+        mine, (logits, decisions) = self._run(local, ("forward", step, samples,
+                                                      (x, training, capture, buffers)))
 
         def sweep_rest(sweep, g, model=model):  # the model, so its worker, outlives the tape
-            try:
-                _, reached = self._run(sweep, ("backward", step, samples, g))
-            finally:
-                if self.held is not None and self.held[1] is hold:
-                    self.held = None
+            _, reached = self._run(sweep, ("backward", step, samples, g))
             reached = set(reached)
             return [g if i in reached else None for i, g in enumerate(self.grads)]
 
-        hold = weakref.ref(sweep_rest)
-        self.held = (thread, hold) if _grad_enabled.get() else None
         return mine, logits, decisions, sweep_rest
 
     def _run(self, local, request) -> tuple:
@@ -430,35 +406,38 @@ def _serve(model, worker: ShardWorker, requests: int, replies: int, parent: int)
             _send(replies, ("error", RuntimeError(f"{type(reply[1]).__name__}: {reply[1]}")))
 
 
-_worker: ShardWorker | None = None
-_worker_lock = threading.Lock()
+# Each live model's worker; an entry goes when its model is collected.
+_workers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_workers_lock = threading.Lock()
 
 
 def forward(model, params: list[Tensor], local, x: np.ndarray, training: bool,
             capture: bool, samples: int):
-    """``ShardWorker.forward`` of the worker that runs ``model``'s shard 1
-    with these parameters, forked now if no live worker does; the previous
-    worker is closed first, so at most one is alive. Returns None, having
-    run nothing, while a step of another model that another thread took
-    holds the live worker."""
-    global _worker
-    with _worker_lock:
-        worker = _worker
-        if worker is None or not worker.serves(model, params):
-            if worker is not None and worker.busy() and worker.alive():
-                return None
+    """``ShardWorker.forward`` of ``model``'s worker, forked now if the
+    model has no live worker that runs these parameters."""
+    with _workers_lock:
+        worker = _workers.get(model)
+        if worker is None or not worker.serves(params):
             if worker is not None:
                 worker.close()
-            _worker = worker = ShardWorker(model, params)
-        worker.held = threading.get_ident(), True
-    return worker.forward(local, x, training, capture, samples)
+            _workers[model] = worker = ShardWorker(model, params)
+    return worker.forward(model, local, x, training, capture, samples)
+
+
+def close_worker_of(model) -> None:
+    """Kill and reap ``model``'s worker, if it has one; its next sharded
+    step forks a new one. Other models keep theirs."""
+    with _workers_lock:
+        worker = _workers.pop(model, None)
+    if worker is not None:
+        worker.close()
 
 
 def close_worker() -> None:
-    """Kill and reap the worker, if one is alive; the next sharded step
+    """Kill and reap every live worker; each model's next sharded step
     forks a new one."""
-    global _worker
-    with _worker_lock:
-        if _worker is not None:
-            _worker.close()
-            _worker = None
+    with _workers_lock:
+        workers = list(_workers.values())
+        _workers.clear()
+    for worker in workers:
+        worker.close()

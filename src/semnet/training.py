@@ -323,15 +323,9 @@ def evaluate(model: Model, records: Sequence, batch_size: int,
 
 def train_run(cfg: RunConfig, *, log=None) -> TrainResult:
     """Run the full training protocol and write the run directory. The
-    shard worker its steps fork is closed when the run ends or fails."""
+    shard worker of the model it builds is closed when the run ends or
+    fails; other models keep theirs."""
     cfg = cfg.resolved()
-    try:
-        return _train_run(cfg, log)
-    finally:
-        shards.close_worker()
-
-
-def _train_run(cfg: RunConfig, log) -> TrainResult:
     marks = [time.time()]
     train_records, test_records = load_datasets(cfg)
     marks.append(time.time())
@@ -339,6 +333,15 @@ def _train_run(cfg: RunConfig, log) -> TrainResult:
     marks.append(time.time())
     model = build_network(cfg, RngState(cfg.seed, _STREAM_PARAMS))
     marks.append(time.time())
+    try:
+        return _train_run(cfg, log, model, train_records, test_records,
+                          channel_mean, channel_std, marks)
+    finally:
+        shards.close_worker_of(model)
+
+
+def _train_run(cfg: RunConfig, log, model: Model, train_records, test_records,
+               channel_mean, channel_std, marks) -> TrainResult:
     optimizer = SGD(model.parameters(), lr=cfg.lr,
                     momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     schedule = MultiStepSchedule(cfg.lr, cfg.milestones, cfg.lr_decay)

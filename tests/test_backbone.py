@@ -27,7 +27,7 @@ from semnet.errors import CheckpointError
 from semnet.optim import SGD
 from semnet.rng import RngState
 from semnet.tensor import Tensor, backward, no_grad, set_debug_checks, softmax_cross_entropy
-from semnet.training import RunConfig
+from semnet.training import RunConfig, train_run
 
 import oracles
 from conftest import live_children, running
@@ -471,6 +471,11 @@ class TestEvalInPlace:
         assert peak <= 1.25 * x.data.nbytes + tensor._CHUNK_BYTES + (256 << 10), peak
 
 
+def worker_of(model):
+    """``model``'s shard worker, None if it has none."""
+    return shards._workers.get(model)
+
+
 def shard_spy(monkeypatch, tmp_path):
     """Record ("caller" or "worker", batch) of every whole-batch forward in
     a file, which both processes append to; returns a function that reads
@@ -541,7 +546,7 @@ class TestShardedEval:
         x = small_input(gen, b=256)
         with no_grad():
             model(x)  # forks the worker
-        worker = shards._worker.pid
+        worker = worker_of(model).pid
         if change == "whole_batch_step":
             small = small_input(gen, b=4)
             optimizer = SGD(model.parameters(), lr=0.1)
@@ -557,7 +562,7 @@ class TestShardedEval:
             with no_grad():
                 got = model(Tensor(x.data[:b]), training=False)
             assert got.data.tobytes() == want.data[:b].tobytes(), b
-        assert shards._worker.pid == worker
+        assert worker_of(model).pid == worker
 
     @pytest.mark.parametrize("attention", ["sem", "se"])
     def test_capture_decisions_concatenate_the_shards(self, monkeypatch, tmp_path, attention):
@@ -752,12 +757,12 @@ class TestShardedEval:
             "with no_grad():\n"
             "    model(x, training=True)\n"
             "assert threading.active_count() == 1, 'training'\n"
-            "worker = shards._worker.pid\n"
+            "worker = shards._workers[model].pid\n"
             "assert children() == [worker], 'training'\n"
             "with no_grad():\n"
             "    model(x)\n"
             "assert threading.active_count() == 1, 'eval'\n"
-            "assert children() == [worker] == [shards._worker.pid], 'eval'\n")
+            "assert children() == [worker] == [shards._workers[model].pid], 'eval'\n")
         run_isolated(script, tmp_path)
 
 
@@ -802,6 +807,14 @@ def loss_on_an_ended_thread(model, x, labels):
     other.join(timeout=60)
     assert not other.is_alive()
     return losses[0]
+
+
+def step_bits(model, loss):
+    """Run ``loss``'s backward; return its bits, then ``model``'s parameter
+    gradients and batch norm buffers."""
+    backward(loss)
+    return ([loss.data.tobytes()] + [p.grad.tobytes() for p in model.parameters()]
+            + [b.tobytes() for _, b in model.named_buffers()])
 
 
 def close(got, want, rtol=1e-12):
@@ -964,9 +977,9 @@ class TestShardedTraining:
     else:
         raise AssertionError("no error")
     assert all(p.grad is None for p in model.parameters())
-    worker = shards._worker.pid
+    worker = shards._workers[model].pid
     os.remove("fail")
-    assert np.isfinite(step(model).item()) and shards._worker.pid == worker
+    assert np.isfinite(step(model).item()) and shards._workers[model].pid == worker
 """, tmp_path)
 
     @pytest.mark.parametrize("phase", ["forward", "backward"])
@@ -984,7 +997,7 @@ class TestShardedTraining:
     def kill():
         if os.path.exists("kill") and tensor.current_shard()[1] == 0:
             os.remove("kill")
-            os.kill(shards._worker.pid, signal.SIGKILL)
+            os.kill(shards._workers[model].pid, signal.SIGKILL)
 
     def planted(*args, **kwargs):
         here = tensor._layer.get() == "stage2.block0"
@@ -1003,7 +1016,7 @@ class TestShardedTraining:
 
     backbone.conv2d = planted
     step(model)
-    dead = shards._worker.pid
+    dead = shards._workers[model].pid
     open("kill", "w").close()
     try:
         step(model)
@@ -1017,7 +1030,7 @@ class TestShardedTraining:
         pass
     else:
         raise AssertionError("the killed worker is not reaped")
-    assert np.isfinite(step(model).item()) and shards._worker.pid not in (None, dead)
+    assert np.isfinite(step(model).item()) and shards._workers[model].pid not in (None, dead)
 """, tmp_path)
 
     @pytest.mark.parametrize("shard", [0, 1])
@@ -1076,7 +1089,7 @@ class TestShardedTraining:
 
     backbone.affine = planted
     step(model)
-    worker = shards._worker
+    worker = shards._workers[model]
     open("slow", "w").close()
     threading.Timer(2, os.kill, (os.getpid(), signal.SIGINT)).start()
     try:
@@ -1087,31 +1100,26 @@ class TestShardedTraining:
         raise AssertionError("no interrupt")
     assert worker.pid is None
     os.remove("slow")
-    assert np.isfinite(step(model).item()) and shards._worker is not worker
+    assert np.isfinite(step(model).item()) and shards._workers[model] is not worker
 """, tmp_path)
 
-    def test_concurrent_callers_share_the_worker(self, tmp_path):
+    def test_concurrent_models_keep_their_own_workers(self, tmp_path):
         # Several models train on threads at once, with frequent thread
-        # switches. A model's step takes the worker over, or takes the whole
-        # batch while another model's step holds it; either way each caller
-        # finishes with the bits of that step taken alone.
+        # switches. Each model's step runs in a worker of its own, so each
+        # caller finishes with the sharded bits of that step taken alone.
         run_isolated(STEP_PRELUDE + """
     import sys
     import threading
 
     callers = 4
     models = [build_network(RunConfig(depth=11, attention="sem"), RngState(110))
-              for _ in range(callers + 2)]
+              for _ in range(callers + 1)]
 
     def outcome(model, loss):
         return ([loss.data.tobytes()] + [p.grad.tobytes() for p in model.parameters()]
                 + [b.tobytes() for _, b in model.named_buffers()])
 
     sharded = outcome(models[-1], step(models[-1]))
-    shards.close_worker()
-    loss = softmax_cross_entropy(models[-2]._forward(x, True, None), labels)
-    backward(loss)
-    whole = outcome(models[-2], loss)
     results, errors = {}, []
 
     def caller(i):
@@ -1128,48 +1136,61 @@ class TestShardedTraining:
         t.join(timeout=90)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors
-    assert all(results[i] in (sharded, whole) for i in range(callers))
-    assert sharded in results.values()  # the first caller forks the worker
+    assert all(results[i] == sharded for i in range(callers))
+    assert len({shards._workers[model].pid for model in models}) == callers + 1
 """, tmp_path)
 
-    def test_a_step_under_way_on_another_thread_keeps_the_worker(self):
+    def test_a_pending_step_outlives_another_models_steps_and_collection(self):
         # a's forward, taken on another thread, has run and its backward is
-        # still to come, so b's step here takes the whole batch, the bits of
-        # its oracle, and leaves a the worker. Once a's step is done, or its
-        # loss dropped, b takes the worker over; on one thread it always does.
-        a = build_network(RunConfig(depth=11, attention="sem"), RngState(131), np.float64)
-        b, oracle = shard_oracle_pair(132)
+        # still to come. b's steps here fork and use b's own worker, and b's
+        # collection reaps only that one: a and b each get the bits of a
+        # twin's step taken alone.
+        a, twin_a = shard_oracle_pair(131)
+        b, twin_b = shard_oracle_pair(132)
         gen = RngState(133).generator()
         x = Tensor(gen.standard_normal((6, 3, 32, 32)), dtype=np.float64)
         labels = gen.integers(0, 10, size=6)
-
+        want_a, want_b = (step_bits(t, softmax_cross_entropy(t(x, training=True), labels))
+                          for t in (twin_a, twin_b))
         pending = loss_on_an_ended_thread(a, x, labels)
-        worker = shards._worker.pid
-        loss = softmax_cross_entropy(b(x, training=True), labels)
-        backward(loss)
-        want = softmax_cross_entropy(oracle._forward(x, True, None), labels)
-        backward(want)
-        assert loss.data.tobytes() == want.data.tobytes()
-        for (name, p), q in zip(b.named_parameters(), oracle.parameters()):
-            assert p.grad.tobytes() == q.grad.tobytes(), name
-        backward(pending)
-        assert shards._worker.pid == worker
-        assert all(p.grad is not None for p in a.parameters())
-        b(x, training=True)
-        assert shards._worker.pid != worker
-        worker = shards._worker.pid
-        dropped = loss_on_an_ended_thread(a, x, labels)
-        assert shards._worker.pid != worker
-        worker = shards._worker.pid
-        del dropped
-        b(x, training=True)
-        assert shards._worker.pid != worker
-        worker = shards._worker.pid
+        worker = worker_of(a).pid
+        assert step_bits(b, softmax_cross_entropy(b(x, training=True), labels)) == want_b
+        backward(softmax_cross_entropy(b(x, training=True), labels))
+        gone = worker_of(b).pid
+        del b
+        assert not running(gone) and running(worker)
+        assert step_bits(a, pending) == want_a
+        assert worker_of(a).pid == worker
+
+    def test_interleaved_steps_of_two_models_on_one_thread(self):
+        # a's forward, then b's whole step, then a's backward: each model's
+        # worker keeps its own step's tape.
+        a, twin_a = shard_oracle_pair(138)
+        b, twin_b = shard_oracle_pair(139)
+        gen = RngState(140).generator()
+        x = Tensor(gen.standard_normal((6, 3, 32, 32)), dtype=np.float64)
+        labels = gen.integers(0, 10, size=6)
+        want_a, want_b = (step_bits(t, softmax_cross_entropy(t(x, training=True), labels))
+                          for t in (twin_a, twin_b))
         pending = softmax_cross_entropy(a(x, training=True), labels)
-        b(x, training=True)
-        assert shards._worker.pid != worker and live_children() == [shards._worker.pid]
-        with pytest.raises(RuntimeError, match="the shard worker was closed"):
-            backward(pending)
+        assert step_bits(b, softmax_cross_entropy(b(x, training=True), labels)) == want_b
+        assert step_bits(a, pending) == want_a
+
+    def test_a_pending_step_outlives_a_train_run(self, tmp_path):
+        # The run's model forks its own worker, and the run closes that one
+        # only.
+        a, twin = shard_oracle_pair(141)
+        gen = RngState(142).generator()
+        x = Tensor(gen.standard_normal((6, 3, 32, 32)), dtype=np.float64)
+        labels = gen.integers(0, 10, size=6)
+        want = step_bits(twin, softmax_cross_entropy(twin(x, training=True), labels))
+        pending = softmax_cross_entropy(a(x, training=True), labels)
+        result = train_run(RunConfig(dataset="synthetic", depth=11, attention="sem", epochs=1,
+                                     batch_size=8, synthetic_train=16, synthetic_test=8,
+                                     eval_batch_size=8, max_steps=1, out_dir=str(tmp_path)))
+        assert result.steps == 1 and worker_of(result.model) is None
+        assert sorted(live_children()) == sorted(worker_of(m).pid for m in (a, twin))
+        assert step_bits(a, pending) == want
 
     def test_a_forward_on_an_ended_thread_keeps_its_worker(self):
         # The worker is forked on a thread that ends before the backward;
@@ -1182,10 +1203,11 @@ class TestShardedTraining:
         want = softmax_cross_entropy(twin(x, training=True), labels)
         backward(want)
         loss = loss_on_an_ended_thread(model, x, labels)
-        worker = shards._worker.pid
+        worker = worker_of(model).pid
         time.sleep(0.2)  # time for a signal sent as the thread ended to land
         backward(loss)
-        assert shards._worker.pid == worker and live_children() == [worker]
+        assert worker_of(model).pid == worker
+        assert sorted(live_children()) == sorted([worker, worker_of(twin).pid])
         assert loss.data.tobytes() == want.data.tobytes()
         for (name, p), q in zip(model.named_parameters(), twin.parameters()):
             assert p.grad.tobytes() == q.grad.tobytes(), name
@@ -1232,10 +1254,12 @@ class TestShardWorker:
         from semnet.tensor import Tensor, backward, softmax_cross_entropy
         from semnet.training import RunConfig
 
-        model = backbone.build_network(RunConfig(depth=11), RngState(1))
+        # The second model's worker forks while the first's is alive.
+        models = [backbone.build_network(RunConfig(depth=11), RngState(1)) for _ in range(2)]
         x = Tensor(np.ones((2 * backbone._MIN_SHARD_SAMPLES, 3, 32, 32), np.float32))
-        backward(softmax_cross_entropy(model(x, training=True), np.zeros(len(x.data), int)))
-        print(shards._worker.pid, flush=True)
+        for model in models:
+            backward(softmax_cross_entropy(model(x, training=True), np.zeros(len(x.data), int)))
+        print(*(shards._workers[model].pid for model in models), flush=True)
         if sys.argv[1] == "wait":
             time.sleep(120)
     """
@@ -1250,53 +1274,66 @@ class TestShardWorker:
             time.sleep(0.05)
         return True
 
-    def test_exit_reaps_the_worker(self, tmp_path):
+    def test_exit_reaps_the_workers(self, tmp_path):
         proc = subprocess.run([sys.executable, "-c", textwrap.dedent(self.SCRIPT), "exit"],
                               env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert self.gone(int(proc.stdout), 0)
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(set(pids)) == 2 and all(self.gone(pid, 0) for pid in pids)
 
-    def test_worker_dies_with_a_killed_parent(self, tmp_path):
+    def test_workers_die_with_a_killed_parent(self, tmp_path):
         proc = subprocess.Popen([sys.executable, "-c", textwrap.dedent(self.SCRIPT), "wait"],
                                 env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,
                                 stdout=subprocess.PIPE, text=True)
         try:
-            pid = int(proc.stdout.readline())
-            assert not self.gone(pid, 0)
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(set(pids)) == 2 and not any(self.gone(pid, 0) for pid in pids)
         finally:
             proc.kill()
             proc.wait()
             proc.stdout.close()
-        assert self.gone(pid, 5)
+        assert all(self.gone(pid, 5) for pid in pids)
 
-    def test_one_worker_that_goes_with_its_model(self):
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_one_worker_that_goes_with_its_model(self, first):
+        # Each model keeps a worker of its own. Collecting one model reaps
+        # its worker only; the other's next step keeps its worker.
         gen = RngState(127).generator()
         x = small_input(gen, b=2 * backbone._MIN_SHARD_SAMPLES)
         labels = gen.integers(0, 10, size=len(x.data))
-        pids = []
         models = [build_network(RunConfig(depth=11), RngState(128)) for _ in range(2)]
         for model in models:
             backward(softmax_cross_entropy(model(x, training=True), labels))
-            pids.append(shards._worker.pid)
-            assert live_children() == [pids[-1]]
-        assert pids[0] != pids[1] and self.gone(pids[0], 0)
-        del model, models
-        assert live_children() == [] and self.gone(pids[1], 0)
+        del model
+        pids = [worker_of(model).pid for model in models]
+        assert pids[0] != pids[1] and sorted(live_children()) == sorted(pids)
+        del models[first]
+        kept = pids[1 - first]
+        assert self.gone(pids[first], 0) and live_children() == [kept]
+        backward(softmax_cross_entropy(models[0](x, training=True), labels))
+        assert worker_of(models[0]).pid == kept and live_children() == [kept]
+        del models
+        assert live_children() == [] and self.gone(kept, 0)
 
     def test_a_dead_worker_is_replaced_at_the_next_step(self):
+        # The worker is killed while a sibling's is alive: only its own
+        # model's next step forks a new one.
         gen = RngState(129).generator()
         x = small_input(gen, b=2 * backbone._MIN_SHARD_SAMPLES)
         labels = gen.integers(0, 10, size=len(x.data))
-        model = build_network(RunConfig(depth=11), RngState(130))
-        first = softmax_cross_entropy(model(x, training=True), labels)
-        backward(first)
-        dead = shards._worker.pid
+        model, sibling = (build_network(RunConfig(depth=11), RngState(130)) for _ in range(2))
+        for m in (model, sibling):
+            backward(softmax_cross_entropy(m(x, training=True), labels))
+        dead, kept = worker_of(model).pid, worker_of(sibling).pid
         os.kill(dead, signal.SIGKILL)
         assert self.gone(dead, 5)
+        backward(softmax_cross_entropy(sibling(x, training=True), labels))
+        assert worker_of(sibling).pid == kept
         again = softmax_cross_entropy(model(x, training=True), labels)
         backward(again)
-        assert shards._worker.pid != dead and live_children() == [shards._worker.pid]
+        assert worker_of(model).pid not in (dead, kept)
+        assert sorted(live_children()) == sorted([worker_of(model).pid, kept])
         assert np.isfinite(again.item())
 
 
