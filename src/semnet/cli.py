@@ -4,7 +4,8 @@ export-decisions.
 Run configuration comes from a key=value file (``--config``) plus per-field
 flag overrides; every run writes its fully-resolved config. Exit codes:
 0 success, 2 usage (also when the reader closes stdout early), 3 data
-ingestion or a path that cannot be read or written, 4 numerical failure.
+ingestion, a path that cannot be read or written, or a shard worker lost
+mid-step, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import verify
 from .attention import ALL_OPERATORS, decision_summary_csv
 from .backbone import assign_random_operators, depth_to_blocks
 from .data import batch_iterator
-from .errors import CheckpointError, IngestionError, NumericalFailure
+from .errors import CheckpointError, IngestionError, NumericalFailure, WorkerLost
 from .tensor import no_grad
 from .training import (
     RunConfig,
@@ -273,6 +274,9 @@ def main(argv=None) -> int:
         return 2
     except (IngestionError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except WorkerLost as exc:  # killed, say, by the out-of-memory killer
+        print(f"worker lost: {exc}", file=sys.stderr)
         return 3
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -12,3 +12,7 @@ class CheckpointError(Exception):
 
 class NumericalFailure(Exception):
     """Raised when training produces a non-finite loss or activation."""
+
+
+class WorkerLost(RuntimeError):
+    """Raised when a sharded step's worker process dies before it replies."""

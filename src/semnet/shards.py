@@ -25,7 +25,8 @@ of every later step:
   sends the caller's, and the worker writes them into its copies first.
 * A shard that raises aborts the reduce, so its partner raises
   ``ShardAborted`` at its next all-reduce instead of waiting; the caller
-  raises the first error in shard order that is not ``ShardAborted``.
+  raises the first error in shard order that is not ``ShardAborted``, or
+  ``errors.WorkerLost`` if the worker died mid-step.
 
 Each live model that has taken a sharded step keeps one worker, so a step
 of one model never disturbs a pending step of another, on any thread. A
@@ -59,6 +60,7 @@ import weakref
 
 import numpy as np
 
+from .errors import WorkerLost
 from .tensor import Tensor, _check_finite, _grad_enabled, _layer, _set, _sweep, in_shard
 
 _SLOT_BYTES = 1 << 16  # one shard's partial of one all-reduce: 2 x 4,096 float64 sums
@@ -317,16 +319,17 @@ class ShardWorker:
             raise error
         if status == "error":
             raise theirs
-        if error is not None:
-            raise error
+        if error is not None:  # shard 0 found its partner gone
+            raise WorkerLost("the shard worker was lost") from error
         return mine, theirs
 
     def _lost(self, exc: BaseException, error: BaseException | None) -> None:
         """Close the worker, whose request or reply failed with ``exc``
-        (after shard 0's ``error``, if any), and raise."""
+        (after shard 0's ``error``, if any), and raise: ``WorkerLost`` if
+        the worker is gone."""
         self._shut()
         if isinstance(exc, (EOFError, BrokenPipeError)):
-            raise RuntimeError("the shard worker exited") from (error or exc)
+            raise WorkerLost("the shard worker exited") from (error or exc)
         raise exc
 
     def close(self) -> None:

@@ -495,7 +495,8 @@ class ChannelGate(NamedTuple):
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
-           pre: PreActivation | None = None, gate: ChannelGate | None = None) -> Tensor:
+           pre: PreActivation | None = None, gate: ChannelGate | None = None,
+           add_to: Tensor | None = None) -> Tensor:
     """Cross-correlation with zero padding, one GEMM per tap and sample.
 
     x: (B, Cin, H, W), kernel: (Cout, Cin, k, k), square window. Output
@@ -504,11 +505,12 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
     pj::stride] with rows of width wp = Wout + (k-1)//stride; tap (i, j)
     reads its phase at a constant offset, a view BLAS takes without a copy,
     and the wrap-around columns Wout..wp are dropped. A 1x1 stride-1 conv
-    reads x itself in one GEMM. Others take the batch in sample chunks
-    whose grids and tap sums fit ``_CHUNK_BYTES`` of reused scratch, so
-    forward allocates only its output and backward only dx, and the tape
-    keeps no padded copy of x. dkernel's batch sum runs in sample order;
-    dx is None when x needs no gradient, as the images do.
+    reads x itself, in one GEMM unless it is summed (``add_to``). Others
+    take the batch in sample chunks whose grids and tap sums fit
+    ``_CHUNK_BYTES`` of reused scratch, so forward allocates only its
+    output and backward only dx, and the tape keeps no padded copy of x.
+    dkernel's batch sum runs in sample order; dx is None when x needs no
+    gradient, as the images do.
 
     With ``pre``, the conv reads relu(batch_norm(x)) as one node, bit for
     bit the two-op result, with batch_norm's statistics and its one running
@@ -533,6 +535,12 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
     a)^T. The chunks then form a's gradient as (W diag v)^T g + W^T
     dm/HW, so the gate adds no GEMM. The gate's parameter gradients end
     the rule's result.
+
+    With ``add_to``, not with a gate, the node returns add_to + the conv,
+    adding each chunk's result into add_to's buffer, so the conv's own
+    output is never written whole; its rule passes its gradient to
+    add_to, its last parent, as is. As for ``add(..., inplace=True)``,
+    add_to must be a conv2d output that no backward rule reads.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"conv2d needs 4-D tensors, got {x.shape} and {kernel.shape}")
@@ -551,9 +559,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
     _check_same_dtype(x, kernel)
     direct = k == 1 and stride == 1 and pad == 0  # x is its own one phase grid
     if gate is not None:
-        if not direct:
-            raise ValueError("a gate needs a 1x1 stride-1 conv without padding")
+        if not direct or add_to is not None:
+            raise ValueError("a gate needs a 1x1 stride-1 conv without padding or add_to")
         _check_same_dtype(x, *gate.params)
+    if add_to is not None:
+        if add_to.shape != (b, cout, hout, wout):
+            raise ValueError(f"add_to {add_to.shape} != conv output {(b, cout, hout, wout)}")
+        _check_same_dtype(x, add_to)
 
     dt = x.data.dtype
     d, q = (k - 1) // stride, min(stride, k)  # furthest tap shift, phases per axis
@@ -563,6 +575,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
     taps = [(i, j, i % stride * q + j % stride, i // stride * wp + j // stride)
             for i in range(k) for j in range(k)]
     staged = not direct or pre is not None  # x goes into scratch grids
+    summed = add_to is not None  # each chunk's tap sums go into add_to's buffer
 
     def phases(buf, m):
         """(grid view of buf's first m samples, index into x, index into the grid)."""
@@ -571,19 +584,19 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
             xs, vs = _phase_axis(w, stride, pad, n % q, wp)
             yield buf[n, :m, :, : rows * wp].reshape(m, cin, rows, wp), (..., ys, xs), (..., us, vs)
 
-    def grids_of(s, e, buf, act, xc=None):
+    def grids_of(s, e, buf, act):
         """(phase grids (q*q, e-s, cin, cells), the input they hold) of
         samples s:e. Unless staged both are x; else the grids are buf,
         filled from x or, with ``pre``, from its activation, which is
         written unpadded into act (for a direct conv, into the one grid).
-        x - mean goes into ``xc`` if one is given."""
+        """
         src = x.data[s:e]
         if not staged:
             return src.reshape(1, e - s, cin, cells), src
         if pre is not None:
             src = buf[0, : e - s].reshape(src.shape) if direct else act[: e - s]
-            np.subtract(x.data[s:e], mean, out=src if xc is None else xc)
-            np.multiply(src if xc is None else xc, scale, out=src)
+            np.subtract(x.data[s:e], mean, out=src)
+            np.multiply(src, scale, out=src)
             src += beta
             np.maximum(src, 0, out=src)
         if not direct:
@@ -592,15 +605,16 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
         return buf[:, : e - s], src
 
     kt = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))  # (k, k, Cout, Cin)
-    out = np.empty((b, cout, hout, wout), dtype=dt)
+    out = add_to.data if summed else np.empty((b, cout, hout, wout), dtype=dt)
     # Per sample: the grids and the tap sums (a direct conv's one tap
-    # writes straight into the output).
+    # writes straight into the output, unless it is summed).
     step, chunks = (_sample_chunks(b, dt.itemsize * (
-        q * q * cin * cells + 2 * (not direct) * cout * span)) if staged else (b, [(0, b)]))
+        staged * q * q * cin * cells + 2 * (not direct or summed) * cout * span))
+        if staged or summed else (b, [(0, b)]))
     # The padding stays 0; a direct conv's one grid has none.
     grids = (np.empty if direct else np.zeros)((q * q, step, cin, cells), dt) if staged else None
     acts = np.empty((step, cin, h, w), dt) if pre is not None and not direct else None
-    acc, tmp = (None, None) if direct else np.empty((2, step, cout, span), dtype=dt)
+    acc, tmp = np.empty((2, step, cout, span), dt) if not direct or summed else (None, None)
     parents = (x, kernel)
     if pre is not None:
         stats = _normalizer(x, pre.gamma, pre.beta, pre.running_mean, pre.running_var,
@@ -612,16 +626,20 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
     if gate is not None:
         parents += tuple(gate.params)
         means = np.empty((b, cout), dt)
+    if summed:
+        parents += (add_to,)
     for s, e in chunks:
         grid, _ = grids_of(s, e, grids, acts)
         # Without wrap-around columns the taps sum straight into the output.
-        dest = acc[: e - s] if d else out[s:e].reshape(e - s, cout, span)
+        dest = acc[: e - s] if d or summed else out[s:e].reshape(e - s, cout, span)
         for t, (i, j, n, o) in enumerate(taps):
             part = np.matmul(kt[i, j], grid[n, :, :, o : o + span],
                              out=tmp[: e - s] if t else dest)
             if t:
                 dest += part
-        if d:
+        if summed:
+            out[s:e] += dest.reshape(e - s, cout, hout, wp)[..., :wout]
+        elif d:
             out[s:e] = dest.reshape(e - s, cout, hout, wp)[..., :wout]
         if gate is not None:
             np.mean(out[s:e], axis=(2, 3), out=means[s:e])
@@ -633,16 +651,16 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
         out *= v[:, :, None, None]
         _check_output(out, "attention")
 
-    def gate_backward(g, chunks, grids, acts, xc, masks, dkernel):
+    def gate_backward(g, chunks, grids, acts, masks, dkernel):
         """The gate's share of backward, run before the chunks that form
         dx: per sample the product P = g a^T, of the gradient at the
         output and the conv's input a, for the whole batch; from it the
         gate's backward once, and dkernel. Returns dm/HW and the gate's
         parameter gradients. With ``pre`` the chunks rebuild a from x and
-        leave x - mean in xc and a > 0 in masks, both whole-batch."""
+        leave a > 0 in masks, whole-batch."""
         prods, sums = np.empty((b, cout, cin), dt), np.empty((b, cin), dt)
         for s, e in chunks:
-            grid, src = grids_of(s, e, grids, acts, None if xc is None else xc[s:e])
+            grid, src = grids_of(s, e, grids, acts)
             np.matmul(g[s:e].reshape(e - s, cout, span), grid[0].transpose(0, 2, 1),
                       out=prods[s:e])
             np.sum(grid[0], axis=2, out=sums[s:e])
@@ -676,19 +694,19 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
         tmp = np.empty((step, cin, span), dtype=dt) if k > 1 else None
         # Row 0 carries the sum of earlier chunks into this chunk's rows 1..m.
         dks = np.empty((step + 1, cout, cin), dtype=dt) if gate is None else None
-        xc = masks = None
+        masks = None
         if pre is not None:  # batch norm's backward, in the same chunks
-            xc, per_sample = np.empty_like(x.data), np.empty((2, b, cin), dt)
+            per_sample = np.empty((2, b, cin), dt)
             masks = np.empty((step if gate is None else b, cin, h, w), bool)
-        gate_grads = []
+        tail = [g] if summed else []  # add_to's gradient, or the gate's parameters'
         if gate is not None:
-            dm, gate_grads = gate_backward(g, chunks, grids, acts, xc, masks, dkernel)
+            dm, tail = gate_backward(g, chunks, grids, acts, masks, dkernel)
             scaled = np.empty((step, cin, cout), dt)  # (W diag v)^T of each sample
         for s, e in chunks:
             m = e - s
             gm = gpad[:m] if d else g[s:e].reshape(m, cout, span)
             if gate is None:
-                grid, src = grids_of(s, e, grids, acts, None if pre is None else xc[s:e])
+                grid, src = grids_of(s, e, grids, acts)
                 if d:
                     gm.reshape(m, cout, hout, wp)[..., :wout] = g[s:e]
                 for i, j, n, o in taps:
@@ -714,15 +732,18 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
                 for grid, xi, gi in phases(dgrid, m):
                     dx[s:e][xi] = grid[gi]
             if pre is not None:  # while the chunk is in cache
-                # The ReLU's mask.
+                # The ReLU's mask, then x - mean in the activation's place (a
+                # gated conv's first pass left the masks and its grids free).
+                if gate is not None:
+                    src = grids[0, :m].reshape(m, cin, h, w)
                 dx[s:e] *= masks[s:e] if gate is not None else np.greater(src, 0, out=masks[:m])
-                _sample_sums(dx[s:e], xc[s:e], per_sample[:, s:e])
+                _sample_sums(dx[s:e], np.subtract(x.data[s:e], mean, out=src), per_sample[:, s:e])
         if pre is None:
-            return dx, dkernel, *gate_grads
+            return dx, dkernel, *tail
         sums = per_sample.sum(axis=1)  # in sample order
         del per_sample
-        dx, dgamma, dbeta = _normalizer_backward(dx, xc, sums, *stats[1:])
-        return dx, dkernel, dgamma, dbeta, *gate_grads
+        dx, dgamma, dbeta = _normalizer_backward(dx, x.data, mean, sums, *stats[1:], dx)
+        return dx, dkernel, dgamma, dbeta, *tail
 
     return _make(out, parents, conv2d_backward)
 
@@ -831,7 +852,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     and allocates as usual otherwise; pass it only for an ``x`` that
     nothing reads after, such as a conv output inside a block.
     """
-    chunks = _sample_chunks(len(x.data), max(1, x.data[:1].nbytes))[1]
+    step, chunks = _sample_chunks(len(x.data), max(1, x.data[:1].nbytes))
     stats = _normalizer(x, gamma, beta, running_mean, running_var, training, chunks,
                         momentum=momentum, eps=eps)
     pshape = (1, -1) + (1,) * (x.ndim - 2)
@@ -847,15 +868,17 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
             np.maximum(part, 0, out=part)
 
     def batch_norm_backward(g):
-        if relu:
+        if relu:  # the masked g is the rule's own, so the last pass writes dx over it
             g = g * (out > 0)
-        dx, per_sample = np.empty_like(x.data), np.empty((2,) + x.shape[:2], x.data.dtype)
+        xc = np.empty((step,) + x.shape[1:], x.data.dtype)  # x - mean of one chunk
+        per_sample = np.empty((2,) + x.shape[:2], x.data.dtype)
         for s, e in chunks:
-            xc = np.subtract(x.data[s:e], mean, out=dx[s:e])
-            _sample_sums(g[s:e], xc, per_sample[:, s:e])
+            _sample_sums(g[s:e], np.subtract(x.data[s:e], mean, out=xc[: e - s]),
+                         per_sample[:, s:e])
         sums = per_sample.sum(axis=1)  # in sample order
-        del per_sample
-        return _normalizer_backward(g, dx, sums, *stats[1:])
+        per_sample = xc = None  # freed before the last pass takes its scratch
+        dx = g if relu else np.empty_like(x.data)
+        return _normalizer_backward(g, x.data, mean, sums, *stats[1:], dx)
 
     return _make(out, (x, gamma, beta), batch_norm_backward)
 
@@ -925,29 +948,32 @@ def _sample_sums(g: np.ndarray, xc: np.ndarray, out: np.ndarray) -> None:
     np.einsum(g, dims, xc, dims, [0, 1], out=out[1])
 
 
-def _normalizer_backward(g: np.ndarray, dx: np.ndarray, sums: np.ndarray,
-                         inv_std: np.ndarray, scale: np.ndarray, inv_n) -> tuple:
+def _normalizer_backward(g: np.ndarray, x: np.ndarray, mean: np.ndarray, sums: np.ndarray,
+                         inv_std: np.ndarray, scale: np.ndarray, inv_n,
+                         dx: np.ndarray) -> tuple:
     """(dx, dgamma, dbeta) of scale * (x - mean) + beta with ``_normalizer``'s
-    statistics, for the gradient ``g`` at that output, given dx holding
-    xc = x - mean and ``sums`` the sums of g and g*xc over this shard's
-    samples in order (``_sample_sums``); dgamma and dbeta are this shard's
-    share.
+    statistics (``mean`` shaped to broadcast over x), for the gradient
+    ``g`` at that output, given ``sums`` the sums of g and g*xc, xc = x -
+    mean, over this shard's samples in order (``_sample_sums``); dgamma and
+    dbeta are this shard's share.
 
     dgamma = inv_std*sum(g*xc), and scale*(g - dbeta/n - xhat*dgamma/n) =
-    scale*g + kx*xc + k0 with per-channel kx and k0, from the sums over the
-    whole batch; dx is finished in place one sample chunk at a time.
+    scale*g + kx*xc - k0 with per-channel kx and k0, from the sums over the
+    whole batch. dx goes into ``dx``, which may be g, one sample chunk at
+    a time, each taking its xc from x again, so no whole-batch xc is kept.
     """
-    pshape = (1, -1) + (1,) * (dx.ndim - 2)
+    pshape = (1, -1) + (1,) * (x.ndim - 2)
     total = _all_reduce(sums)
     kx = (-scale * inv_std * (inv_std * total[1]) * inv_n).reshape(pshape)
     k0 = (scale * total[0] * inv_n).reshape(pshape)
-    step, chunks = _sample_chunks(len(dx), max(1, dx[:1].nbytes))
-    tmp = np.empty((step,) + dx.shape[1:], dx.dtype)  # scale*g of one chunk
+    step, chunks = _sample_chunks(len(x), max(1, x[:1].nbytes))
+    tmp = np.empty((step,) + x.shape[1:], x.dtype)  # kx*xc - k0 of one chunk
     for s, e in chunks:
-        part = dx[s:e]
+        part = np.subtract(x[s:e], mean, out=tmp[: e - s])
         part *= kx
         part -= k0
-        part += np.multiply(g[s:e], scale.reshape(pshape), out=tmp[: e - s])
+        np.multiply(g[s:e], scale.reshape(pshape), out=dx[s:e])
+        dx[s:e] += part
     return dx, inv_std * sums[1], sums[0]
 
 

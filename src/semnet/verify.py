@@ -43,17 +43,26 @@ def _scope_affine(gen):
 
 def _scope_conv2d(gen):
     """Each (k, stride, pad) the backbone runs: strided and same 3x3, 1x1,
-    and the strided 1x1 downsample shortcut."""
+    and the strided 1x1 downsample shortcut; then the 1x1 projection
+    shortcuts summed into a branch conv's output (``add_to``), whose
+    input and kernel take the gradient passed to the added parent."""
     out = {}
-    for k, stride, pad in ((3, 2, 1), (3, 1, 1), (1, 1, 0), (1, 2, 0)):
+    for k, stride, pad, summed in ((3, 2, 1, False), (3, 1, 1, False), (1, 1, 0, False),
+                                   (1, 2, 0, False), (1, 1, 0, True), (1, 2, 0, True)):
         x = _randn(gen, (2, 2, 5, 5))
         kern = _randn(gen, (3, 2, k, k))
         n = (5 + 2 * pad - k) // stride + 1
         w = _probe(gen, (2, 3, n, n))
-        errs = check_gradients(
-            lambda: T.mul(T.conv2d(x, kern, stride=stride, pad=pad), w).mean(),
-            {"x": x, "kernel": kern})
-        out.update({f"k{k}s{stride}p{pad}_{name}": v for name, v in errs.items()})
+        branch = {"branch_x": _randn(gen, (2, 4, n, n)),
+                  "branch_kernel": _randn(gen, (3, 4, 1, 1))} if summed else {}
+
+        def f():  # a fresh branch output each call, since the conv sums into it
+            add_to = T.conv2d(*branch.values()) if branch else None
+            return T.mul(T.conv2d(x, kern, stride=stride, pad=pad, add_to=add_to), w).mean()
+
+        errs = check_gradients(f, {"x": x, "kernel": kern, **branch})
+        tag = f"k{k}s{stride}p{pad}" + ("_add_to" if summed else "")
+        out.update({f"{tag}_{name}": v for name, v in errs.items()})
     return out
 
 

@@ -17,6 +17,8 @@ from semnet.data import (  # noqa: E402
 )
 from semnet.shards import close_worker  # noqa: E402
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def running(pid: int) -> bool:
     """Whether process ``pid`` exists and has not exited (a zombie has)."""
@@ -27,14 +29,15 @@ def running(pid: int) -> bool:
         return False
 
 
-def live_children() -> list[int]:
-    """This process's child processes that have not exited, from
-    /proc/self/task/*/children (empty where /proc has no such files)."""
+def live_children(pid: int | str = "self") -> list[int]:
+    """The child processes of process ``pid`` (by default this one) that
+    have not exited, from /proc/<pid>/task/*/children (empty where /proc
+    has no such files)."""
     pids = []
-    for path in glob.glob("/proc/self/task/*/children"):
+    for path in glob.glob(f"/proc/{pid}/task/*/children"):
         try:
             with open(path) as fh:
-                pids += [int(pid) for pid in fh.read().split()]
+                pids += [int(child) for child in fh.read().split()]
         except OSError:  # the thread ended meanwhile
             pass
     return [pid for pid in pids if running(pid)]

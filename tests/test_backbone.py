@@ -30,14 +30,11 @@ from semnet.tensor import Tensor, backward, no_grad, set_debug_checks, softmax_c
 from semnet.training import RunConfig, train_run
 
 import oracles
-from conftest import live_children, running
+from conftest import SRC, live_children, running
 
 
 def small_input(gen, b=2):
     return Tensor(gen.standard_normal((b, 3, 32, 32)).astype(np.float32))
-
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_isolated(script, cwd, timeout=120):
@@ -341,9 +338,10 @@ def shard_outputs(monkeypatch):
 
 class TestTapeMemory:
     @pytest.mark.usefixtures("small_shards")
+    @pytest.mark.parametrize("depth", [11, 20])
     @pytest.mark.parametrize("attention", ["sem", "none"])
-    def test_backward_peak_tracks_the_tape(self, monkeypatch, attention):
-        model = build_network(RunConfig(depth=11, attention=attention), RngState(71),
+    def test_backward_peak_tracks_the_tape(self, monkeypatch, attention, depth):
+        model = build_network(RunConfig(depth=depth, attention=attention), RngState(71),
                               np.float64)
         gen = RngState(72).generator()
         x = Tensor(gen.standard_normal((8, 3, 32, 32)), dtype=np.float64)
@@ -362,10 +360,14 @@ class TestTapeMemory:
             unfused = unfused_relus(*roots)
             lone = fused_unit_outputs(*roots)
             norms = sum(n._backward.__name__ == "batch_norm_backward" for n in graph_nodes(*roots))
-            # The 4-D adds are the blocks' skip additions; the gates add
-            # only (B, C) maps.
-            shared = [np.shares_memory(n.data, n._parents[0].data) for n in graph_nodes(*roots)
-                      if n._backward.__name__ == "add_backward" and n.ndim == 4]
+            # The blocks' skip sums: an identity block's 4-D add (the gates
+            # add only (B, C) maps), and a projection block's shortcut conv,
+            # whose last parent is the branch output it sums into.
+            shared = [np.shares_memory(n.data, n._parents[0 if add else -1].data)
+                      for n in graph_nodes(*roots)
+                      for add in [n._backward.__name__ == "add_backward"]
+                      if add and n.ndim == 4 or n._backward.__name__ == "conv2d_backward"
+                      and n._parents[-1].shape == n.shape]
             tracemalloc.reset_peak()
             backward(loss)
             peak = tracemalloc.get_traced_memory()[1] - base
@@ -374,13 +376,13 @@ class TestTapeMemory:
         # Every batch norm feeds a ReLU; fused, no pre-activation is kept.
         assert unfused == 0, unfused
         # bn2 and bn3 run inside the conv that reads them; only bn1, which
-        # the projection shortcut (every depth-11 block has one) and conv1
-        # both read, and the head's keep an output on the tape.
+        # the projection shortcut (each stage's first block has one) and
+        # conv1 both read, and the head's keep an output on the tape.
         assert lone == 0, lone
         assert norms == (3 + 1) * len(shards), norms
         # Each block sums its skip into the branch output's own buffer (a
         # gate or conv3 output no backward rule reads), not a new one.
-        assert shared == [True] * 3 * depth_to_blocks(11) * len(shards), shared
+        assert shared == [True] * 3 * depth_to_blocks(depth) * len(shards), shared
         # Freed as backward consumes it, the tape is not held twice.
         assert peak <= 1.25 * tape, (peak, tape)
         # Only activations: a padded conv input copy or a (B, Cin*k*k,
@@ -416,6 +418,41 @@ class TestTapeMemory:
                     assert a.ndim < 4 or a.shape[0] != len(inputs) or np.shares_memory(
                         a, inputs), a.shape
         assert kept["sem"] == kept["none"]
+
+    @pytest.mark.parametrize("attention", ["sem", "none"])
+    def test_tape_keeps_only_the_activations_its_rules_read(self, attention):
+        # A depth-20 training forward keeps the images and the stem's
+        # output, then per block bn1's output where the projection shortcut
+        # and conv1 both read it, conv1's and conv2's outputs, which the
+        # next fused unit reads, and the block's sum, which the next block
+        # or the head reads; then the head's batch norm output and its
+        # pooled map. A projection shortcut sums into the branch output
+        # inside its own node, so it keeps no output of its own.
+        model = build_network(RunConfig(depth=20, attention=attention), RngState(75))
+        b = 4
+        x = Tensor(RngState(76).generator().standard_normal((b, 3, 32, 32)).astype(np.float32))
+        want, size = [(b, 3, 32, 32), (b, STAGE_WIDTHS[0], 32, 32)], 32
+        for _, _, block in model._blocks():
+            width = block.conv1.weight.shape[0]
+            if block.downsample is not None:
+                want.append((b, block.bn1.gamma.shape[0], size, size))
+            want.append((b, width, size, size))
+            size //= block.conv2.stride
+            want += [(b, width, size, size), (b, block.out_channels, size, size)]
+        want += [want[-1], (b, want[-1][1], 1, 1)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            logits = model(x, training=True)
+            tape = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert batch_buffers(b, logits) == sorted(want)
+        # Beyond those, the images aside, no more than a transposed copy of
+        # the weights and the gates' (B, C) maps.
+        activations = sum(int(np.prod(shape)) for shape in want[1:]) * x.data.itemsize
+        weights = sum(p.data.nbytes for p in model.parameters())
+        assert tape <= activations + weights, (tape, activations, weights)
 
     def test_skip_add_leaves_the_block_input(self):
         # An identity-shortcut block sums its input into the branch output;
@@ -788,9 +825,10 @@ STEP_PRELUDE = """
 """
 
 
-def shard_oracle_pair(seed, dtype=np.float64):
-    """Two identical depth-11 SEM models, their BN buffers away from 0/1."""
-    pair = [build_network(RunConfig(depth=11, attention="sem"), RngState(seed), dtype)
+def shard_oracle_pair(seed, dtype=np.float64, depth=11):
+    """Two identical SEM models, depth 11 unless given, their BN buffers
+    away from 0/1."""
+    pair = [build_network(RunConfig(depth=depth, attention="sem"), RngState(seed), dtype)
             for _ in range(2)]
     for model in pair:
         random_buffers(model, seed + 1)
@@ -912,10 +950,14 @@ class TestShardedTraining:
             assert close(buf, ref), name
 
     def test_skip_add_hands_its_gradient_to_one_parent(self, monkeypatch):
-        # The skip add passes its output gradient to both parents; once its
-        # node is gone the branch takes that buffer over and only the
-        # residual gets a copy, with the same bits as two copies.
-        model, twin = shard_oracle_pair(116, np.float32)
+        # An identity block's skip add passes its output gradient to both
+        # parents; once its node is gone the branch takes that buffer over
+        # and only the block input gets a copy. A projection block's
+        # shortcut conv sums into the branch output inside its node, whose
+        # rule passes its output gradient to that branch output as is, and
+        # the branch takes it over without a copy. Both give the same bits
+        # as copies.
+        model, twin = shard_oracle_pair(116, np.float32, depth=20)
         x = small_input(RngState(117).generator(), b=4)
         labels = np.arange(4)
         inner = tensor._accumulate
@@ -925,11 +967,15 @@ class TestShardedTraining:
             inner(parents, grads, out_grad, owned, sink)
             if len(grads) == 2 and grads[0] is out_grad and grads[1] is out_grad:
                 adopted.append([p.grad is out_grad for p in parents])
+            elif len(grads) == 3 and grads[-1] is out_grad:
+                adopted.append([parents[-1].grad is out_grad])
 
         monkeypatch.setattr(tensor, "_accumulate", spy)
         backward(softmax_cross_entropy(model(x, training=True), labels))
-        # 3 skip adds in shard 0; shard 1's run in the worker process.
-        assert adopted == [[True, False]] * 3, adopted
+        # Per stage of shard 0, last block first: the identity block's add,
+        # then the first block's shortcut sum; shard 1's run in the worker
+        # process.
+        assert adopted == [[True, False], [True]] * 3, adopted
         monkeypatch.setattr(tensor, "_accumulate",
                             lambda parents, grads, out_grad, owned, sink:
                             inner(parents, grads, out_grad, False, sink))

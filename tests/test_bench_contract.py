@@ -4,14 +4,15 @@ the expected gates and tape nodes and gives the untraced loss bit for bit.
 
 The step runs whole, as small batches do, or in two sample shards, as the
 benchmark's batches of 16 and 128 do. Each forward has 3 gates of one node
-each and 18 nodes in its 3 blocks: each block has 6, its bn1, its
-projection shortcut, conv1, conv2 (bn2 runs inside its node), conv3 with
-bn3 and the gate inside its node, and the skip add. The tracer times the
+each and 15 nodes in its 3 blocks: each block has 5, its bn1, conv1, conv2
+(bn2 runs inside its node), conv3 with bn3 and the gate inside its node,
+and the projection shortcut, which sums itself into the gate's output
+inside its own node, so no block records a skip add. The tracer times the
 gate's call, which makes that conv3 node the gate's one node. Whole, the
 tracer counts the blocks' nodes, the loss, 4 head nodes and the stem conv:
-24. Sharded, the tracer sees only this process: shard 0's 3 gates and its
-blocks' 18 nodes, the joined logits (its "head"), shard 0's stem conv and
-the loss, 21 nodes. It does not reach shard 0's 4 head nodes, whose output
+21. Sharded, the tracer sees only this process: shard 0's 3 gates and its
+blocks' 15 nodes, the joined logits (its "head"), shard 0's stem conv and
+the loss, 18 nodes. It does not reach shard 0's 4 head nodes, whose output
 the join reads as data, and shard 1 runs in the worker process, with the
 tracer's patches but out of its reach."""
 
@@ -68,7 +69,7 @@ def test_traced_step_counts_and_loss(tracer_module, monkeypatch, shards):
     assert not tracer.installed
     (_, counts), = tracer.summarize()
     assert counts["attention.calls"] == 3
-    assert counts["tensor.tape_nodes"] == (24 if shards == 1 else 18 + 3)
+    assert counts["tensor.tape_nodes"] == (21 if shards == 1 else 15 + 3)
     assert counts["attention.nodes"] == 3
     untraced = one_step(tracer_module.NullTracer())
     assert traced.tobytes() == untraced.tobytes()

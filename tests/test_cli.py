@@ -3,15 +3,18 @@ plus the documented exit codes."""
 
 import json
 import os
+import signal
 import struct
+import subprocess
 import sys
+import time
 import zlib
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from semnet import backbone
+from semnet import backbone, shards
 from semnet import data as data_mod
 from semnet.checkpoint import read_checkpoint, write_checkpoint
 from semnet.cli import main
@@ -19,7 +22,7 @@ from semnet.data import CIFAR10_RECORD_BYTES, CIFAR10_TEST_FILES, CIFAR10_TRAIN_
 from semnet.errors import CheckpointError
 from semnet.training import RunConfig
 
-from conftest import with_own_files
+from conftest import SRC, live_children, with_own_files
 
 TINY = """\
 dataset=synthetic
@@ -45,6 +48,20 @@ def tiny_cfg(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def session_processes(sid: int) -> list[int]:
+    """The processes of session ``sid`` that have not exited, from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                state, _, _, session = fh.read().rpartition(")")[2].split()[:4]
+        except (OSError, ValueError):  # not a process, or gone meanwhile
+            continue
+        if int(session) == sid and state != "Z":
+            found.append(int(entry))
+    return found
 
 
 class TestTrain:
@@ -100,6 +117,40 @@ class TestTrain:
         out = os.path.join(tmp_path, "run")
         assert run_cli("train", "--config", tiny_cfg, "--out-dir", out,
                        "--lr", "1e18", "--epochs", "3") == 4
+
+    @pytest.mark.skipif(not shards.AVAILABLE, reason="no shard worker on this machine")
+    def test_a_killed_worker_exits_3_without_a_traceback(self, tmp_path):
+        # Every shard worker the run forks is SIGKILLed, as the out-of-memory
+        # killer would: one killed between steps is replaced at the next
+        # step, and one killed mid-step ends the run with exit 3, one line
+        # on stderr and no process left in the run's session.
+        argv = ["train", "--dataset", "synthetic", "--depth", "11", "--batch-size", "16",
+                "--epochs", "200", "--synthetic-train", "64", "--synthetic-test", "16",
+                "--synthetic-classes", "4", "--out-dir", str(tmp_path / "run")]
+        proc = subprocess.Popen([sys.executable, "-m", "semnet", *argv],
+                                env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        killed = set()
+        try:
+            deadline = time.monotonic() + 120
+            while proc.poll() is None and time.monotonic() < deadline:
+                for pid in live_children(proc.pid):
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:  # reaped meanwhile
+                        continue
+                    killed.add(pid)
+                time.sleep(0.02)
+            err = proc.communicate(timeout=60)[1]
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert killed
+        assert proc.returncode == 3, err
+        assert len(err.splitlines()) == 1 and err.startswith("worker lost: "), err
+        assert session_processes(proc.pid) == []
 
 
 REJECTED_OVERRIDES = [

@@ -1041,6 +1041,47 @@ class TestGatedConv:
                    gate=tensor.ChannelGate(tuple(gate_params(params)), None, None))
 
 
+class TestSummedConv:
+    """``conv2d(..., add_to=branch)``, a projection shortcut summed into
+    the branch output inside its own node: byte for byte the conv and the
+    in-place skip add it replaces, with one tape node fewer."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_the_skip_add(self, stride):
+        # B = 37 spans several sample chunks at either stride (at stride 1
+        # the conv is direct); pre feeds both convs, as bn1's output feeds
+        # conv1 and the shortcut, so its gradient sums both readers'.
+        gen = RngState(96).generator()
+        b, cin, cout, size = 37, 16, 64, 32
+        images = gen.standard_normal((b, cin, size, size)).astype(np.float32)
+        weights = [gen.standard_normal((cout, cin, 1, 1)).astype(np.float32) for _ in range(2)]
+        g = Tensor(gen.standard_normal((b, cout, size // stride, size // stride))
+                   .astype(np.float32))
+        results = []
+        for summed in (False, True):
+            pre = Tensor(images, requires_grad=True)
+            branch_w, shortcut_w = (Tensor(w, requires_grad=True) for w in weights)
+            branch = conv2d(pre, branch_w, stride)
+            if summed:
+                out = conv2d(pre, shortcut_w, stride, add_to=branch)
+                assert np.shares_memory(out.data, branch.data)
+                assert out._parents[-1] is branch
+            else:
+                out = add(branch, conv2d(pre, shortcut_w, stride), inplace=True)
+            backward(mul(out, g).sum())
+            results.append([a.tobytes() for a in (out.data, pre.grad, branch_w.grad,
+                                                  shortcut_w.grad)])
+        assert results[0] == results[1]
+
+    def test_rejects_a_wrong_add_to(self):
+        x = Tensor(np.ones((2, 3, 4, 4), np.float32))
+        kernel = Tensor(np.ones((5, 3, 1, 1), np.float32))
+        with pytest.raises(ValueError, match="add_to"):
+            conv2d(x, kernel, 2, add_to=Tensor(np.ones((2, 5, 4, 4), np.float32)))
+        with pytest.raises(ValueError, match="mixed dtypes"):
+            conv2d(x, kernel, add_to=Tensor(np.ones((2, 5, 4, 4)), dtype=np.float64))
+
+
 class TestAutodiff:
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
