@@ -12,18 +12,19 @@ of every later step:
   ``load_state_arrays`` reach the worker with no copy. A ``data`` rebound
   since is copied back in, and the view rebound, at the next step.
 * Each step sends shard 1's images, and in training then its rows of the
-  logits' gradient, over a pipe, with the caller's no_grad, debug checks,
-  layer scope and errstate; the worker sends back its logits and decision
-  weights, then which parameters it reached. It writes their gradients
-  into a second shared buffer of the same layout, and
+  logits' gradient, over the model's ``ShardChannel``, one pipe into each
+  shard, with the caller's no_grad, debug checks, layer scope and
+  errstate; the worker sends back its logits and decision weights, then
+  which parameters it reached. It writes their gradients into a second
+  shared buffer of the same layout, and
   ``tensor.join_shards`` adds them to shard 0's in shard order. The worker
   keeps the tape of its last recording forward only, so the backward of an
   earlier one raises.
-* Training batch norm all-reduces its sums through ``SharedReduce``. Eval
+* Training batch norm all-reduces its sums over the same channel. Eval
   batch norm reads the running statistics, which only the caller updates
   (as shard 0 or over a whole batch) and which are not shared: an eval step
   sends the caller's, and the worker writes them into its copies first.
-* A shard that raises aborts the reduce, so its partner raises
+* A shard that raises sends its partner an abort, so the partner raises
   ``ShardAborted`` at its next all-reduce instead of waiting; the caller
   raises the first error in shard order that is not ``ShardAborted``, or
   ``errors.WorkerLost`` if the worker died mid-step.
@@ -34,14 +35,17 @@ worker is killed and reaped when its model is collected, when
 ``close_worker`` or ``close_worker_of`` is called, when a step finds it
 dead or stops waiting for it (^C), and at interpreter exit. It exits
 within ``_POLL_S`` once its parent process is gone, whichever thread
-forked it. A worker forked while another is alive inherits that one's pipe
-ends and ``ShardWorker``, so a worker is never shut down by an end of file,
-only killed and reaped, and it leaves only through ``os._exit``, which runs
-no finalizer that could kill a sibling. No other process or thread is
+forked it. Each process closes the pipe ends it does not use, so a dead
+worker's pipe reports an end of file to the caller. A worker forked while
+another is alive inherits the caller's ends of that one's pipes and
+``ShardWorker``, so a worker is never shut down by an end of file, only
+killed and reaped, and it leaves only through ``os._exit``, which runs no
+finalizer that could kill a sibling. No other process or thread is
 started.
 
-Sharding needs ``os.fork`` and x86-64's store order (see ``_wait``);
-elsewhere ``AVAILABLE`` is false and every forward keeps the whole batch.
+Sharding needs ``os.fork`` and ``select.poll`` and is tested on x86-64
+only; elsewhere ``AVAILABLE`` is false and every forward keeps the whole
+batch.
 """
 
 from __future__ import annotations
@@ -63,108 +67,115 @@ import numpy as np
 from .errors import WorkerLost
 from .tensor import Tensor, _check_finite, _grad_enabled, _layer, _set, _sweep, in_shard
 
-_SLOT_BYTES = 1 << 16  # one shard's partial of one all-reduce: 2 x 4,096 float64 sums
-# Whether a forward may run its second shard in a worker: the worker is
-# forked, and a shard reads its partner's slot as soon as it sees the
-# partner's count, which only a machine that keeps stores in program order
-# (x86-64) makes safe without a memory barrier.
+# One shard's partial of one all-reduce, 2 x 2,048 float64 sums: its frame
+# fits an empty pipe (64 KiB on Linux).
+_PARTIAL_BYTES = 1 << 15
+# Whether a forward may run its second shard in a worker, which is forked.
+# Machines other than x86-64 are untested, so they keep the whole batch.
 AVAILABLE = (hasattr(os, "fork") and hasattr(select, "poll")
              and platform.machine().lower() in ("x86_64", "amd64"))
-_SPIN_S = 2e-4  # how long a shard spins on its partner's count before it blocks
+_SPIN_S = 2e-4  # how long a shard polls its pipe without blocking before it blocks
 _POLL_S = 1.0  # how often a blocked shard checks that its partner is alive
-_HEADER = struct.Struct("<Q")
+_HEADER = struct.Struct("<BQ")  # a frame's kind and body length
+_PARTIAL, _ABORT, _MESSAGE = range(3)  # frame kinds
 
 
 class ShardAborted(RuntimeError):
     """A partner shard failed or is gone; raised at an all-reduce."""
 
 
-class SharedReduce:
-    """Sums of the partials of shards 0 and 1, which share its anonymous
-    ``mmap``: two forked processes, or two threads.
+class ShardChannel:
+    """Shards 0 and 1's ordered channel: one pipe into each, shared by two
+    forked processes or two threads, whose frames are all-reduce partials,
+    aborts and pickled messages (a step's request and reply).
 
-    Each shard writes its partial into its slot of the round's buffer,
-    raises its published count and waits, spinning for ``_SPIN_S`` and then
-    blocking on its wake pipe, until its partner's count has reached the
-    round. Both then add slot 0 + slot 1, so both get the same bits. Rounds
-    alternate between two buffers: a shard writes a buffer again only after
-    its partner has published the next round, so after it has read this one.
+    Each shard writes its partial into its partner's pipe and reads the
+    partner's from its own; both then add shard 0's + shard 1's, so both get
+    the same bits. Both write before they read, so one partial's frame must
+    fit an empty pipe. A reply is the worker's last frame of a run, so a
+    shard that waits for a message skips only the partials and aborts that a
+    failed run left ahead of it.
     """
 
     def __init__(self):
         self.samples = 0  # in the whole batch, for training batch norm
-        self._buf = mmap.mmap(-1, 24 + 2 * 2 * _SLOT_BYTES)
-        # Shard 0's and shard 1's published counts, then the abort flag.
-        self._counts = memoryview(self._buf)[:24].cast("q")
-        self._slots = np.frombuffer(self._buf, np.uint8, offset=24).reshape(2, 2, _SLOT_BYTES)
-        self._wake = (os.pipe(), os.pipe())  # (read, write) that wakes shard 0, shard 1
+        self._pipes = (os.pipe(), os.pipe())  # (read, write) of the pipe into shard 0, shard 1
+        self._open = self._pipes[0] + self._pipes[1]
         self._pollers = (select.poll(), select.poll())
-        for (read, write), poller in zip(self._wake, self._pollers):
-            os.set_blocking(write, False)
+        for (read, _), poller in zip(self._pipes, self._pollers):
             poller.register(read, select.POLLIN)
-        self._rounds = [0, 0]  # this process's rounds, per shard
         self.partner_alive = lambda: True
 
-    def begin(self, samples: int, clear: bool) -> None:
-        """Start a run over a batch of ``samples``; ``clear`` zeroes the
-        shared counts and abort flag, which only the shard that starts the
-        run may do, while its partner is idle."""
-        self.samples = samples
-        self._rounds = [0, 0]
-        if clear:
-            for i in range(3):
-                self._counts[i] = 0
+    def keep(self, index: int) -> None:
+        """Close the pipe ends that only shard ``1 - index`` uses, in a
+        process that runs shard ``index`` alone."""
+        (read, _), (_, write) = self._pipes[index], self._pipes[1 - index]
+        for fd in self._open:
+            if fd not in (read, write):
+                os.close(fd)
+        self._open = read, write
 
     def all_reduce(self, index: int, partial: np.ndarray) -> np.ndarray:
         """Both shards' ``partial`` summed in shard order, a fresh array."""
         partial = np.ascontiguousarray(partial)
-        if partial.nbytes > _SLOT_BYTES:
-            raise ValueError(f"an all-reduce of {partial.nbytes} bytes exceeds {_SLOT_BYTES}")
-        self._rounds[index] = r = self._rounds[index] + 1
-        slots = self._slots[r % 2, :, : partial.nbytes]
-        slots[index] = partial.reshape(-1).view(np.uint8)
-        self._counts[index] = r
-        self._wake_up(1 - index)
-        self._wait(index, r)
-        first, second = (s.view(partial.dtype).reshape(partial.shape) for s in slots)
-        return first + second
-
-    def abort(self) -> None:
-        """Make both shards' current or next wait raise ``ShardAborted``."""
-        self._counts[2] = 1
-        self._wake_up(0)
-        self._wake_up(1)
-
-    def _wake_up(self, index: int) -> None:
+        if partial.nbytes > _PARTIAL_BYTES:
+            raise ValueError(f"an all-reduce of {partial.nbytes} bytes exceeds {_PARTIAL_BYTES}")
         try:
-            os.write(self._wake[index][1], b"\0")
-        except BlockingIOError:  # the pipe is full of wake-ups already
+            self._write(1 - index, _PARTIAL, partial.tobytes())
+            theirs = self._read(index, _PARTIAL)
+        except (BrokenPipeError, EOFError) as exc:
+            raise ShardAborted("a partner shard's process is gone") from exc
+        theirs = np.frombuffer(theirs, partial.dtype).reshape(partial.shape)
+        return partial + theirs if index == 0 else theirs + partial
+
+    def abort(self, index: int) -> None:
+        """Make shard ``1 - index``'s current or next all-reduce raise
+        ``ShardAborted``."""
+        try:
+            self._write(1 - index, _ABORT, b"")
+        except BrokenPipeError:  # the partner is gone already
             pass
 
-    def _wait(self, index: int, r: int) -> None:
-        # The partner stored its slot before its count, and x86-64 keeps
-        # stores, and loads, in program order: once this shard sees the
-        # count it reads the slot's new bytes (see ``AVAILABLE``).
-        counts, partner = self._counts, 1 - index
-        spin_until = time.perf_counter() + _SPIN_S
+    def send(self, index: int, obj) -> None:
+        """Send ``obj`` from shard ``index`` to its partner."""
+        self._write(1 - index, _MESSAGE, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def receive(self, index: int):
+        """The next message to shard ``index``."""
+        return pickle.loads(self._read(index, _MESSAGE))
+
+    def _write(self, index: int, kind: int, body: bytes) -> None:
+        view = memoryview(_HEADER.pack(kind, len(body)) + body)
+        while view:
+            view = view[os.write(self._pipes[index][1], view):]
+
+    def _read(self, index: int, kind: int) -> bytearray:
+        fd = self._pipes[index][0]
         while True:
-            if counts[partner] >= r:
-                return
-            if counts[2]:
+            self._wait(index)
+            got, n = _HEADER.unpack(_read_exact(fd, _HEADER.size))
+            body = _read_exact(fd, n)
+            if got == kind:
+                return body
+            if kind == _PARTIAL:
                 raise ShardAborted("a partner shard failed")
-            if time.perf_counter() < spin_until:
-                continue
-            # A wake-up left over from a round the spin caught only loops.
-            if self._pollers[index].poll(_POLL_S * 1000):
-                os.read(self._wake[index][0], 1 << 16)
-            elif not self.partner_alive():
-                raise ShardAborted("a partner shard's process is gone")
+            # Otherwise a partial or an abort that a failed run left ahead.
+
+    def _wait(self, index: int) -> None:
+        """Return once shard ``index``'s pipe has a byte or an end of file."""
+        poller = self._pollers[index]
+        spin_until = time.perf_counter() + _SPIN_S
+        while not poller.poll(0):
+            if time.perf_counter() >= spin_until:
+                while not poller.poll(_POLL_S * 1000):
+                    if not self.partner_alive():
+                        raise ShardAborted("a partner shard's process is gone")
+                return
 
     def close(self) -> None:
-        for fds in self._wake:
-            for fd in fds:
-                os.close(fd)
-        self._wake = ()
+        for fd in self._open:
+            os.close(fd)
+        self._open = ()
 
 
 def _shared_like(arrays: list[np.ndarray]) -> list[np.ndarray]:
@@ -180,13 +191,6 @@ def _shared_like(arrays: list[np.ndarray]) -> list[np.ndarray]:
             for a, off in zip(arrays, offsets)]
 
 
-def _send(fd: int, obj) -> None:
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    view = memoryview(_HEADER.pack(len(data)) + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
 def _read_exact(fd: int, n: int) -> bytearray:
     buf = bytearray(n)
     view, got = memoryview(buf), 0
@@ -196,11 +200,6 @@ def _read_exact(fd: int, n: int) -> bytearray:
             raise EOFError("the other end of the pipe is closed")
         got += k
     return buf
-
-
-def _receive(fd: int):
-    (n,) = _HEADER.unpack(_read_exact(fd, _HEADER.size))
-    return pickle.loads(_read_exact(fd, n))
 
 
 def _modes() -> tuple:
@@ -220,10 +219,9 @@ class ShardWorker:
             view[...] = p.data
             p.data = view
         self.grads = _shared_like(self.views)
-        self.link = SharedReduce()
+        self.link = ShardChannel()
         self.step = 0
         self._lock = threading.Lock()
-        requests, replies = os.pipe(), os.pipe()
         parent = os.getpid()
         # The worker's collections never walk, and so never copy, the pages
         # of the objects it inherits (8 MiB less PSS at depth 164).
@@ -233,20 +231,19 @@ class ShardWorker:
             pid = os.fork()
         except BaseException:
             gc.unfreeze()
+            self.link.close()
             raise
         if pid == 0:  # the worker: never returns to the caller's code
             code = 1
             try:
-                os.close(requests[1])
-                os.close(replies[0])
-                _serve(model, self, requests[0], replies[1], parent)
+                self.link.keep(1)
+                _serve(model, self, parent)
                 code = 0
             finally:
                 os._exit(code)
         gc.unfreeze()
-        os.close(requests[0])
-        os.close(replies[1])
-        self.pid, self._requests, self._replies = pid, requests[1], replies[0]
+        self.link.keep(0)
+        self.pid = pid
         self._reaped = False  # once reaped, its pid may be another process's
         self.link.partner_alive = self.alive
         self._finalizer = weakref.finalize(model, self.close)
@@ -299,20 +296,21 @@ class ShardWorker:
         with self._lock:
             if self.pid is None:
                 raise RuntimeError("the shard worker was closed")
-            self.link.begin(request[2], clear=True)
+            link = self.link
+            link.samples = request[2]
             try:
-                _send(self._requests, request + (_modes(),))
+                link.send(0, request + (_modes(),))
             except BaseException as exc:
                 self._lost(exc, None)
             mine = error = None
             try:
-                with in_shard(self.link, 0):
+                with in_shard(link, 0):
                     mine = local()
             except BaseException as exc:  # re-raised once the worker has replied
-                self.link.abort()
+                link.abort(0)
                 error = exc
             try:
-                status, theirs = _receive(self._replies)
+                status, theirs = link.receive(0)
             except BaseException as exc:  # ^C here, or the worker died mid-step
                 self._lost(exc, error)
         if error is not None and not isinstance(error, ShardAborted):
@@ -328,7 +326,7 @@ class ShardWorker:
         (after shard 0's ``error``, if any), and raise: ``WorkerLost`` if
         the worker is gone."""
         self._shut()
-        if isinstance(exc, (EOFError, BrokenPipeError)):
+        if isinstance(exc, (EOFError, BrokenPipeError, ShardAborted)):
             raise WorkerLost("the shard worker exited") from (error or exc)
         raise exc
 
@@ -343,33 +341,26 @@ class ShardWorker:
         if pid is None:
             return
         self._finalizer.detach()
-        os.close(self._requests)
-        os.close(self._replies)
         self.link.close()
         if not self._reaped:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _serve(model, worker: ShardWorker, requests: int, replies: int, parent: int) -> None:
+def _serve(model, worker: ShardWorker, parent: int) -> None:
     """The worker's loop: one reply per request until the pipe closes or,
-    checked every ``_POLL_S`` while idle, the parent is gone."""
+    checked every ``_POLL_S`` while it waits, the parent is gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles ^C
     link = worker.link
     link.partner_alive = lambda: os.getppid() == parent
-    idle = select.poll()
-    idle.register(requests, select.POLLIN)
     index = {id(p): i for i, p in enumerate(worker.params)}
     tape = None  # (step, logits) of the last recording forward
     while True:
-        while not idle.poll(_POLL_S * 1000):
-            if not link.partner_alive():
-                return
         try:
-            kind, step, samples, payload, (grad, check, layer, errs) = _receive(requests)
-        except EOFError:
+            kind, step, samples, payload, (grad, check, layer, errs) = link.receive(1)
+        except (EOFError, ShardAborted):
             return
-        link.begin(samples, clear=False)
+        link.samples = samples
         try:
             with _set(_grad_enabled, grad), _set(_check_finite, check), _set(_layer, layer), \
                     np.errstate(**errs), in_shard(link, 1):
@@ -401,12 +392,12 @@ def _serve(model, worker: ShardWorker, requests: int, replies: int, parent: int)
                             answer.append(i)
             reply = ("ok", answer)
         except BaseException as exc:
-            link.abort()
+            link.abort(1)
             reply = ("error", exc)
         try:
-            _send(replies, reply)
+            link.send(1, reply)
         except (pickle.PicklingError, TypeError, AttributeError):
-            _send(replies, ("error", RuntimeError(f"{type(reply[1]).__name__}: {reply[1]}")))
+            link.send(1, ("error", RuntimeError(f"{type(reply[1]).__name__}: {reply[1]}")))
 
 
 # Each live model's worker; an entry goes when its model is collected.

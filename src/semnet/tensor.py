@@ -30,6 +30,8 @@ _layer = contextvars.ContextVar("layer", default=None)
 # (group, index) of the sample shard this context runs; None outside shards.
 _shard = contextvars.ContextVar("shard", default=None)
 _CHUNK_BYTES = 1 << 20  # bytes of one sample chunk of conv2d or batch norm: stays in L2
+BN_MOMENTUM = 0.9  # the share of its old value a batch norm running buffer keeps per batch
+BN_EPS = 1e-5  # added to the variance before its square root
 
 
 @contextlib.contextmanager
@@ -831,12 +833,11 @@ def relu(x: Tensor) -> Tensor:
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.9, eps: float = 1e-5,
-               relu: bool = False, *, inplace: bool = False) -> Tensor:
+               training: bool, relu: bool = False, *, inplace: bool = False) -> Tensor:
     """Per-channel normalisation over (B, C) or (B, C, H, W).
 
     Train mode normalises by batch statistics and folds them into the
-    running buffers with the given momentum (in place); eval mode uses the
+    running buffers with ``BN_MOMENTUM`` (in place); eval mode uses the
     running buffers. gamma/beta are (C,) learnable tensors. The variance,
     the normalising pass and backward's scale*g run in ``_CHUNK_BYTES``
     sample chunks, bit for bit the whole-batch result.
@@ -853,8 +854,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     nothing reads after, such as a conv output inside a block.
     """
     step, chunks = _sample_chunks(len(x.data), max(1, x.data[:1].nbytes))
-    stats = _normalizer(x, gamma, beta, running_mean, running_var, training, chunks,
-                        momentum=momentum, eps=eps)
+    stats = _normalizer(x, gamma, beta, running_mean, running_var, training, chunks)
     pshape = (1, -1) + (1,) * (x.ndim - 2)
     mean, scale = (a.reshape(pshape) for a in (stats[0], stats[2]))
     out = x.data if inplace and not _records((x, gamma, beta)) else np.empty_like(x.data)
@@ -885,8 +885,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
 def _normalizer(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
                 running_var: np.ndarray, training: bool, chunks: list,
-                scratch: np.ndarray | None = None, momentum: float = 0.9,
-                eps: float = 1e-5) -> tuple:
+                scratch: np.ndarray | None = None) -> tuple:
     """(mean, inv_std, scale, inv_n) of batch norm over x, per channel,
     once its arguments pass the checks.
 
@@ -911,7 +910,7 @@ def _normalizer(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     dt = x.data.dtype
     if not training:
         mean, var = running_mean.astype(dt, copy=False), running_var.astype(dt, copy=False)
-        inv_std = 1.0 / np.sqrt(var + dt.type(eps))
+        inv_std = 1.0 / np.sqrt(var + dt.type(BN_EPS))
         return mean, inv_std, gamma.data * inv_std, dt.type(0.0)
     n = x.data.size // c
     if n == 0:
@@ -931,11 +930,11 @@ def _normalizer(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         np.sum(part, axis=axes[1:], dtype=dt, out=squares[s:e])
     var = _all_reduce(squares.sum(axis=0, dtype=dt)) / n
     if shard is None or shard[1] == 0:  # one update per batch
-        running_mean *= dt.type(momentum)
-        running_mean += dt.type(1.0 - momentum) * mean
-        running_var *= dt.type(momentum)
-        running_var += dt.type(1.0 - momentum) * var
-    inv_std = 1.0 / np.sqrt(var + dt.type(eps))
+        running_mean *= dt.type(BN_MOMENTUM)
+        running_mean += dt.type(1.0 - BN_MOMENTUM) * mean
+        running_var *= dt.type(BN_MOMENTUM)
+        running_var += dt.type(1.0 - BN_MOMENTUM) * var
+    inv_std = 1.0 / np.sqrt(var + dt.type(BN_EPS))
     return mean, inv_std, gamma.data * inv_std, dt.type(1.0 / n)
 
 

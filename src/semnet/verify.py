@@ -76,7 +76,7 @@ def _scope_elementwise(gen):
             "add_a": errs_add["a"], "add_b": errs_add["b"]}
 
 
-def _kink_free_beta(x, gamma, training, running_mean, running_var, eps=1e-5):
+def _kink_free_beta(x, gamma, training, running_mean, running_var):
     """Per-channel beta that puts the ReLU kink of gamma*xhat + beta midway
     across the widest gap between the normalised inputs of the channel, so
     central differences never straddle it."""
@@ -86,7 +86,7 @@ def _kink_free_beta(x, gamma, training, running_mean, running_var, eps=1e-5):
         mean, var = rows.mean(axis=1), rows.var(axis=1)
     else:
         mean, var = running_mean, running_var
-    xhat = np.sort((rows - mean[:, None]) / np.sqrt(var[:, None] + eps), axis=1)
+    xhat = np.sort((rows - mean[:, None]) / np.sqrt(var[:, None] + T.BN_EPS), axis=1)
     i = np.diff(xhat, axis=1).argmax(axis=1)
     return -gamma * (xhat[np.arange(c), i] + xhat[np.arange(c), i + 1]) / 2
 

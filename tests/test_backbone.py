@@ -1,6 +1,7 @@
 """Backbone construction, parameter audits, attention insertion,
 random operator assignment, and the checkpoint container."""
 
+import errno
 import os
 import signal
 import subprocess
@@ -993,10 +994,14 @@ class TestShardedTraining:
         # forward and the head's and stage3's in backward. The partner is
         # left waiting at an all-reduce, which the failed shard aborts. The
         # worker forks with the planted op; a marker file switches it on in
-        # both processes.
+        # both processes. The next step has a clean twin's bits, so no
+        # frame the failed step left in a pipe shifts a later sum; the
+        # batch norm buffers are not compared, as shard 0's early batch
+        # norms updated them in the failed forward.
         run_isolated(STEP_PRELUDE + f"""
     SHARD, WHERE, PHASE = {shard}, {where!r}, {phase!r}
-    model = build_network(RunConfig(depth=11, attention="sem"), RngState(110))
+    model, twin = (build_network(RunConfig(depth=11, attention="sem"), RngState(110))
+                   for _ in range(2))
     layer = "stage2.block0" if WHERE == "after" else "head" if PHASE == "backward" else "stem"
     name = "affine" if layer == "head" else "conv2d"
     op = getattr(backbone, name)
@@ -1025,7 +1030,10 @@ class TestShardedTraining:
     assert all(p.grad is None for p in model.parameters())
     worker = shards._workers[model].pid
     os.remove("fail")
-    assert np.isfinite(step(model).item()) and shards._workers[model].pid == worker
+    assert step(model).data.tobytes() == step(twin).data.tobytes()
+    for (name, p), q in zip(model.named_parameters(), twin.parameters()):
+        assert p.grad.tobytes() == q.grad.tobytes(), name
+    assert shards._workers[model].pid == worker
 """, tmp_path)
 
     @pytest.mark.parametrize("phase", ["forward", "backward"])
@@ -1102,6 +1110,21 @@ class TestShardedTraining:
     os.remove("nan")
     assert np.isfinite(step(model).item())
 """, tmp_path)
+
+    def test_a_failed_fork_closes_the_channel(self, monkeypatch):
+        # os.fork fails as it does at the process limit: the step raises
+        # its error, and no pipe end of the new worker's channel stays open
+        # (the autouse no_file_left_open fixture checks).
+        model = build_network(RunConfig(depth=11, attention="sem"), RngState(143))
+        x = small_input(RngState(144).generator(), b=4)
+
+        def failing():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing)
+        with pytest.raises(OSError) as info:
+            model(x, training=True)
+        assert info.value.errno == errno.EAGAIN and worker_of(model) is None
 
     def test_sharded_forward_replaces_the_tape_a_backward_needs(self):
         model = build_network(RunConfig(depth=11, attention="sem"), RngState(123))

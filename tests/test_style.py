@@ -11,7 +11,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MAX_LINE = 100
 
 
-FOLDERS = [os.path.join("src", "semnet"), "tests", "demos"]
+FOLDERS = [os.path.join("src", "semnet"), "tests", "demos", "perfbench"]
 
 
 @pytest.mark.parametrize("folder", FOLDERS)

@@ -15,7 +15,7 @@ from semnet.attention import ALL_OPERATORS, gate_params, init_sem_params, sem_fo
 from semnet.backbone import build_network
 from semnet.gradcheck import check_gradients, finite_difference_grad, max_relative_error
 from semnet.rng import RngState
-from semnet.shards import ShardAborted, SharedReduce
+from semnet.shards import ShardAborted, ShardChannel
 from semnet.tensor import (
     ACTIVATION_KINDS,
     PreActivation,
@@ -661,11 +661,11 @@ class TestConv2dOracle:
 
 def run_linked(samples, task):
     """``task(i)`` for shards 0 and 1 of a batch of ``samples`` at once, each
-    on a thread of its own as shard i of one ``SharedReduce`` (the training
-    batch norm all-reduce the worker process uses); the results in shard
-    order, or the first error in shard order that is not ``ShardAborted``."""
-    link = SharedReduce()
-    link.begin(samples, clear=True)
+    on a thread of its own as shard i of one ``ShardChannel`` (the channel
+    of the worker process and its caller); the results in shard order, or
+    the first error in shard order that is not ``ShardAborted``."""
+    link = ShardChannel()
+    link.samples = samples
     results, errors = [None, None], [None, None]
 
     def member(i):
@@ -674,7 +674,7 @@ def run_linked(samples, task):
                 results[i] = task(i)
         except BaseException as exc:
             errors[i] = exc
-            link.abort()
+            link.abort(i)
 
     threads = [threading.Thread(target=member, args=(i,)) for i in range(2)]
     for t in threads:
@@ -1343,10 +1343,10 @@ class TestTensorBasics:
         assert not np.array_equal(a, c)
 
 
-class TestSharedReduce:
+class TestShardChannel:
     def test_all_reduce_sums_every_round_in_shard_order(self):
         # Frequent thread switches let a fast shard run ahead into the next
-        # round while its partner still reads this one's slots.
+        # round while its partner still reads this one's partial.
         rounds = 200
         parts = RngState(130).generator().standard_normal((rounds, 2, 17)).astype(np.float32)
 
@@ -1386,7 +1386,7 @@ class TestSharedReduce:
         assert aborted == [1 - failing]
 
     def test_oversized_partial_is_refused(self):
-        link = SharedReduce()
+        link = ShardChannel()
         try:
             with pytest.raises(ValueError, match="exceeds"):
                 link.all_reduce(0, np.zeros(1 << 14))
