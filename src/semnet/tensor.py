@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
+import math
 import os
 import weakref
 from typing import Callable, NamedTuple
@@ -469,8 +470,18 @@ def _phase_axis(n: int, stride: int, pad: int, phase: int, size: int):
 
 def _sample_chunks(b: int, sample_bytes: int) -> tuple[int, list[tuple[int, int]]]:
     """(step, [(start, stop)...]): chunks whose scratch of sample_bytes each fits."""
-    step = max(1, min(b, _CHUNK_BYTES // sample_bytes))
+    step = max(1, min(b, _CHUNK_BYTES // max(1, sample_bytes)))
     return step, [(s, min(s + step, b)) for s in range(0, b, step)]
+
+
+def _chunk_scratch(b: int, *specs) -> tuple:
+    """(chunks, buffers) of one pass over b samples: for each spec (alloc,
+    one sample's shape, dtype) the buffer alloc((step, *shape), dtype),
+    None for a false spec; step is the most samples (at least 1) whose
+    buffers together fit ``_CHUNK_BYTES``."""
+    step, chunks = _sample_chunks(b, sum(math.prod(shape) * np.dtype(dt).itemsize
+                                         for _, shape, dt in filter(None, specs)))
+    return chunks, [spec[0]((step, *spec[1]), spec[2]) if spec else None for spec in specs]
 
 
 class PreActivation(NamedTuple):
@@ -507,22 +518,27 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
     pj::stride] with rows of width wp = Wout + (k-1)//stride; tap (i, j)
     reads its phase at a constant offset, a view BLAS takes without a copy,
     and the wrap-around columns Wout..wp are dropped. A 1x1 stride-1 conv
-    reads x itself, in one GEMM unless it is summed (``add_to``). Others
-    take the batch in sample chunks whose grids and tap sums fit
-    ``_CHUNK_BYTES`` of reused scratch, so forward allocates only its
-    output and backward only dx, and the tape keeps no padded copy of x.
-    dkernel's batch sum runs in sample order; dx is None when x needs no
-    gradient, as the images do.
+    reads x itself. Each pass walks the batch in sample chunks sized in one
+    place from the scratch it allocates per sample (grids, activation, tap
+    sums and their gradients): one chunk's fits ``_CHUNK_BYTES`` and is
+    reused from chunk to chunk, and the tape keeps no padded copy of x.
+    Beyond it, forward allocates its output and backward dx and dkernel;
+    whole-batch, only per-sample rows: ``per_sample`` with ``pre`` and,
+    in a gated conv, ``prods``, ``sums`` and the ReLU's masks. Every GEMM
+    is per sample or per row and every batch sum runs in sample order, so
+    no output or gradient depends on the budget. dx is None when x needs
+    no gradient, as the images do.
 
     With ``pre``, the conv reads relu(batch_norm(x)) as one node, bit for
     bit the two-op result, with batch_norm's statistics and its one running
-    buffer update. Each sample chunk of x is normalised and rectified
-    straight into the chunk's grids (a 1x1 stride-1 conv gets one grid
-    too), so the activation is never written whole and the tape keeps
-    only x. Backward rebuilds each chunk's grids from x and the saved
-    statistics, takes dkernel from them, masks the activation's gradient
-    with act > 0 while the chunk is in cache, and ends with batch_norm's
-    backward; the rule returns (dx, dkernel, dgamma, dbeta).
+    buffer update. Each sample chunk of x is normalised and rectified into
+    the chunk's activation scratch and from there into its grids (a 1x1
+    stride-1 conv's one grid is that scratch), so the activation is never
+    written whole and the tape keeps only x. Backward rebuilds each chunk's
+    grids from x and the saved statistics, takes dkernel from them, masks
+    the activation's gradient with act > 0 while the chunk is in cache,
+    and ends with batch_norm's backward; the rule returns (dx, dkernel,
+    dgamma, dbeta).
 
     With ``gate``, on a direct conv only, the node returns out * v[...,
     None, None], with v the gate's scales of the output's spatial mean m,
@@ -534,9 +550,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
     needs anyway, of the gradient g at the gate's output and the conv's
     input a, for the whole batch: dv[c] = sum_k W[c,k] P[c,k] feeds one
     gate backward, and dkernel is the sum of diag(v) P + (dm/HW) (sum_hw
-    a)^T. The chunks then form a's gradient as (W diag v)^T g + W^T
-    dm/HW, so the gate adds no GEMM. The gate's parameter gradients end
-    the rule's result.
+    a)^T. The chunks then form a's gradient as (W diag v)^T g + W^T dm/HW,
+    the last term one product per row for the whole batch, as in
+    ``affine``, so the gate adds no GEMM. The gate's parameter gradients
+    end the rule's result.
 
     With ``add_to``, not with a gate, the node returns add_to + the conv,
     adding each chunk's result into add_to's buffer, so the conv's own
@@ -576,27 +593,32 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
     cells = rows * wp + d  # one phase grid and the furthest tap's overrun
     taps = [(i, j, i % stride * q + j % stride, i // stride * wp + j // stride)
             for i in range(k) for j in range(k)]
-    staged = not direct or pre is not None  # x goes into scratch grids
     summed = add_to is not None  # each chunk's tap sums go into add_to's buffer
+    # Both passes' first scratch specs (``_chunk_scratch``): a sample's
+    # phase grids, false where x is its own, whose padding stays 0; with
+    # pre, its unpadded activation, held by a direct conv's one grid.
+    staged = (not direct or pre is not None) and (
+        np.empty if direct else np.zeros, (q * q, cin, cells), dt)
+    unpadded = pre is not None and not direct and (np.empty, (cin, h, w), dt)
 
     def phases(buf, m):
         """(grid view of buf's first m samples, index into x, index into the grid)."""
         for n in range(q * q):
             ys, us = _phase_axis(h, stride, pad, n // q, rows)
             xs, vs = _phase_axis(w, stride, pad, n % q, wp)
-            yield buf[n, :m, :, : rows * wp].reshape(m, cin, rows, wp), (..., ys, xs), (..., us, vs)
+            yield buf[:m, n, :, : rows * wp].reshape(m, cin, rows, wp), (..., ys, xs), (..., us, vs)
 
     def grids_of(s, e, buf, act):
-        """(phase grids (q*q, e-s, cin, cells), the input they hold) of
+        """(phase grids (e-s, q*q, cin, cells), the input they hold) of
         samples s:e. Unless staged both are x; else the grids are buf,
         filled from x or, with ``pre``, from its activation, which is
         written unpadded into act (for a direct conv, into the one grid).
         """
         src = x.data[s:e]
         if not staged:
-            return src.reshape(1, e - s, cin, cells), src
+            return src.reshape(e - s, 1, cin, cells), src
         if pre is not None:
-            src = buf[0, : e - s].reshape(src.shape) if direct else act[: e - s]
+            src = buf[: e - s].reshape(src.shape) if direct else act[: e - s]
             np.subtract(x.data[s:e], mean, out=src)
             np.multiply(src, scale, out=src)
             src += beta
@@ -604,24 +626,19 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
         if not direct:
             for grid, xi, gi in phases(buf, e - s):
                 grid[gi] = src[xi]
-        return buf[:, : e - s], src
+        return buf[: e - s], src
 
     kt = np.ascontiguousarray(kernel.data.transpose(2, 3, 0, 1))  # (k, k, Cout, Cin)
     out = add_to.data if summed else np.empty((b, cout, hout, wout), dtype=dt)
-    # Per sample: the grids and the tap sums (a direct conv's one tap
-    # writes straight into the output, unless it is summed).
-    step, chunks = (_sample_chunks(b, dt.itemsize * (
-        staged * q * q * cin * cells + 2 * (not direct or summed) * cout * span))
-        if staged or summed else (b, [(0, b)]))
-    # The padding stays 0; a direct conv's one grid has none.
-    grids = (np.empty if direct else np.zeros)((q * q, step, cin, cells), dt) if staged else None
-    acts = np.empty((step, cin, h, w), dt) if pre is not None and not direct else None
-    acc, tmp = np.empty((2, step, cout, span), dt) if not direct or summed else (None, None)
+    # Then the tap sums, unless the taps sum straight into the output, and one tap's product.
+    chunks, (grids, acts, acc, tmp) = _chunk_scratch(
+        b, staged, unpadded, (d or summed) and (np.empty, (cout, span), dt),
+        k > 1 and (np.empty, (cout, span), dt))
     parents = (x, kernel)
     if pre is not None:
         stats = _normalizer(x, pre.gamma, pre.beta, pre.running_mean, pre.running_var,
-                            pre.training, chunks, grids[0].reshape(step, cin, h, w)
-                            if direct else acts)
+                            pre.training, chunks, acts if acts is not None
+                            else grids.reshape(-1, cin, h, w))
         mean, scale, beta = (a.reshape(1, cin, 1, 1)
                              for a in (stats[0], stats[2], pre.beta.data))
         parents = (x, kernel, pre.gamma, pre.beta)
@@ -635,7 +652,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
         # Without wrap-around columns the taps sum straight into the output.
         dest = acc[: e - s] if d or summed else out[s:e].reshape(e - s, cout, span)
         for t, (i, j, n, o) in enumerate(taps):
-            part = np.matmul(kt[i, j], grid[n, :, :, o : o + span],
+            part = np.matmul(kt[i, j], grid[:, n, :, o : o + span],
                              out=tmp[: e - s] if t else dest)
             if t:
                 dest += part
@@ -653,57 +670,40 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
         out *= v[:, :, None, None]
         _check_output(out, "attention")
 
-    def gate_backward(g, chunks, grids, acts, masks, dkernel):
-        """The gate's share of backward, run before the chunks that form
-        dx: per sample the product P = g a^T, of the gradient at the
-        output and the conv's input a, for the whole batch; from it the
-        gate's backward once, and dkernel. Returns dm/HW and the gate's
-        parameter gradients. With ``pre`` the chunks rebuild a from x and
-        leave a > 0 in masks, whole-batch."""
-        prods, sums = np.empty((b, cout, cin), dt), np.empty((b, cin), dt)
-        for s, e in chunks:
-            grid, src = grids_of(s, e, grids, acts)
-            np.matmul(g[s:e].reshape(e - s, cout, span), grid[0].transpose(0, 2, 1),
-                      out=prods[s:e])
-            np.sum(grid[0], axis=2, out=sums[s:e])
-            if masks is not None:
-                np.greater(src, 0, out=masks[s:e])
-        dm, grads = gate.backward(means, np.einsum("bck,ck->bc", prods, kt[0, 0]))
-        dm *= dt.type(1.0 / span)
-        dkernel[:, :, 0, 0] = np.einsum("bc,bck->ck", v, prods) + dm.T @ sums
-        return dm, grads
-
     def conv2d_backward(g):
         dkernel = np.zeros_like(kernel.data)  # an empty batch runs no chunk
         # With pre, dx is first the activation's gradient.
         dx = ((np.empty_like if direct else np.zeros_like)(x.data)
               if x.requires_grad or pre is not None else None)
-        # Per sample, the scratch allocated below: grids, dgrids, acts,
-        # gpad, tmp, dks or scaled, then the ReLU's masks (one byte each). A
-        # gated conv also counts g and dx, which it does not allocate: its
-        # dx adds dm[s:e] @ W, one GEMM per chunk that OpenBLAS rounds by
-        # the chunk's row count, so larger chunks would change its bits.
-        step, chunks = _sample_chunks(b, dt.itemsize * (
-            q * q * cin * cells * (staged + (not direct))
-            + (pre is not None and not direct) * cin * h * w + bool(d) * cout * span
-            + (k > 1) * cin * span + cout * cin + (gate is not None) * (cout + cin) * span)
-            + (pre is not None and gate is None) * cin * h * w)
-        grids = ((np.empty if direct else np.zeros)((q * q, step, cin, cells), dt)
-                 if staged else None)
-        dgrids = None if direct else np.zeros((q * q, step, cin, cells), dt)
-        acts = np.empty((step, cin, h, w), dt) if pre is not None and not direct else None
-        gpad = np.zeros((step, cout, span), dtype=dt) if d else None  # wrap columns stay 0
-        tmp = np.empty((step, cin, span), dtype=dt) if k > 1 else None
-        # Row 0 carries the sum of earlier chunks into this chunk's rows 1..m.
-        dks = np.empty((step + 1, cout, cin), dtype=dt) if gate is None else None
-        masks = None
-        if pre is not None:  # batch norm's backward, in the same chunks
-            per_sample = np.empty((2, b, cin), dt)
-            masks = np.empty((step if gate is None else b, cin, h, w), bool)
+        # After forward's scratch: the grids' gradient, padded g (its wrap
+        # columns stay 0), one tap's product, dkernel's per-sample terms (a
+        # gated conv's (W diag v)^T) and the ReLU's mask.
+        chunks, (grids, acts, dgrids, gpad, tmp, dks, masks) = _chunk_scratch(
+            b, staged, unpadded, not direct and (np.zeros, (q * q, cin, cells), dt),
+            d and (np.zeros, (cout, span), dt), k > 1 and (np.empty, (cin, span), dt),
+            (np.empty, (cout, cin) if gate is None else (cin, cout), dt),
+            pre is not None and gate is None and (np.empty, (cin, h, w), bool))
+        per_sample = np.empty((2, b, cin), dt) if pre is not None else None  # batch norm's sums
         tail = [g] if summed else []  # add_to's gradient, or the gate's parameters'
         if gate is not None:
-            dm, tail = gate_backward(g, chunks, grids, acts, masks, dkernel)
-            scaled = np.empty((step, cin, cout), dt)  # (W diag v)^T of each sample
+            # First, per sample, the product P = g a^T of the gradient at
+            # the output and the conv's input a, for the whole batch: from
+            # it the gate's backward once, and dkernel. With pre the chunks
+            # rebuild a from x and keep the whole batch's ReLU masks a > 0.
+            prods, sums = np.empty((b, cout, cin), dt), np.empty((b, cin), dt)
+            masks = np.empty((b, cin, h, w), bool) if pre is not None else None
+            for s, e in chunks:
+                grid, src = grids_of(s, e, grids, None)
+                np.matmul(g[s:e].reshape(e - s, cout, span), grid[:, 0].transpose(0, 2, 1),
+                          out=prods[s:e])
+                np.sum(grid[:, 0], axis=2, out=sums[s:e])
+                if pre is not None:
+                    np.greater(src, 0, out=masks[s:e])
+            dm, tail = gate.backward(means, np.einsum("bck,ck->bc", prods, kt[0, 0]))
+            dm *= dt.type(1.0 / span)
+            dkernel[:, :, 0, 0] = np.einsum("bc,bck->ck", v, prods) + dm.T @ sums
+            del prods, sums
+            wdm = _row_products(dm, kt[0, 0].T)  # W^T dm/HW, one product per row
         for s, e in chunks:
             m = e - s
             gm = gpad[:m] if d else g[s:e].reshape(m, cout, span)
@@ -711,25 +711,24 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
                 grid, src = grids_of(s, e, grids, acts)
                 if d:
                     gm.reshape(m, cout, hout, wp)[..., :wout] = g[s:e]
-                for i, j, n, o in taps:
-                    np.matmul(gm, grid[n, :, :, o : o + span].transpose(0, 2, 1),
-                              out=dks[1 : m + 1])
+                for i, j, n, o in taps:  # each tap's sum over samples, in order
+                    np.matmul(gm, grid[:, n, :, o : o + span].transpose(0, 2, 1), out=dks[:m])
                     if s:
-                        dks[0] = dkernel[:, :, i, j]
-                    dkernel[:, :, i, j] = dks[(s == 0) : m + 1].sum(axis=0)
+                        dks[0] += dkernel[:, :, i, j]
+                    dkernel[:, :, i, j] = dks[:m].sum(axis=0)
             if dx is None:
                 continue
-            dgrid = dx[s:e].reshape(1, m, cin, cells) if direct else dgrids[:, :m]
+            dgrid = dx[s:e].reshape(m, 1, cin, cells) if direct else dgrids[:m]
             if gate is not None:
-                np.multiply(kt[0, 0].T, v[s:e, None, :], out=scaled[:m])
-                np.matmul(scaled[:m], gm, out=dgrid[0])
-                dgrid[0] += (dm[s:e] @ kt[0, 0])[:, :, None]
+                np.multiply(kt[0, 0].T, v[s:e, None, :], out=dks[:m])
+                np.matmul(dks[:m], gm, out=dgrid[:, 0])
+                dgrid[:, 0] += wdm[s:e, :, None]
             elif k == 1:  # the one tap spans the whole grid: its GEMM writes it
-                np.matmul(kt[0, 0].T, gm, out=dgrid[0])
+                np.matmul(kt[0, 0].T, gm, out=dgrid[:, 0])
             else:
                 dgrid[...] = 0
                 for i, j, n, o in taps:
-                    dgrid[n, :, :, o : o + span] += np.matmul(kt[i, j].T, gm, out=tmp[:m])
+                    dgrid[:, n, :, o : o + span] += np.matmul(kt[i, j].T, gm, out=tmp[:m])
             if not direct:
                 for grid, xi, gi in phases(dgrid, m):
                     dx[s:e][xi] = grid[gi]
@@ -737,7 +736,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, pad: int = 0, *,
                 # The ReLU's mask, then x - mean in the activation's place (a
                 # gated conv's first pass left the masks and its grids free).
                 if gate is not None:
-                    src = grids[0, :m].reshape(m, cin, h, w)
+                    src = grids[:m].reshape(m, cin, h, w)
                 dx[s:e] *= masks[s:e] if gate is not None else np.greater(src, 0, out=masks[:m])
                 _sample_sums(dx[s:e], np.subtract(x.data[s:e], mean, out=src), per_sample[:, s:e])
         if pre is None:
@@ -853,7 +852,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     and allocates as usual otherwise; pass it only for an ``x`` that
     nothing reads after, such as a conv output inside a block.
     """
-    step, chunks = _sample_chunks(len(x.data), max(1, x.data[:1].nbytes))
+    step, chunks = _sample_chunks(len(x.data), x.data[:1].nbytes)
     stats = _normalizer(x, gamma, beta, running_mean, running_var, training, chunks)
     pshape = (1, -1) + (1,) * (x.ndim - 2)
     mean, scale = (a.reshape(pshape) for a in (stats[0], stats[2]))
@@ -965,8 +964,7 @@ def _normalizer_backward(g: np.ndarray, x: np.ndarray, mean: np.ndarray, sums: n
     total = _all_reduce(sums)
     kx = (-scale * inv_std * (inv_std * total[1]) * inv_n).reshape(pshape)
     k0 = (scale * total[0] * inv_n).reshape(pshape)
-    step, chunks = _sample_chunks(len(x), max(1, x[:1].nbytes))
-    tmp = np.empty((step,) + x.shape[1:], x.dtype)  # kx*xc - k0 of one chunk
+    chunks, (tmp,) = _chunk_scratch(len(x), (np.empty, x.shape[1:], x.dtype))  # kx*xc - k0
     for s, e in chunks:
         part = np.subtract(x[s:e], mean, out=tmp[: e - s])
         part *= kx

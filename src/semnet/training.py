@@ -298,9 +298,8 @@ def load_datasets(cfg: RunConfig) -> tuple[Sequence, Sequence]:
         kept = order[: cfg.train_subset]
         if isinstance(train, data_mod.CifarSplit):
             train = train.take(kept)  # read from the files, as the whole split
-        else:  # copied, so the kept pixels do not pin a decoded buffer
-            train = [data_mod.DatasetRecord(train[i].pixels.copy(), train[i].label,
-                                            train[i].coarse_label) for i in kept]
+        else:  # synthetic records, each owning its pixels
+            train = [train[i] for i in kept]
     return train, test
 
 

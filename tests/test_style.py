@@ -77,3 +77,43 @@ def test_an_unused_import_is_found():
     assert unused_imports("import os\nimport sys\nprint(sys)\n") == ["1: os"]
     assert unused_imports("from a import b  # noqa: F401\n") == []
     assert unused_imports("import a.b\na.b.c()\n") == []
+
+
+def dead_definitions(sources):
+    """Private module-level names (``_x``, not dunders) that a module of
+    ``sources`` (file name -> source) defines and no module of them loads,
+    as a Name or an Attribute read, as ``file: name``."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr
+              for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    dead = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{file}: {name}" for name in names
+                     if name.startswith("_") and not name.startswith("__") and name not in loaded]
+    return dead
+
+
+def test_every_private_definition_is_used():
+    folder = os.path.join(ROOT, "src", "semnet")
+    sources = {}
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                sources[name] = fh.read()
+    assert not dead_definitions(sources)
+
+
+def test_a_dead_definition_is_found():
+    sources = {"a.py": "_x = 1\n_y, (_z, __all__) = 2, (3, [])\ndef _f():\n    return _y\n",
+               "b.py": "import a\nprint(a._z)\nclass _C:\n    pass\n"}
+    assert dead_definitions(sources) == ["a.py: _x", "a.py: _f", "b.py: _C"]

@@ -466,7 +466,7 @@ def force_chunk_step(monkeypatch, step):
     sample_chunks = tensor._sample_chunks
 
     def fixed_step(b, sample_bytes):
-        monkeypatch.setattr(tensor, "_CHUNK_BYTES", step * sample_bytes)
+        monkeypatch.setattr(tensor, "_CHUNK_BYTES", step * max(1, sample_bytes))
         chunks = sample_chunks(b, sample_bytes)
         seen.append(chunks[1])
         return chunks
@@ -476,6 +476,11 @@ def force_chunk_step(monkeypatch, step):
 
 
 CONV_GRID = [(k, stride, pad) for k in (1, 3, 5) for stride in (1, 2, 3) for pad in (0, 1, 2)]
+# (k, stride, pad, kind) of every conv2d the backbone runs: the stem on the
+# images, a projection block's conv1 on bn1's output, the pre-activated
+# units, the gated conv3 and both projection shortcuts.
+BACKBONE_CONVS = [(3, 1, 1, "stem"), (1, 1, 0, "plain"), (1, 1, 0, "pre"), (3, 1, 1, "pre"),
+                  (3, 2, 1, "pre"), (1, 1, 0, "gated"), (1, 1, 0, "add_to"), (1, 2, 0, "add_to")]
 
 
 class TestConv2dOracle:
@@ -531,8 +536,7 @@ class TestConv2dOracle:
                 *oracles.batched_conv2d_backward(x, kernel, g, stride, pad))
         for name, a, b in zip(("out", "dx", "dkernel"), got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-        # Backward always chunks; forward too unless it is a direct 1x1.
-        assert len(seen) == (1 if (k, stride, pad) == (1, 1, 0) else 2)
+        assert len(seen) == 2  # forward's chunks, then backward's
         for chunks in seen:  # 7 samples: 7 x 1, 2+2+2+1 or 3+3+1
             assert len(chunks) >= 3 and chunks[-1][1] == 7
             assert step == 1 or chunks[-1][1] - chunks[-1][0] < step
@@ -601,14 +605,67 @@ class TestConv2dOracle:
         assert forward <= out.data.nbytes + kernel.data.nbytes + slack, forward
         assert backward <= dx.nbytes + dkernel.nbytes + slack, backward
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k,stride,pad,kind", BACKBONE_CONVS)
+    def test_no_bit_depends_on_the_budget(self, k, stride, pad, kind, dtype, monkeypatch):
+        # 24 samples at 32x32: a 1-byte budget takes one sample per chunk,
+        # the default several for most passes here and 1 TiB the whole batch.
+        gen = RngState(37).generator()
+        cin, cout = (3, 16) if kind == "stem" else (16, 64 if kind == "gated" else 32)
+        hout = (32 + 2 * pad - k) // stride + 1
+        x, kernel, g, base, gamma, beta = (gen.standard_normal(shape).astype(dtype) for shape in (
+            (24, cin, 32, 32), (cout, cin, k, k), (24, cout, hout, hout), (24, cout, hout, hout),
+            cin, cin))
+        params = gate_of(dtype, ALL_OPERATORS, True, "sigmoid", channels=cout)
+        results = []
+        for budget in (1, tensor._CHUNK_BYTES, 1 << 40):
+            monkeypatch.setattr(tensor, "_CHUNK_BYTES", budget)
+            xt = Tensor(x * 2.0 + 1.0, requires_grad=kind != "stem")
+            kt = Tensor(kernel, requires_grad=True)
+            pre = PreActivation(Tensor(gamma + 1.0, requires_grad=True),
+                                Tensor(beta, requires_grad=True),
+                                np.zeros(cin, dtype), np.ones(cin, dtype), True)
+            if kind == "gated":
+                out = sem_forward(xt, params, conv=(kt, pre))
+            elif kind == "add_to":
+                out = conv2d(xt, kt, stride, pad, add_to=Tensor(base.copy(), requires_grad=True))
+            else:
+                out = conv2d(xt, kt, stride, pad, pre=pre if kind == "pre" else None)
+            grads = [a for a in out._backward(g) if a is not None]
+            assert len(grads) == {"stem": 1, "plain": 2, "add_to": 3, "pre": 4}.get(
+                kind, 4 + len(gate_params(params)))
+            results.append([a.tobytes() for a in (out.data, *grads, pre[2], pre[3])])
+        assert results[0] == results[1] == results[2]
+
+    def test_pre_activated_strided_forward_peak_is_one_chunk(self):
+        # Depth 20's first stage-2 conv2: a 3x3 32 -> 32 conv at stride 2 on
+        # 32x32 maps with bn2 inside its node. Per sample, its phase grids
+        # (145 KiB), activation (128 KiB), tap sums and one tap's product (34
+        # KiB each) fit 3 samples in 1 MiB; leaving the activation out of
+        # the count took 4 samples, 1.37 MiB with the transposed kernel.
+        gen = RngState(38).generator()
+        x, kernel, gamma, beta = (
+            Tensor(gen.standard_normal(shape).astype(np.float32), requires_grad=True)
+            for shape in ((8, 32, 32, 32), (32, 32, 3, 3), 32, 32))
+        pre = PreActivation(gamma, beta, np.zeros(32, np.float32), np.ones(32, np.float32), True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, kernel, stride=2, pad=1, pre=pre)
+            forward = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        slack = tensor._CHUNK_BYTES + 8192
+        assert forward <= out.data.nbytes + 2 * kernel.data.nbytes + slack, forward
+
     @pytest.mark.parametrize("gated", [False, True])
     def test_direct_conv_backward_chunks_by_its_scratch(self, monkeypatch, gated):
         # Stage 1's conv3 at depth 164 / B=16: a 1x1 16 -> 64 conv at 32x32
         # with bn3 inside its node. Ungated, backward allocates per sample
         # one grid (64 KiB), dkernel's row (4 KiB) and the ReLU's mask (16
         # KiB): 12 samples fit 1 MiB, 2 chunks, where counting g and dx as
-        # scratch too gave 2 samples, 8 chunks. Gated, it still counts them:
-        # its dx's dm @ W GEMM per chunk rounds by the chunk's row count.
+        # scratch too gave 2 samples, 8 chunks. Gated, the grid and (W diag
+        # v)^T (4 KiB): 15 samples, where counting g and dx too gave 2.
         block = build_network(RunConfig(depth=164, attention="sem"), RngState(34)).stages[0][1]
         h = Tensor(RngState(35).generator().standard_normal((16, 16, 32, 32)),
                    dtype=np.float32)
@@ -628,8 +685,7 @@ class TestConv2dOracle:
         out._backward(np.ones_like(out.data))
         # conv2d's forward, its backward, then batch norm's backward.
         assert len(seen) == 3
-        assert seen[1] == ([(s, s + 2) for s in range(0, 16, 2)] if gated
-                           else [(0, 12), (12, 16)])
+        assert seen[1] == ([(0, 15), (15, 16)] if gated else [(0, 12), (12, 16)])
 
     def test_forward_keeps_no_padded_copy(self):
         gen = RngState(31).generator()
